@@ -1,10 +1,10 @@
 """Concrete chain families on the nonnegative integers.
 
-Each family packages a rule for building transition rows together with the
-limiting jump law the rows approach at infinity.  ``ChainFamily.kernel``
-materialises a banded kernel with explicit rows up to a truncation and a
-tail rule beyond it, so solvers can keep asking for rows as far up as they
-need.
+Each family packages a rule that builds the rows of an array of states
+together with the limiting jump law the rows approach at infinity.
+``ChainFamily.kernel`` materialises a banded kernel with explicit rows up
+to a truncation and a tail rule beyond it, so solvers can keep asking for
+rows as far up as they need.
 
 Families provided:
 
@@ -83,12 +83,16 @@ class AlternatingAlpha:
 
 @dataclass(frozen=True)
 class ChainFamily:
-    """A state-indexed row rule plus its limiting jump law."""
+    """A row rule plus its limiting jump law.
+
+    ``row_rule`` maps a 1-d integer array of states to the (n, width) block
+    of their rows.
+    """
 
     name: str
     band_lo: int
     band_hi: int
-    row_fn: Callable[[int], np.ndarray]
+    row_rule: Callable[[np.ndarray], np.ndarray]
     limit_pmf: np.ndarray | None = None
     homogeneous_from: int | None = None
     stochastic: bool = True
@@ -101,6 +105,10 @@ class ChainFamily:
             raise UnsupportedInputError(f"family {self.name} has no limiting jump law")
         pmf = np.asarray(self.limit_pmf, dtype=float)
         return LatticeWalk(lo=-self.band_lo, pmf=pmf / pmf.sum())
+
+    def row(self, i: int) -> np.ndarray:
+        """The row of one state, through the array rule."""
+        return self.row_rule(np.array([i]))[0]
 
     def kernel(self, truncation: int) -> TransitionKernel:
         """Banded kernel with explicit rows up to ``truncation``.
@@ -115,12 +123,12 @@ class ChainFamily:
                 f"truncation {truncation} is below the homogeneous level "
                 f"{self.homogeneous_from} of family {self.name}"
             )
-        weights = np.array([self.row_fn(i) for i in range(truncation + 1)], dtype=float)
+        weights = np.array(self.row_rule(np.arange(truncation + 1)), dtype=float)
         if self.homogeneous_from is not None:
             tail = HomogeneousTail(np.asarray(self.limit_pmf, dtype=float))
         else:
             bound = 0.0 if self.stochastic else math.inf
-            tail = ParametricTail(self.row_fn, declared_delta_abs_bound=bound)
+            tail = ParametricTail(self.row, declared_delta_abs_bound=bound)
         cls = StochasticKernel if self.stochastic else TransitionKernel
         return cls(
             band_lo=self.band_lo,
@@ -169,16 +177,16 @@ def perturbed_reflected_walk(p: float = 0.7, alpha: float = 2.0) -> ChainFamily:
     q = 1.0 - p
     limit = np.array([q, 0.0, p])
 
-    def row_fn(i: int) -> np.ndarray:
-        if i == 0:
-            return np.array([0.0, 0.0, alpha])
-        return limit
+    def row_rule(states: np.ndarray) -> np.ndarray:
+        rows = np.tile(limit, (len(states), 1))
+        rows[states == 0] = (0.0, 0.0, alpha)
+        return rows
 
     return ChainFamily(
         name="perturbed-reflected-walk",
         band_lo=1,
         band_hi=1,
-        row_fn=row_fn,
+        row_rule=row_rule,
         limit_pmf=limit,
         homogeneous_from=1,
         stochastic=False,
@@ -204,27 +212,53 @@ def multi_perturbed_walk(alphas, p: float = 0.7) -> ChainFamily:
     limit[N - 1] = q  # offset -1
     limit[N + 1] = p  # offset +1
 
-    def row_fn(i: int) -> np.ndarray:
-        r = np.zeros(W)
-        if i < N:
-            r[N + 1] = alphas[i]
-        elif i == N:
-            r[0] = q  # offset -N: back to the origin
-            r[N + 1] = p
-        else:
-            r[N - 1] = q
-            r[N + 1] = p
-        return r
+    def row_rule(states: np.ndarray) -> np.ndarray:
+        rows = np.tile(limit, (len(states), 1))
+        low = states < N
+        rows[low] = 0.0
+        rows[low, N + 1] = np.asarray(alphas)[states[low]]
+        top = states == N
+        rows[top, N - 1] = 0.0
+        rows[top, 0] = q  # offset -N: back to the origin
+        return rows
 
     return ChainFamily(
         name="multi-perturbed-walk",
         band_lo=N,
         band_hi=1,
-        row_fn=row_fn,
+        row_rule=row_rule,
         limit_pmf=limit,
         homogeneous_from=N + 1,
         stochastic=False,
         params={"p": p, "alphas": tuple(alphas)},
+    )
+
+
+def _walk_at_zero(name: str, walk: LatticeWalk, lump: bool) -> ChainFamily:
+    """The walk on the nonnegative integers: steps below zero are deleted,
+    or with ``lump`` moved onto zero."""
+    bl, bh = -walk.lo, walk.hi
+    pmf = walk.pmf.copy()
+
+    def row_rule(states: np.ndarray) -> np.ndarray:
+        rows = np.tile(pmf, (len(states), 1))
+        for r in np.flatnonzero(states < bl):
+            cut = bl - int(states[r])
+            lost = rows[r, :cut].sum()
+            rows[r, :cut] = 0.0
+            if lump:
+                rows[r, cut] += lost
+        return rows
+
+    return ChainFamily(
+        name=name,
+        band_lo=bl,
+        band_hi=bh,
+        row_rule=row_rule,
+        limit_pmf=pmf,
+        homogeneous_from=bl,
+        stochastic=lump,
+        params={"pmf": tuple(pmf)},
     )
 
 
@@ -234,25 +268,7 @@ def walk_killed_at_negative(walk: LatticeWalk) -> ChainFamily:
     origin are substochastic."""
     if walk.lo >= 0:
         raise UnsupportedInputError("the walk never steps down; nothing to kill")
-    bl, bh = -walk.lo, walk.hi
-    pmf = walk.pmf.copy()
-
-    def row_fn(i: int) -> np.ndarray:
-        r = pmf.copy()
-        if i < bl:
-            r[: bl - i] = 0.0
-        return r
-
-    return ChainFamily(
-        name="killed-walk",
-        band_lo=bl,
-        band_hi=bh,
-        row_fn=row_fn,
-        limit_pmf=pmf,
-        homogeneous_from=bl,
-        stochastic=False,
-        params={"pmf": tuple(pmf)},
-    )
+    return _walk_at_zero("killed-walk", walk, lump=False)
 
 
 def lindley_chain(walk: LatticeWalk) -> ChainFamily:
@@ -260,42 +276,20 @@ def lindley_chain(walk: LatticeWalk) -> ChainFamily:
     (the steady-state recursion of a single queue)."""
     if walk.lo >= 0:
         raise UnsupportedInputError("the walk never steps down; nothing to reflect")
-    bl, bh = -walk.lo, walk.hi
-    pmf = walk.pmf.copy()
-
-    def row_fn(i: int) -> np.ndarray:
-        r = pmf.copy()
-        if i < bl:
-            lumped = r[: bl - i].sum()
-            r[: bl - i] = 0.0
-            r[bl - i] += lumped
-        return r
-
-    return ChainFamily(
-        name="lindley",
-        band_lo=bl,
-        band_hi=bh,
-        row_fn=row_fn,
-        limit_pmf=pmf,
-        homogeneous_from=bl,
-        stochastic=True,
-        params={"pmf": tuple(pmf)},
-    )
+    return _walk_at_zero("lindley", walk, lump=True)
 
 
 def _birth_death_family(name, p, profile, extra_params) -> ChainFamily:
     q = 1.0 - p
 
-    def up(i: int) -> float:
-        return p + float(profile.value(i))
+    def row_rule(states: np.ndarray) -> np.ndarray:
+        u = p + profile.value(states)
+        rows = np.stack([1.0 - u, np.zeros_like(u), u], axis=1)
+        at0 = states == 0
+        rows[at0, :2] = rows[at0, 1::-1]  # the origin holds instead of stepping down
+        return rows
 
-    def row_fn(i: int) -> np.ndarray:
-        u = up(i)
-        if i == 0:
-            return np.array([0.0, 1.0 - u, u])
-        return np.array([1.0 - u, 0.0, u])
-
-    u0 = up(0)
+    u0 = p + float(profile.value(0))
     if not 0.0 < u0 < 1.0:
         raise UnsupportedInputError("up probability at the origin outside (0, 1)")
     limit = np.array([q, 0.0, p])
@@ -303,7 +297,7 @@ def _birth_death_family(name, p, profile, extra_params) -> ChainFamily:
         name=name,
         band_lo=1,
         band_hi=1,
-        row_fn=row_fn,
+        row_rule=row_rule,
         limit_pmf=limit,
         homogeneous_from=None,
         stochastic=True,

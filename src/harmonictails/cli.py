@@ -78,6 +78,7 @@ _TASKS = (
 )
 _CHAINS = ("example1", "example2", "killed-walk", "lindley", "example3", "general")
 _MC_TASKS = ("harmonic-mc",)
+_STATIONARY_K = 400
 
 
 @dataclass
@@ -185,14 +186,15 @@ def _build_general(chain: dict) -> ChainFamily:
         )
         limit = tail.row if tail is not None else None
 
-        def row_fn(i: int) -> np.ndarray:
-            return kernel.row(i)
+        def row_rule(states: np.ndarray) -> np.ndarray:
+            lo = int(states.min())
+            return kernel.rows(lo, int(states.max()))[states - lo]
 
         return ChainFamily(
             name="general",
             band_lo=band_lo,
             band_hi=band_hi,
-            row_fn=row_fn,
+            row_rule=row_rule,
             limit_pmf=limit,
             homogeneous_from=(truncation + 1) if tail is not None else None,
             stochastic=bool(chain.get("stochastic", False)),
@@ -223,6 +225,13 @@ def validate(config: ExperimentConfig) -> list[str]:
         out.append("params.K must be an integer >= 10")
     if config.task in _MC_TASKS and "seed" not in p:
         out.append(f"task {config.task!r} needs params.seed for reproducibility")
+    if "states" in p and not (isinstance(p["states"], list) and all(
+            type(s) is int and s >= 0 for s in p["states"])):
+        out.append("params.states must be a list of nonnegative integers")
+    if config.task == "stationary" and "i_max" in p:
+        K = p.get("K", _STATIONARY_K)
+        if not (type(p["i_max"]) is int and isinstance(K, int) and 0 <= p["i_max"] <= K):
+            out.append("params.i_max must be an integer in 0..K")
     if "window" in p:
         w = p["window"]
         if not (isinstance(w, list) and len(w) == 2 and all(isinstance(v, int) for v in w)
@@ -407,7 +416,7 @@ def _run_ladder(family: ChainFamily, params: dict):
 
 
 def _run_stationary(family: ChainFamily, params: dict):
-    K = int(params.get("K", 400))
+    K = int(params.get("K", _STATIONARY_K))
     res = stationary_solve(
         family,
         K,

@@ -41,10 +41,13 @@ from .errors import (
 )
 from .kernels import (
     HomogeneousTail,
-    ParametricTail,
     StochasticKernel,
     TransitionKernel,
     _as_state_fn,
+    band_matvec,
+    band_pin,
+    band_system,
+    first_row_below,
 )
 from .ladder import LatticeWalk, ruin_exponent
 
@@ -72,10 +75,12 @@ class HarmonicEstimate:
     def __post_init__(self):
         if self.method not in ("monte-carlo", "linear-solve", "closed-form"):
             raise UnsupportedInputError(f"unknown method {self.method!r}")
-        bad = [i for i, v in self.values.items() if not (v >= 0.0 and math.isfinite(v))]
-        if bad:
+        vals = np.fromiter(self.values.values(), dtype=float, count=len(self.values))
+        ok = np.isfinite(vals) & (vals >= 0.0)
+        if not ok.all():
+            bad = list(self.values)[int(np.argmin(ok))]
             raise UnsupportedInputError(
-                f"harmonic values must be finite and nonnegative (state {bad[0]})"
+                f"harmonic values must be finite and nonnegative (state {bad})"
             )
 
     def value(self, i: int) -> float:
@@ -98,19 +103,12 @@ class HarmonicEstimate:
 
 def _collect_rows(kernel: TransitionKernel, probe: int = 64) -> np.ndarray:
     """Probability rows of the embedded chain, including tail samples."""
-    masses = kernel.weights.sum(axis=1, keepdims=True)
-    rows = [kernel.weights / masses]
+    rows = [kernel.weights]
     if kernel.tail is not None:
-        if isinstance(kernel.tail, HomogeneousTail):
-            t = kernel.tail.row
-            rows.append((t / t.sum())[None, :])
-        else:
-            sampled = []
-            for i in range(kernel.truncation + 1, kernel.truncation + 1 + probe):
-                t = kernel.tail.row_at(i)
-                sampled.append(t / t.sum())
-            rows.append(np.array(sampled))
-    return np.vstack(rows)
+        n_tail = 1 if isinstance(kernel.tail, HomogeneousTail) else probe
+        rows.append(kernel.tail.rows_at(kernel.truncation + 1, kernel.truncation + n_tail))
+    rows = np.vstack(rows)
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def jump_minorant(kernel: TransitionKernel, probe: int = 64,
@@ -171,40 +169,6 @@ def escape_probability(minorant: LatticeWalk) -> float:
 # return probabilities by sandwich solves
 
 
-def _hitting_system(P_rows, band_lo, band_hi, state_lo, j, T, boundary):
-    """Solve H(x) = P{hit j from x} on [state_lo, T] with given upper boundary."""
-    n = T - state_lo + 1
-    W = band_lo + band_hi + 1
-    ab = np.zeros((band_lo + band_hi + 1, n))
-    u = band_hi
-    ab[u, :] = 1.0
-    b = np.zeros(n)
-    jdx = j - state_lo
-    for c in range(W):
-        off = c - band_lo
-        if off == 0:
-            col = P_rows[:, c]
-            ab[u, :] -= col
-            continue
-        vals = P_rows[:, c]
-        x = np.arange(n)
-        y = x + off
-        inside = (y >= 0) & (y < n)
-        ab[u - off, y[inside]] -= vals[x[inside]]
-        out_hi = y >= n
-        if out_hi.any():
-            states_above = y[out_hi] + state_lo
-            b[x[out_hi]] += vals[x[out_hi]] * boundary(states_above)
-    # pin H(j) = 1: clear row j inside the band, put a 1 on the diagonal
-    for off in range(-band_lo, band_hi + 1):
-        y = jdx + off
-        if 0 <= y < n:
-            ab[u - off, y] = 1.0 if off == 0 else 0.0
-    b[jdx] = 1.0
-    H = solve_banded((band_lo, band_hi), ab, b)
-    return H
-
-
 def return_probability_bounds(
     P: StochasticKernel,
     j: int,
@@ -229,32 +193,23 @@ def return_probability_bounds(
     T = j + margin
     lo = P.state_lo
 
+    bl, bh = P.band_lo, P.band_hi
     for _ in range(max_doublings):
-        n = T - lo + 1
-        rows = np.array([P.row(i) for i in range(lo, T + 1)])
-        masses = rows.sum(axis=1, keepdims=True)
-        rows = rows / masses
-
-        if r == math.inf:
-            bound = lambda ys: np.zeros(len(ys))
-        else:
-            bound = lambda ys: np.minimum(1.0, np.exp(-r * (ys - j)))
-        H_lo = _hitting_system(rows, P.band_lo, P.band_hi, lo, j, T, lambda ys: np.zeros(len(ys)))
-        H_hi = _hitting_system(rows, P.band_lo, P.band_hi, lo, j, T, bound)
-
-        def first_step(H, boundary):
-            row = rows[j - lo]
-            acc = 0.0
-            for c in np.flatnonzero(row):
-                y = j + c - P.band_lo
-                if y <= T:
-                    acc += row[c] * H[y - lo]
-                else:
-                    acc += row[c] * float(boundary(np.array([y]))[0])
-            return acc
-
-        r_lo = max(0.0, first_step(H_lo, lambda ys: np.zeros(len(ys))))
-        r_hi = min(1.0, first_step(H_hi, bound))
+        rows = P.rows(lo, T)
+        rows = rows / rows.sum(axis=1, keepdims=True)
+        # H(x) = P{hit j from x} on the window, H(j) = 1, given values above it
+        jdx = j - lo
+        lu, ab = band_system(rows, bl)
+        band_pin(lu, ab, jdx)
+        ys = np.arange(T + 1, T + bh + 1)
+        above_hi = np.zeros(bh) if r == math.inf else np.minimum(1.0, np.exp(-r * (ys - j)))
+        first_step = []
+        for above in (np.zeros(bh), above_hi):
+            b = band_matvec(rows, bl, np.concatenate([np.zeros(bl + len(rows)), above]))
+            b[jdx] = 1.0
+            v = np.concatenate([np.zeros(bl), solve_banded(lu, ab, b), above])
+            first_step.append(float(band_matvec(rows[jdx : jdx + 1], bl, v[jdx:])[0]))
+        r_lo, r_hi = max(0.0, first_step[0]), min(1.0, first_step[1])
         if r_hi - r_lo <= tol:
             return (r_lo, r_hi)
         T = lo + 2 * (T - lo)
@@ -418,37 +373,41 @@ def build_solve(
     solves at K and 2K on the lower half means the boundary at K has not
     yet decoupled.  Both conditions raise :class:`SolverFailure`.
     """
-    f_K = _solve_truncated(kernel, K)
-    est_meta: dict = {}
-    if check_doubling:
-        if kernel.has_row(2 * K):
-            f_2K = _solve_truncated(kernel, 2 * K)
-            half = K // 2
-            lo = kernel.state_lo
-            a = f_K[: half - lo + 1]
-            b = f_2K[: half - lo + 1]
-            disagreement = float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))))
-            est_meta["doubling_disagreement"] = disagreement
-            if disagreement > doubling_tol:
-                raise SolverFailure(
-                    f"solutions at truncations {K} and {2 * K} disagree by "
-                    f"{disagreement:.3e} on the lower half; the boundary has not decoupled",
-                    reason="doubling",
-                    diagnostics={"disagreement": disagreement, "K": K},
+    lo, bl = kernel.state_lo, kernel.band_lo
+    if not kernel.has_row(K):
+        raise StateRangeError(f"kernel has no rows up to the requested truncation {K}")
+    if kernel.tail is not None:
+        for i, m in enumerate(kernel.tail.rows_at(K + 1, K + 2).sum(axis=1), start=K + 1):
+            if abs(math.log(m)) > 1e-9:
+                raise UnsupportedInputError(
+                    f"tail row at {i} has mass {m:.17g}; boundary value 1 above the "
+                    "truncation needs asymptotically stochastic rows"
                 )
-        else:
-            est_meta["doubling_disagreement"] = None
+    doubled = check_doubling and kernel.has_row(2 * K)
+    block = kernel.rows(lo, 2 * K if doubled else K)
+    if first_row_below(block, bl) is not None:
+        raise UnsupportedInputError("kernel places weight below its own represented range")
+    n = K - lo + 1
+    f_K = _solve_truncated(block[:n], bl)
 
-    lo = kernel.state_lo
-    values = {lo + k: float(v) for k, v in enumerate(f_K)}
-    est = HarmonicEstimate(
-        values=values,
-        method="linear-solve",
-        truncation=K,
-        boundary_value=1.0,
-        meta=est_meta,
-    )
-    res = verify_harmonicity(kernel, est, range(lo, K + 1))
+    est_meta = {"doubling_disagreement": None} if check_doubling else {}
+    if doubled:
+        f_2K = _solve_truncated(block, bl)
+        half = K // 2
+        a = f_K[: half - lo + 1]
+        b = f_2K[: half - lo + 1]
+        disagreement = float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))))
+        est_meta["doubling_disagreement"] = disagreement
+        if disagreement > doubling_tol:
+            raise SolverFailure(
+                f"solutions at truncations {K} and {2 * K} disagree by "
+                f"{disagreement:.3e} on the lower half; the boundary has not decoupled",
+                reason="doubling",
+                diagnostics={"disagreement": disagreement, "K": K},
+            )
+
+    v = np.concatenate([np.zeros(bl), f_K, np.ones(kernel.band_hi)])
+    res = _residual(block[:n], bl, v)
     if res > max(tol, 1e-9):
         raise SolverFailure(
             f"harmonicity residual {res:.3e} exceeds tolerance after the solve",
@@ -456,7 +415,7 @@ def build_solve(
             diagnostics={"residual": res},
         )
     return HarmonicEstimate(
-        values=values,
+        values=dict(zip(range(lo, K + 1), f_K.tolist())),
         method="linear-solve",
         truncation=K,
         boundary_value=1.0,
@@ -465,53 +424,25 @@ def build_solve(
     )
 
 
-def _solve_truncated(kernel: TransitionKernel, K: int) -> np.ndarray:
-    lo = kernel.state_lo
-    if not kernel.has_row(K):
-        raise StateRangeError(f"kernel has no rows up to the requested truncation {K}")
-    if kernel.tail is not None:
-        for i in (K + 1, K + 2):
-            m = kernel.tail.row_at(i).sum()
-            if abs(math.log(m)) > 1e-9:
-                raise UnsupportedInputError(
-                    f"tail row at {i} has mass {m:.17g}; boundary value 1 above the "
-                    "truncation needs asymptotically stochastic rows"
-                )
-    n = K - lo + 1
-    bl, bh = kernel.band_lo, kernel.band_hi
-    W = bl + bh + 1
-    rows = np.array([kernel.row(i) for i in range(lo, K + 1)])
-    ab = np.zeros((W, n))
-    u = bh
-    ab[u, :] = 1.0
-    b = np.zeros(n)
-    x = np.arange(n)
-    for c in range(W):
-        off = c - bl
-        vals = rows[:, c]
-        if off == 0:
-            ab[u, :] -= vals
-            continue
-        y = x + off
-        inside = (y >= 0) & (y < n)
-        ab[u - off, y[inside]] -= vals[x[inside]]
-        above = y >= n
-        if above.any():
-            b[x[above]] += vals[x[above]]  # boundary value 1
-        below = y < 0
-        if below.any() and np.any(vals[x[below]] > 0):
-            raise UnsupportedInputError(
-                "kernel places weight below its own represented range"
-            )
+def _solve_truncated(block: np.ndarray, band_lo: int) -> np.ndarray:
+    """f on the window of the row block with f = 1 above it.
+
+    The solve runs on the deficit g = 1 - f, (I - P) g = 1 - (row mass), so
+    stochastic rows give an exactly zero right-hand side and a recurrent
+    chain, whose truncated system is singular to working precision, still
+    gets f = 1.
+    """
+    lu, ab = band_system(block, band_lo)
     try:
-        f = solve_banded((bl, bh), ab, b)
+        g = solve_banded(lu, ab, 1.0 - block.sum(axis=1))
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"banded solve failed: {exc}", reason="singular") from exc
-    if not np.all(np.isfinite(f)):
+    if not np.all(np.isfinite(g)):
         raise SolverFailure(
             "solution overflowed; values grow without bound as the truncation moves",
             reason="non-finite",
         )
+    f = 1.0 - g
     neg = f.min()
     if neg < -1e-9 * max(1.0, float(np.abs(f).max())):
         raise SolverFailure(
@@ -523,16 +454,34 @@ def _solve_truncated(kernel: TransitionKernel, K: int) -> np.ndarray:
     return np.clip(f, 0.0, None)
 
 
+def _residual(block: np.ndarray, band_lo: int, v: np.ndarray, pos=slice(None)) -> float:
+    """max |(P f)(x) - f(x)| / max(1, f(x)) over the window rows ``pos``;
+    ``v`` is f on the window padded by band_lo states below, band_hi above."""
+    pf = band_matvec(block, band_lo, v)[pos]
+    f = v[band_lo : band_lo + block.shape[0]][pos]
+    return float(np.max(np.abs(pf - f) / np.maximum(1.0, f)))
+
+
 def verify_harmonicity(kernel: TransitionKernel, f, states: Iterable[int]) -> float:
-    """max_i |(Q f)(i) - f(i)| / max(1, f(i)) over the given states."""
+    """max_i |(Q f)(i) - f(i)| / max(1, f(i)) over the given states.
+
+    ``f`` is evaluated once at each given state and at each state their
+    rows put weight on.
+    """
     fn = _as_state_fn(f)
-    worst = 0.0
-    for i in states:
-        fi = fn(i)
-        resid = abs(kernel.apply(fn, i) - fi) / max(1.0, fi)
-        if resid > worst:
-            worst = resid
-    return worst
+    idx = np.fromiter(states, dtype=np.int64)
+    if idx.size == 0:
+        return 0.0
+    lo, hi, bl = int(idx.min()), int(idx.max()), kernel.band_lo
+    block = kernel.rows(lo, hi)
+    pos = idx - lo
+    need = np.zeros(hi - lo + block.shape[1], dtype=bool)
+    r, c = np.nonzero(block[pos])
+    need[np.concatenate([pos + bl, pos[r] + c])] = True
+    v = np.zeros(need.size)
+    for j in np.flatnonzero(need):
+        v[j] = fn(lo - bl + int(j))
+    return _residual(block, bl, v, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -544,22 +493,14 @@ def _philox(seed: int, salt: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sampling_tables(P: StochasticKernel, lo: int, hi: int):
-    """cdf table and offset array for states lo..hi of a stochastic kernel."""
-    rows = np.array([P.row(i) for i in range(lo, hi + 1)])
-    masses = rows.sum(axis=1, keepdims=True)
-    rows = rows / masses
-    cdf = rows.cumsum(axis=1)
-    cdf[:, -1] = 1.0
-    return cdf
-
-
 def _run_paths(P, score, score_lo, start, stop_level, n_paths, horizon, rng):
     """Trajectories from ``start`` accumulating score(X_n) until the path
     climbs above ``stop_level`` or the horizon hits.  Returns the per-path
     accumulated scores and the number of paths the horizon cut short."""
     lo = P.state_lo
-    cdf = _sampling_tables(P, lo, stop_level)
+    rows = P.rows(lo, stop_level)
+    cdf = (rows / rows.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdf[:, -1] = 1.0
     offsets = P.offsets
     states = np.full(n_paths, start, dtype=np.int64)
     totals = np.full(n_paths, score[start - score_lo], dtype=float)
@@ -576,6 +517,13 @@ def _run_paths(P, score, score_lo, start, stop_level, n_paths, horizon, rng):
         states[idx] = ns
         active[idx] = ns <= stop_level
     return totals, int(active.sum()), states
+
+
+def _check_scored(states, lo: int, hi: int, what: str) -> None:
+    """Paths score the states lo..hi; any other start or site has no entry."""
+    for s in states:
+        if not lo <= s <= hi:
+            raise StateRangeError(f"{what} {s} outside the scored range [{lo}, {hi}]")
 
 
 def _stop_level(support_top: int, minorant: LatticeWalk, return_tol: float) -> int:
@@ -625,6 +573,7 @@ def build_mc(
 
     score_lo = lo
     score_hi = stop + kernel.band_hi
+    _check_scored(states, score_lo, score_hi, "start state")
     score = np.zeros(score_hi - score_lo + 1)
     top = min(kernel.truncation, score_hi)
     score[: top - score_lo + 1] = deltas[: top - lo + 1]
@@ -681,6 +630,7 @@ def local_time_moment_mc(
     if not P.has_row(stop):
         raise StateRangeError(f"kernel rows end before the stopping level {stop}")
     score_lo = P.state_lo
+    _check_scored([i], score_lo, stop + kernel.band_hi, "state")
     score = np.zeros(stop + kernel.band_hi - score_lo + 1)
     score[i - score_lo] = 1.0
     rng = _philox(seed, salt=2, tag=i)
@@ -711,6 +661,8 @@ def expected_local_times_mc(
     stop = _stop_level(top, minor, return_tol)
     out = {}
     score_lo = P.state_lo
+    _check_scored([start], score_lo, stop + kernel.band_hi, "start state")
+    _check_scored(sites, score_lo, stop + kernel.band_hi, "site")
     for j in sites:
         score = np.zeros(stop + kernel.band_hi - score_lo + 1)
         score[j - score_lo] = 1.0

@@ -10,6 +10,11 @@ Kernels are immutable.  Transforms (normalising, killing a finite set of
 target states, exponential tilting) build new kernels; weights that fall
 below 1e-15 along the way are dropped and the discarded total is recorded
 on the result.
+
+The solvers read rows as (n, width) blocks through ``TransitionKernel.rows``
+and work on them with the banded helpers at the end of this module: I - P
+(or its transpose) in LAPACK band storage, and the mat-vecs P v and mu P,
+accumulated column by column.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateRowError,
@@ -41,8 +44,8 @@ class HomogeneousTail:
     def __post_init__(self):
         object.__setattr__(self, "row", np.asarray(self.row, dtype=float))
 
-    def row_at(self, i: int) -> np.ndarray:
-        return self.row
+    def rows_at(self, lo: int, hi: int) -> np.ndarray:
+        return np.broadcast_to(self.row, (hi - lo + 1, self.row.size))
 
     def delta_abs_bound(self) -> float:
         """Certified bound on sum over tail states of |log row mass|."""
@@ -62,8 +65,8 @@ class ParametricTail:
     fn: Callable[[int], np.ndarray]
     declared_delta_abs_bound: float = math.inf
 
-    def row_at(self, i: int) -> np.ndarray:
-        return np.asarray(self.fn(i), dtype=float)
+    def rows_at(self, lo: int, hi: int) -> np.ndarray:
+        return np.array([self.fn(i) for i in range(lo, hi + 1)], dtype=float)
 
     def delta_abs_bound(self) -> float:
         return self.declared_delta_abs_bound
@@ -117,17 +120,13 @@ class TransitionKernel:
         if np.any(masses <= 0):
             dead = int(np.argmax(masses <= 0)) + self.state_lo
             raise DegenerateRowError(f"row for state {dead} has no mass")
-        # nothing may point below state 0
-        for r in range(min(self.band_lo - self.state_lo, w.shape[0])):
-            i = self.state_lo + r
-            cut = self.band_lo - i
-            if np.any(w[r, :cut] > 0):
-                raise UnsupportedInputError(
-                    f"row for state {i} puts weight on negative target states"
-                )
+        r = first_row_below(w, self.band_lo, floor=-self.state_lo)
+        if r is not None:
+            raise UnsupportedInputError(
+                f"row for state {self.state_lo + r} puts weight on negative target states"
+            )
         if self.tail is not None:
-            trow = self.tail.row_at(self.truncation + 1)
-            if trow.shape != (width,):
+            if self.tail.rows_at(self.truncation + 1, self.truncation + 1).shape != (1, width):
                 raise UnsupportedInputError("tail rule row width does not match the band")
 
     # -- structure ---------------------------------------------------------
@@ -146,14 +145,28 @@ class TransitionKernel:
         )
 
     def row(self, i: int) -> np.ndarray:
-        if self.state_lo <= i <= self.truncation:
-            return self.weights[i - self.state_lo]
-        if i > self.truncation and self.tail is not None:
-            return self.tail.row_at(i)
-        raise StateRangeError(
-            f"state {i} outside represented range "
-            f"[{self.state_lo}, {self.truncation}] and no tail rule applies"
-        )
+        return self.rows(i, i)[0]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows of the states lo..hi as a read-only (hi - lo + 1, width) block.
+
+        Explicit rows are a view of the weights, a homogeneous tail is
+        broadcast and a parametric tail is evaluated state by state.
+        """
+        top = self.truncation
+        if lo < self.state_lo or (hi > top and self.tail is None):
+            raise StateRangeError(
+                f"state {lo if lo < self.state_lo else max(lo, top + 1)} outside represented "
+                f"range [{self.state_lo}, {top}] and no tail rule applies"
+            )
+        parts = []
+        if lo <= top:
+            parts.append(self.weights[lo - self.state_lo : min(hi, top) - self.state_lo + 1])
+        if hi > top:
+            parts.append(self.tail.rows_at(max(lo, top + 1), hi))
+        block = parts[0].view() if len(parts) == 1 else np.concatenate(parts)
+        block.flags.writeable = False
+        return block
 
     # -- scalar operations -------------------------------------------------
 
@@ -204,20 +217,18 @@ class TransitionKernel:
 
     def irreducible(self, n_states: int) -> bool:
         """Strong connectivity of the positive-weight graph on states up to ``n_states``."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
         lo = self.state_lo
         if n_states < lo:
             raise StateRangeError("irreducibility window lies below the represented states")
         size = n_states - lo + 1
-        rows, cols = [], []
-        for i in range(lo, n_states + 1):
-            r = self.row(i)
-            for c in np.flatnonzero(r):
-                j = i + c - self.band_lo
-                if lo <= j <= n_states:
-                    rows.append(i - lo)
-                    cols.append(j - lo)
-        graph = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(size, size)
+        x, c = np.nonzero(self.rows(lo, n_states))
+        y = x + c - self.band_lo
+        inside = (y >= 0) & (y < size)
+        graph = csr_matrix(
+            (np.ones(int(inside.sum())), (x[inside], y[inside])), shape=(size, size)
         )
         n_comp, _ = connected_components(graph, directed=True, connection="strong")
         return n_comp == 1
@@ -287,30 +298,17 @@ class StochasticKernel(TransitionKernel):
         enough that tail rows cannot touch the killed set.
         """
         targets = set(int(t) for t in targets)
-        if not targets:
-            return TransitionKernel(
-                band_lo=self.band_lo,
-                band_hi=self.band_hi,
-                weights=self.weights.copy(),
-                state_lo=self.state_lo,
-                tail=self.tail,
-                dropped_mass=self.dropped_mass,
-            )
-        top = max(targets)
-        if self.tail is not None and self.truncation < top + self.band_lo:
+        top = max(targets, default=-1)
+        if targets and self.tail is not None and self.truncation < top + self.band_lo:
             raise UnsupportedInputError(
                 f"truncation {self.truncation} too small: tail rows could reach "
                 f"killed state {top} (need at least {top + self.band_lo})"
             )
         w = self.weights.copy()
-        for r in range(w.shape[0]):
-            i = self.state_lo + r
-            if i in targets:
-                w[r, :] = 0.0
-                continue
-            for c in range(w.shape[1]):
-                if (i + c - self.band_lo) in targets:
-                    w[r, c] = 0.0
+        states = self.state_lo + np.arange(w.shape[0])
+        dead = list(targets)
+        w[np.isin(states, dead)] = 0.0
+        w[np.isin(states[:, None] + self.offsets, dead)] = 0.0
         first = _alive_suffix(w, self.state_lo)
         return TransitionKernel(
             band_lo=self.band_lo,
@@ -336,11 +334,8 @@ class StochasticKernel(TransitionKernel):
         factors = np.exp(beta * self.offsets.astype(float))
         w = self.weights * factors
         if level >= 0:
-            for r in range(w.shape[0]):
-                i = self.state_lo + r
-                cut = level - i + self.band_lo + 1  # columns with i + off <= level
-                if cut > 0:
-                    w[r, : min(cut, w.shape[1])] = 0.0
+            states = self.state_lo + np.arange(w.shape[0])
+            w[states[:, None] + self.offsets <= level] = 0.0
         w, dropped = _drop_dust(w)
         first = _alive_suffix(w, self.state_lo)
 
@@ -395,3 +390,71 @@ def kernel_from_rows(
         state_lo=state_lo,
         tail=tail,
     )
+
+
+# ---------------------------------------------------------------------------
+# banded linear algebra on row blocks
+#
+# A block holds the rows of a window of n consecutive states; column c is
+# the jump c - band_lo.  Weight that leaves the window is not part of the
+# window's matrix.
+
+
+def band_system(block: np.ndarray, band_lo: int, transpose: bool = False):
+    """I - P on the window of ``block`` in LAPACK band storage.
+
+    Returns ``((l, u), ab)`` for ``scipy.linalg.solve_banded``; with
+    ``transpose`` the matrix is (I - P)^T and (l, u) = (band_hi, band_lo).
+    """
+    n, W = block.shape
+    band_hi = W - 1 - band_lo
+    ab = np.zeros((W, n))
+    for c in range(W):
+        off = c - band_lo
+        lo, hi = max(0, -off), min(n, n - off)  # rows x whose target x + off is inside
+        if transpose:  # entry (x + off, x) sits at ab[band_lo + off, x]
+            ab[c, lo:hi] = -block[lo:hi, c]
+        else:  # entry (x, x + off) sits at ab[band_hi - off, x + off]
+            ab[W - 1 - c, lo + off : hi + off] = -block[lo:hi, c]
+    ab[band_lo if transpose else band_hi] += 1.0
+    return ((band_hi, band_lo) if transpose else (band_lo, band_hi)), ab
+
+
+def first_row_below(block: np.ndarray, band_lo: int, floor: int = 0) -> int | None:
+    """First row x of the block with weight on a state x + offset < floor."""
+    head = block[: max(band_lo + floor, 0)]
+    below = np.arange(len(head))[:, None] + np.arange(block.shape[1]) - band_lo < floor
+    hit = np.flatnonzero((below & (head > 0)).any(axis=1))
+    return int(hit[0]) if hit.size else None
+
+
+def band_pin(lu, ab: np.ndarray, i: int) -> None:
+    """Replace equation ``i`` of a band-stored system by x(i) = rhs(i)."""
+    l, u = lu
+    for y in range(max(0, i - l), min(ab.shape[1], i + u + 1)):
+        ab[u + i - y, y] = 1.0 if y == i else 0.0
+
+
+def band_matvec(block: np.ndarray, band_lo: int, v: np.ndarray) -> np.ndarray:
+    """(P v)(x) for the window rows; ``v`` holds the values on the window
+    padded by band_lo states below and band_hi states above it."""
+    n = block.shape[0]
+    out = np.zeros(n)
+    for c in range(block.shape[1]):
+        out += block[:, c] * v[c : c + n]
+    return out
+
+
+def band_rmatvec(block: np.ndarray, band_lo: int, mu: np.ndarray) -> np.ndarray:
+    """(mu P) on the window; mass sent outside the window is dropped."""
+    n, W = block.shape
+    out = np.zeros(n)
+    for c in range(W):
+        off = c - band_lo
+        k = min(abs(off), n)
+        vals = mu * block[:, c]
+        if off >= 0:
+            out[k:] += vals[: n - k]
+        else:
+            out[: n - k] += vals[k:]
+    return out

@@ -21,12 +21,10 @@ representations together.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import solve_banded
 from scipy.special import logsumexp
 
 from .chains import ChainFamily
@@ -38,7 +36,17 @@ from .errors import (
     UnsupportedInputError,
 )
 from .harmonic import escape_probability, jump_minorant
-from .kernels import ParametricTail, StochasticKernel, TransitionKernel, _as_state_fn
+from .kernels import (
+    HomogeneousTail,
+    ParametricTail,
+    StochasticKernel,
+    TransitionKernel,
+    _as_state_fn,
+    band_matvec,
+    band_pin,
+    band_rmatvec,
+    band_system,
+)
 from .ladder import LatticeWalk, cramer_root, ruin_exponent
 
 
@@ -73,8 +81,6 @@ class StationaryResult:
 def _limit_walk_of(chain) -> LatticeWalk:
     if isinstance(chain, ChainFamily):
         return chain.limit_walk
-    from .kernels import HomogeneousTail
-
     if isinstance(chain.tail, HomogeneousTail):
         row = chain.tail.row
         return LatticeWalk(lo=-chain.band_lo, pmf=row / row.sum())
@@ -83,52 +89,36 @@ def _limit_walk_of(chain) -> LatticeWalk:
     )
 
 
-def _materialise(chain, explicit_rows: int) -> TransitionKernel:
-    if isinstance(chain, ChainFamily):
-        level = max(explicit_rows, chain.homogeneous_from or 0, chain.band_lo + 1)
-        return chain.kernel(level)
-    return chain
+def _compensated_solve(block: np.ndarray, band_lo: int, beta: float):
+    """Solve the stationarity equations for y(i) = pi(i) exp(beta i) on the
+    window 0..K of the row block.
 
-
-def _compensated_solve(kernel: TransitionKernel, K: int, beta: float):
-    """Solve the stationarity equations for y(i) = pi(i) exp(beta i) on 0..K.
-
-    Jumps that would leave the window upward are reflected onto K; the
-    equation for state 0 is replaced by the normalisation
-    sum_i y(i) exp(-beta i) = 1.
+    Jumps that would leave the window upward are reflected onto K.  The
+    balance equation for state 0 is replaced by the pin y(0) = 1 and the
+    solution is rescaled so that sum_i y(i) exp(-beta i) = 1.
     """
-    bl, bh = kernel.band_lo, kernel.band_hi
-    W = bl + bh + 1
-    if not kernel.has_row(K):
-        raise StateRangeError(f"kernel has no rows up to the window top {K}")
-    rows = np.array([kernel.row(i) for i in range(K + 1)], dtype=float)
-    x = np.arange(K + 1)
-
-    data, ri, ci = [], [], []
+    n, W = block.shape
+    P = np.array(block)
     reflected = 0.0
-    for c in range(W):
-        off = c - bl
-        vals = rows[:, c]
-        nz = vals > 0
-        if not nz.any():
-            continue
-        t = x + off
-        over = nz & (t > K)
-        reflected += float(vals[over].sum())
-        t_cl = np.minimum(t, K)
-        fac = np.exp(beta * (t_cl - x).astype(float))
-        data.append(vals[nz] * fac[nz])
-        ri.append(t_cl[nz])
-        ci.append(x[nz])
-    B = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
-        shape=(K + 1, K + 1),
-    ).tocsr()
-    A = (B - sp.identity(K + 1, format="csr")).tolil()
-    A[0, :] = np.exp(-beta * x.astype(float))
-    b = np.zeros(K + 1)
-    b[0] = 1.0
-    y = spsolve(A.tocsc(), b)
+    for c in range(band_lo + 1, W):
+        k = min(c - band_lo, n)
+        over = np.arange(n - k, n)
+        reflected += float(P[over, c].sum())
+        P[over, n - 1 - over + band_lo] += P[over, c]
+        P[over, c] = 0.0
+    tilted = P * np.exp(beta * (np.arange(W) - band_lo).astype(float))
+
+    lu, ab = band_system(tilted, band_lo, transpose=True)
+    band_pin(lu, ab, 0)
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    try:
+        z = solve_banded(lu, ab, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(
+            f"compensated stationary solve failed: {exc}", reason="singular"
+        ) from exc
+    y = z / (np.exp(-beta * np.arange(n).astype(float)) @ z)
 
     if not np.all(np.isfinite(y)):
         raise SolverFailure("compensated stationary solve overflowed", reason="non-finite")
@@ -141,7 +131,7 @@ def _compensated_solve(kernel: TransitionKernel, K: int, beta: float):
         )
     y = np.clip(y, 1e-300, None)
 
-    balance = B @ y - y
+    balance = band_rmatvec(tilted, band_lo, y) - y
     balance_residual = float(np.max(np.abs(balance[1:])) / max(1.0, float(np.abs(y).max())))
     return y, reflected, balance_residual
 
@@ -152,7 +142,6 @@ def stationary_solve(
     beta: float | None = None,
     check_doubling: bool = True,
     doubling_tol: float = 1e-8,
-    explicit_rows: int = 96,
 ) -> StationaryResult:
     """Stationary law of a downward-drifting chain on the window 0..K.
 
@@ -162,7 +151,10 @@ def stationary_solve(
     short windows).  The solve is repeated on a doubled window and the two
     stationary vectors must agree on 0..K/2.
     """
-    kernel = _materialise(chain, explicit_rows)
+    top = 2 * K if check_doubling else K
+    kernel = chain
+    if isinstance(chain, ChainFamily):
+        kernel = chain.kernel(max(top, chain.homogeneous_from or 0))
     if beta is None:
         walk = _limit_walk_of(chain)
         if walk.mean >= 0:
@@ -172,14 +164,15 @@ def stationary_solve(
             )
         beta = cramer_root(walk)
 
-    y, reflected, balance_residual = _compensated_solve(kernel, K, beta)
+    block = kernel.rows(0, top)
+    y, reflected, balance_residual = _compensated_solve(block[: K + 1], kernel.band_lo, beta)
     log_pi_raw = np.log(y) - beta * np.arange(K + 1)
     logZ = float(logsumexp(log_pi_raw))
     log_pi = log_pi_raw - logZ
 
     doubling = None
     if check_doubling:
-        y2, _, _ = _compensated_solve(kernel, 2 * K, beta)
+        y2, _, _ = _compensated_solve(block, kernel.band_lo, beta)
         log_pi2 = np.log(y2) - beta * np.arange(2 * K + 1)
         log_pi2 = log_pi2 - float(logsumexp(log_pi2))
         half = K // 2
@@ -230,10 +223,10 @@ def birth_death_rates(family: ChainFamily):
         raise UnsupportedInputError("needs a nearest-neighbour family")
 
     def up(i: int) -> float:
-        return float(family.row_fn(i)[2])
+        return float(family.row(i)[2])
 
     def down(i: int) -> float:
-        return float(family.row_fn(i)[0])
+        return float(family.row(i)[0])
 
     return up, down
 
@@ -421,7 +414,7 @@ def _fit_root_expansion(family, beta, M, probe_states):
     rows = []
     rhs = []
     for x in probe_states:
-        r = family.row_fn(int(x))
+        r = family.row(int(x))
         local = LatticeWalk(lo=-family.band_lo, pmf=r / r.sum())
         if local.mean >= 0:
             continue
@@ -445,16 +438,11 @@ def _fit_root_expansion(family, beta, M, probe_states):
 
 def entry_measure(kernel: TransitionKernel, log_pi: np.ndarray, level: int) -> dict[int, float]:
     """One-step entry flow e(i) = sum_{j <= level} pi(j) P(j, i), i > level."""
-    bl = kernel.band_lo
-    e: dict[int, float] = defaultdict(float)
-    for j in range(0, level + 1):
-        row = kernel.row(j)
-        pj = math.exp(log_pi[j])
-        for c in np.flatnonzero(row):
-            t = j + c - bl
-            if t > level:
-                e[int(t)] += pj * float(row[c])
-    return dict(e)
+    bh = kernel.band_hi
+    block = np.vstack([kernel.rows(0, level), np.zeros((bh, kernel.band_lo + bh + 1))])
+    mu = np.concatenate([np.exp(log_pi[: level + 1]), np.zeros(bh)])
+    flow = band_rmatvec(block, kernel.band_lo, mu)[level + 1 :]
+    return {level + 1 + int(k): float(flow[k]) for k in np.flatnonzero(flow)}
 
 
 def doob_transform(
@@ -560,14 +548,9 @@ def renewal_measure(
 
     offsets = kernel.offsets.astype(float)
 
-    def window_rows(top: int) -> np.ndarray:
-        if not kernel.has_row(top):
-            raise StateRangeError(f"kernel has no rows up to the iteration window top {top}")
-        return np.array([kernel.row(i) for i in range(lo, top + 1)], dtype=float)
-
     if supercritical:
         top = K_range + margin + kernel.band_hi
-        rows = window_rows(top)
+        rows = kernel.rows(lo, top)
         climb = None
         eps = None
     else:
@@ -575,7 +558,7 @@ def renewal_measure(
         # high enough that mass ever reaching it is far below the target
         # accuracy even after multiplying by a lifetime bound
         probe_top = K_range + 8 * kernel.band_hi + 8
-        climb = _climb_exponent(window_rows(probe_top), offsets, lo)
+        climb = _climb_exponent(kernel.rows(lo, probe_top), offsets, lo)
         if climb <= 0.0:
             raise UnsupportedInputError(
                 "kernel admits neither a positive-drift minorant nor a "
@@ -584,7 +567,7 @@ def renewal_measure(
             )
         margin = int(math.ceil((math.log(1.0 / tol) + math.log(1e12)) / climb)) + 1
         top = K_range + margin + kernel.band_hi
-        rows = window_rows(top)
+        rows = kernel.rows(lo, top)
         if _climb_exponent(rows, offsets, lo) < climb:
             raise InternalConsistencyError(
                 "climb exponent degraded when the window was widened"
@@ -606,8 +589,6 @@ def renewal_measure(
             raise StateRangeError(f"start state {s} outside the window [{lo}, {top}]")
         mu[s - lo] += float(wt)
     U = mu.copy()
-    W = rows.shape[1]
-    x = np.arange(n_win)
     pos = np.arange(lo, top + 1)
     if supercritical:
         far_factor = 0.0 if rexp == math.inf else math.exp(-rexp * (top + 1 - K_range))
@@ -619,19 +600,12 @@ def renewal_measure(
     dropped_bound = 0.0
 
     err = math.inf
+    # the weight each window row sends above the window
+    pad = np.concatenate([np.zeros(bl + n_win), np.ones(kernel.band_hi)])
+    leaving = band_matvec(rows, bl, pad)
     for n in range(1, max_iter + 1):
-        nxt = np.zeros(n_win)
-        for c in range(W):
-            off = c - bl
-            vals = mu * rows[:, c]
-            t = x + off
-            inside = (t >= 0) & (t < n_win)
-            np.add.at(nxt, t[inside], vals[inside])
-            if off > 0:
-                out = t >= n_win
-                if out.any():
-                    dropped_bound += float(vals[out].sum()) * far_factor
-        mu = nxt
+        dropped_bound += float(mu @ leaving) * far_factor
+        mu = band_rmatvec(rows, bl, mu)
         U += mu
         if supercritical:
             near = float(mu[pos <= K_range].sum())

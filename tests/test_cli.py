@@ -2,12 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 import harmonictails as ht
 from harmonictails.cli import ExperimentConfig, build_chain, main, validate
 
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 EX1 = {"name": "example1", "p": 0.7, "alpha": 2.0}
 WALK = {"1": 0.3, "-1": 0.7}
 
@@ -305,3 +307,42 @@ def test_experiment_config_rejects_bad_shapes():
         ExperimentConfig.from_dict({"task": "stationary", "chain": "lindley"})
     cfg = ExperimentConfig.from_dict({"task": "stationary", "chain": {"name": "lindley"}})
     assert validate(cfg)  # pmf is missing, so the descriptor cannot build
+
+
+def test_custom_rows_solve_is_constant(tmp_path):
+    # a recurrent chain: its only bounded harmonic function is the constant
+    doc = json.loads((CONFIGS / "custom_rows_solve.json").read_text())
+    doc["params"] = {"K": 200, "i_max": 200}
+    cfg = write_cfg(tmp_path, "custom.json", doc)
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    rows = read_rows(tmp_path / "custom.csv")
+    assert len(rows) == 202
+    assert max(abs(float(r[1]) - 1.0) for r in rows[1:]) <= 1e-12
+
+
+@pytest.mark.parametrize("states", [[-1], [0, -3], [1.5], ["2"], [True], 3])
+def test_mc_states_validated(tmp_path, capsys, states):
+    cfg = write_cfg(tmp_path, "mc.json",
+                    {"task": "harmonic-mc", "chain": EX1,
+                     "params": {"seed": 1, "n_paths": 10, "horizon": 10, "states": states}})
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 1
+    assert "config error: params.states" in capsys.readouterr().err
+    assert not (tmp_path / "mc.csv").exists()
+
+
+def test_mc_state_above_scored_range(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "mc.json",
+                    {"task": "harmonic-mc", "chain": EX1,
+                     "params": {"seed": 1, "n_paths": 10, "horizon": 10, "states": [1000]}})
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 1
+    assert "outside the scored range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [{"K": 50, "i_max": 51}, {"i_max": 401},
+                                    {"K": 50, "i_max": -1}, {"K": 50, "i_max": 2.5}])
+def test_stationary_i_max_validated(tmp_path, capsys, params):
+    cfg = write_cfg(tmp_path, "st.json",
+                    {"task": "stationary", "chain": {"name": "lindley", "pmf": WALK},
+                     "params": params})
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 1
+    assert "config error: params.i_max" in capsys.readouterr().err

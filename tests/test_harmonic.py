@@ -291,3 +291,96 @@ def test_expected_local_times_mc(ex1_kernel):
     assert abs(m1 - 2.5) <= 3.0 * se1
     # convexity: exp(gamma E ell) is a lower bound for E exp(gamma ell) = 8
     assert math.exp(math.log(2.0) * (m0 + 3 * se0)) <= 8.0
+
+
+# ---------------------------------------------------------------------------
+# banded residual against the scalar apply loop
+
+
+def scalar_residual(kernel, f, states):
+    """The per-state reference: max |(Q f)(i) - f(i)| / max(1, f(i))."""
+    worst = 0.0
+    for i in states:
+        fi = f[i]
+        worst = max(worst, abs(kernel.apply(f, i) - fi) / max(1.0, fi))
+    return worst
+
+
+@st.composite
+def banded_kernels(draw):
+    bl, bh = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    W = bl + bh + 1
+    n = draw(st.integers(max(bl, 1), 8))  # tail rows start at band_lo or above
+    state_lo = draw(st.integers(0, 2))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
+    w = np.array(draw(st.lists(st.lists(weight, min_size=W, max_size=W),
+                               min_size=n, max_size=n)))
+    for r in range(n):
+        w[r, : max(bl - (state_lo + r), 0)] = 0.0  # nothing below state 0
+        w[r, bl] += 0.5  # every row keeps some mass
+    tail = ht.HomogeneousTail(np.array(draw(st.lists(weight, min_size=W, max_size=W))) + 0.1)
+    return ht.TransitionKernel(band_lo=bl, band_hi=bh, weights=w, state_lo=state_lo, tail=tail)
+
+
+@given(kernel=banded_kernels(), data=st.data())
+def test_banded_residual_matches_scalar_apply(kernel, data):
+    top = kernel.truncation + 4
+    f = {i: data.draw(st.floats(0.0, 10.0)) for i in range(0, top + kernel.band_hi + 1)}
+    states = data.draw(st.lists(st.integers(kernel.state_lo, top), max_size=12))
+    calls = []
+
+    def fn(i):
+        calls.append(i)
+        return f[i]
+
+    assert ht.verify_harmonicity(kernel, fn, states) == scalar_residual(kernel, f, states)
+    assert len(calls) == len(set(calls))  # f is read once per state
+
+
+def test_verify_harmonicity_state_range(ex1_kernel):
+    tight = ht.TransitionKernel(band_lo=1, band_hi=1, weights=ex1_kernel.weights)
+    with pytest.raises(ht.StateRangeError):
+        ht.verify_harmonicity(tight, lambda i: 1.0, range(0, 12))
+    assert ht.verify_harmonicity(ex1_kernel, lambda i: 1.0, []) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# deficit form of the truncated solve
+
+
+def recurrent_rows_chain():
+    """The shipped custom-rows example: a reflected walk with drift down."""
+    return ht.kernel_from_rows(
+        {0: {0: 0.6, 1: 0.4}}, truncation=0, band_lo=1, band_hi=1,
+        tail=ht.HomogeneousTail(np.array([0.7, 0.0, 0.3])), stochastic=True,
+    )
+
+
+def test_solve_recurrent_chain_is_constant():
+    # the truncated system is singular to working precision, but f = 1 solves
+    # it exactly: the deficit 1 - f has a zero right-hand side
+    est = ht.build_solve(recurrent_rows_chain(), K=200)
+    values = np.array([est.value(i) for i in range(201)])
+    assert np.max(np.abs(values - 1.0)) <= 1e-12
+    assert est.residual <= 1e-12
+    assert est.meta["doubling_disagreement"] <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo start states and sites
+
+
+def test_mc_rejects_states_outside_scored_range(ex1_kernel):
+    # the local-time stopping level sits above the state itself, so only a
+    # state below the kernel's range is out of reach there
+    with pytest.raises(ht.StateRangeError):
+        ht.local_time_moment_mc(ex1_kernel, i=-1, gamma=0.1, n_paths=10, horizon=10, seed=0)
+    for bad in (-1, 1000):
+        with pytest.raises(ht.StateRangeError):
+            ht.build_mc(ex1_kernel, states=(0, bad), n_paths=10, horizon=10, seed=0)
+        with pytest.raises(ht.StateRangeError):
+            ht.expected_local_times_mc(ex1_kernel, start=bad, sites=(0,), n_paths=10,
+                                       horizon=10, seed=0)
+    with pytest.raises(ht.StateRangeError):
+        ht.expected_local_times_mc(ex1_kernel, start=0, sites=(-1, 2), n_paths=10,
+                                   horizon=10, seed=0)

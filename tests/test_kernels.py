@@ -140,3 +140,97 @@ def test_state_fn_adapters(ex1_kernel):
         values={i: 1.0 for i in range(10)}, method="closed-form", truncation=9
     )
     assert ex1_kernel.apply(est, 3) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# block row access and the banded helpers
+
+
+def _stacked(kernel, lo, hi):
+    """Rows lo..hi one by one from the weights and the tail rule."""
+    out = []
+    for i in range(lo, hi + 1):
+        if i <= kernel.truncation:
+            out.append(kernel.weights[i - kernel.state_lo])
+        elif isinstance(kernel.tail, ht.HomogeneousTail):
+            out.append(kernel.tail.row)
+        else:
+            out.append(kernel.tail.fn(i))
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        None,
+        ht.HomogeneousTail(np.array([0.7, 0.0, 0.3])),
+        ht.ParametricTail(lambda i: np.array([0.7 - 1.0 / (i + 10), 0.0, 0.3 + 1.0 / (i + 10)])),
+    ],
+)
+def test_rows_block_matches_stacked_rows(tail):
+    w = np.array([[0.0, 0.4, 0.6], [0.5, 0.1, 0.4], [0.2, 0.2, 0.6], [0.7, 0.0, 0.3]])
+    k = ht.TransitionKernel(band_lo=1, band_hi=1, weights=w[1:], state_lo=1, tail=tail)
+    top = k.truncation if tail is None else k.truncation + 5
+    for lo, hi in [(1, 1), (1, k.truncation), (2, top), (k.truncation, top), (1, top)]:
+        block = k.rows(lo, hi)
+        assert block.shape == (hi - lo + 1, 3)
+        np.testing.assert_array_equal(block, _stacked(k, lo, hi))
+        np.testing.assert_array_equal(block, [k.row(i) for i in range(lo, hi + 1)])
+        assert not block.flags.writeable
+    if tail is not None:
+        np.testing.assert_array_equal(k.rows(20, 24), _stacked(k, 20, 24))
+    # the same error the scalar access raises, at either end of the range
+    for lo, hi, bad in [(0, 2, 0), (1, k.truncation + 1, k.truncation + 1)]:
+        if tail is not None and bad > k.truncation:
+            continue
+        with pytest.raises(ht.StateRangeError) as scalar:
+            k.row(bad)
+        with pytest.raises(ht.StateRangeError) as block:
+            k.rows(lo, hi)
+        assert str(block.value) == str(scalar.value)
+
+
+FAMILIES = [
+    ht.perturbed_reflected_walk(p=0.7, alpha=2.0),
+    ht.multi_perturbed_walk((1.2, 1.5, 0.8), p=0.7),
+    ht.multi_perturbed_walk((1.3,), p=0.6),
+    ht.walk_killed_at_negative(ht.LatticeWalk.from_dict({-3: 0.2, -1: 0.3, 0: 0.1, 2: 0.4})),
+    ht.lindley_chain(ht.LatticeWalk.from_dict({-3: 0.2, -1: 0.3, 0: 0.1, 2: 0.4})),
+    ht.alternating_drift_chain(p=0.3, c0=0.05, gamma=0.7),
+    ht.power_drift_chain(p=0.3, c0=0.05, exponent=-0.6),
+]
+
+
+def per_state_row(fam, i):
+    """The row of state i, written out state by state for each family."""
+    r = np.zeros(fam.band_lo + fam.band_hi + 1)
+    if fam.name == "perturbed-reflected-walk":
+        return np.array([0.0, 0.0, fam.params["alpha"]]) if i == 0 else fam.limit_pmf
+    if fam.name == "multi-perturbed-walk":
+        N, p = fam.band_lo, fam.params["p"]
+        if i < N:
+            r[N + 1] = fam.params["alphas"][i]
+        else:
+            r[0 if i == N else N - 1], r[N + 1] = 1.0 - p, p
+        return r
+    if fam.name in ("killed-walk", "lindley"):
+        r[:] = fam.params["pmf"]
+        cut = max(fam.band_lo - i, 0)
+        lost = r[:cut].sum()
+        r[:cut] = 0.0
+        if fam.name == "lindley" and cut:
+            r[cut] += lost  # steps below zero land on zero
+        return r
+    u = fam.params["p"] + float(fam.alpha_profile.value(i))
+    return np.array([0.0, 1.0 - u, u] if i == 0 else [1.0 - u, 0.0, u])
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f"{f.name}-{f.band_lo}")
+def test_family_array_rule_matches_per_state_rows(fam):
+    # an unsorted batch with repeats, the boundary rows and far states
+    states = np.array([7, 0, 3, 1, 2, 0, 40, 5, 4, 1000, 6, 2])
+    block = fam.row_rule(states)
+    np.testing.assert_array_equal(block, [per_state_row(fam, int(i)) for i in states])
+    np.testing.assert_array_equal(block, [fam.row(int(i)) for i in states])
+    np.testing.assert_array_equal(fam.kernel(50).rows(0, 60), fam.row_rule(np.arange(61)))
+
