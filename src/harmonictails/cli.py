@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +41,6 @@ from .errors import (
     InternalConsistencyError,
     NoPositiveHarmonicError,
     SolverFailure,
-    UnsupportedInputError,
 )
 from .harmonic import (
     build_mc,
@@ -66,19 +66,7 @@ from .stationary import (
 )
 
 _FLAGGED = (NoPositiveHarmonicError, SolverFailure, InternalConsistencyError)
-
-_TASKS = (
-    "harmonic-mc",
-    "harmonic-solve",
-    "conditions",
-    "ladder",
-    "stationary",
-    "tail",
-    "cramer-series",
-)
 _CHAINS = ("example1", "example2", "killed-walk", "lindley", "example3", "general")
-_MC_TASKS = ("harmonic-mc",)
-_STATIONARY_K = 400
 
 
 @dataclass
@@ -203,52 +191,116 @@ def _build_general(chain: dict) -> ChainFamily:
     raise ConfigError("general chain needs either 'drift' or 'rows'")
 
 
+# ---------------------------------------------------------------------------
+# params kinds: (raw value, lower bound, params so far) -> typed value or ConfigError
+
+
+def _finite(v) -> bool:
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _int(v, lo, typed):
+    if type(v) is not int or (lo is not None and v < lo):
+        raise ConfigError(f"must be an integer{'' if lo is None else f' >= {lo}'}")
+    return v
+
+
+def _index(v, lo, typed):
+    if _int(v, lo, typed) > typed.get("K", v):
+        raise ConfigError(f"must be an integer in {lo}..K")
+    return v
+
+
+def _float(v, lo, typed):
+    if not (_finite(v) and (lo is None or v > lo)):
+        raise ConfigError(f"must be a finite number{'' if lo is None else f' > {lo}'}")
+    return float(v)
+
+
+def _states(v, lo, typed):
+    if not (isinstance(v, list) and all(type(s) is int and s >= lo for s in v)):
+        raise ConfigError("must be a list of nonnegative integers")
+    return v
+
+
+def _window(v, lo, typed):
+    if not (isinstance(v, list) and len(v) == 2 and all(type(i) is int for i in v)
+            and lo <= v[0] < v[1] <= typed.get("K", v[1])):
+        raise ConfigError(f"must be [i0, i1] with i0 < i1, within {lo}..K")
+    return tuple(v)
+
+
+def _mode(v, lo, typed):
+    if v not in ("constant", "alpha-over-m", "cramer-series"):
+        raise ConfigError("must be constant | alpha-over-m | cramer-series")
+    return v
+
+
+def _moments(v, lo, typed):
+    if not (isinstance(v, list) and len(v) >= typed.get("M", 1)
+            and all(_finite(x) for x in v) and v[0] != 0):
+        raise ConfigError("must list at least M numbers, and the first must be nonzero")
+    return [float(x) for x in v]
+
+
+def _cross_moments(obj, lo, typed) -> dict:
+    """D as an object {"k,j": value} or a list of [k, j, value] triples."""
+    if isinstance(obj, dict) and all(re.fullmatch(r"\s*\d+\s*,\s*\d+\s*", k) for k in obj):
+        items = [(*map(int, k.split(",")), v) for k, v in obj.items()]
+    elif isinstance(obj, list) and all(isinstance(t, list) and len(t) == 3 for t in obj):
+        items = obj
+    else:
+        raise ConfigError('must be an object {"k,j": v} or a list of [k, j, v] triples')
+    if not all(type(k) is int and type(j) is int and min(k, j) >= lo and _finite(v)
+               for k, j, v in items):
+        raise ConfigError(f"indices must be integers >= {lo} and values finite numbers")
+    return {(k, j): float(v) for k, j, v in items}
+
+
+def _resolve(task: str, raw: dict) -> tuple[dict, list[str]]:
+    """The task's typed params, defaults filled in, and the violations."""
+    spec = _TASK_SPECS[task][1]
+    out = [f"params.{k} is not a parameter of task {task!r}" for k in raw if k not in spec]
+    typed: dict = {}
+    for name, (kind, default, lo) in spec.items():
+        if name in raw:
+            try:
+                typed[name] = kind(raw[name], lo, typed)
+            except ConfigError as exc:
+                out.append(f"params.{name} {exc}")
+        elif default is ...:
+            out.append(f"task {task!r} needs params.{name}")
+        elif "K" in typed or not callable(default):
+            typed[name] = default(typed["K"]) if callable(default) else default
+    return typed, out
+
+
 def validate(config: ExperimentConfig) -> list[str]:
     """Pure config check; returns a list of human-readable violations."""
-    out: list[str] = []
-    if config.task not in _TASKS:
-        out.append(f"unknown task {config.task!r} (expected one of {_TASKS})")
+    if config.task not in _TASK_SPECS:
+        return [f"unknown task {config.task!r} (expected one of {tuple(_TASK_SPECS)})"]
+    typed, out = _resolve(config.task, config.params)
+    if config.chain is None:
+        if config.task != "cramer-series":
+            out.append(f"task {config.task!r} needs a chain descriptor")
+        elif "m" not in config.params:
+            out.append("cramer-series without a chain needs params.m and params.D")
         return out
-    if config.chain is None and config.task != "cramer-series":
-        out.append(f"task {config.task!r} needs a chain descriptor")
-    if config.chain is not None:
-        try:
-            build_chain(config.chain)
-        except (ConfigError, UnsupportedInputError, KeyError, TypeError, ValueError) as exc:
-            key = f" ({exc.args[0]!r})" if isinstance(exc, KeyError) else ""
-            out.append(f"chain descriptor invalid: {exc}{key}")
-    elif config.task == "cramer-series" and "m" not in config.params:
-        out.append("cramer-series without a chain needs params.m and params.D")
-
-    p = config.params
-    if "K" in p and (not isinstance(p["K"], int) or p["K"] < 10):
-        out.append("params.K must be an integer >= 10")
-    if config.task in _MC_TASKS and "seed" not in p:
-        out.append(f"task {config.task!r} needs params.seed for reproducibility")
-    if "states" in p and not (isinstance(p["states"], list) and all(
-            type(s) is int and s >= 0 for s in p["states"])):
-        out.append("params.states must be a list of nonnegative integers")
-    if config.task == "stationary" and "i_max" in p:
-        K = p.get("K", _STATIONARY_K)
-        if not (type(p["i_max"]) is int and isinstance(K, int) and 0 <= p["i_max"] <= K):
-            out.append("params.i_max must be an integer in 0..K")
-    if "window" in p:
-        w = p["window"]
-        if not (isinstance(w, list) and len(w) == 2 and all(isinstance(v, int) for v in w)
-                and 0 <= w[0] < w[1]):
-            out.append("params.window must be [i0, i1] with 0 <= i0 < i1")
-        elif "K" in p and isinstance(p["K"], int) and w[1] > p["K"]:
-            out.append("params.window must lie within 0..K")
-    if "M" in p and (not isinstance(p["M"], int) or p["M"] < 1):
-        out.append("params.M must be an integer >= 1")
-    if config.task == "cramer-series" and "m" in p:
-        m = p["m"]
-        if not (isinstance(m, list) and m and all(isinstance(v, (int, float)) for v in m)):
-            out.append("params.m must be a nonempty list of numbers")
-        elif float(m[0]) == 0.0:
-            out.append("params.m[0] (the first tilted moment) must be nonzero")
-    if "mode" in p and p["mode"] not in ("constant", "alpha-over-m", "cramer-series"):
-        out.append("params.mode must be constant | alpha-over-m | cramer-series")
+    try:
+        family = build_chain(config.chain)
+    except (HarmonicTailsError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        key = f" ({exc.args[0]!r})" if isinstance(exc, KeyError) else ""
+        out.append(f"chain descriptor invalid: {exc}{key}")
+        return out
+    if config.task == "ladder" and "pmf" not in family.params:
+        out.append("ladder task needs a walk-based chain (killed-walk or lindley)")
+    elif (family.name == "general" and family.limit_pmf is None
+          and config.task != "cramer-series"):
+        # a kernel built at level n probes row n + 1; harmonic-solve reads up to 2K
+        top = max(_kernel_level(family, typed.get("probe")) + 1, 2 * typed.get("K", 0))
+        if len(config.chain["rows"]) <= top:
+            out.append(f"chain rows without a tail_row stop below state {top}, "
+                       f"which task {config.task!r} reads")
     return out
 
 
@@ -309,16 +361,13 @@ def _write_manifest(path: Path, config: ExperimentConfig, diagnostics: dict,
 # task runners: each returns (header, rows, diagnostics, flagged, reason)
 
 
-def _kernel_for(family: ChainFamily, extra: int = 8):
-    level = max(family.homogeneous_from or 0, family.band_lo + 1, extra)
-    return family.kernel(level)
+def _kernel_level(family: ChainFamily, probe: int | None = None) -> int:
+    """The highest state whose row a kernel task materialises."""
+    return max(family.homogeneous_from or 0, family.band_lo + 1, probe or 8)
 
 
-def _run_harmonic_solve(family: ChainFamily, params: dict):
-    K = int(params.get("K", 400))
-    tol = float(params.get("tol", 1e-10))
-    i_max = int(params.get("i_max", min(K, 50)))
-    kernel = _kernel_for(family)
+def _run_harmonic_solve(family: ChainFamily, K: int, tol: float, i_max: int):
+    kernel = family.kernel(_kernel_level(family))
     est = build_solve(kernel, K, tol=tol)
     diag = {
         "residual": est.residual,
@@ -341,12 +390,8 @@ def _run_harmonic_solve(family: ChainFamily, params: dict):
     return header, rows, diag, False, None
 
 
-def _run_harmonic_mc(family: ChainFamily, params: dict):
-    states = [int(s) for s in params.get("states", list(range(11)))]
-    n_paths = int(params.get("n_paths", 100_000))
-    horizon = int(params.get("horizon", 100_000))
-    seed = int(params["seed"])
-    kernel = _kernel_for(family)
+def _run_harmonic_mc(family: ChainFamily, states, n_paths: int, horizon: int, seed: int):
+    kernel = family.kernel(_kernel_level(family))
     est = build_mc(kernel, states, n_paths, horizon, seed)
     header = ["i", "f_mc", "std_error", "n_exhausted"]
     rows = [
@@ -362,8 +407,8 @@ def _run_harmonic_mc(family: ChainFamily, params: dict):
     return header, rows, diag, False, None
 
 
-def _run_conditions(family: ChainFamily, params: dict):
-    kernel = _kernel_for(family, extra=int(params.get("probe", 64)))
+def _run_conditions(family: ChainFamily, probe: int):
+    kernel = family.kernel(_kernel_level(family, probe))
     report = check_conditions(kernel, family)
     header = ["quantity", "value"]
     rows = [
@@ -391,12 +436,9 @@ def _run_conditions(family: ChainFamily, params: dict):
     return header, rows, diag, flagged, reason
 
 
-def _run_ladder(family: ChainFamily, params: dict):
-    if "pmf" not in family.params:
-        raise ConfigError("ladder task needs a walk-based chain (killed-walk or lindley)")
+def _run_ladder(family: ChainFamily, i_max: int, beta):
     walk = LatticeWalk(lo=-family.band_lo, pmf=np.array(family.params["pmf"]))
-    i_max = int(params.get("i_max", 50))
-    beta = float(params["beta"]) if "beta" in params else cramer_root(walk)
+    beta = cramer_root(walk) if beta is None else beta
     lad = ladder_height(walk).with_renewal(i_max)
     f_ladder = np.array([ladder_harmonic(lad, beta, i) for i in range(i_max + 1)])
     f_min = tilted_minimum_harmonic(walk, i_max, beta=beta, original_ladder=lad)
@@ -415,15 +457,8 @@ def _run_ladder(family: ChainFamily, params: dict):
     return header, rows, diag, False, None
 
 
-def _run_stationary(family: ChainFamily, params: dict):
-    K = int(params.get("K", _STATIONARY_K))
-    res = stationary_solve(
-        family,
-        K,
-        beta=params.get("beta"),
-        doubling_tol=float(params.get("doubling_tol", 1e-8)),
-    )
-    i_max = int(params.get("i_max", K))
+def _run_stationary(family: ChainFamily, K: int, beta, doubling_tol: float, i_max: int):
+    res = stationary_solve(family, K, beta=beta, doubling_tol=doubling_tol)
     header = ["i", "log_pi", "pi"]
     rows = [(i, res.log_pi[i], math.exp(res.log_pi[i])) for i in range(i_max + 1)]
     diag = {
@@ -437,16 +472,11 @@ def _run_stationary(family: ChainFamily, params: dict):
     return header, rows, diag, False, None
 
 
-def _run_tail(family: ChainFamily, params: dict):
-    K = int(params.get("K", 4000))
-    window = params.get("window", [K // 2, 3 * K // 4])
-    window = (int(window[0]), int(window[1]))
-    mode = params.get("mode", "constant")
-    order = int(params.get("order", 2))
-    vtol = float(params.get("variation_tol", 0.01))
-    res = stationary_solve(family, K, doubling_tol=float(params.get("doubling_tol", 1e-8)))
+def _run_tail(family: ChainFamily, K: int, window: tuple[int, int], mode: str, order: int,
+              variation_tol: float, doubling_tol: float):
+    res = stationary_solve(family, K, doubling_tol=doubling_tol)
     model = build_beta_fn(family, mode=mode, order=order)
-    fit = tail_extract(res.log_pi, model.predict_log_tail, window, variation_tol=vtol)
+    fit = tail_extract(res.log_pi, model.predict_log_tail, window, variation_tol)
     header = ["i", "log_pi", "predicted_log_tail", "log_c"]
     rows = []
     for k, i in enumerate(range(window[0], window[1] + 1)):
@@ -458,37 +488,27 @@ def _run_tail(family: ChainFamily, params: dict):
         "coefficients": list(model.coefficients),
         "constant": fit.constant,
         "variation": fit.variation,
-        "variation_tol": vtol,
+        "variation_tol": variation_tol,
         "window": list(window),
         "passed": fit.passed,
         "model_meta": model.meta,
     }
     flagged = not fit.passed
     reason = (
-        f"tail constant varies by {fit.variation:.3g} > {vtol:.3g} over the window"
+        f"tail constant varies by {fit.variation:.3g} > {variation_tol:.3g} over the window"
         if flagged
         else None
     )
     return header, rows, diag, flagged, reason
 
 
-def _run_cramer_series(family: ChainFamily | None, params: dict):
-    M = int(params.get("M", 2))
-    if "m" in params:
-        m = [float(v) for v in params["m"]]
-        D = _parse_D(params.get("D", []))
-    elif family is not None:
-        walk = family.limit_walk
-        beta = cramer_root(walk)
-        data = family.moment_data(beta, M)
+def _run_cramer_series(family: ChainFamily | None, M: int, m: list | None, D: dict):
+    if m is None:
+        data = family.moment_data(cramer_root(family.limit_walk), M)
         if data is None:
-            raise ConfigError(
-                f"chain {family.name!r} has no closed-form expansion data; "
-                "pass params.m and params.D explicitly"
-            )
+            raise ConfigError(f"chain {family.name!r} has no closed-form expansion data; "
+                              "pass params.m and params.D explicitly")
         m, D, _scale = data
-    else:
-        raise ConfigError("cramer-series needs params.m/params.D or a parametric chain")
     R = cramer_coefficients(m, D, M)
     resid = cramer_series_residual(m, D, R)
     header = ["k", "R_k"]
@@ -498,29 +518,27 @@ def _run_cramer_series(family: ChainFamily | None, params: dict):
     return header, rows, diag, False, None
 
 
-def _parse_D(obj) -> dict:
-    D = {}
-    if isinstance(obj, dict):
-        items = []
-        for key, v in obj.items():
-            try:
-                k, j = (int(s) for s in str(key).split(","))
-            except ValueError:
-                raise ConfigError(f"params.D key {key!r} must look like 'k,j'")
-            items.append((k, j, v))
-    elif isinstance(obj, list):
-        items = []
-        for triple in obj:
-            if not (isinstance(triple, list) and len(triple) == 3):
-                raise ConfigError("params.D entries must be [k, j, value] triples")
-            items.append((int(triple[0]), int(triple[1]), triple[2]))
-    else:
-        raise ConfigError("params.D must be an object or a list of triples")
-    for k, j, v in items:
-        if k < 1 or j < 1:
-            raise ConfigError("params.D indices must be >= 1")
-        D[(k, j)] = float(v)
-    return D
+# task -> (runner, {param: (kind, default, lower bound)}); a default of ... is
+# required, a callable one a function of the task's truncation K (listed first)
+_TASK_SPECS = {
+    "harmonic-solve": (_run_harmonic_solve, {
+        "K": (_int, 400, 10), "tol": (_float, 1e-10, 0),
+        "i_max": (_index, lambda K: min(K, 50), 0)}),
+    "harmonic-mc": (_run_harmonic_mc, {
+        "states": (_states, tuple(range(11)), 0), "n_paths": (_int, 100_000, 1),
+        "horizon": (_int, 100_000, 1), "seed": (_int, ..., None)}),
+    "conditions": (_run_conditions, {"probe": (_int, 64, 1)}),
+    "ladder": (_run_ladder, {"i_max": (_int, 50, 0), "beta": (_float, None, None)}),
+    "stationary": (_run_stationary, {
+        "K": (_int, 400, 10), "beta": (_float, None, None),
+        "doubling_tol": (_float, 1e-8, 0), "i_max": (_index, lambda K: K, 0)}),
+    "tail": (_run_tail, {
+        "K": (_int, 4000, 10), "window": (_window, lambda K: (K // 2, 3 * K // 4), 0),
+        "mode": (_mode, "constant", None), "order": (_int, 2, 1),
+        "variation_tol": (_float, 0.01, 0), "doubling_tol": (_float, 1e-8, 0)}),
+    "cramer-series": (_run_cramer_series, {
+        "M": (_int, 2, 1), "m": (_moments, None, None), "D": (_cross_moments, {}, 1)}),
+}
 
 
 def run(config: ExperimentConfig, out_dir: Path, stem: str, quiet: bool = False) -> int:
@@ -530,23 +548,15 @@ def run(config: ExperimentConfig, out_dir: Path, stem: str, quiet: bool = False)
             print(f"config error: {msg}", file=sys.stderr)
         return 1
 
+    params, _ = _resolve(config.task, config.params)
     family = build_chain(config.chain) if config.chain is not None else None
-    runners = {
-        "harmonic-solve": lambda: _run_harmonic_solve(family, config.params),
-        "harmonic-mc": lambda: _run_harmonic_mc(family, config.params),
-        "conditions": lambda: _run_conditions(family, config.params),
-        "ladder": lambda: _run_ladder(family, config.params),
-        "stationary": lambda: _run_stationary(family, config.params),
-        "tail": lambda: _run_tail(family, config.params),
-        "cramer-series": lambda: _run_cramer_series(family, config.params),
-    }
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{stem}.csv"
     manifest_path = out_dir / f"{stem}.manifest.json"
 
     try:
-        header, rows, diag, flagged, reason = runners[config.task]()
+        header, rows, diag, flagged, reason = _TASK_SPECS[config.task][0](family, **params)
     except _FLAGGED as exc:
         diag = {"error_type": type(exc).__name__, "error": str(exc)}
         if isinstance(exc, SolverFailure):

@@ -2,9 +2,12 @@
 
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import harmonictails as ht
 from harmonictails.cli import ExperimentConfig, build_chain, main, validate
@@ -12,6 +15,38 @@ from harmonictails.cli import ExperimentConfig, build_chain, main, validate
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 EX1 = {"name": "example1", "p": 0.7, "alpha": 2.0}
 WALK = {"1": 0.3, "-1": 0.7}
+EX3 = {"name": "example3", "p": 0.3, "c0": 0.05, "gamma": 0.7}
+TWO_ROWS = {"name": "general", "band_lo": 1, "band_hi": 1,
+            "rows": {"0": {"1": 1.0}, "1": {"-1": 0.3, "1": 0.7}}}
+MC = {"seed": 1, "n_paths": 10, "horizon": 10}
+
+# (message fragment, config) pairs that used to pass `validate`
+HOLES = [
+    ("params.seed", {"task": "harmonic-mc", "chain": EX1, "params": {**MC, "seed": "x"}}),
+    ("params.n_paths", {"task": "harmonic-mc", "chain": EX1, "params": {**MC, "n_paths": 0}}),
+    ("params.horizon", {"task": "harmonic-mc", "chain": EX1, "params": {**MC, "horizon": -5}}),
+    ("params.tol", {"task": "harmonic-solve", "chain": EX1,
+                    "params": {"K": 60, "tol": "abc"}}),
+    ("params.i_max", {"task": "harmonic-solve", "chain": EX1,
+                      "params": {"K": 60, "i_max": -1}}),
+    ("params.i_max", {"task": "harmonic-solve", "chain": EX1,
+                      "params": {"K": 60, "i_max": 500}}),
+    ("params.beta", {"task": "stationary", "chain": {"name": "lindley", "pmf": WALK},
+                     "params": {"K": 60, "beta": "abc"}}),
+    ("params.probe", {"task": "conditions", "chain": EX1, "params": {"probe": "x"}}),
+    ("params.order", {"task": "tail", "chain": EX3, "params": {"K": 60, "order": "x"}}),
+    ("params.variation_tol", {"task": "tail", "chain": EX3,
+                              "params": {"K": 60, "variation_tol": "x"}}),
+    ("params.window", {"task": "tail", "chain": EX3, "params": {"window": [100, 5000]}}),
+    ("params.i_max", {"task": "ladder", "chain": {"name": "killed-walk", "pmf": WALK},
+                      "params": {"i_max": -1}}),
+    ("params.m", {"task": "cramer-series", "params": {"m": [2.0], "M": 3}}),
+    ("params.D", {"task": "cramer-series", "params": {"m": [2.0, 3.0], "D": "zz"}}),
+    ("params.imax", {"task": "harmonic-solve", "chain": EX1,
+                     "params": {"K": 60, "imax": 5}}),
+    ("tail_row", {"task": "harmonic-solve", "chain": TWO_ROWS, "params": {"K": 60}}),
+    ("walk-based chain", {"task": "ladder", "chain": EX1}),
+]
 
 
 def write_cfg(tmp_path, name, doc):
@@ -69,6 +104,7 @@ def test_validate_ok(tmp_path, capsys):
                                     "gamma": 0.7},
           "params": {"mode": "quadratic"}},
          "params.mode"),
+        *[(doc, fragment) for fragment, doc in HOLES],
     ],
 )
 def test_validate_violations(tmp_path, capsys, doc, fragment):
@@ -346,3 +382,76 @@ def test_stationary_i_max_validated(tmp_path, capsys, params):
                      "params": params})
     assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 1
     assert "config error: params.i_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fragment,doc", HOLES)
+def test_run_rejects_holes(tmp_path, capsys, fragment, doc):
+    cfg = write_cfg(tmp_path, "hole.json", doc)
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and fragment in err
+    assert not (tmp_path / "hole.csv").exists()
+
+
+def test_seed_override_needs_a_seed_param(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "st.json", {"task": "stationary", "chain": EX3,
+                                          "params": {"K": 20}})
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--seed", "3"]) == 1
+    assert "config error: params.seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top,rc", [(119, 1), (120, 0)])
+def test_general_rows_without_tail(tmp_path, top, rc):
+    # harmonic-solve at K = 60 reads rows up to 2K = 120
+    rows = {"0": {"1": 1.0}, **{str(i): {"-1": 0.6, "1": 0.4} for i in range(1, top + 1)}}
+    doc = {"task": "harmonic-solve", "params": {"K": 60},
+           "chain": {"name": "general", "band_lo": 1, "band_hi": 1, "rows": rows}}
+    assert bool(validate(ExperimentConfig.from_dict(doc))) == (rc == 1)
+    cfg = write_cfg(tmp_path, "rows.json", doc)
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == rc
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_validate(path):
+    assert validate(ExperimentConfig.from_file(path)) == []
+
+
+# task -> (chain, params always set so the run stays small, optional params)
+FUZZ_TASKS = {
+    "harmonic-solve": (EX1, ["K"], ["tol", "i_max"]),
+    "harmonic-mc": (EX1, ["n_paths", "horizon"], ["states", "seed"]),
+    "conditions": (EX1, [], ["probe"]),
+    "ladder": ({"name": "killed-walk", "pmf": WALK}, [], ["i_max", "beta"]),
+    "stationary": ({"name": "lindley", "pmf": WALK}, ["K"], ["beta", "doubling_tol", "i_max"]),
+    "tail": (EX3, ["K"], ["window", "mode", "order", "variation_tol", "doubling_tol"]),
+    "cramer-series": (EX3, [], ["M", "m", "D"]),
+}
+FUZZ_MAX = {"n_paths": 20, "horizon": 50}
+FUZZ_VALID = {"states": [0, 3], "window": [5, 9], "mode": "alpha-over-m", "m": [2.0, 3.0],
+              "D": {"1,1": 1.0}}
+JUNK = st.sampled_from(["x", True, False, None, math.nan, -1, 0, 0.5, [], [1, 2], {}])
+
+
+def fuzz_value(key):
+    valid = [st.just(FUZZ_VALID[key])] if key in FUZZ_VALID else []
+    return st.one_of(JUNK, st.integers(1, FUZZ_MAX.get(key, 60)), *valid)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_fuzzed_params_never_crash(data):
+    task = data.draw(st.sampled_from(sorted(FUZZ_TASKS)))
+    chain, always, optional = FUZZ_TASKS[task]
+    keys = always + data.draw(st.lists(st.sampled_from(optional + ["imax"]), unique=True))
+    doc = {"task": task, "params": {k: data.draw(fuzz_value(k), label=k) for k in keys}}
+    if task != "cramer-series" or data.draw(st.booleans()):
+        doc["chain"] = chain
+    with tempfile.TemporaryDirectory() as out:
+        cfg = Path(out) / "fuzz.json"
+        cfg.write_text(json.dumps(doc))
+        problems = validate(ExperimentConfig.from_file(cfg))
+        rc = main(["run", str(cfg), "--out", out, "--quiet"])
+        assert rc in (0, 1, 2)
+        if problems:
+            assert rc == 1
+            assert not (Path(out) / "fuzz.csv").exists()
