@@ -440,7 +440,7 @@ def _run_ladder(family: ChainFamily, i_max: int, beta):
     walk = LatticeWalk(lo=-family.band_lo, pmf=np.array(family.params["pmf"]))
     beta = cramer_root(walk) if beta is None else beta
     lad = ladder_height(walk).with_renewal(i_max)
-    f_ladder = np.array([ladder_harmonic(lad, beta, i) for i in range(i_max + 1)])
+    f_ladder = ladder_harmonic(lad, beta, np.arange(i_max + 1))
     f_min = tilted_minimum_harmonic(walk, i_max, beta=beta, original_ladder=lad)
     mult = equivalence_multiplier(walk, beta=beta)
     header = ["i", "ladder_form", "tilted_min_form", "ratio"]

@@ -488,23 +488,51 @@ def verify_harmonicity(kernel: TransitionKernel, f, states: Iterable[int]) -> fl
 # Monte Carlo
 
 
-def _philox(seed: int, salt: int, tag: int) -> np.random.Generator:
-    key = np.array([seed % 2**64, ((salt << 48) ^ tag) % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _path_setup(kernel: TransitionKernel, top: int, return_tol: float, checked: dict):
+    """Embedded chain, stopping level and scored states for paths that score
+    states up to ``top``.
+
+    Above the stopping level the chain revisits ``top`` or below with
+    probability at most ``return_tol`` (Lundberg bound via the minorant).
+    Paths score the states from state_lo to the stopping level plus band_hi;
+    ``checked`` maps a name to states that must lie in that range.
+    """
+    P = kernel.embed()
+    minorant = jump_minorant(P)
+    if minorant.mean <= 0:
+        raise UnsupportedInputError(
+            "no positive-drift minorant: cannot certify Monte Carlo termination"
+        )
+    r = ruin_exponent(minorant)
+    stop = top + 1
+    if r != math.inf:
+        stop += int(math.ceil(math.log(1.0 / return_tol) / r))
+    if not P.has_row(stop):
+        raise StateRangeError(f"kernel rows end before the certified stopping level {stop}")
+    lo, hi = P.state_lo, stop + kernel.band_hi
+    for what, states in checked.items():
+        for s in states:
+            if not lo <= s <= hi:
+                raise StateRangeError(f"{what} {s} outside the scored range [{lo}, {hi}]")
+    return P, stop, np.arange(lo, hi + 1)
 
 
-def _run_paths(P, score, score_lo, start, stop_level, n_paths, horizon, rng):
-    """Trajectories from ``start`` accumulating score(X_n) until the path
-    climbs above ``stop_level`` or the horizon hits.  Returns the per-path
-    accumulated scores and the number of paths the horizon cut short."""
+def _run_paths(P, score, start, stop, n_paths, horizon, seed, estimator):
+    """``n_paths`` trajectories of the embedded chain ``P`` from ``start``,
+    each adding score[X_n - state_lo] at every visit, time zero included,
+    until it climbs above ``stop`` or the horizon hits.  ``score`` is 1-d,
+    or 2-d with one column per quantity.  The random stream is keyed by
+    (seed, estimator, start).  Returns the per-path totals and the number of
+    paths the horizon cut short."""
     lo = P.state_lo
-    rows = P.rows(lo, stop_level)
-    cdf = (rows / rows.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdf = P.rows(lo, stop).cumsum(axis=1)
     cdf[:, -1] = 1.0
+    key = np.array([seed % 2**64, ((estimator << 48) ^ start) % 2**64], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     offsets = P.offsets
     states = np.full(n_paths, start, dtype=np.int64)
-    totals = np.full(n_paths, score[start - score_lo], dtype=float)
-    active = states <= stop_level
+    totals = np.full((n_paths,) + score.shape[1:], score[start - lo])
+    active = states <= stop
     for _ in range(horizon):
         idx = np.flatnonzero(active)
         if idx.size == 0:
@@ -513,30 +541,17 @@ def _run_paths(P, score, score_lo, start, stop_level, n_paths, horizon, rng):
         u = rng.random(idx.size)
         choice = (u[:, None] >= cdf[s - lo]).sum(axis=1)
         ns = s + offsets[choice]
-        totals[idx] += score[ns - score_lo]
+        totals[idx] += score[ns - lo]
         states[idx] = ns
-        active[idx] = ns <= stop_level
-    return totals, int(active.sum()), states
+        active[idx] = ns <= stop
+    return totals, int(active.sum())
 
 
-def _check_scored(states, lo: int, hi: int, what: str) -> None:
-    """Paths score the states lo..hi; any other start or site has no entry."""
-    for s in states:
-        if not lo <= s <= hi:
-            raise StateRangeError(f"{what} {s} outside the scored range [{lo}, {hi}]")
-
-
-def _stop_level(support_top: int, minorant: LatticeWalk, return_tol: float) -> int:
-    """Level above which the chain revisits ``support_top`` or below with
-    probability at most ``return_tol`` (Lundberg bound via the minorant)."""
-    if minorant.mean <= 0:
-        raise UnsupportedInputError(
-            "no positive-drift minorant: cannot certify Monte Carlo termination"
-        )
-    r = ruin_exponent(minorant)
-    if r == math.inf:
-        return support_top + 1
-    return support_top + int(math.ceil(math.log(1.0 / return_tol) / r)) + 1
+def _mean_se(x: np.ndarray):
+    """Mean and standard error (sample SD / sqrt(n), 0 for one path) over paths."""
+    n = x.shape[0]
+    se = x.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(x.shape[1:])
+    return x.mean(axis=0), se
 
 
 def build_mc(
@@ -555,40 +570,22 @@ def build_mc(
     horizon cuts short keep their partial product and are counted; more
     than 1% of them sets a warning flag on the estimate.
     """
-    P = kernel.embed()
     lo = kernel.state_lo
-
     deltas = np.array([kernel.delta(i) for i in range(lo, kernel.truncation + 1)])
     if kernel.tail is not None and kernel.tail.delta_abs_bound() != 0.0:
         raise UnsupportedInputError("tail rows must be stochastic for the path product")
     nz = np.flatnonzero(np.abs(deltas) > _DELTA_EPS)
     support_top = lo + int(nz[-1]) if nz.size else lo
-
-    minor = jump_minorant(P)
-    stop = _stop_level(support_top, minor, return_tol)
-    if not P.has_row(stop):
-        raise StateRangeError(
-            f"kernel rows end before the certified stopping level {stop}"
-        )
-
-    score_lo = lo
-    score_hi = stop + kernel.band_hi
-    _check_scored(states, score_lo, score_hi, "start state")
-    score = np.zeros(score_hi - score_lo + 1)
-    top = min(kernel.truncation, score_hi)
-    score[: top - score_lo + 1] = deltas[: top - lo + 1]
+    P, stop, scored = _path_setup(kernel, support_top, return_tol, {"start state": states})
+    score = np.zeros(scored.size)
+    score[: deltas.size] = deltas[: scored.size]
 
     values, errs, exhausted = {}, {}, {}
     for s in states:
-        rng = _philox(seed, salt=1, tag=s)
-        totals, n_exhausted, _ = _run_paths(
-            P, score, score_lo, s, stop, n_paths, horizon, rng
-        )
+        totals, exhausted[int(s)] = _run_paths(P, score, s, stop, n_paths, horizon, seed, 1)
         with np.errstate(over="ignore"):
             w = np.exp(totals)
-        values[int(s)] = float(w.mean())
-        errs[int(s)] = float(w.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-        exhausted[int(s)] = n_exhausted
+        values[int(s)], errs[int(s)] = map(float, _mean_se(w))
 
     warn = any(v > 0.01 * n_paths for v in exhausted.values())
     return HarmonicEstimate(
@@ -624,22 +621,14 @@ def local_time_moment_mc(
     cut off by the horizon); near the critical gamma the estimate blows up
     and the cut-off fraction is the signal to distrust it.
     """
-    P = kernel.embed()
-    minor = jump_minorant(P)
-    stop = _stop_level(i, minor, return_tol)
-    if not P.has_row(stop):
-        raise StateRangeError(f"kernel rows end before the stopping level {stop}")
-    score_lo = P.state_lo
-    _check_scored([i], score_lo, stop + kernel.band_hi, "state")
-    score = np.zeros(stop + kernel.band_hi - score_lo + 1)
-    score[i - score_lo] = 1.0
-    rng = _philox(seed, salt=2, tag=i)
-    counts, n_exhausted, _ = _run_paths(P, score, score_lo, i, stop, n_paths, horizon, rng)
+    P, stop, scored = _path_setup(kernel, i, return_tol, {"state": [i]})
+    counts, n_exhausted = _run_paths(
+        P, (scored == i).astype(float), i, stop, n_paths, horizon, seed, 2
+    )
     with np.errstate(over="ignore"):
         w = np.exp(gamma * counts)
-    est = float(w.mean())
-    se = float(w.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return est, se, n_exhausted / n_paths
+    est, se = _mean_se(w)
+    return float(est), float(se), n_exhausted / n_paths
 
 
 def expected_local_times_mc(
@@ -653,26 +642,16 @@ def expected_local_times_mc(
 ) -> dict[int, tuple[float, float]]:
     """Monte Carlo estimates of E_start ell(j) for each site j.
 
+    Every site is scored on one path set, so the estimates are correlated.
     Used to evaluate the convexity lower bound on the path product.
     """
-    P = kernel.embed()
-    minor = jump_minorant(P)
-    top = max(sites)
-    stop = _stop_level(top, minor, return_tol)
-    out = {}
-    score_lo = P.state_lo
-    _check_scored([start], score_lo, stop + kernel.band_hi, "start state")
-    _check_scored(sites, score_lo, stop + kernel.band_hi, "site")
-    for j in sites:
-        score = np.zeros(stop + kernel.band_hi - score_lo + 1)
-        score[j - score_lo] = 1.0
-        rng = _philox(seed, salt=3, tag=j * 1009 + start)
-        counts, _, _ = _run_paths(P, score, score_lo, start, stop, n_paths, horizon, rng)
-        out[int(j)] = (
-            float(counts.mean()),
-            float(counts.std(ddof=1) / math.sqrt(n_paths)),
-        )
-    return out
+    P, stop, scored = _path_setup(
+        kernel, max(sites, default=start), return_tol, {"start state": [start], "site": sites}
+    )
+    score = (scored[:, None] == np.asarray(sites, dtype=np.int64)).astype(float)
+    counts, _ = _run_paths(P, score, start, stop, n_paths, horizon, seed, 3)
+    means, ses = _mean_se(counts)
+    return {int(j): (float(m), float(e)) for j, m, e in zip(sites, means, ses)}
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,13 @@ def _compensated_solve(block: np.ndarray, band_lo: int, beta: float):
         reflected += float(P[over, c].sum())
         P[over, n - 1 - over + band_lo] += P[over, c]
         P[over, c] = 0.0
-    tilted = P * np.exp(beta * (np.arange(W) - band_lo).astype(float))
+    with np.errstate(over="ignore"):
+        tilt = np.exp(beta * (np.arange(W) - band_lo).astype(float))
+    if not np.all(np.isfinite(tilt)):
+        raise SolverFailure(
+            f"tilt factors exp(beta * jump) overflow at beta = {beta:.6g}", reason="non-finite"
+        )
+    tilted = P * tilt
 
     lu, ab = band_system(tilted, band_lo, transpose=True)
     band_pin(lu, ab, 0)
@@ -318,9 +324,16 @@ def cramer_coefficients(m, D, M: int) -> np.ndarray:
     if m[0] == 0.0:
         raise UnsupportedInputError("the first tilted moment must be nonzero")
     u = np.zeros(M + 1)
-    for n in range(1, M + 1):
-        F = _implicit_series(u, m, D, n)
-        u[n] = -F[n] / m[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, M + 1):
+            F = _implicit_series(u, m, D, n)
+            u[n] = -F[n] / m[0]
+        resid = cramer_series_residual(m, D, u[1:])
+    if not (np.all(np.isfinite(u)) and math.isfinite(resid)):
+        raise SolverFailure(
+            "local-root expansion overflowed: a coefficient or its residual is not finite",
+            reason="non-finite", diagnostics={"R": u[1:], "back_substitution_residual": resid},
+        )
     return u[1:].copy()
 
 
@@ -445,12 +458,14 @@ def entry_measure(kernel: TransitionKernel, log_pi: np.ndarray, level: int) -> d
     return {level + 1 + int(k): float(flow[k]) for k in np.flatnonzero(flow)}
 
 
+_DOOB_EXPLICIT_ROWS = 64  # rows above the level materialised before the tail rule
+
+
 def doob_transform(
     kernel: StochasticKernel,
     h,
     level: int,
     residual_tol: float | None = 1e-8,
-    explicit_rows: int = 64,
 ) -> TransitionKernel:
     """Change of measure by a positive function on the states above a level.
 
@@ -477,7 +492,7 @@ def doob_transform(
                 out[c] = base[c] * hf(j) / hi_val
         return out
 
-    top = max(kernel.truncation, lo + explicit_rows)
+    top = max(kernel.truncation, lo + _DOOB_EXPLICIT_ROWS)
     weights = np.array([hat_row(i) for i in range(lo, top + 1)])
     defect = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
     if residual_tol is not None and defect > residual_tol:

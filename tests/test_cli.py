@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,31 @@ def test_flagged_solver_failure(tmp_path, capsys):
     assert doc["flagged"] is True
     assert doc["diagnostics"]["error_type"] == "SolverFailure"
     assert doc["outputs"] == []
+
+
+OVERFLOWS = [
+    {"task": "stationary", "chain": {"name": "lindley", "pmf": WALK},
+     "params": {"K": 40, "beta": 800}},
+    {"task": "stationary", "chain": {"name": "lindley", "pmf": WALK},
+     "params": {"K": 40, "beta": -800}},
+    {"task": "stationary", "chain": {"name": "lindley", "pmf": WALK},
+     "params": {"K": 40, "beta": 1e300}},
+    {"task": "cramer-series", "params": {"M": 2, "m": [1e-300, 1.0], "D": {"1,1": 1e300}}},
+]
+
+
+@pytest.mark.parametrize("doc", OVERFLOWS)
+def test_overflow_is_flagged(tmp_path, capsys, doc):
+    cfg = write_cfg(tmp_path, "big.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flagged:") and "Traceback" not in err
+    assert not (tmp_path / "big.csv").exists()
+    manifest = json.loads((tmp_path / "big.manifest.json").read_text())
+    assert manifest["flagged"] is True
+    assert manifest["diagnostics"]["reason"] == "non-finite"
 
 
 def test_flagged_conditions(tmp_path):

@@ -1,6 +1,7 @@
 """Harmonic construction: closed form, linear solve, conditions, Monte Carlo."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,32 @@ def test_expected_local_times_mc(ex1_kernel):
     assert abs(m1 - 2.5) <= 3.0 * se1
     # convexity: exp(gamma E ell) is a lower bound for E exp(gamma ell) = 8
     assert math.exp(math.log(2.0) * (m0 + 3 * se0)) <= 8.0
+
+
+def test_mc_streams_pinned(ex1_kernel):
+    # a change of random stream shows up here first
+    est = ht.build_mc(ex1_kernel, (0,), 2000, 10000, seed=42)
+    assert est.values[0] == 8.852999999999998
+    assert est.std_errors[0] == 2.1705508150975072
+    got = ht.local_time_moment_mc(ex1_kernel, 0, 0.2, 2000, 10000, seed=11)
+    assert got == (1.4796964157353778, 0.01480776072416599, 0.0)
+
+
+def test_expected_local_times_mc_one_path_set(ex1_kernel, monkeypatch):
+    calls = []
+    run_paths = ht.harmonic._run_paths
+    monkeypatch.setattr(ht.harmonic, "_run_paths",
+                        lambda *args: calls.append(args) or run_paths(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ht.expected_local_times_mc(ex1_kernel, start=0, sites=(0, 1, 2, 5),
+                                         n_paths=1, horizon=1000, seed=3)
+    assert len(calls) == 1  # every site is scored on the same paths
+    assert sorted(out) == [0, 1, 2, 5]
+    assert all(se == 0.0 for _, se in out.values())
+    assert out[0][0] >= 1.0  # time zero counts as a visit to the start
+    assert ht.expected_local_times_mc(ex1_kernel, start=0, sites=(), n_paths=10,
+                                      horizon=10, seed=0) == {}
 
 
 # ---------------------------------------------------------------------------
