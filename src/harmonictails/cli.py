@@ -205,6 +205,15 @@ def _int(v, lo, typed):
     return v
 
 
+def _int_upto(cap):
+    """An integer kind with an upper bound as well."""
+    def kind(v, lo, typed):
+        if _int(v, lo, typed) > cap:
+            raise ConfigError(f"must be an integer in {lo}..{cap}")
+        return v
+    return kind
+
+
 def _index(v, lo, typed):
     if _int(v, lo, typed) > typed.get("K", v):
         raise ConfigError(f"must be an integer in {lo}..K")
@@ -518,22 +527,31 @@ def _run_cramer_series(family: ChainFamily | None, M: int, m: list | None, D: di
     return header, rows, diag, False, None
 
 
+# Size caps from a peak-RSS budget of about 1 GB: a run holds about 70 bytes
+# per Monte Carlo path and at most about 400 bytes per state it materialises
+# (K, ladder i_max, conditions probe), on top of ~80 MB.
+_MAX_PATHS = 10**7
+_MAX_STATES = 10**6
+
 # task -> (runner, {param: (kind, default, lower bound)}); a default of ... is
 # required, a callable one a function of the task's truncation K (listed first)
 _TASK_SPECS = {
     "harmonic-solve": (_run_harmonic_solve, {
-        "K": (_int, 400, 10), "tol": (_float, 1e-10, 0),
+        "K": (_int_upto(_MAX_STATES), 400, 10), "tol": (_float, 1e-10, 0),
         "i_max": (_index, lambda K: min(K, 50), 0)}),
     "harmonic-mc": (_run_harmonic_mc, {
-        "states": (_states, tuple(range(11)), 0), "n_paths": (_int, 100_000, 1),
+        "states": (_states, tuple(range(11)), 0),
+        "n_paths": (_int_upto(_MAX_PATHS), 100_000, 1),
         "horizon": (_int, 100_000, 1), "seed": (_int, ..., None)}),
-    "conditions": (_run_conditions, {"probe": (_int, 64, 1)}),
-    "ladder": (_run_ladder, {"i_max": (_int, 50, 0), "beta": (_float, None, None)}),
+    "conditions": (_run_conditions, {"probe": (_int_upto(_MAX_STATES), 64, 1)}),
+    "ladder": (_run_ladder, {
+        "i_max": (_int_upto(_MAX_STATES), 50, 0), "beta": (_float, None, None)}),
     "stationary": (_run_stationary, {
-        "K": (_int, 400, 10), "beta": (_float, None, None),
+        "K": (_int_upto(_MAX_STATES), 400, 10), "beta": (_float, None, None),
         "doubling_tol": (_float, 1e-8, 0), "i_max": (_index, lambda K: K, 0)}),
     "tail": (_run_tail, {
-        "K": (_int, 4000, 10), "window": (_window, lambda K: (K // 2, 3 * K // 4), 0),
+        "K": (_int_upto(_MAX_STATES), 4000, 10),
+        "window": (_window, lambda K: (K // 2, 3 * K // 4), 0),
         "mode": (_mode, "constant", None), "order": (_int, 2, 1),
         "variation_tol": (_float, 0.01, 0), "doubling_tol": (_float, 1e-8, 0)}),
     "cramer-series": (_run_cramer_series, {

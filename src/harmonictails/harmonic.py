@@ -523,28 +523,32 @@ def _run_paths(P, score, start, stop, n_paths, horizon, seed, estimator):
     until it climbs above ``stop`` or the horizon hits.  ``score`` is 1-d,
     or 2-d with one column per quantity.  The random stream is keyed by
     (seed, estimator, start).  Returns the per-path totals and the number of
-    paths the horizon cut short."""
-    lo = P.state_lo
-    cdf = P.rows(lo, stop).cumsum(axis=1)
-    cdf[:, -1] = 1.0
+    paths the horizon cut short.  Only live paths are carried, in path
+    order, and each draws one uniform per step; its jump counts the cdf
+    columns at or below the uniform (the last column is 1, never counted)."""
+    top = stop - P.state_lo
+    cols = np.ascontiguousarray(P.rows(P.state_lo, stop).cumsum(axis=1)[:, :-1].T)
     key = np.array([seed % 2**64, ((estimator << 48) ^ start) % 2**64], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    offsets = P.offsets
-    states = np.full(n_paths, start, dtype=np.int64)
-    totals = np.full((n_paths,) + score.shape[1:], score[start - lo])
-    active = states <= stop
+    x0 = start - P.state_lo
+    totals = np.full((n_paths,) + score.shape[1:], score[x0])
+    ids = np.arange(n_paths if x0 <= top else 0)
+    x, run = np.full(ids.size, x0), totals[ids]
     for _ in range(horizon):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if ids.size == 0:
             break
-        s = states[idx]
-        u = rng.random(idx.size)
-        choice = (u[:, None] >= cdf[s - lo]).sum(axis=1)
-        ns = s + offsets[choice]
-        totals[idx] += score[ns - lo]
-        states[idx] = ns
-        active[idx] = ns <= stop
-    return totals, int(active.sum())
+        u = rng.random(ids.size)
+        nx = x - P.band_lo
+        for c in cols:
+            nx += u >= c[x]
+        x = nx
+        run += score[x]
+        live = x <= top
+        if not live.all():
+            totals[ids[~live]] = run[~live]
+            ids, x, run = ids[live], x[live], run[live]
+    totals[ids] = run
+    return totals, ids.size
 
 
 def _mean_se(x: np.ndarray):

@@ -124,9 +124,10 @@ def _compensated_solve(block: np.ndarray, band_lo: int, beta: float):
         raise SolverFailure(
             f"compensated stationary solve failed: {exc}", reason="singular"
         ) from exc
-    y = z / (np.exp(-beta * np.arange(n).astype(float)) @ z)
-
-    if not np.all(np.isfinite(y)):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norm = np.exp(-beta * np.arange(n).astype(float)) @ z
+        y = z / norm
+    if not (np.isfinite(norm) and np.all(np.isfinite(y))):
         raise SolverFailure("compensated stationary solve overflowed", reason="non-finite")
     neg = float(y.min())
     if neg < -1e-10 * max(1.0, float(np.abs(y).max())):

@@ -47,6 +47,13 @@ HOLES = [
                      "params": {"K": 60, "imax": 5}}),
     ("tail_row", {"task": "harmonic-solve", "chain": TWO_ROWS, "params": {"K": 60}}),
     ("walk-based chain", {"task": "ladder", "chain": EX1}),
+    # sizes that used to end in a numpy memory error
+    ("params.n_paths", {"task": "harmonic-mc", "chain": EX1,
+                        "params": {**MC, "n_paths": 10**12}}),
+    ("params.K", {"task": "harmonic-solve", "chain": EX1, "params": {"K": 10**12}}),
+    ("params.probe", {"task": "conditions", "chain": EX1, "params": {"probe": 10**12}}),
+    ("params.i_max", {"task": "ladder", "chain": {"name": "killed-walk", "pmf": WALK},
+                      "params": {"i_max": 10**12}}),
 ]
 
 
@@ -212,6 +219,8 @@ OVERFLOWS = [
     {"task": "stationary", "chain": {"name": "lindley", "pmf": WALK},
      "params": {"K": 40, "beta": 1e300}},
     {"task": "cramer-series", "params": {"M": 2, "m": [1e-300, 1.0], "D": {"1,1": 1e300}}},
+    {"task": "stationary", "chain": {"name": "lindley", "pmf": WALK},
+     "params": {"K": 40, "beta": -20}},
 ]
 
 

@@ -301,6 +301,8 @@ def test_mc_streams_pinned(ex1_kernel):
     assert est.std_errors[0] == 2.1705508150975072
     got = ht.local_time_moment_mc(ex1_kernel, 0, 0.2, 2000, 10000, seed=11)
     assert got == (1.4796964157353778, 0.01480776072416599, 0.0)
+    got = ht.expected_local_times_mc(ex1_kernel, 0, (0, 3), 2000, 10000, seed=5)
+    assert got == {0: (1.766, 0.026757802413408336), 3: (2.52, 0.04242286942116252)}
 
 
 def test_expected_local_times_mc_one_path_set(ex1_kernel, monkeypatch):
@@ -411,3 +413,80 @@ def test_mc_rejects_states_outside_scored_range(ex1_kernel):
     with pytest.raises(ht.StateRangeError):
         ht.expected_local_times_mc(ex1_kernel, start=0, sites=(-1, 2), n_paths=10,
                                    horizon=10, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the path engine against the compare-matrix loop
+
+
+def compare_matrix_paths(P, score, start, stop, n_paths, horizon, seed, estimator):
+    """The reference loop: each step scans every path and compares each live
+    one against its whole cdf row, scattering back into full-length arrays."""
+    lo = P.state_lo
+    cdf = P.rows(lo, stop).cumsum(axis=1)
+    cdf[:, -1] = 1.0
+    key = np.array([seed % 2**64, ((estimator << 48) ^ start) % 2**64], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    offsets = P.offsets
+    states = np.full(n_paths, start, dtype=np.int64)
+    totals = np.full((n_paths,) + score.shape[1:], score[start - lo])
+    active = states <= stop
+    for _ in range(horizon):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        s = states[idx]
+        u = rng.random(idx.size)
+        choice = (u[:, None] >= cdf[s - lo]).sum(axis=1)
+        ns = s + offsets[choice]
+        totals[idx] += score[ns - lo]
+        states[idx] = ns
+        active[idx] = ns <= stop
+    return totals, int(active.sum())
+
+
+def engine_kernels():
+    """Upward-drifting kernels of widths 3 and 4, explicit and tail rows."""
+    walk4 = ht.LatticeWalk.from_dict({-1: 0.3, 0: 0.125, 1: 0.4, 2: 0.175})
+    rows = {0: {1: 2.0}, 1: {-1: 0.5, 1: 1.5}, 2: {-1: 0.4, 0: 0.2, 1: 0.6}}
+    killed = ht.walk_killed_at_negative(ht.LatticeWalk.from_dict({1: 0.3, -1: 0.7}))
+    return {
+        "example1": ht.perturbed_reflected_walk(p=0.7, alpha=2.0).kernel(8),
+        "lindley4": ht.lindley_chain(walk4).kernel(10),
+        "rows": ht.kernel_from_rows(rows, truncation=2, band_lo=1, band_hi=1,
+                                    tail=ht.HomogeneousTail(np.array([0.35, 0.0, 0.65]))),
+        # conditioned to stay nonnegative: h(i) = (7/3)^(i+1) - 1 is harmonic
+        "doob": ht.doob_transform(killed.kernel(40), lambda i: (7 / 3) ** (i + 1) - 1,
+                                  level=-1),
+    }
+
+
+ENGINE_KERNELS = engine_kernels()
+
+
+@given(
+    name=st.sampled_from(sorted(ENGINE_KERNELS)),
+    top=st.integers(0, 4),
+    return_tol=st.sampled_from([1e-2, 1e-6]),
+    shape=st.sampled_from([(), (1,), (3,)]),
+    horizon=st.sampled_from([0, 1, 30, 100_000]),
+    n_paths=st.sampled_from([1, 2, 257]),
+    seed=st.integers(0, 2**64 - 1),
+    estimator=st.integers(1, 3),
+    data=st.data(),
+)
+def test_run_paths_matches_compare_matrix_loop(name, top, return_tol, shape, horizon,
+                                               n_paths, seed, estimator, data):
+    kernel = ENGINE_KERNELS[name]
+    P, stop, scored = ht.harmonic._path_setup(kernel, kernel.state_lo + top, return_tol, {})
+    start = data.draw(st.one_of(
+        st.integers(P.state_lo, stop - 1),  # below the stopping level
+        st.just(stop),
+        st.integers(stop + 1, stop + P.band_hi),  # already above it
+    ))
+    score = np.random.default_rng(seed).normal(size=(scored.size,) + shape)
+    args = (P, score, start, stop, n_paths, horizon, seed, estimator)
+    totals, exhausted = ht.harmonic._run_paths(*args)
+    ref_totals, ref_exhausted = compare_matrix_paths(*args)
+    assert np.array_equal(totals, ref_totals)
+    assert exhausted == ref_exhausted
