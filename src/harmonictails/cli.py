@@ -451,6 +451,11 @@ def _run_ladder(family: ChainFamily, i_max: int, beta):
     lad = ladder_height(walk).with_renewal(i_max)
     f_ladder = ladder_harmonic(lad, beta, np.arange(i_max + 1))
     f_min = tilted_minimum_harmonic(walk, i_max, beta=beta, original_ladder=lad)
+    if not (np.all(np.isfinite(f_ladder)) and np.all(np.isfinite(f_min))):
+        raise SolverFailure(
+            f"exp(beta i) overflows below i_max = {i_max} (beta = {beta:.6g})",
+            reason="non-finite",
+        )
     mult = equivalence_multiplier(walk, beta=beta)
     header = ["i", "ladder_form", "tilted_min_form", "ratio"]
     rows = [

@@ -25,7 +25,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (
-    ConvergenceError,
     InconsistentRootError,
     InternalConsistencyError,
     NoCramerRootError,
@@ -93,10 +92,6 @@ class LatticeWalk:
         with np.errstate(over="ignore"):
             return float(np.exp(t * self.offsets) @ self.pmf)
 
-    def moment_tilted(self, beta: float, k: int = 1) -> float:
-        """E step^k exp(beta * step)."""
-        return float((self.offsets.astype(float) ** k * np.exp(beta * self.offsets)) @ self.pmf)
-
     def negated(self) -> "LatticeWalk":
         """The law of minus the step."""
         return LatticeWalk(lo=-self.hi, pmf=self.pmf[::-1].copy())
@@ -115,8 +110,8 @@ def cramer_root(walk: LatticeWalk, tol: float = 1e-12) -> float:
     if not np.any((walk.offsets > 0) & (walk.pmf > 0)):
         raise NoCramerRootError("walk has no positive steps; mgf never returns to 1")
 
-    def g(t):
-        return walk.mgf(t) - 1.0
+    def g(t):  # walk.mgf(t) - 1; t <= t_cap keeps every exp finite
+        return float(np.exp(t * walk.offsets) @ walk.pmf) - 1.0
 
     t_cap = 700.0 / walk.hi  # beyond this exp overflows for the top step
     hi = min(1.0, t_cap)
@@ -215,62 +210,68 @@ class LadderData:
         return replace(self, u=renewal_mass(self, J))
 
 
-def ladder_height(
-    walk: LatticeWalk,
-    mass_tol: float = 1e-12,
-    max_iter: int = 200_000,
-) -> LadderData:
+def _divide(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder of u / v, both in descending coefficients."""
+    u = np.array(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    n = v.size - 1
+    for k in range(u.size - n):
+        u[k] /= v[0]
+        u[k + 1 : k + n + 1] -= u[k] * v[1:]
+    return u[: u.size - n], u[u.size - n :]
+
+
+def ladder_height(walk: LatticeWalk) -> LadderData:
     """Distribution of the first descent below the starting level.
 
-    Runs the walk as a sub-probability measure on the nonnegative lattice,
-    harvesting mass as it first steps negative.  Depth is capped at the
-    largest downward step, so the harvested law lives on ``1..|lo|``.
-
-    For a negative-mean walk the alive mass dies out and the law is proper
-    up to ``mass_tol``.  For a positive-mean walk the alive mass converges
-    to the defect; iteration stops once the Lundberg bound certifies that
-    the mass still alive can only leak below at most ``mass_tol`` more.
+    Wiener-Hopf (Feller II, ch. XII): the L roots zeta_k of z^L (1 - E z^step)
+    in the closed unit disk (z = 1 among them iff the mean is <= 0) give
+    prod_k (z - zeta_k) = z^L - sum_d chi(d) z^(L-d) and the defect
+    prod_k (1 - zeta_k).  The known roots z = 1 and exp(+-beta) are divided
+    out before ``np.roots``, so near criticality none crosses the unit circle
+    by rounding.  Certified by a division remainder <= 1e-10 and chi >= -1e-15.
     """
-    if walk.lo >= 0:
+    support = walk.offsets[walk.pmf > 0]
+    if walk.lo >= 0 or not support.any():
         raise UnsupportedInputError("walk never steps down; ladder heights are undefined")
     L = -walk.lo
-    chi = np.zeros(L + 1)
-    v = np.ones(1)  # alive measure, positions 0.. ; starts as a point mass at 0
-    rexp = None
-    if walk.mean > 0:
-        rexp = ruin_exponent(walk)
+    g = int(np.gcd.reduce(support))
+    if g > 1:  # a walk on gZ: solve for step / g and spread the law
+        coarse = ladder_height(LatticeWalk(lo=-(L // g), pmf=walk.pmf[L % g :: g]))
+        chi = np.bincount(g * np.arange(coarse.chi_pmf.size), coarse.chi_pmf, L + 1)
+        return replace(coarse, chi_pmf=chi)
 
-    pmf = walk.pmf
-    n_done = max_iter
-    for n in range(max_iter):
-        w = np.convolve(v, pmf)  # index k <-> position k - L
-        for depth in range(1, L + 1):
-            chi[depth] += w[L - depth]
-        v = w[L:]
-        alive = v.sum()
-        if alive < mass_tol:
-            n_done = n + 1
-            break
-        if rexp is not None:
-            positions = np.arange(v.size)
-            if rexp == math.inf:
-                future = 0.0
-            else:
-                future = float(v @ np.exp(-rexp * (positions + 1.0)))
-            if future < mass_tol:
-                n_done = n + 1
-                break
-    else:
-        raise ConvergenceError(
-            f"ladder iteration did not settle in {max_iter} steps "
-            f"(alive mass {v.sum():.3e})"
+    # steps -L..max(0, top step): a zero leading coefficient is a spurious root
+    pmf = np.zeros(L + max(0, int(support.max())) + 1)
+    pmf[: walk.pmf.size] = walk.pmf[: pmf.size]
+    p = -pmf
+    p[L] += 1.0
+    # p(z) = (z - 1) q(z), q_j = P(step <= j - L) - [j >= L], each summed
+    # from its nearer end of the law so that nothing cancels
+    q = np.concatenate([np.cumsum(pmf[:L]), -np.cumsum(pmf[:L:-1])[::-1]])
+    if walk.mean > 0:  # exp(-r) inside the disk, z = 1 outside
+        r = ruin_exponent(walk)
+        known, known_gap = math.exp(-r), -math.expm1(-r)
+        rest = _divide(q[::-1], [1.0, -known])[0]
+    else:  # z = 1 inside; with up steps exp(beta) (z = 1 at zero mean) outside
+        known, known_gap, rest = 1.0, 0.0, q[::-1]
+        if support.max() > 0:
+            outer = math.exp(cramer_root(walk)) if walk.mean < 0 else 1.0
+            rest = _divide(q, [-outer, 1.0])[0][::-1]  # from the low end: stable for outer >= 1
+    inner = (z := np.roots(rest))[np.abs(z) < 1.0]
+    zeta = np.append(inner, known)
+    c = np.poly(zeta).real
+    remainder = float(np.max(np.abs(_divide(p[::-1], c)[1])))
+    chi = np.concatenate([[0.0], -c[1:]])
+    if inner.size != L - 1 or remainder > 1e-10 or chi.min() < -1e-15:
+        raise InternalConsistencyError(
+            f"Wiener-Hopf factor not certified: {zeta.size} of {L} roots, "
+            f"remainder {remainder:.3e}, smallest ladder mass {chi.min():.3e}"
         )
-
-    defect = max(0.0, 1.0 - chi.sum())
     return LadderData(
-        chi_pmf=chi,
-        defect=defect,
-        meta={"iterations": n_done, "alive_final": float(v.sum()), "mass_tol": mass_tol},
+        chi_pmf=np.clip(chi, 0.0, None),
+        defect=float(np.prod(1.0 - inner).real) * known_gap,
+        meta={"iterations": 0, "factor_remainder": remainder},
     )
 
 
@@ -335,7 +336,6 @@ def tilted_minimum_harmonic(
     walk: LatticeWalk,
     imax: int,
     beta: float | None = None,
-    mass_tol: float = 1e-12,
     agreement_tol: float = 1e-8,
     original_ladder: LadderData | None = None,
     tilted_ladder: LadderData | None = None,
@@ -352,9 +352,9 @@ def tilted_minimum_harmonic(
         beta = walk.beta if walk.beta is not None else cramer_root(walk)
     tilted = tilt_walk(walk, beta)
     if tilted_ladder is None:
-        tilted_ladder = ladder_height(tilted, mass_tol=mass_tol)
+        tilted_ladder = ladder_height(tilted)
     if original_ladder is None:
-        original_ladder = ladder_height(walk, mass_tol=mass_tol)
+        original_ladder = ladder_height(walk)
 
     u_t = renewal_mass(tilted_ladder, imax)
     defect = tilted_ladder.defect
@@ -380,7 +380,6 @@ def tilted_minimum_harmonic(
 def equivalence_multiplier(
     walk: LatticeWalk,
     beta: float | None = None,
-    mass_tol: float = 1e-12,
     agreement_tol: float = 1e-8,
 ) -> float:
     """Proportionality constant between the two harmonic representations.
@@ -392,9 +391,9 @@ def equivalence_multiplier(
     """
     if beta is None:
         beta = walk.beta if walk.beta is not None else cramer_root(walk)
-    lad = ladder_height(walk, mass_tol=mass_tol)
+    lad = ladder_height(walk)
     via_laplace = 1.0 - lad.laplace(beta)
-    via_defect = ladder_height(tilt_walk(walk, beta), mass_tol=mass_tol).defect
+    via_defect = ladder_height(tilt_walk(walk, beta)).defect
     if abs(via_laplace - via_defect) > agreement_tol:
         raise InternalConsistencyError(
             f"multiplier mismatch: 1 - E exp(-beta chi) = {via_laplace:.17g} "

@@ -13,9 +13,9 @@ root equation.
 
 Also here: the exact regeneration decomposition of the stationary law over
 a low set, the harmonic change of measure that turns the chain killed on
-the low set into its upward-conditioned version, and a renewal-measure
-iterator with a certified stopping rule, used to tie all three
-representations together.
+the low set into its upward-conditioned version, and a renewal measure
+solved on a certified window, used to tie all three representations
+together.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from scipy.special import logsumexp
 
 from .chains import ChainFamily
 from .errors import (
-    ConvergenceError,
     InternalConsistencyError,
     SolverFailure,
     StateRangeError,
@@ -481,27 +480,28 @@ def doob_transform(
     bl, bh = kernel.band_lo, kernel.band_hi
     lo = level + 1
 
-    def hat_row(i: int) -> np.ndarray:
-        base = kernel.row(i)
-        hi_val = hf(i)
-        if not hi_val > 0:
-            raise UnsupportedInputError(f"h({i}) = {hi_val!r} is not positive")
-        out = np.zeros_like(base)
-        for c in np.flatnonzero(base):
-            j = i + c - bl
-            if j > level:
-                out[c] = base[c] * hf(j) / hi_val
-        return out
+    def hat_rows(a: int, b: int) -> np.ndarray:
+        # h once per state a - band_lo .. b + band_hi, zero at and below the level
+        hv = np.zeros(b - a + bl + bh + 1)
+        first = max(lo, a - bl)
+        hv[first - a + bl :] = [hf(j) for j in range(first, b + bh + 1)]
+        h_rows = hv[bl : b - a + bl + 1]
+        bad = np.flatnonzero(~(h_rows > 0))
+        if bad.size:
+            raise UnsupportedInputError(
+                f"h({a + bad[0]}) = {float(h_rows[bad[0]])!r} is not positive")
+        targets = hv[np.arange(b - a + 1)[:, None] + np.arange(bl + bh + 1)]
+        return kernel.rows(a, b) * targets / h_rows[:, None]
 
     top = max(kernel.truncation, lo + _DOOB_EXPLICIT_ROWS)
-    weights = np.array([hat_row(i) for i in range(lo, top + 1)])
+    weights = hat_rows(lo, top)
     defect = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
     if residual_tol is not None and defect > residual_tol:
         raise InternalConsistencyError(
             f"transformed rows are off stochastic by {defect:.3e} "
             f"(tol {residual_tol:.1e}); h is not harmonic enough for the killed chain"
         )
-    tail = ParametricTail(hat_row, declared_delta_abs_bound=math.inf)
+    tail = ParametricTail(lambda i: hat_rows(i, i)[0], declared_delta_abs_bound=math.inf)
     return TransitionKernel(
         band_lo=bl,
         band_hi=bh,
@@ -512,20 +512,34 @@ def doob_transform(
     )
 
 
-def _climb_exponent(rows: np.ndarray, offsets: np.ndarray, lo: int) -> float:
-    """Largest grid exponent b with sup_i E exp(b * step from row i) <= 1.
-
-    Missing row mass is treated as a jump to the cemetery level ``lo - 1``,
-    which only lowers the transform.  Returns 0.0 if even the smallest grid
-    value fails, so callers can tell certification is impossible.
-    """
+def _climb_transform(rows: np.ndarray, offsets: np.ndarray, lo: int):
+    """b -> sup_i E exp(b * step from row i), with missing row mass sent to
+    the cemetery level ``lo - 1`` (which only lowers the transform)."""
     x = np.arange(rows.shape[0]) + lo
     defects = np.clip(1.0 - rows.sum(axis=1), 0.0, None)
-    for b in (2.0, 1.0, 0.5, 0.25, 0.125, 0.0625):
-        vals = rows @ np.exp(b * offsets) + defects * np.exp(b * (lo - 1 - x))
-        if float(vals.max()) <= 1.0 + 1e-12:
-            return b
-    return 0.0
+    return lambda b: float((rows @ np.exp(b * offsets) + defects * np.exp(b * (lo - 1 - x))).max())
+
+
+def _climb_exponent(transform) -> float:
+    """Largest b in [2^-10, 2] with ``transform(b) <= 1``, or 0.0 if none.
+
+    The transform is convex in b, so its sublevel set is an interval: halve b
+    from 2 to the first feasible value, then bisect up to twice that.  Below
+    2^-10 the certified window would run to ~10^5 states, and rounding lets
+    the flat walk's cosh(b) pass.
+    """
+    good = 2.0
+    while not transform(good) <= 1.0 + 1e-12:
+        if good <= 2.0**-10:
+            return 0.0
+        good /= 2
+    if good == 2.0:
+        return good
+    bad = 2 * good
+    for _ in range(10):
+        mid = 0.5 * (good + bad)
+        good, bad = (mid, bad) if transform(mid) <= 1.0 + 1e-12 else (good, mid)
+    return good
 
 
 def renewal_measure(
@@ -533,21 +547,22 @@ def renewal_measure(
     start: dict[int, float],
     K_range: int,
     tol: float = 1e-10,
-    max_iter: int = 200_000,
 ) -> tuple[np.ndarray, dict]:
     """U(i) = sum_n (start . kernel^n)(i) on state_lo..K_range, certified.
 
-    The iteration runs on a window reaching above ``K_range``; the stopping
-    rule bounds every future contribution to the output range.  Two
-    certificates are supported.  When the jump minorant has positive mean,
-    a particle at x adds at most exp(-r (x - K_range)) / p_escape expected
-    future visits to any in-range state (escape upward).  Otherwise all
-    cemetery-adjusted row means must be <= -eps < 0, and the supermartingale
-    x + eps n caps the expected remaining lifetime by (x - lo + 1) / eps
-    (absorption); mass dropped above the window is charged a full lifetime
-    bound, with the window sized through a row-wise verified climb exponent
-    so that such mass is negligible.  Returns the measure and a diagnostics
-    dict.
+    U is solved on a window reaching above ``K_range`` as one banded system
+    U (I - P_win) = start (Asmussen, *Applied Probability and Queues*,
+    ch. VIII); the only error is mass that leaves the window upward, charged
+    once as (U . leaving) times a bound on what a particle above the window
+    can still add to the output range.  Two certificates supply that bound.
+    When the jump minorant has positive mean, a particle at x adds at most
+    exp(-r (x - K_range)) / p_escape expected future visits to any in-range
+    state (escape upward).  Otherwise all cemetery-adjusted row means must be
+    <= -eps < 0, and the supermartingale x + eps n caps the expected
+    remaining lifetime by (x - lo + 1) / eps (absorption), with the window
+    sized through a row-wise verified climb exponent so that mass leaving it
+    is negligible.  Raises ``SolverFailure`` when the charge exceeds ``tol``.
+    Returns the measure and a diagnostics dict.
     """
     lo = kernel.state_lo
     bl = kernel.band_lo
@@ -574,17 +589,17 @@ def renewal_measure(
         # high enough that mass ever reaching it is far below the target
         # accuracy even after multiplying by a lifetime bound
         probe_top = K_range + 8 * kernel.band_hi + 8
-        climb = _climb_exponent(kernel.rows(lo, probe_top), offsets, lo)
+        climb = _climb_exponent(_climb_transform(kernel.rows(lo, probe_top), offsets, lo))
         if climb <= 0.0:
             raise UnsupportedInputError(
                 "kernel admits neither a positive-drift minorant nor a "
-                "verified exponential climb bound; the renewal iteration "
-                "cannot certify termination"
+                "verified exponential climb bound; the renewal measure "
+                "cannot be certified"
             )
         margin = int(math.ceil((math.log(1.0 / tol) + math.log(1e12)) / climb)) + 1
         top = K_range + margin + kernel.band_hi
         rows = kernel.rows(lo, top)
-        if _climb_exponent(rows, offsets, lo) < climb:
+        if _climb_transform(rows, offsets, lo)(climb) > 1.0 + 1e-12:
             raise InternalConsistencyError(
                 "climb exponent degraded when the window was widened"
             )
@@ -595,7 +610,7 @@ def renewal_measure(
         if eps <= 0.0:
             raise UnsupportedInputError(
                 "some cemetery-adjusted row mean is nonnegative; the lifetime "
-                "bound needed to certify the renewal iteration does not hold"
+                "bound needed to certify the renewal measure does not hold"
             )
 
     n_win = top - lo + 1
@@ -604,45 +619,24 @@ def renewal_measure(
         if not lo <= s <= top:
             raise StateRangeError(f"start state {s} outside the window [{lo}, {top}]")
         mu[s - lo] += float(wt)
-    U = mu.copy()
-    pos = np.arange(lo, top + 1)
-    if supercritical:
-        far_factor = 0.0 if rexp == math.inf else math.exp(-rexp * (top + 1 - K_range))
-    else:
-        # a particle's future visits to the output range are at most its
-        # remaining expected lifetime, wherever it sits
-        life = (pos - lo + 1) / eps
-        far_factor = (top + kernel.band_hi - lo + 1) / eps
-    dropped_bound = 0.0
-
-    err = math.inf
-    # the weight each window row sends above the window
+    U = solve_banded(*band_system(rows, bl, transpose=True), mu)
+    # the weight each window row sends above the window, and what one unit of
+    # it can still add to the output range
     pad = np.concatenate([np.zeros(bl + n_win), np.ones(kernel.band_hi)])
     leaving = band_matvec(rows, bl, pad)
-    for n in range(1, max_iter + 1):
-        dropped_bound += float(mu @ leaving) * far_factor
-        mu = band_rmatvec(rows, bl, mu)
-        U += mu
-        if supercritical:
-            near = float(mu[pos <= K_range].sum())
-            if rexp == math.inf:
-                far = 0.0
-            else:
-                above = pos > K_range
-                far = float(mu[above] @ np.exp(-rexp * (pos[above] - K_range)))
-            err = (near + far) / p_esc + dropped_bound / p_esc
-        else:
-            err = float(mu @ life) + dropped_bound
-        if err < tol:
-            break
+    if supercritical:
+        far_factor = 0.0 if rexp == math.inf else math.exp(-rexp * (top + 1 - K_range)) / p_esc
     else:
-        raise ConvergenceError(
-            f"renewal iteration still has error bound {err:.3e} after {max_iter} steps"
+        far_factor = (top + kernel.band_hi - lo + 1) / eps
+    dropped_bound = float(U @ leaving) * far_factor
+    if not dropped_bound <= tol:
+        raise SolverFailure(
+            f"mass leaving the renewal window adds up to {dropped_bound:.3e} > tol {tol:.1e}",
+            reason="window", diagnostics={"error_bound": dropped_bound, "window_top": top},
         )
     return U[: K_range - lo + 1].copy(), {
-        "iterations": n,
-        "error_bound": err,
-        "dropped_bound": dropped_bound,
+        "iterations": 0,
+        "error_bound": dropped_bound,
         "window_top": top,
         "state_lo": lo,
         "certificate": "escape" if supercritical else "absorption",

@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -221,6 +222,7 @@ OVERFLOWS = [
     {"task": "cramer-series", "params": {"M": 2, "m": [1e-300, 1.0], "D": {"1,1": 1e300}}},
     {"task": "stationary", "chain": {"name": "lindley", "pmf": WALK},
      "params": {"K": 40, "beta": -20}},
+    {"task": "ladder", "chain": {"name": "killed-walk", "pmf": WALK}, "params": {"i_max": 1000}},
 ]
 
 
@@ -274,6 +276,22 @@ def test_ladder_task(tmp_path):
     assert doc["diagnostics"]["multiplier"] == pytest.approx(4 / 7, abs=1e-10)
     assert doc["diagnostics"]["beta"] == pytest.approx(math.log(7 / 3), abs=1e-12)
     assert doc["diagnostics"]["max_ratio_deviation"] <= 1e-8
+
+
+def test_ladder_task_near_critical(tmp_path):
+    # drift 0.02: the ladder law must cost no more here than far from criticality
+    a = 0.49
+    cfg = write_cfg(tmp_path, "lad.json",
+                    {"task": "ladder",
+                     "chain": {"name": "killed-walk", "pmf": {"1": a, "-1": 1 - a}},
+                     "params": {"i_max": 1000}})
+    t0 = time.perf_counter()
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    rows = read_rows(tmp_path / "lad.csv")
+    assert len(rows) == 1002
+    ratio = [float(r[3]) for r in rows[1:]]
+    assert max(abs(r / ((1 - 2 * a) / (1 - a)) - 1.0) for r in ratio) <= 1e-12
 
 
 def test_stationary_task_roundtrip(tmp_path):

@@ -179,3 +179,79 @@ def test_walk_from_dict_validation():
         ht.LatticeWalk.from_dict({1: 0.4, -1: 0.4})  # mass not one
     with pytest.raises(ht.UnsupportedInputError):
         ht.LatticeWalk.from_dict({1: -0.2, -1: 1.2})
+
+
+def _ladder_by_iteration(walk, mass_tol=1e-13, max_iter=200_000):
+    """The sub-probability-measure iteration that ladder_height replaced:
+    run the walk on the nonnegative lattice and harvest the mass at its first
+    step below zero, until the alive mass (or, for an upward drift, its
+    Lundberg leak bound) drops below ``mass_tol``."""
+    L = -walk.lo
+    chi = np.zeros(L + 1)
+    v = np.ones(1)
+    rexp = ht.ruin_exponent(walk) if walk.mean > 0 else None
+    for _ in range(max_iter):
+        w = np.convolve(v, walk.pmf)  # index k <-> position k - L
+        for depth in range(1, L + 1):
+            chi[depth] += w[L - depth]
+        v = w[L:]
+        if v.sum() < mass_tol:
+            break
+        if rexp is not None:
+            leak = np.exp(-rexp * (np.arange(v.size) + 1.0))
+            future = 0.0 if rexp == math.inf else float(v @ leak)
+            if future < mass_tol:
+                break
+    else:
+        raise AssertionError("reference iteration did not settle")
+    return chi, max(0.0, 1.0 - chi.sum())
+
+
+def _raw_and_tilted(walk):
+    return [walk, ht.tilt_walk(walk, ht.cramer_root(walk))]
+
+
+def _check_against_iteration(walk):
+    lad = ht.ladder_height(walk)
+    chi, defect = _ladder_by_iteration(walk)
+    assert lad.meta["iterations"] == 0
+    assert np.max(np.abs(lad.chi_pmf - chi)) <= 1e-12
+    assert abs(lad.defect - defect) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [0.3, 0.45])
+def test_ladder_roots_match_iteration_pm1(a):
+    for walk in _raw_and_tilted(ht.LatticeWalk.from_dict({1: a, -1: 1 - a})):
+        _check_against_iteration(walk)
+
+
+def test_ladder_roots_match_iteration_random_walks():
+    from test_acceptance import _random_down_walk
+
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        _check_against_iteration(_random_down_walk(rng))
+
+
+def test_ladder_roots_lattice_and_zero_mean():
+    # steps in 2Z: the law lives on even depths
+    for walk in _raw_and_tilted(ht.LatticeWalk.from_dict({2: 0.25, 0: 0.1, -2: 0.65})):
+        _check_against_iteration(walk)
+    # zero mean: z = 1 is a double root and the law is proper
+    lad = ht.ladder_height(ht.LatticeWalk.from_dict({1: 0.5, -1: 0.5}))
+    assert lad.chi_pmf[1] == 1.0 and lad.defect == 0.0
+    with pytest.raises(ht.UnsupportedInputError):
+        ht.ladder_height(ht.LatticeWalk.from_dict({-1: 0.0, 0: 1.0}))
+
+
+def test_ladder_near_criticality():
+    # at a = 0.49 the iteration needs ~10^5 steps raw and minutes tilted, so
+    # the closed forms of the +-1 walk are the reference here
+    a = 0.49
+    raw, tilted = _raw_and_tilted(ht.LatticeWalk.from_dict({1: a, -1: 1 - a}))
+    lad = ht.ladder_height(raw)
+    assert lad.chi_pmf[1] == pytest.approx(1.0, abs=1e-12) and lad.defect <= 1e-12
+    lad_t = ht.ladder_height(tilted)
+    assert abs(lad_t.defect - (1 - 2 * a) / (1 - a)) <= 1e-12
+    assert abs(lad_t.chi_pmf[1] - a / (1 - a)) <= 1e-12
+    assert ht.equivalence_multiplier(raw) == pytest.approx((1 - 2 * a) / (1 - a), abs=1e-12)

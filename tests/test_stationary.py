@@ -369,3 +369,113 @@ def test_doob_transform_guards(down_walk):
     # skipping the check records the defect instead
     hat = ht.doob_transform(killed, lambda i: 1.0, level=-1, residual_tol=None)
     assert hat.meta["max_row_defect"] == pytest.approx(0.7, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the direct renewal solve and the array-built Doob transform against the
+# loops they replaced
+
+
+def _renewal_by_iteration(kernel, start, K_range, top):
+    """sum_n mu P^n on the window state_lo..top by the mu -> mu P loop,
+    run until the mass left in the window is 1e-20 of the smallest output."""
+    lo, bl = kernel.state_lo, kernel.band_lo
+    rows = kernel.rows(lo, top)
+    mu = np.zeros(top - lo + 1)
+    for s, wt in start.items():
+        mu[s - lo] += wt
+    U = mu.copy()
+    while mu.sum() > 1e-20 * U[: K_range - lo + 1].min():
+        mu = ht.kernels.band_rmatvec(rows, bl, mu)
+        U += mu
+    return U[: K_range - lo + 1]
+
+
+def _regeneration_cases(lindley_result, example3_family, example3_result):
+    cases = []
+    for fam, res, N, K_kernel, h, residual_tol in (
+        (lindley_result[0], lindley_result[1], 5, 200,
+         lambda i: (7.0 / 3.0) ** (i - 6) - 3.0 / 7.0, 1e-8),
+        (example3_family, example3_result, 6, 300, lambda i: math.exp(BETA * (i - 7)), None),
+    ):
+        kernel = fam.kernel(K_kernel)
+        killed = kernel.kill(range(N + 1))
+        e = ht.entry_measure(kernel, res.log_pi, N)
+        hat = ht.doob_transform(killed, h, level=N, residual_tol=residual_tol)
+        cases.append((killed, e, 18 if N == 5 else 19, 1e-14))
+        cases.append((hat, {i: v * h(i) for i, v in e.items()}, 120, 1e-12))
+    return cases
+
+
+def test_renewal_solve_matches_iteration(lindley_result, example3_family, example3_result,
+                                         down_walk):
+    cases = _regeneration_cases(lindley_result, example3_family, example3_result)
+    killed = ht.walk_killed_at_negative(down_walk).kernel(300)
+    hat = ht.doob_transform(killed, lambda i: (7.0 / 3.0) ** i - 3.0 / 7.0, level=-1)
+    cases.append((hat, {0: 1.0}, 100, 1e-10))
+    for kernel, start, K_range, tol in cases:
+        U, diag = ht.renewal_measure(kernel, start, K_range=K_range, tol=tol)
+        assert diag["iterations"] == 0 and diag["error_bound"] <= tol
+        ref = _renewal_by_iteration(kernel, start, K_range, diag["window_top"])
+        assert np.max(np.abs(U / ref - 1.0)) <= 1e-12
+
+
+def test_renewal_window_charge_over_tol(lindley_result):
+    # the window is sized for unit start mass; 1e30 of it leaves too much
+    killed = lindley_result[0].kernel(200).kill(range(6))
+    with pytest.raises(ht.SolverFailure) as exc:
+        ht.renewal_measure(killed, {6: 1e30}, K_range=18, tol=1e-14)
+    assert exc.value.reason == "window"
+
+
+def test_regeneration_identity_near_critical():
+    # a = 0.49: the climb exponent is log(51/49) ~ 0.04, so the certified
+    # window runs to ~1500 states
+    a, N = 0.49, 5
+    rho = a / (1 - a)
+    fam = ht.lindley_chain(ht.LatticeWalk.from_dict({1: a, -1: 1 - a}))
+    log_pi = np.log(1 - rho) + np.arange(301) * math.log(rho)
+    kernel = fam.kernel(300)
+    e = ht.entry_measure(kernel, log_pi, N)
+    U, diag = ht.renewal_measure(kernel.kill(range(N + 1)), e, K_range=18, tol=1e-14)
+    assert diag["certificate"] == "absorption"
+    assert np.max(np.abs(U / np.exp(log_pi[N + 1 : 19]) - 1.0)) <= 1e-6
+
+
+def _doob_by_row_loop(kernel, h, level):
+    """Explicit rows of doob_transform as the per-row, per-column loop built them."""
+    bl, lo = kernel.band_lo, level + 1
+
+    def hat_row(i):
+        base = kernel.row(i)
+        out = np.zeros_like(base)
+        for c in np.flatnonzero(base):
+            j = i + c - bl
+            if j > level:
+                out[c] = base[c] * h(j) / h(i)
+        return out
+
+    top = max(kernel.truncation, lo + 64)
+    return np.array([hat_row(i) for i in range(lo, top + 1)]), hat_row
+
+
+def test_doob_transform_rows_match_row_loop(lindley_result, example3_family, down_walk):
+    # the loop called h at the numpy integers of np.flatnonzero, the array
+    # build calls it at Python ints, and float ** int rounds differently for
+    # the two, so each h here reads its state through int()
+    killed_walk = ht.walk_killed_at_negative(down_walk)
+    for kernel, h, level in (
+        (lindley_result[0].kernel(200).kill(range(6)),
+         lambda i: (7.0 / 3.0) ** (int(i) - 6) - 3.0 / 7.0, 5),
+        (example3_family.kernel(300).kill(range(7)), lambda i: math.exp(BETA * (int(i) - 7)), 6),
+        # not killed: the weight on states at and below the level must go
+        (example3_family.kernel(300), lambda i: math.exp(BETA * (int(i) - 7)), 6),
+        (killed_walk.kernel(300), lambda i: (7.0 / 3.0) ** int(i) - 3.0 / 7.0, -1),
+        (killed_walk.kernel(40), lambda i: (7 / 3) ** (int(i) + 1) - 1, -1),
+    ):
+        hat = ht.doob_transform(kernel, h, level=level, residual_tol=None)
+        weights, hat_row = _doob_by_row_loop(kernel, h, level)
+        assert np.array_equal(hat.weights, weights)
+        top = hat.truncation
+        tail = hat.rows(top + 1, top + 5)
+        assert np.array_equal(tail, np.array([hat_row(i) for i in range(top + 1, top + 6)]))
