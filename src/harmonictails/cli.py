@@ -55,6 +55,7 @@ from .ladder import (
     equivalence_multiplier,
     ladder_harmonic,
     ladder_height,
+    tilt_walk,
     tilted_minimum_harmonic,
 )
 from .stationary import (
@@ -327,12 +328,34 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _column_spec(values) -> str | None:
+    """The %-format of a column whose values are all ints (bools excluded)
+    or all floats, as :func:`_fmt` renders them; None for any other column."""
+    if all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+        return "%d"
+    if all(isinstance(v, float) for v in values):  # np.float64 is a float
+        return "%.17g"
+    return None
+
+
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """Write ``rows`` under ``header``, deciding each column's format once.
+
+    Int and float columns are rendered with one %-format per row; string,
+    bool and mixed columns go through :func:`_fmt` and ``csv.writer``.
+    """
+    cols = list(zip(*rows))
+    specs = [_column_spec(c) for c in cols]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for r in rows:
-            w.writerow([_fmt(v) for v in r])
+        if None not in specs:
+            line = ",".join(specs) + "\n"
+            fh.write("".join(line % r for r in rows))
+        else:
+            cells = [[spec % v for v in c] if spec else [_fmt(v) for v in c]
+                     for spec, c in zip(specs, cols)]
+            w.writerows(zip(*cells))
 
 
 def _jsonable(obj):
@@ -449,14 +472,16 @@ def _run_ladder(family: ChainFamily, i_max: int, beta):
     walk = LatticeWalk(lo=-family.band_lo, pmf=np.array(family.params["pmf"]))
     beta = cramer_root(walk) if beta is None else beta
     lad = ladder_height(walk).with_renewal(i_max)
+    lad_t = ladder_height(tilt_walk(walk, beta))
     f_ladder = ladder_harmonic(lad, beta, np.arange(i_max + 1))
-    f_min = tilted_minimum_harmonic(walk, i_max, beta=beta, original_ladder=lad)
+    f_min = tilted_minimum_harmonic(walk, i_max, beta=beta, original_ladder=lad,
+                                    tilted_ladder=lad_t)
     if not (np.all(np.isfinite(f_ladder)) and np.all(np.isfinite(f_min))):
         raise SolverFailure(
             f"exp(beta i) overflows below i_max = {i_max} (beta = {beta:.6g})",
             reason="non-finite",
         )
-    mult = equivalence_multiplier(walk, beta=beta)
+    mult = equivalence_multiplier(walk, beta=beta, original_ladder=lad, tilted_ladder=lad_t)
     header = ["i", "ladder_form", "tilted_min_form", "ratio"]
     rows = [
         (i, f_ladder[i], f_min[i], f_min[i] / f_ladder[i]) for i in range(i_max + 1)

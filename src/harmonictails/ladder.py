@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.linalg import solve_banded
 
 from .errors import (
     InconsistentRootError,
@@ -33,6 +33,7 @@ from .errors import (
 )
 
 _MASS_TOL = 1e-12
+_RENEWAL_BLOCK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,67 @@ class LatticeWalk:
         return LatticeWalk(lo=-self.hi, pmf=self.pmf[::-1].copy())
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of ``f`` in the sign-changing bracket ``[xa, xb]`` by Brent's method.
+
+    A line-for-line transcription of the C ``brentq`` in SciPy's
+    ``scipy/optimize/Zeros/brentq.c`` (BSD-3-Clause, Copyright (c) 2001-2002
+    Enthought, Inc. and 2003- SciPy Developers), so every iterate, and the
+    root, is the same double.  Converged when ``f`` is exactly zero or half
+    the bracket is below ``delta = (xtol + rtol |x|) / 2``.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NoCramerRootError(f"f({xa!r}) and f({xb!r}) have the same sign")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NoCramerRootError(f"Brent's method did not converge in {maxiter} iterations")
+
+
 def cramer_root(walk: LatticeWalk, tol: float = 1e-12) -> float:
     """Unique positive root of E exp(beta * step) = 1.
 
     Requires a negative-mean walk with some mass on positive steps.  The
     moment generating function equals 1 at zero, dips below (negative mean)
     and is convex, so a bracket ``[lo, hi]`` with ``mgf(lo) < 1 < mgf(hi)``
-    pins the root down for brentq.
+    pins the root down for Brent's method.
     """
     if walk.mean >= 0:
         raise NoCramerRootError(f"walk mean must be negative (got {walk.mean:.6g})")
@@ -127,7 +182,7 @@ def cramer_root(walk: LatticeWalk, tol: float = 1e-12) -> float:
         lo /= 16.0
         if lo < 1e-300:
             raise NoCramerRootError("mgf does not dip below 1; mean is numerically zero")
-    beta = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    beta = _brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
     if abs(g(beta)) > tol:
         raise NoCramerRootError(
             f"root refinement stalled: |mgf(beta)-1| = {abs(g(beta)):.3e} > {tol:.1e}"
@@ -279,20 +334,31 @@ def renewal_mass(ladder: LadderData, J: int) -> np.ndarray:
     """Renewal mass function of the ladder height law on ``0..J``.
 
     u(0) = 1 and u(j) = sum_x chi(x) u(j-x); for a defective law the total
-    sum converges, for a proper law u tends to 1 over the mean depth.
+    sum converges, for a proper law u tends to 1 over the mean depth.  The
+    recurrence is the lower-triangular banded system (I - C) u = e_0, with C
+    the convolution by chi, solved in blocks of states: each block's right
+    side carries the terms chi(x) u(j-x) that reach back into earlier blocks.
+    A block holds at most ``_RENEWAL_BLOCK_ENTRIES`` band entries, so memory
+    stays bounded for a wide law and a long range.
     """
     if J < 0:
         raise StateRangeError("renewal range must be nonnegative")
     chi = ladder.chi_pmf
     L = ladder.depth_max
-    u = np.zeros(J + 1)
-    u[0] = 1.0
-    for j in range(1, J + 1):
-        top = min(j, L)
-        # dot of chi[1..top] with u[j-1 .. j-top] reversed; the stop index must
-        # be None when it would run off the front of the array
-        stop = j - top - 1
-        u[j] = float(chi[1 : top + 1] @ u[j - 1 : (stop if stop >= 0 else None) : -1]) if top >= 1 else 0.0
+    step = max(1, _RENEWAL_BLOCK_ENTRIES // (L + 1))
+    ab = np.empty((L + 1, min(step, J + 1)))  # row x holds the x-th subdiagonal, -chi(x)
+    ab[0] = 1.0
+    ab[1:] = -chi[1:, None]
+    buf = np.zeros(L + 1 + J + 1)  # L + 1 zeros below state 0
+    u = buf[L + 1 :]
+    for j0 in range(0, J + 1, step):
+        n = min(step, J + 1 - j0)
+        rhs = np.zeros(n)
+        back = np.convolve(buf[j0 : j0 + L + 1], chi)[L + 1 : L + 1 + n]  # u(j0-L..j0-1) terms
+        rhs[: back.size] = back
+        if j0 == 0:
+            rhs[0] = 1.0
+        u[j0 : j0 + n] = solve_banded((L, 0), ab[:, :n], rhs)
     return u
 
 
@@ -381,6 +447,8 @@ def equivalence_multiplier(
     walk: LatticeWalk,
     beta: float | None = None,
     agreement_tol: float = 1e-8,
+    original_ladder: LadderData | None = None,
+    tilted_ladder: LadderData | None = None,
 ) -> float:
     """Proportionality constant between the two harmonic representations.
 
@@ -391,9 +459,12 @@ def equivalence_multiplier(
     """
     if beta is None:
         beta = walk.beta if walk.beta is not None else cramer_root(walk)
-    lad = ladder_height(walk)
-    via_laplace = 1.0 - lad.laplace(beta)
-    via_defect = ladder_height(tilt_walk(walk, beta)).defect
+    if original_ladder is None:
+        original_ladder = ladder_height(walk)
+    if tilted_ladder is None:
+        tilted_ladder = ladder_height(tilt_walk(walk, beta))
+    via_laplace = 1.0 - original_ladder.laplace(beta)
+    via_defect = tilted_ladder.defect
     if abs(via_laplace - via_defect) > agreement_tol:
         raise InternalConsistencyError(
             f"multiplier mismatch: 1 - E exp(-beta chi) = {via_laplace:.17g} "

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.special import logsumexp
 
 from .chains import ChainFamily
 from .errors import (
@@ -142,6 +141,25 @@ def _compensated_solve(block: np.ndarray, band_lo: int, beta: float):
     return y, reflected, balance_residual
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) with the arithmetic of ``scipy.special.logsumexp``
+    (SciPy 1.17), so the result is the same double.
+
+    The m entries equal to the max are split off: with s = sum exp(a - max)
+    over the rest, the result is log1p(s / m) + log(m) + max.  A non-finite
+    result falls back to log(sum(exp(a))), as SciPy's does.
+    """
+    top = a.max()
+    at_top = a == top
+    m = np.count_nonzero(at_top)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+        out = np.log1p(s if s == 0 else s / m) + np.log(m) + top
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
+
+
 def stationary_solve(
     chain,
     K: int,
@@ -173,14 +191,14 @@ def stationary_solve(
     block = kernel.rows(0, top)
     y, reflected, balance_residual = _compensated_solve(block[: K + 1], kernel.band_lo, beta)
     log_pi_raw = np.log(y) - beta * np.arange(K + 1)
-    logZ = float(logsumexp(log_pi_raw))
+    logZ = _logsumexp(log_pi_raw)
     log_pi = log_pi_raw - logZ
 
     doubling = None
     if check_doubling:
         y2, _, _ = _compensated_solve(block, kernel.band_lo, beta)
         log_pi2 = np.log(y2) - beta * np.arange(2 * K + 1)
-        log_pi2 = log_pi2 - float(logsumexp(log_pi2))
+        log_pi2 = log_pi2 - _logsumexp(log_pi2)
         half = K // 2
         doubling = float(np.max(np.abs(log_pi[: half + 1] - log_pi2[: half + 1])))
         if doubling > doubling_tol:
@@ -220,7 +238,7 @@ def birth_death_closed_form(up, down, K: int) -> np.ndarray:
                 f"birth-death closed form needs positive rates (state {i})"
             )
         lp[i] = lp[i - 1] + math.log(u) - math.log(d)
-    return lp - float(logsumexp(lp))
+    return lp - _logsumexp(lp)
 
 
 def birth_death_rates(family: ChainFamily):

@@ -508,3 +508,64 @@ def test_fuzzed_params_never_crash(data):
         if problems:
             assert rc == 1
             assert not (Path(out) / "fuzz.csv").exists()
+
+
+def _write_csv_per_value(path, header, rows):
+    """The writer that the column-wise one replaced: _fmt on every value."""
+    import csv
+
+    from harmonictails.cli import _fmt
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for r in rows:
+            w.writerow([_fmt(v) for v in r])
+
+
+def test_write_csv_bytes_match_per_value_writer(tmp_path):
+    import numpy as np
+
+    from harmonictails.cli import _write_csv
+
+    specials = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308, 0.1]
+    n = 40
+    cols = {
+        "int": [i - 3 for i in range(n)],
+        "np_int": [np.int64(7 * i - 100) for i in range(n)],
+        "int_mixed": [np.int64(i) if i % 2 else i for i in range(n)],
+        "float": [specials[i % 8] / 3 if i % 3 else specials[i % 8] for i in range(n)],
+        "np_float": [np.float64(specials[i % 8]) * 1.5 for i in range(n)],
+        "float_mixed": [np.float64(i / 7) if i % 2 else -i / 7 for i in range(n)],
+        "np_float32": [np.float32(i / 3) for i in range(n)],
+        "bool": [i % 3 == 0 for i in range(n)],
+        "np_bool": [np.bool_(i % 2) for i in range(n)],
+        "str": [f"x[{i}]" if i % 5 else 'a,"b"' for i in range(n)],
+        "int_and_float": [i if i % 2 else i / 2 for i in range(n)],
+        "anything": [[None, True, 3, np.int64(4), -0.0, "s, t", math.nan][i % 7] for i in range(n)],
+    }
+    tables = [("int", "float"), ("int", "np_int", "float", "np_float", "float_mixed"),
+              ("int_mixed",), tuple(cols), ("bool", "int"), ("str", "np_float"),
+              ("int_and_float", "float"), ("np_float32", "np_bool"), ("anything",)]
+    for names in tables:
+        rows = list(zip(*(cols[k] for k in names)))
+        for body in (rows, rows[:1], []):
+            _write_csv(tmp_path / "new.csv", list(names), body)
+            _write_csv_per_value(tmp_path / "old.csv", list(names), body)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_cli_import_loads_no_optimize_or_special():
+    # import time is the end-to-end cost of most configs: numpy and
+    # scipy.linalg only
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; import harmonictails.cli; "
+            "print([m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'optimize'], ['scipy', 'special'])])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "[]"

@@ -255,3 +255,104 @@ def test_ladder_near_criticality():
     assert abs(lad_t.defect - (1 - 2 * a) / (1 - a)) <= 1e-12
     assert abs(lad_t.chi_pmf[1] - a / (1 - a)) <= 1e-12
     assert ht.equivalence_multiplier(raw) == pytest.approx((1 - 2 * a) / (1 - a), abs=1e-12)
+
+
+def _renewal_by_loop(ladder, J):
+    """The order-L recurrence that renewal_mass's banded solve replaced."""
+    chi = ladder.chi_pmf
+    L = ladder.depth_max
+    u = np.zeros(J + 1)
+    u[0] = 1.0
+    for j in range(1, J + 1):
+        top = min(j, L)
+        stop = j - top - 1
+        u[j] = float(chi[1 : top + 1] @ u[j - 1 : (stop if stop >= 0 else None) : -1])
+    return u
+
+
+def _random_walk(rng):
+    """A negative-mean walk with down steps to -L, up steps to +U, L, U <= 4."""
+    while True:
+        L, U = (int(k) for k in rng.integers(1, 5, size=2))
+        walk = ht.LatticeWalk(lo=-L, pmf=rng.dirichlet(np.full(L + U + 1, 0.7)))
+        if walk.mean < -1e-3 and walk.pmf[L + 1 :].sum() > 1e-3:
+            return walk
+
+
+@pytest.mark.parametrize("block", [2**20, 64])
+@pytest.mark.parametrize("a", [0.05, 0.3, 0.45, 0.49, 0.499])
+def test_renewal_mass_bit_identical_for_pm1(a, block, monkeypatch):
+    from harmonictails import ladder
+
+    monkeypatch.setattr(ladder, "_RENEWAL_BLOCK_ENTRIES", block)
+    for walk in _raw_and_tilted(ht.LatticeWalk.from_dict({1: a, -1: 1 - a})):
+        lad = ht.ladder_height(walk)
+        assert np.array_equal(ht.renewal_mass(lad, 3000), _renewal_by_loop(lad, 3000))
+
+
+@pytest.mark.parametrize("block", [2**20, 64, 3])
+def test_renewal_mass_matches_loop_wider_band(block, monkeypatch):
+    from harmonictails import ladder
+
+    monkeypatch.setattr(ladder, "_RENEWAL_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(11)
+    lads = [ht.LadderData(chi_pmf=np.array([0.0, 0.5, 0.5]), defect=0.0),
+            ht.LadderData(chi_pmf=np.array([0.0]), defect=1.0)]
+    for _ in range(30):
+        walk = _random_walk(rng)
+        lads += [ht.ladder_height(w) for w in _raw_and_tilted(walk)]
+    for lad in lads:
+        for J in (0, 1, lad.depth_max, 400):
+            ref = _renewal_by_loop(lad, J)
+            u = ht.renewal_mass(lad, J)
+            assert u.shape == ref.shape
+            assert np.max(np.abs(u - ref) / ref.clip(1e-300)) <= 1e-11
+
+
+def test_brentq_matches_scipy(monkeypatch):
+    from scipy.optimize import brentq
+
+    from harmonictails import ladder
+
+    calls = []
+
+    def spy(*args, **kw):  # record cramer_root's brackets, answer with scipy
+        calls.append((args, kw))
+        return brentq(*args, **kw)
+
+    monkeypatch.setattr(ladder, "_brentq", spy)
+    rng = np.random.default_rng(2013)
+    for k in range(200):
+        a = float(rng.uniform(0.01, 0.499))
+        walk = _random_walk(rng) if k % 4 else ht.LatticeWalk.from_dict({1: a, -1: 1 - a})
+        ht.ladder_height(ht.tilt_walk(walk, ht.cramer_root(walk)))  # and its ruin exponent
+    assert len(calls) == 400
+    monkeypatch.undo()
+    for (f, xa, xb), kw in calls:
+        assert kw == {"xtol": 1e-15, "rtol": 8.9e-16}
+        assert ladder._brentq(f, xa, xb, **kw) == brentq(f, xa, xb, **kw)
+        # coarse tolerances lean on the step floor delta
+        assert ladder._brentq(f, xa, xb, 1e-5, 1e-5) == brentq(f, xa, xb, xtol=1e-5, rtol=1e-5)
+
+
+def test_brentq_out_of_iterations_is_no_cramer_root():
+    from harmonictails import ladder
+
+    f = lambda t: math.expm1(t) - 0.5  # noqa: E731
+    assert ladder._brentq(f, 0.0, 1.0, 1e-15, 8.9e-16) == pytest.approx(math.log(1.5), abs=1e-15)
+    with pytest.raises(ht.NoCramerRootError):
+        ladder._brentq(f, 0.0, 1.0, 1e-15, 8.9e-16, maxiter=2)
+    with pytest.raises(ht.NoCramerRootError):
+        ladder._brentq(f, 1.0, 2.0, 1e-15, 8.9e-16)
+
+
+def test_equivalence_multiplier_reuses_given_laws():
+    walk = ht.LatticeWalk.from_dict({2: 0.15, 1: 0.1, -1: 0.45, -2: 0.3})
+    beta = ht.cramer_root(walk)
+    lad, lad_t = ht.ladder_height(walk), ht.ladder_height(ht.tilt_walk(walk, beta))
+    given_laws = ht.equivalence_multiplier(walk, beta, original_ladder=lad, tilted_ladder=lad_t)
+    assert given_laws == ht.equivalence_multiplier(walk, beta)
+    # the two sides still check each other: a wrong tilted law is caught
+    wrong = ht.LadderData(chi_pmf=np.array([0.0, 0.5]), defect=0.5)
+    with pytest.raises(ht.InternalConsistencyError):
+        ht.equivalence_multiplier(walk, beta, original_ladder=lad, tilted_ladder=wrong)

@@ -479,3 +479,25 @@ def test_doob_transform_rows_match_row_loop(lindley_result, example3_family, dow
         top = hat.truncation
         tail = hat.rows(top + 1, top + 5)
         assert np.array_equal(tail, np.array([hat_row(i) for i in range(top + 1, top + 6)]))
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    from scipy.special import logsumexp
+
+    from harmonictails.stationary import _logsumexp
+
+    rng = np.random.default_rng(5)
+    arrays = [np.array([x]) for x in (0.0, -3.5, 1e300, -np.inf)]
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        a = rng.normal(0.0, float(rng.choice([1e-3, 1.0, 30.0, 800.0])), n)
+        arrays.append(a)
+        tied = a.copy()
+        tied[rng.integers(0, n, size=int(rng.integers(1, 4)))] = a.max()
+        arrays.append(tied)
+        arrays.append(np.log(rng.dirichlet(np.ones(n))))
+    arrays += [np.full(7, 2.25), np.array([-np.inf, 0.0, -np.inf]), np.full(3, -np.inf),
+               np.array([np.inf, 1.0]), np.array([700.0, 710.0, 710.0])]
+    for a in arrays:
+        ours, ref = _logsumexp(a), float(logsumexp(a))
+        assert ours == ref or (math.isnan(ours) and math.isnan(ref)), a
