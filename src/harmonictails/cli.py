@@ -341,21 +341,17 @@ def _column_spec(values) -> str | None:
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     """Write ``rows`` under ``header``, deciding each column's format once.
 
-    Int and float columns are rendered with one %-format per row; string,
-    bool and mixed columns go through :func:`_fmt` and ``csv.writer``.
+    Int and float columns are rendered with one %-format, any other column
+    value by value through :func:`_fmt`; ``csv.writer`` joins and quotes.
     """
-    cols = list(zip(*rows))
-    specs = [_column_spec(c) for c in cols]
+    cells = []
+    for col in zip(*rows):
+        spec = _column_spec(col)
+        cells.append([spec % v for v in col] if spec else [_fmt(v) for v in col])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        if None not in specs:
-            line = ",".join(specs) + "\n"
-            fh.write("".join(line % r for r in rows))
-        else:
-            cells = [[spec % v for v in c] if spec else [_fmt(v) for v in c]
-                     for spec, c in zip(specs, cols)]
-            w.writerows(zip(*cells))
+        w.writerows(zip(*cells))
 
 
 def _jsonable(obj):

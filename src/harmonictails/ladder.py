@@ -338,8 +338,10 @@ def renewal_mass(ladder: LadderData, J: int) -> np.ndarray:
     recurrence is the lower-triangular banded system (I - C) u = e_0, with C
     the convolution by chi, solved in blocks of states: each block's right
     side carries the terms chi(x) u(j-x) that reach back into earlier blocks.
-    A block holds at most ``_RENEWAL_BLOCK_ENTRIES`` band entries, so memory
-    stays bounded for a wide law and a long range.
+    A block holds at most ``_RENEWAL_BLOCK_ENTRIES`` band entries.  The
+    blocks exist only for the CLI's cap of 10**6 states, where one solve for a
+    law of depth 30 would hold about 750 MB of bands; every shipped config
+    fits in one block.
     """
     if J < 0:
         raise StateRangeError("renewal range must be nonnegative")

@@ -481,11 +481,18 @@ def test_doob_transform_rows_match_row_loop(lindley_result, example3_family, dow
         assert np.array_equal(tail, np.array([hat_row(i) for i in range(top + 1, top + 6)]))
 
 
-def test_logsumexp_matches_scipy_bit_for_bit():
+def test_logsumexp_matches_scipy():
+    # The helper copies SciPy 1.17's arithmetic, so from 1.17 on the results
+    # are the same double.  Older SciPy splits off one tied maximum or none,
+    # which moves the last bits; there the helper is held to 4 eps of
+    # max(1, |result|).  Those two formulas, run in numpy on these arrays,
+    # differ from the helper by at most 2 eps.
+    import scipy
     from scipy.special import logsumexp
 
     from harmonictails.stationary import _logsumexp
 
+    tol = 0.0 if np.lib.NumpyVersion(scipy.__version__) >= "1.17.0" else 4 * np.finfo(float).eps
     rng = np.random.default_rng(5)
     arrays = [np.array([x]) for x in (0.0, -3.5, 1e300, -np.inf)]
     for _ in range(300):
@@ -500,4 +507,5 @@ def test_logsumexp_matches_scipy_bit_for_bit():
                np.array([np.inf, 1.0]), np.array([700.0, 710.0, 710.0])]
     for a in arrays:
         ours, ref = _logsumexp(a), float(logsumexp(a))
-        assert ours == ref or (math.isnan(ours) and math.isnan(ref)), a
+        assert (ours == ref or (math.isnan(ours) and math.isnan(ref))
+                or abs(ours - ref) <= tol * max(1.0, abs(ref))), a
