@@ -128,7 +128,7 @@ class ChainFamily:
             tail = HomogeneousTail(np.asarray(self.limit_pmf, dtype=float))
         else:
             bound = 0.0 if self.stochastic else math.inf
-            tail = ParametricTail(self.row, declared_delta_abs_bound=bound)
+            tail = ParametricTail(self.row_rule, declared_delta_abs_bound=bound)
         cls = StochasticKernel if self.stochastic else TransitionKernel
         return cls(
             band_lo=self.band_lo,

@@ -164,10 +164,15 @@ def _build_general(chain: dict) -> ChainFamily:
             raise ConfigError("general chain rows must cover states 0..max contiguously")
         tail = None
         if "tail_row" in chain:
-            width = band_lo + band_hi + 1
-            trow = np.zeros(width)
+            trow = np.zeros(band_lo + band_hi + 1)
             for off, wt in chain["tail_row"].items():
-                trow[int(off) + band_lo] = float(wt)
+                off, wt = int(off), float(wt)
+                if not (-band_lo <= off <= band_hi and math.isfinite(wt) and wt >= 0):
+                    raise ConfigError(f"tail_row entry {off}: {wt} needs an offset in "
+                                      f"{-band_lo}..{band_hi} and a finite weight >= 0")
+                trow[off + band_lo] = wt
+            if not trow.sum() > 0:
+                raise ConfigError("tail_row needs a positive total weight")
             tail = HomogeneousTail(trow)
         kernel = kernel_from_rows(
             rows, truncation, band_lo, band_hi, tail=tail,

@@ -282,8 +282,8 @@ def check_conditions(
     return_tol: float = 1e-8,
 ) -> ConditionReport:
     notes = []
-    lo, K = kernel.state_lo, kernel.truncation
-    deltas = np.array([kernel.delta(i) for i in range(lo, K + 1)])
+    lo = kernel.state_lo
+    deltas = np.log(kernel.weights.sum(axis=1))
     tail_bound = kernel.tail.delta_abs_bound() if kernel.tail is not None else 0.0
     if tail_bound == math.inf:
         notes.append("tail rule carries no certified |delta| bound; sums treated as infinite")
@@ -311,7 +311,7 @@ def check_conditions(
         if eps > drift_eps:
             drift_eps, drift_M = eps, M
 
-    support = [int(i) for i in range(lo, K + 1) if deltas[i - lo] > _DELTA_EPS]
+    support = (lo + np.flatnonzero(deltas > _DELTA_EPS)).tolist()
     if 0.0 < tail_bound < math.inf:
         notes.append(
             "positive log masses may persist beyond the represented rows; "
@@ -575,7 +575,7 @@ def build_mc(
     than 1% of them sets a warning flag on the estimate.
     """
     lo = kernel.state_lo
-    deltas = np.array([kernel.delta(i) for i in range(lo, kernel.truncation + 1)])
+    deltas = np.log(kernel.weights.sum(axis=1))
     if kernel.tail is not None and kernel.tail.delta_abs_bound() != 0.0:
         raise UnsupportedInputError("tail rows must be stochastic for the path product")
     nz = np.flatnonzero(np.abs(deltas) > _DELTA_EPS)

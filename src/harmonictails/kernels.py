@@ -55,18 +55,20 @@ class HomogeneousTail:
 
 @dataclass(frozen=True)
 class ParametricTail:
-    """Rows beyond the truncation come from a state-indexed generator.
+    """Rows beyond the truncation come from a block rule.
 
-    A certified bound on the tail sum of |log row mass| cannot be derived
-    from a black-box callable, so the constructor takes it as a declaration
-    (default: unknown, treated as infinite).
+    ``rule`` maps an increasing 1-d array of consecutive states to the
+    (n, width) block of their rows.  A certified bound on the tail sum of
+    |log row mass| cannot be derived from a black-box callable, so the
+    constructor takes it as a declaration (default: unknown, treated as
+    infinite).
     """
 
-    fn: Callable[[int], np.ndarray]
+    rule: Callable[[np.ndarray], np.ndarray]
     declared_delta_abs_bound: float = math.inf
 
     def rows_at(self, lo: int, hi: int) -> np.ndarray:
-        return np.array([self.fn(i) for i in range(lo, hi + 1)], dtype=float)
+        return np.asarray(self.rule(np.arange(lo, hi + 1)), dtype=float)
 
     def delta_abs_bound(self) -> float:
         return self.declared_delta_abs_bound
@@ -151,7 +153,8 @@ class TransitionKernel:
         """Rows of the states lo..hi as a read-only (hi - lo + 1, width) block.
 
         Explicit rows are a view of the weights, a homogeneous tail is
-        broadcast and a parametric tail is evaluated state by state.
+        broadcast and a parametric tail's rule is called once for the
+        states past the truncation.
         """
         top = self.truncation
         if lo < self.state_lo or (hi > top and self.tail is None):
@@ -194,18 +197,11 @@ class TransitionKernel:
 
     def embed(self) -> "StochasticKernel":
         """Normalise every row to total mass one."""
-        masses = self.weights.sum(axis=1, keepdims=True)
-        w = self.weights / masses
-        w, dropped = _drop_dust(w)
-        tail = self.tail
-        if isinstance(tail, HomogeneousTail):
-            tail = HomogeneousTail(tail.row / tail.row.sum())
-        elif isinstance(tail, ParametricTail):
-            inner = tail.fn
-            tail = ParametricTail(
-                fn=lambda i: (lambda r: r / r.sum())(np.asarray(inner(i), dtype=float)),
-                declared_delta_abs_bound=0.0,
-            )
+        def normalise(block):
+            return block / block.sum(axis=1, keepdims=True)
+
+        w, dropped = _drop_dust(normalise(self.weights))
+        tail = _map_tail(self.tail, normalise, 0.0)
         return StochasticKernel(
             band_lo=self.band_lo,
             band_hi=self.band_hi,
@@ -232,6 +228,16 @@ class TransitionKernel:
         )
         n_comp, _ = connected_components(graph, directed=True, connection="strong")
         return n_comp == 1
+
+
+def _map_tail(tail: TailRule | None, f, bound: float) -> TailRule | None:
+    """The tail rule whose row blocks are ``f`` of ``tail``'s; a parametric
+    result declares ``bound`` as its log-mass bound."""
+    if isinstance(tail, HomogeneousTail):
+        return HomogeneousTail(f(tail.row[None, :])[0])
+    if isinstance(tail, ParametricTail):
+        return ParametricTail(lambda states: f(tail.rows_at(states[0], states[-1])), bound)
+    return tail
 
 
 def _drop_dust(w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -339,17 +345,9 @@ class StochasticKernel(TransitionKernel):
         w, dropped = _drop_dust(w)
         first = _alive_suffix(w, self.state_lo)
 
-        tail = self.tail
-        if isinstance(tail, HomogeneousTail):
-            tail = HomogeneousTail(tail.row * factors)
-        elif isinstance(tail, ParametricTail):
-            inner = tail.fn
-            # tilting a merely asymptotically stochastic row sequence leaves
-            # log masses that need not be summable; no bound can be carried over
-            tail = ParametricTail(
-                fn=lambda i: np.asarray(inner(i), dtype=float) * factors,
-                declared_delta_abs_bound=math.inf,
-            )
+        # tilting a merely asymptotically stochastic row sequence leaves
+        # log masses that need not be summable; no bound can be carried over
+        tail = _map_tail(self.tail, lambda block: block * factors, math.inf)
         return TransitionKernel(
             band_lo=self.band_lo,
             band_hi=self.band_hi,

@@ -442,10 +442,10 @@ def _fit_root_expansion(family, beta, M, probe_states):
     using exact local Cramér roots at the probe states."""
     if probe_states is None:
         probe_states = np.unique(np.geomspace(1, 4000, 40).astype(int))
+    states = np.asarray(probe_states, dtype=int)
     rows = []
     rhs = []
-    for x in probe_states:
-        r = family.row(int(x))
+    for x, r in zip(states, family.row_rule(states)):
         local = LatticeWalk(lo=-family.band_lo, pmf=r / r.sum())
         if local.mean >= 0:
             continue
@@ -498,7 +498,8 @@ def doob_transform(
     bl, bh = kernel.band_lo, kernel.band_hi
     lo = level + 1
 
-    def hat_rows(a: int, b: int) -> np.ndarray:
+    def hat_rows(states: np.ndarray) -> np.ndarray:
+        a, b = int(states[0]), int(states[-1])
         # h once per state a - band_lo .. b + band_hi, zero at and below the level
         hv = np.zeros(b - a + bl + bh + 1)
         first = max(lo, a - bl)
@@ -512,14 +513,14 @@ def doob_transform(
         return kernel.rows(a, b) * targets / h_rows[:, None]
 
     top = max(kernel.truncation, lo + _DOOB_EXPLICIT_ROWS)
-    weights = hat_rows(lo, top)
+    weights = hat_rows(np.arange(lo, top + 1))
     defect = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
     if residual_tol is not None and defect > residual_tol:
         raise InternalConsistencyError(
             f"transformed rows are off stochastic by {defect:.3e} "
             f"(tol {residual_tol:.1e}); h is not harmonic enough for the killed chain"
         )
-    tail = ParametricTail(lambda i: hat_rows(i, i)[0], declared_delta_abs_bound=math.inf)
+    tail = ParametricTail(hat_rows, declared_delta_abs_bound=math.inf)
     return TransitionKernel(
         band_lo=bl,
         band_hi=bh,

@@ -55,6 +55,15 @@ HOLES = [
     ("params.probe", {"task": "conditions", "chain": EX1, "params": {"probe": 10**12}}),
     ("params.i_max", {"task": "ladder", "chain": {"name": "killed-walk", "pmf": WALK},
                       "params": {"i_max": 10**12}}),
+    # offsets outside the band, negative weights and no mass in the tail row
+    ("tail_row", {"task": "harmonic-solve", "chain": {**TWO_ROWS, "tail_row": {"5": 0.3}},
+                  "params": {"K": 60}}),
+    ("tail_row", {"task": "harmonic-solve", "params": {"K": 60},
+                  "chain": {**TWO_ROWS, "tail_row": {"-3": 0.7, "1": 0.3}}}),
+    ("tail_row", {"task": "harmonic-solve", "params": {"K": 60},
+                  "chain": {**TWO_ROWS, "tail_row": {"-1": 1.3, "1": -0.3}}}),
+    ("tail_row", {"task": "harmonic-solve", "params": {"K": 60},
+                  "chain": {**TWO_ROWS, "tail_row": {"-1": 0.0, "1": 0.0}}}),
 ]
 
 

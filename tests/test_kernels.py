@@ -1,10 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import harmonictails as ht
+from harmonictails import cli
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def test_row_masses_and_delta(ex1_kernel):
@@ -155,7 +159,7 @@ def _stacked(kernel, lo, hi):
         elif isinstance(kernel.tail, ht.HomogeneousTail):
             out.append(kernel.tail.row)
         else:
-            out.append(kernel.tail.fn(i))
+            out.append(kernel.tail.rule(np.array([i]))[0])
     return np.array(out)
 
 
@@ -164,7 +168,9 @@ def _stacked(kernel, lo, hi):
     [
         None,
         ht.HomogeneousTail(np.array([0.7, 0.0, 0.3])),
-        ht.ParametricTail(lambda i: np.array([0.7 - 1.0 / (i + 10), 0.0, 0.3 + 1.0 / (i + 10)])),
+        ht.ParametricTail(
+            lambda s: np.stack([0.7 - 1.0 / (s + 10), 0.0 * s, 0.3 + 1.0 / (s + 10)], axis=1)
+        ),
     ],
 )
 def test_rows_block_matches_stacked_rows(tail):
@@ -188,6 +194,75 @@ def test_rows_block_matches_stacked_rows(tail):
         with pytest.raises(ht.StateRangeError) as block:
             k.rows(lo, hi)
         assert str(block.value) == str(scalar.value)
+
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        ht.HomogeneousTail(np.array([0.7, 0.0, 0.4])),
+        ht.ParametricTail(
+            lambda s: np.stack([0.7 + 0.0 * s, 0.1 / (s + 1), 0.3 + 1.0 / (s + 10)], axis=1)
+        ),
+    ],
+)
+def test_embed_and_tilt_map_tail_rows(tail):
+    w = np.array([[0.0, 0.4, 0.6], [0.5, 0.1, 0.4], [0.2, 0.2, 0.6]])
+    k = ht.StochasticKernel(band_lo=1, band_hi=1, weights=w, tail=tail)
+    lo, hi = k.truncation + 1, k.truncation + 6
+    rows = _stacked(k, lo, hi)
+    normalised = np.array([r / r.sum() for r in rows])
+    np.testing.assert_array_equal(k.embed().rows(lo, hi), normalised)
+    np.testing.assert_array_equal(k.tilt(0.4).rows(lo, hi), rows * np.exp(0.4 * k.offsets))
+    if isinstance(tail, ht.ParametricTail):
+        assert k.embed().tail.delta_abs_bound() == 0.0
+        assert k.tilt(0.4).tail.delta_abs_bound() == math.inf
+
+
+def test_parametric_rule_called_once_per_block():
+    calls = []
+
+    def rule(states):
+        calls.append(states.copy())
+        return np.tile([0.7, 0.0, 0.3], (len(states), 1))
+
+    k = ht.TransitionKernel(band_lo=1, band_hi=1, weights=np.array([[0.0, 0.3, 0.7]]),
+                            tail=ht.ParametricTail(rule))
+    for lo, hi in [(1, 1), (1, 40), (0, 40)]:
+        calls.clear()
+        k.rows(lo, hi)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.arange(max(lo, 1), hi + 1))
+
+
+def test_no_per_state_row_reads(monkeypatch, tmp_path, down_walk):
+    """The solvers, the transforms and every shipped config read rows as blocks."""
+    calls = []
+    row = ht.TransitionKernel.row
+    monkeypatch.setattr(ht.TransitionKernel, "row",
+                        lambda self, i: calls.append(i) or row(self, i))
+
+    for cfg in sorted(CONFIGS.glob("*.json")):
+        expected = 2 if cfg.stem == "supercritical_solve" else 0
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == expected
+
+    N = 5
+    fam = ht.lindley_chain(down_walk)
+    res = ht.stationary_solve(fam, 400)
+    kernel = fam.kernel(200)
+    killed = kernel.kill(range(N + 1))
+    e = ht.entry_measure(kernel, res.log_pi, N)
+    ht.renewal_measure(killed, e, K_range=18, tol=1e-14)
+
+    def h(i):
+        return (7.0 / 3.0) ** (i - (N + 1)) - 3.0 / 7.0
+
+    hat = ht.doob_transform(killed, h, level=N, residual_tol=1e-8)
+    ht.renewal_measure(hat, {i: v * h(i) for i, v in e.items()}, K_range=120, tol=1e-12)
+
+    drift = ht.power_drift_chain(p=0.3, c0=0.05, exponent=-0.6)
+    ht.check_conditions(drift.kernel(100), family=drift)
+    assert calls == []
 
 
 FAMILIES = [
