@@ -5,7 +5,9 @@ The config is a JSON document with keys ``chain``, ``task``, ``params``.
 rows / a drift profile); ``task`` picks the computation.  Every run writes
 ``<stem>.csv`` (RFC 4180, LF line endings, 17 significant digits) and
 ``<stem>.manifest.json`` next to it; reruns with the same config and seed
-are byte-identical.
+are byte-identical.  A rerun overwrites both files in place: they are opened
+without truncation, written, and cut at the written length, so an existing
+longer file leaves no stale tail.
 
 Exit codes: 0 success, 1 operational error (bad config, missing file),
 2 computed-but-flagged (non-existence detected, a doubling or variation
@@ -15,12 +17,15 @@ check failed, a condition verdict is negative).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import math
+import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -290,23 +295,24 @@ def _resolve(task: str, raw: dict) -> tuple[dict, list[str]]:
     return typed, out
 
 
-def validate(config: ExperimentConfig) -> list[str]:
-    """Pure config check; returns a list of human-readable violations."""
+def _check(config: ExperimentConfig) -> tuple[dict, ChainFamily | None, list[str]]:
+    """The typed params, the built family (None without a chain) and the
+    violations; the family is built once, here, for both validate and run."""
     if config.task not in _TASK_SPECS:
-        return [f"unknown task {config.task!r} (expected one of {tuple(_TASK_SPECS)})"]
+        return {}, None, [f"unknown task {config.task!r} (expected one of {tuple(_TASK_SPECS)})"]
     typed, out = _resolve(config.task, config.params)
     if config.chain is None:
         if config.task != "cramer-series":
             out.append(f"task {config.task!r} needs a chain descriptor")
         elif "m" not in config.params:
             out.append("cramer-series without a chain needs params.m and params.D")
-        return out
+        return typed, None, out
     try:
         family = build_chain(config.chain)
     except (HarmonicTailsError, AttributeError, KeyError, TypeError, ValueError) as exc:
         key = f" ({exc.args[0]!r})" if isinstance(exc, KeyError) else ""
         out.append(f"chain descriptor invalid: {exc}{key}")
-        return out
+        return typed, None, out
     if config.task == "ladder" and "pmf" not in family.params:
         out.append("ladder task needs a walk-based chain (killed-walk or lindley)")
     elif (family.name == "general" and family.limit_pmf is None
@@ -316,7 +322,12 @@ def validate(config: ExperimentConfig) -> list[str]:
         if len(config.chain["rows"]) <= top:
             out.append(f"chain rows without a tail_row stop below state {top}, "
                        f"which task {config.task!r} reads")
-    return out
+    return typed, family, out
+
+
+def validate(config: ExperimentConfig) -> list[str]:
+    """Pure config check; returns a list of human-readable violations."""
+    return _check(config)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +354,22 @@ def _column_spec(values) -> str | None:
     return None
 
 
+@contextlib.contextmanager
+def _overwritten(path: Path):
+    """A text handle (LF line endings) that writes ``path`` in place: the file
+    is cut at the written length when the block ends.
+
+    The file is opened without ``O_TRUNC``: truncating a non-empty file to
+    zero makes ext4 flush it to disk on close (``auto_da_alloc``), which costs
+    about as much as a small run's computation.  A new file gets the mode
+    ``open(path, "w")`` gives it.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="") as fh:
+        yield fh
+        fh.truncate()
+
+
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     """Write ``rows`` under ``header``, deciding each column's format once.
 
@@ -353,7 +380,7 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     for col in zip(*rows):
         spec = _column_spec(col)
         cells.append([spec % v for v in col] if spec else [_fmt(v) for v in col])
-    with open(path, "w", newline="") as fh:
+    with _overwritten(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(zip(*cells))
@@ -387,7 +414,8 @@ def _write_manifest(path: Path, config: ExperimentConfig, diagnostics: dict,
         "flagged": flagged,
         "flag_reason": flag_reason,
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with _overwritten(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +499,9 @@ def _run_conditions(family: ChainFamily, probe: int):
 
 def _run_ladder(family: ChainFamily, i_max: int, beta):
     walk = LatticeWalk(lo=-family.band_lo, pmf=np.array(family.params["pmf"]))
-    beta = cramer_root(walk) if beta is None else beta
+    if beta is None:  # a root computed here is stashed; a supplied one is not trusted
+        beta = cramer_root(walk)
+        walk = replace(walk, beta=beta)
     lad = ladder_height(walk).with_renewal(i_max)
     lad_t = ladder_height(tilt_walk(walk, beta))
     f_ladder = ladder_harmonic(lad, beta, np.arange(i_max + 1))
@@ -520,7 +550,7 @@ def _run_tail(family: ChainFamily, K: int, window: tuple[int, int], mode: str, o
     header = ["i", "log_pi", "predicted_log_tail", "log_c"]
     rows = []
     for k, i in enumerate(range(window[0], window[1] + 1)):
-        rows.append((i, res.log_pi[i], model.predict_log_tail(i), fit.log_constants[k]))
+        rows.append((i, res.log_pi[i], fit.predicted[k], fit.log_constants[k]))
     diag = {
         "K": K,
         "mode": mode,
@@ -591,14 +621,11 @@ _TASK_SPECS = {
 
 
 def run(config: ExperimentConfig, out_dir: Path, stem: str, quiet: bool = False) -> int:
-    problems = validate(config)
+    params, family, problems = _check(config)
     if problems:
         for msg in problems:
             print(f"config error: {msg}", file=sys.stderr)
         return 1
-
-    params, _ = _resolve(config.task, config.params)
-    family = build_chain(config.chain) if config.chain is not None else None
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{stem}.csv"
@@ -627,7 +654,10 @@ def run(config: ExperimentConfig, out_dir: Path, stem: str, quiet: bool = False)
     return 2 if flagged else 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing leaves it
+    unchanged, so every ``main`` call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="harmonictails",
         description="Harmonic functions of banded kernels and stationary tail decay.",
@@ -643,8 +673,11 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate", help="check a config without running it")
     p_val.add_argument("config", type=Path)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         config = ExperimentConfig.from_file(args.config)
     except ConfigError as exc:

@@ -284,7 +284,10 @@ def ladder_height(walk: LatticeWalk) -> LadderData:
     prod_k (z - zeta_k) = z^L - sum_d chi(d) z^(L-d) and the defect
     prod_k (1 - zeta_k).  The known roots z = 1 and exp(+-beta) are divided
     out before ``np.roots``, so near criticality none crosses the unit circle
-    by rounding.  Certified by a division remainder <= 1e-10 and chi >= -1e-15.
+    by rounding; a Cramér root stashed in ``walk.beta`` is used as it is.
+    Certified by a division remainder <= 1e-10 and chi >= -1e-15; a wrong
+    stashed root fails the remainder unless L = 1, where the law does not
+    depend on it.
     """
     support = walk.offsets[walk.pmf > 0]
     if walk.lo >= 0 or not support.any():
@@ -311,7 +314,9 @@ def ladder_height(walk: LatticeWalk) -> LadderData:
     else:  # z = 1 inside; with up steps exp(beta) (z = 1 at zero mean) outside
         known, known_gap, rest = 1.0, 0.0, q[::-1]
         if support.max() > 0:
-            outer = math.exp(cramer_root(walk)) if walk.mean < 0 else 1.0
+            outer = 1.0
+            if walk.mean < 0:
+                outer = math.exp(walk.beta if walk.beta is not None else cramer_root(walk))
             rest = _divide(q, [-outer, 1.0])[0][::-1]  # from the low end: stable for outer >= 1
     inner = (z := np.roots(rest))[np.abs(z) < 1.0]
     zeta = np.append(inner, known)
@@ -417,7 +422,9 @@ def tilted_minimum_harmonic(
     through the tilt factor exp(-beta l)).
     """
     if beta is None:
-        beta = walk.beta if walk.beta is not None else cramer_root(walk)
+        if walk.beta is None:  # stash the root for ladder_height
+            walk = replace(walk, beta=cramer_root(walk))
+        beta = walk.beta
     tilted = tilt_walk(walk, beta)
     if tilted_ladder is None:
         tilted_ladder = ladder_height(tilted)
@@ -460,7 +467,9 @@ def equivalence_multiplier(
     beyond ``agreement_tol`` raises.
     """
     if beta is None:
-        beta = walk.beta if walk.beta is not None else cramer_root(walk)
+        if walk.beta is None:  # stash the root for ladder_height
+            walk = replace(walk, beta=cramer_root(walk))
+        beta = walk.beta
     if original_ladder is None:
         original_ladder = ladder_height(walk)
     if tilted_ladder is None:

@@ -261,13 +261,18 @@ def birth_death_rates(family: ChainFamily):
 
 @dataclass(frozen=True)
 class TailFit:
-    """Fitted tail constant pi(i) / exp(predicted log tail) over a window."""
+    """Fitted tail constant pi(i) / exp(predicted log tail) over a window.
+
+    ``predicted`` and ``log_constants`` hold, state by state over the window,
+    the predicted log tail and log pi minus it.
+    """
 
     constant: float
     variation: float
     window: tuple[int, int]
     passed: bool
     log_constants: np.ndarray
+    predicted: np.ndarray
 
 
 def tail_extract(log_pi: np.ndarray, predict_log, window: tuple[int, int],
@@ -281,8 +286,8 @@ def tail_extract(log_pi: np.ndarray, predict_log, window: tuple[int, int],
     i0, i1 = window
     if not 0 <= i0 < i1 < len(log_pi):
         raise StateRangeError(f"window {window} outside the solved range")
-    idx = np.arange(i0, i1 + 1)
-    logc = np.array([log_pi[i] - predict_log(int(i)) for i in idx])
+    predicted = np.array([predict_log(i) for i in range(i0, i1 + 1)], dtype=float)
+    logc = log_pi[i0 : i1 + 1] - predicted
     med = float(np.median(logc))
     variation = float(np.max(np.abs(np.exp(logc - med) - 1.0)))
     return TailFit(
@@ -291,6 +296,7 @@ def tail_extract(log_pi: np.ndarray, predict_log, window: tuple[int, int],
         window=(i0, i1),
         passed=variation <= variation_tol,
         log_constants=logc,
+        predicted=predicted,
     )
 
 

@@ -207,6 +207,81 @@ def test_seed_override(tmp_path):
     assert (a / "mc.csv").read_bytes() != (b / "mc.csv").read_bytes()
 
 
+def _outputs(out_dir, stem):
+    return [(out_dir / f"{stem}{ext}").read_bytes() for ext in (".csv", ".manifest.json")]
+
+
+def test_rerun_overwrites_longer_outputs(tmp_path):
+    doc = {"task": "harmonic-solve", "chain": EX1, "params": {"K": 60, "i_max": 20}}
+    cfg = write_cfg(tmp_path, "solve.json", doc)
+    same, fresh = tmp_path / "same", tmp_path / "fresh"
+    assert main(["run", str(cfg), "--out", str(same), "--quiet"]) == 0
+    longer = _outputs(same, "solve")
+    doc["params"]["i_max"] = 5
+    cfg = write_cfg(tmp_path, "solve.json", doc)
+    assert main(["run", str(cfg), "--out", str(same), "--quiet"]) == 0
+    assert main(["run", str(cfg), "--out", str(fresh), "--quiet"]) == 0
+    assert _outputs(same, "solve") == _outputs(fresh, "solve")
+    assert all(len(new) < len(old) for new, old in zip(_outputs(fresh, "solve"), longer))
+
+
+def test_flagged_rerun_replaces_a_longer_manifest(tmp_path):
+    rows = {"0": {"1": 1.0}, **{str(i): {"-1": 0.3, "1": 0.7} for i in range(1, 30)}}
+    good = {"task": "harmonic-solve", "params": {"K": 60},
+            "chain": {**TWO_ROWS, "rows": rows, "tail_row": {"-1": 0.3, "1": 0.7}}}
+    bad = {"task": "harmonic-solve", "chain": {**EX1, "alpha": 3.0}, "params": {"K": 200}}
+    same, fresh = tmp_path / "same", tmp_path / "fresh"
+    assert main(["run", str(write_cfg(tmp_path, "run.json", good)),
+                 "--out", str(same), "--quiet"]) == 0
+    longer = (same / "run.manifest.json").read_bytes()
+    cfg = write_cfg(tmp_path, "run.json", bad)
+    assert main(["run", str(cfg), "--out", str(same), "--quiet"]) == 2
+    assert main(["run", str(cfg), "--out", str(fresh), "--quiet"]) == 2
+    manifest = (same / "run.manifest.json").read_bytes()
+    assert manifest == (fresh / "run.manifest.json").read_bytes()
+    assert len(manifest) < len(longer)
+    assert json.loads(manifest)["flagged"] is True
+
+
+def test_new_outputs_get_the_mode_of_open_for_writing(tmp_path):
+    import os
+    import stat
+
+    cfg = write_cfg(tmp_path, "solve.json", {"task": "harmonic-solve", "chain": EX1,
+                                             "params": {"K": 60}})
+    old_umask = os.umask(0o027)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    finally:
+        os.umask(old_umask)
+    mode = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    assert mode == 0o640
+    for name in ("solve.csv", "solve.manifest.json"):
+        assert stat.S_IMODE((tmp_path / "out" / name).stat().st_mode) == mode
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    from harmonictails.cli import _parser
+
+    cfg = write_cfg(tmp_path, "mc.json",
+                    {"task": "harmonic-mc", "chain": EX1,
+                     "params": {"seed": 7, "n_paths": 200, "horizon": 2000, "states": [0]}})
+    same, fresh = tmp_path / "same", tmp_path / "fresh"
+    assert main(["run", str(cfg), "--out", str(same), "--seed", "99", "--quiet"]) == 0
+    parser = _parser()
+    assert main(["run", str(cfg), "--out", str(same), "--quiet"]) == 0
+    assert _parser() is parser
+    _parser.cache_clear()
+    try:
+        assert main(["run", str(cfg), "--out", str(fresh), "--quiet"]) == 0
+    finally:
+        _parser.cache_clear()
+    assert _outputs(same, "mc") == _outputs(fresh, "mc")
+    assert json.loads((same / "mc.manifest.json").read_text())["params"]["seed"] == 7
+
+
 def test_flagged_solver_failure(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "super.json",
                     {"task": "harmonic-solve",
@@ -287,6 +362,25 @@ def test_ladder_task(tmp_path):
     assert doc["diagnostics"]["max_ratio_deviation"] <= 1e-8
 
 
+def test_ladder_task_computes_each_root_once(tmp_path, monkeypatch):
+    from harmonictails import cli, ladder
+
+    calls = []
+    root = ladder.cramer_root
+
+    def counted(walk, *args, **kwargs):
+        calls.append(walk)
+        return root(walk, *args, **kwargs)
+
+    monkeypatch.setattr(ladder, "cramer_root", counted)
+    monkeypatch.setattr(cli, "cramer_root", counted)
+    cfg = write_cfg(tmp_path, "lad.json", {"task": "ladder",
+                                           "chain": {"name": "killed-walk", "pmf": WALK}})
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    # beta, stashed for the raw ladder law; the tilted law's ruin exponent
+    assert len(calls) == 2
+
+
 def test_ladder_task_near_critical(tmp_path):
     # drift 0.02: the ladder law must cost no more here than far from criticality
     a = 0.49
@@ -329,6 +423,18 @@ def test_tail_task_passes(tmp_path):
     assert doc["diagnostics"]["passed"] is True
     assert doc["diagnostics"]["constant"] > 0
     assert doc["diagnostics"]["variation"] <= 0.01
+
+
+def test_tail_task_predicts_each_state_once(tmp_path, monkeypatch):
+    calls = []
+    predict = ht.TailModel.predict_log_tail
+    monkeypatch.setattr(ht.TailModel, "predict_log_tail",
+                        lambda self, i: calls.append(i) or predict(self, i))
+    cfg = write_cfg(tmp_path, "tail.json",
+                    {"task": "tail", "chain": EX3,
+                     "params": {"K": 400, "window": [200, 300], "mode": "constant"}})
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    assert calls == list(range(200, 301))
 
 
 def test_tail_task_general_drift(tmp_path):

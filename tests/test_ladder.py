@@ -356,3 +356,49 @@ def test_equivalence_multiplier_reuses_given_laws():
     wrong = ht.LadderData(chi_pmf=np.array([0.0, 0.5]), defect=0.5)
     with pytest.raises(ht.InternalConsistencyError):
         ht.equivalence_multiplier(walk, beta, original_ladder=lad, tilted_ladder=wrong)
+
+
+def _count_cramer_roots(monkeypatch):
+    """Record the walk of every cramer_root call made inside the ladder module."""
+    from harmonictails import ladder
+
+    calls = []
+    root = ladder.cramer_root
+
+    def counted(walk, *args, **kwargs):
+        calls.append(walk)
+        return root(walk, *args, **kwargs)
+
+    monkeypatch.setattr(ladder, "cramer_root", counted)
+    return calls
+
+
+def test_ladder_height_uses_a_stashed_root(monkeypatch):
+    from dataclasses import replace
+
+    walk = ht.LatticeWalk.from_dict({-2: 0.5, -1: 0.2, 1: 0.3})
+    beta = ht.cramer_root(walk)
+    plain = ht.ladder_height(walk)
+    calls = _count_cramer_roots(monkeypatch)
+    stashed = ht.ladder_height(replace(walk, beta=beta))
+    assert calls == []
+    assert np.array_equal(stashed.chi_pmf, plain.chi_pmf) and stashed.defect == plain.defect
+    # a wrong stashed root fails the division-remainder certificate
+    for wrong in (1.01 * beta, beta + 1e-6):
+        with pytest.raises(ht.InternalConsistencyError, match="remainder"):
+            ht.ladder_height(replace(walk, beta=wrong))
+
+
+def test_ladder_callers_stash_the_root_they_compute(monkeypatch):
+    walk = ht.LatticeWalk.from_dict({2: 0.15, 1: 0.1, -1: 0.45, -2: 0.3})
+    beta = ht.cramer_root(walk)
+    mult = ht.equivalence_multiplier(walk, beta)
+    tmin = ht.tilted_minimum_harmonic(walk, 30, beta=beta)
+    calls = _count_cramer_roots(monkeypatch)
+    # one root for beta, one for the tilted law's ruin exponent; none in
+    # ladder_height(walk), and the same doubles as with beta passed in
+    assert ht.equivalence_multiplier(walk) == mult
+    assert len(calls) == 2 and calls[0] is walk
+    calls.clear()
+    assert np.array_equal(ht.tilted_minimum_harmonic(walk, 30), tmin)
+    assert len(calls) == 2 and calls[0] is walk

@@ -97,6 +97,8 @@ def test_tail_extract_synthetic():
     assert fit.variation <= 1e-12
     assert fit.window == (50, 150)
     assert fit.log_constants.shape == (101,)
+    assert np.array_equal(fit.predicted, -0.8 * np.arange(50, 151))
+    assert np.array_equal(fit.log_constants, log_pi[50:151] - fit.predicted)
 
 
 def test_tail_extract_lindley(lindley_result):
