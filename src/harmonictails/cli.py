@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -344,16 +345,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _column_spec(values) -> str | None:
-    """The %-format of a column whose values are all ints (bools excluded)
-    or all floats, as :func:`_fmt` renders them; None for any other column."""
-    if all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
-        return "%d"
-    if all(isinstance(v, float) for v in values):  # np.float64 is a float
-        return "%.17g"
-    return None
-
-
 @contextlib.contextmanager
 def _overwritten(path: Path):
     """A text handle (LF line endings) that writes ``path`` in place: the file
@@ -370,20 +361,27 @@ def _overwritten(path: Path):
         fh.truncate()
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    """Write ``rows`` under ``header``, deciding each column's format once.
+# the %-format of an int or float array column, by dtype kind, as _fmt renders it
+_SPECS = {"i": "%d", "f": "%.17g"}
 
-    Int and float columns are rendered with one %-format, any other column
-    value by value through :func:`_fmt`; ``csv.writer`` joins and quotes.
+
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Write equal-length ``columns`` under ``header``.
+
+    When every column is an int or float array, the body is one %-format of
+    a row format built from the dtypes: numbers never need quoting.  Any
+    other table goes value by value through :func:`_fmt` and ``csv.writer``.
     """
-    cells = []
-    for col in zip(*rows):
-        spec = _column_spec(col)
-        cells.append([spec % v for v in col] if spec else [_fmt(v) for v in col])
+    specs = [isinstance(c, np.ndarray) and _SPECS.get(c.dtype.kind) for c in columns]
     with _overwritten(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows(zip(*cells))
+        if all(specs):
+            n = len(columns[0]) if columns else 0
+            flat = itertools.chain.from_iterable(zip(*(c.tolist() for c in columns)))
+            fh.write((",".join(specs) + "\n") * n % tuple(flat))
+        else:
+            w.writerows(zip(*([_fmt(v) for v in c] for c in columns)))
 
 
 def _jsonable(obj):
@@ -419,7 +417,8 @@ def _write_manifest(path: Path, config: ExperimentConfig, diagnostics: dict,
 
 
 # ---------------------------------------------------------------------------
-# task runners: each returns (header, rows, diagnostics, flagged, reason)
+# task runners: each returns (header, columns, diagnostics, flagged, reason), a
+# numeric column as an int or float array
 
 
 def _kernel_level(family: ChainFamily, probe: int | None = None) -> int:
@@ -436,28 +435,27 @@ def _run_harmonic_solve(family: ChainFamily, K: int, tol: float, i_max: int):
         "K": K,
         "method": est.method,
     }
+    f_solve = est.array(0, i_max)
     if family.name == "perturbed-reflected-walk":
         alpha, p = family.params["alpha"], family.params["p"]
         header = ["i", "f_solve", "f_closed_form", "abs_err"]
-        rows = []
-        for i in range(i_max + 1):
-            fs = est.value(i)
-            fc = reflected_walk_harmonic_exact(alpha, p, i)
-            rows.append((i, fs, fc, abs(fs - fc)))
-        diag["max_abs_err"] = max(r[3] for r in rows)
+        fc = np.array([reflected_walk_harmonic_exact(alpha, p, i) for i in range(i_max + 1)])
+        err = np.abs(f_solve - fc)
+        diag["max_abs_err"] = max(err.tolist())
+        columns = [np.arange(i_max + 1), f_solve, fc, err]
     else:
         header = ["i", "f_solve"]
-        rows = [(i, est.value(i)) for i in range(i_max + 1)]
-    return header, rows, diag, False, None
+        columns = [np.arange(i_max + 1), f_solve]
+    return header, columns, diag, False, None
 
 
 def _run_harmonic_mc(family: ChainFamily, states, n_paths: int, horizon: int, seed: int):
     kernel = family.kernel(_kernel_level(family))
     est = build_mc(kernel, states, n_paths, horizon, seed)
     header = ["i", "f_mc", "std_error", "n_exhausted"]
-    rows = [
-        (i, est.values[i], est.std_errors[i], est.meta["exhausted"][i]) for i in states
-    ]
+    columns = [np.array(states), np.array([est.values[i] for i in states]),
+               np.array([est.std_errors[i] for i in states]),
+               np.array([est.meta["exhausted"][i] for i in states])]
     diag = {
         "n_paths": n_paths,
         "horizon": horizon,
@@ -465,27 +463,19 @@ def _run_harmonic_mc(family: ChainFamily, states, n_paths: int, horizon: int, se
         "stop_level": est.meta["stop_level"],
         "horizon_warning": est.meta["horizon_warning"],
     }
-    return header, rows, diag, False, None
+    return header, columns, diag, False, None
 
 
 def _run_conditions(family: ChainFamily, probe: int):
     kernel = family.kernel(_kernel_level(family, probe))
     report = check_conditions(kernel, family)
     header = ["quantity", "value"]
-    rows = [
-        ("sum_abs_delta", report.sum_abs_delta),
-        ("delta_plus_sum", report.delta_plus_sum),
-        ("minorant_mean", report.minorant_mean),
-        ("escape_prob_lower", report.escape_prob_lower),
-        ("gamma_available", report.gamma_available),
-        ("drift_eps", report.drift_eps),
-        ("drift_M", report.drift_M),
-        ("zeta_mean", report.zeta_mean),
-    ]
+    names = ["sum_abs_delta", "delta_plus_sum", "minorant_mean", "escape_prob_lower",
+             "gamma_available", "drift_eps", "drift_M", "zeta_mean"]
+    values = [getattr(report, name) for name in names]
     for i in sorted(report.return_prob_bounds):
-        lo, hi = report.return_prob_bounds[i]
-        rows.append((f"return_prob_lower[{i}]", lo))
-        rows.append((f"return_prob_upper[{i}]", hi))
+        names += [f"return_prob_lower[{i}]", f"return_prob_upper[{i}]"]
+        values += report.return_prob_bounds[i]
     diag = {
         "thm_2_4_applicable": report.thm_2_4_applicable,
         "prop_2_5_holds": report.prop_2_5_holds,
@@ -494,7 +484,7 @@ def _run_conditions(family: ChainFamily, probe: int):
     }
     flagged = not report.thm_2_4_applicable
     reason = "limit-theorem conditions not certified" if flagged else None
-    return header, rows, diag, flagged, reason
+    return header, [names, values], diag, flagged, reason
 
 
 def _run_ladder(family: ChainFamily, i_max: int, beta):
@@ -514,23 +504,23 @@ def _run_ladder(family: ChainFamily, i_max: int, beta):
         )
     mult = equivalence_multiplier(walk, beta=beta, original_ladder=lad, tilted_ladder=lad_t)
     header = ["i", "ladder_form", "tilted_min_form", "ratio"]
-    rows = [
-        (i, f_ladder[i], f_min[i], f_min[i] / f_ladder[i]) for i in range(i_max + 1)
-    ]
+    ratio = f_min / f_ladder
     diag = {
         "beta": beta,
         "multiplier": mult,
         "ladder_defect": lad.defect,
         "chi_mean": lad.mean(),
-        "max_ratio_deviation": float(np.max(np.abs(f_min / f_ladder - mult))),
+        "max_ratio_deviation": float(np.max(np.abs(ratio - mult))),
     }
-    return header, rows, diag, False, None
+    return header, [np.arange(i_max + 1), f_ladder, f_min, ratio], diag, False, None
 
 
 def _run_stationary(family: ChainFamily, K: int, beta, doubling_tol: float, i_max: int):
     res = stationary_solve(family, K, beta=beta, doubling_tol=doubling_tol)
     header = ["i", "log_pi", "pi"]
-    rows = [(i, res.log_pi[i], math.exp(res.log_pi[i])) for i in range(i_max + 1)]
+    log_pi = res.log_pi[: i_max + 1]
+    # math.exp per value: numpy's vectorised exp may differ in the last ulp
+    columns = [np.arange(i_max + 1), log_pi, np.array([math.exp(v) for v in log_pi.tolist()])]
     diag = {
         "K": K,
         "tilt_beta": res.tilt_beta,
@@ -539,7 +529,7 @@ def _run_stationary(family: ChainFamily, K: int, beta, doubling_tol: float, i_ma
         "reflected_weight": res.reflected_weight,
         "balance_residual": res.meta["balance_residual"],
     }
-    return header, rows, diag, False, None
+    return header, columns, diag, False, None
 
 
 def _run_tail(family: ChainFamily, K: int, window: tuple[int, int], mode: str, order: int,
@@ -548,9 +538,9 @@ def _run_tail(family: ChainFamily, K: int, window: tuple[int, int], mode: str, o
     model = build_beta_fn(family, mode=mode, order=order)
     fit = tail_extract(res.log_pi, model.predict_log_tail, window, variation_tol)
     header = ["i", "log_pi", "predicted_log_tail", "log_c"]
-    rows = []
-    for k, i in enumerate(range(window[0], window[1] + 1)):
-        rows.append((i, res.log_pi[i], fit.predicted[k], fit.log_constants[k]))
+    i0, i1 = window
+    columns = [np.arange(i0, i1 + 1), res.log_pi[i0 : i1 + 1], fit.predicted,
+               fit.log_constants]
     diag = {
         "K": K,
         "mode": mode,
@@ -569,7 +559,7 @@ def _run_tail(family: ChainFamily, K: int, window: tuple[int, int], mode: str, o
         if flagged
         else None
     )
-    return header, rows, diag, flagged, reason
+    return header, columns, diag, flagged, reason
 
 
 def _run_cramer_series(family: ChainFamily | None, M: int, m: list | None, D: dict):
@@ -582,10 +572,9 @@ def _run_cramer_series(family: ChainFamily | None, M: int, m: list | None, D: di
     R = cramer_coefficients(m, D, M)
     resid = cramer_series_residual(m, D, R)
     header = ["k", "R_k"]
-    rows = [(k + 1, float(R[k])) for k in range(M)]
     diag = {"M": M, "m": m, "D": {f"{k},{j}": v for (k, j), v in D.items()},
             "back_substitution_residual": resid}
-    return header, rows, diag, False, None
+    return header, [np.arange(1, M + 1), R], diag, False, None
 
 
 # Size caps from a peak-RSS budget of about 1 GB: a run holds about 70 bytes
@@ -632,19 +621,20 @@ def run(config: ExperimentConfig, out_dir: Path, stem: str, quiet: bool = False)
     manifest_path = out_dir / f"{stem}.manifest.json"
 
     try:
-        header, rows, diag, flagged, reason = _TASK_SPECS[config.task][0](family, **params)
+        header, columns, diag, flagged, reason = _TASK_SPECS[config.task][0](family, **params)
     except _FLAGGED as exc:
         diag = {"error_type": type(exc).__name__, "error": str(exc)}
         if isinstance(exc, SolverFailure):
             diag["reason"] = exc.reason
             diag["solver_diagnostics"] = _jsonable(exc.diagnostics)
+        csv_path.unlink(missing_ok=True)  # no earlier run's CSV beside this manifest
         _write_manifest(manifest_path, config, diag, [], True, str(exc))
         if not quiet:
             print(f"flagged: {exc}", file=sys.stderr)
             print(f"wrote {manifest_path}")
         return 2
 
-    _write_csv(csv_path, header, rows)
+    _write_csv(csv_path, header, columns)
     _write_manifest(manifest_path, config, diag, [csv_path.name], flagged, reason)
     if not quiet:
         if flagged:

@@ -243,6 +243,19 @@ def test_flagged_rerun_replaces_a_longer_manifest(tmp_path):
     assert json.loads(manifest)["flagged"] is True
 
 
+def test_flagged_rerun_removes_the_earlier_csv(tmp_path):
+    out = tmp_path / "out"
+    doc = {"task": "harmonic-solve", "chain": EX1, "params": {"K": 200}}
+    assert main(["run", str(write_cfg(tmp_path, "run.json", doc)),
+                 "--out", str(out), "--quiet"]) == 0
+    assert (out / "run.csv").exists()
+    doc["chain"] = {**EX1, "alpha": 3.0}
+    assert main(["run", str(write_cfg(tmp_path, "run.json", doc)),
+                 "--out", str(out), "--quiet"]) == 2
+    assert not (out / "run.csv").exists()
+    assert json.loads((out / "run.manifest.json").read_text())["outputs"] == []
+
+
 def test_new_outputs_get_the_mode_of_open_for_writing(tmp_path):
     import os
     import stat
@@ -658,16 +671,82 @@ def test_write_csv_bytes_match_per_value_writer(tmp_path):
         "str": [f"x[{i}]" if i % 5 else 'a,"b"' for i in range(n)],
         "int_and_float": [i if i % 2 else i / 2 for i in range(n)],
         "anything": [[None, True, 3, np.int64(4), -0.0, "s, t", math.nan][i % 7] for i in range(n)],
+        # array columns: int and float dtypes take the one-format path
+        "a_int64": np.arange(n, dtype=np.int64) * 7 - 100,
+        "a_float64": np.array([specials[i % 8] / 3 if i % 3 else specials[i % 8]
+                               for i in range(n)]),
+        "a_float32": (np.arange(n, dtype=np.float32) - 20) / np.float32(3),
+        "a_bool": np.arange(n) % 3 == 0,
     }
     tables = [("int", "float"), ("int", "np_int", "float", "np_float", "float_mixed"),
               ("int_mixed",), tuple(cols), ("bool", "int"), ("str", "np_float"),
-              ("int_and_float", "float"), ("np_float32", "np_bool"), ("anything",)]
+              ("int_and_float", "float"), ("np_float32", "np_bool"), ("anything",),
+              ("a_int64", "a_float64", "a_float32"), ("a_float64",), ("a_int64",),
+              ("a_bool", "a_int64"), ("a_bool",), ("str", "a_float64"),
+              ("a_int64", "float"), ("a_float32", "np_bool")]
     for names in tables:
-        rows = list(zip(*(cols[k] for k in names)))
-        for body in (rows, rows[:1], []):
+        columns = [cols[k] for k in names]
+        for body in (columns, [c[:1] for c in columns], [c[:0] for c in columns]):
             _write_csv(tmp_path / "new.csv", list(names), body)
-            _write_csv_per_value(tmp_path / "old.csv", list(names), body)
+            _write_csv_per_value(tmp_path / "old.csv", list(names), list(zip(*body)))
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _contract_docs():
+    docs = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
+    del docs["supercritical_solve"]  # its runner raises before any column exists
+    docs["reflected_mc"]["params"].update(n_paths=200, horizon=2000)
+    return docs
+
+
+CONTRACT_DOCS = _contract_docs()
+
+
+def test_contract_configs_cover_every_task():
+    from harmonictails.cli import _TASK_SPECS
+
+    assert {doc["task"] for doc in CONTRACT_DOCS.values()} == set(_TASK_SPECS)
+
+
+@pytest.mark.parametrize("stem", sorted(CONTRACT_DOCS))
+def test_runner_returns_the_columns_run_writes(tmp_path, stem):
+    import csv
+
+    import numpy as np
+
+    from harmonictails.cli import _TASK_SPECS, _check, run
+
+    config = ExperimentConfig.from_dict(CONTRACT_DOCS[stem])
+    params, family, problems = _check(config)
+    assert problems == []
+    header, columns, *_ = _TASK_SPECS[config.task][0](family, **params)
+    assert len(columns) == len(header)
+    assert len({len(c) for c in columns}) == 1
+    values = []
+    for col in columns:
+        if isinstance(col, np.ndarray):
+            assert col.ndim == 1 and col.dtype.kind in "if"
+            values.append(col.tolist())
+        else:  # only a column of names or of mixed kinds may be a list
+            ints = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in col)
+            floats = all(isinstance(v, float) for v in col)
+            assert not (ints or floats)
+            values.append(col)
+    assert run(config, tmp_path, stem, quiet=True) == 0
+    with open(tmp_path / f"{stem}.csv", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == header
+    assert len(table) == 1 + len(values[0])
+    for r, row in enumerate(table[1:]):
+        assert len(row) == len(header)
+        for vals, cell in zip(values, row):
+            v = vals[r]
+            if isinstance(v, float):  # every float cell reads back to the runner's value
+                assert float(cell).hex() == v.hex()
+            elif type(v) is int:
+                assert int(cell) == v
+            else:
+                assert cell == str(v)
 
 
 def test_cli_import_loads_no_optimize_or_special():
