@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     ConvergenceError,
@@ -46,6 +45,7 @@ from .kernels import (
     _as_state_fn,
     band_matvec,
     band_pin,
+    band_solve,
     band_system,
     first_row_below,
 )
@@ -207,7 +207,7 @@ def return_probability_bounds(
         for above in (np.zeros(bh), above_hi):
             b = band_matvec(rows, bl, np.concatenate([np.zeros(bl + len(rows)), above]))
             b[jdx] = 1.0
-            v = np.concatenate([np.zeros(bl), solve_banded(lu, ab, b), above])
+            v = np.concatenate([np.zeros(bl), band_solve(lu, ab, b), above])
             first_step.append(float(band_matvec(rows[jdx : jdx + 1], bl, v[jdx:])[0]))
         r_lo, r_hi = max(0.0, first_step[0]), min(1.0, first_step[1])
         if r_hi - r_lo <= tol:
@@ -434,7 +434,7 @@ def _solve_truncated(block: np.ndarray, band_lo: int) -> np.ndarray:
     """
     lu, ab = band_system(block, band_lo)
     try:
-        g = solve_banded(lu, ab, 1.0 - block.sum(axis=1))
+        g = band_solve(lu, ab, 1.0 - block.sum(axis=1))
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"banded solve failed: {exc}", reason="singular") from exc
     if not np.all(np.isfinite(g)):

@@ -13,14 +13,18 @@ on the result.
 
 The solvers read rows as (n, width) blocks through ``TransitionKernel.rows``
 and work on them with the banded helpers at the end of this module: I - P
-(or its transpose) in LAPACK band storage, and the mat-vecs P v and mu P,
-accumulated column by column.
+(or its transpose) in LAPACK band storage, its solve, and the mat-vecs P v
+and mu P, accumulated column by column.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -211,24 +215,6 @@ class TransitionKernel:
             dropped_mass=self.dropped_mass + dropped,
         )
 
-    def irreducible(self, n_states: int) -> bool:
-        """Strong connectivity of the positive-weight graph on states up to ``n_states``."""
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-
-        lo = self.state_lo
-        if n_states < lo:
-            raise StateRangeError("irreducibility window lies below the represented states")
-        size = n_states - lo + 1
-        x, c = np.nonzero(self.rows(lo, n_states))
-        y = x + c - self.band_lo
-        inside = (y >= 0) & (y < size)
-        graph = csr_matrix(
-            (np.ones(int(inside.sum())), (x[inside], y[inside])), shape=(size, size)
-        )
-        n_comp, _ = connected_components(graph, directed=True, connection="strong")
-        return n_comp == 1
-
 
 def _map_tail(tail: TailRule | None, f, bound: float) -> TailRule | None:
     """The tail rule whose row blocks are ``f`` of ``tail``'s; a parametric
@@ -401,8 +387,8 @@ def kernel_from_rows(
 def band_system(block: np.ndarray, band_lo: int, transpose: bool = False):
     """I - P on the window of ``block`` in LAPACK band storage.
 
-    Returns ``((l, u), ab)`` for ``scipy.linalg.solve_banded``; with
-    ``transpose`` the matrix is (I - P)^T and (l, u) = (band_hi, band_lo).
+    Returns ``((l, u), ab)`` for ``band_solve``; with ``transpose`` the
+    matrix is (I - P)^T and (l, u) = (band_hi, band_lo).
     """
     n, W = block.shape
     band_hi = W - 1 - band_lo
@@ -416,6 +402,70 @@ def band_system(block: np.ndarray, band_lo: int, transpose: bool = False):
             ab[W - 1 - c, lo + off : hi + off] = -block[lo:hi, c]
     ab[band_lo if transpose else band_hi] += 1.0
     return ((band_hi, band_lo) if transpose else (band_lo, band_hi)), ab
+
+
+def _lapack_from_file():
+    """``dgtsv`` and ``dgbsv`` of scipy's LAPACK extension, loaded from its
+    file, so that neither ``scipy/__init__`` nor ``scipy/linalg/__init__``
+    runs: that import would be most of the start-up time and memory of a run
+    that needs only these two routines."""
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    linalg = os.path.join(scipy_dir, "linalg")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(linalg, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            return flapack.dgtsv, flapack.dgbsv
+    raise ImportError(f"no _flapack extension in {linalg}")
+
+
+@functools.cache
+def _lapack():
+    """The two routines, loaded once; ``scipy.linalg.lapack`` gives the same
+    ones, only through the slow import, if the file or a routine is missing."""
+    try:
+        return _lapack_from_file()
+    except (ImportError, AttributeError):
+        from scipy.linalg import lapack
+
+        return lapack.dgtsv, lapack.dgbsv
+
+
+def band_solve(lu, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for the band-stored A of ``band_system``.
+
+    The checks, LAPACK calls and result bits of
+    ``scipy.linalg.solve_banded(lu, ab, b)`` (scipy 1.17) on float64 input:
+    one division for n = 1, ``dgtsv`` for (l, u) = (1, 1) and ``dgbsv`` on a
+    zeroed (2l + u + 1, n) copy otherwise.  A non-finite input or a shape
+    mismatch raises ``ValueError``, a singular matrix
+    ``np.linalg.LinAlgError``.  Neither ``ab`` nor ``b`` is written.
+    """
+    l, u = lu
+    a1 = np.asarray_chkfinite(ab, dtype=float)
+    b1 = np.asarray_chkfinite(b, dtype=float)
+    if a1.shape[-1] != b1.shape[0]:
+        raise ValueError("shapes of ab and b are not compatible.")
+    if l + u + 1 != a1.shape[0]:
+        raise ValueError(f"l+u+1 ({l + u + 1}) does not equal ab.shape[0] ({a1.shape[0]})")
+    if b1.size == 0:
+        return np.empty_like(b1)
+    if a1.shape[1] == 1:
+        return b1 / a1[u, 0]
+    gtsv, gbsv = _lapack()
+    if l == u == 1:  # f2py copies the diagonals and b before dgtsv overwrites them
+        *_, x, info = gtsv(a1[2, :-1], a1[1], a1[0, 1:], b1)
+    else:
+        a2 = np.zeros((2 * l + u + 1, a1.shape[1]))
+        a2[l:] = a1
+        *_, x, info = gbsv(l, u, a2, b1, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv/gtsv")
+    return x
 
 
 def first_row_below(block: np.ndarray, band_lo: int, floor: int = 0) -> int | None:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     InconsistentRootError,
@@ -31,6 +30,7 @@ from .errors import (
     StateRangeError,
     UnsupportedInputError,
 )
+from .kernels import band_solve
 
 _MASS_TOL = 1e-12
 _RENEWAL_BLOCK_ENTRIES = 2**20
@@ -365,7 +365,7 @@ def renewal_mass(ladder: LadderData, J: int) -> np.ndarray:
         rhs[: back.size] = back
         if j0 == 0:
             rhs[0] = 1.0
-        u[j0 : j0 + n] = solve_banded((L, 0), ab[:, :n], rhs)
+        u[j0 : j0 + n] = band_solve((L, 0), ab[:, :n], rhs)
     return u
 
 

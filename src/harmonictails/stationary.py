@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .chains import ChainFamily
 from .errors import (
@@ -43,6 +42,7 @@ from .kernels import (
     band_matvec,
     band_pin,
     band_rmatvec,
+    band_solve,
     band_system,
 )
 from .ladder import LatticeWalk, cramer_root, ruin_exponent
@@ -117,7 +117,7 @@ def _compensated_solve(block: np.ndarray, band_lo: int, beta: float):
     rhs = np.zeros(n)
     rhs[0] = 1.0
     try:
-        z = solve_banded(lu, ab, rhs)
+        z = band_solve(lu, ab, rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(
             f"compensated stationary solve failed: {exc}", reason="singular"
@@ -644,7 +644,7 @@ def renewal_measure(
         if not lo <= s <= top:
             raise StateRangeError(f"start state {s} outside the window [{lo}, {top}]")
         mu[s - lo] += float(wt)
-    U = solve_banded(*band_system(rows, bl, transpose=True), mu)
+    U = band_solve(*band_system(rows, bl, transpose=True), mu)
     # the weight each window row sends above the window, and what one unit of
     # it can still add to the output range
     pad = np.concatenate([np.zeros(bl + n_win), np.ones(kernel.band_hi)])

@@ -749,17 +749,27 @@ def test_runner_returns_the_columns_run_writes(tmp_path, stem):
                 assert cell == str(v)
 
 
-def test_cli_import_loads_no_optimize_or_special():
-    # import time is the end-to-end cost of most configs: numpy and
-    # scipy.linalg only
+def test_cli_runs_load_no_scipy_package(tmp_path):
+    # import time is the end-to-end cost of most configs: the banded solves
+    # load scipy's LAPACK extension from its file, and nothing else of scipy
+    # is imported, before or after a run
+    import ast
     import os
     import subprocess
     import sys
 
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys; import harmonictails.cli; "
-            "print([m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'optimize'], ['scipy', 'special'])])")
+    configs = [str(c) for c in sorted(CONFIGS.glob("*.json")) if c.stem != "reflected_mc"]
+    code = (
+        "import sys; from harmonictails import cli\n"
+        "def scipy_modules(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(scipy_modules())\n"
+        f"for cfg in {configs!r}:\n"
+        f"    assert cli.main(['run', cfg, '--out', {str(tmp_path)!r}, '--quiet']) in (0, 2), cfg\n"
+        "print(scipy_modules())\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.strip() == "[]"
+    before, after = (ast.literal_eval(line) for line in out.splitlines())
+    assert before == [] and set(after) <= {"scipy.linalg._flapack"}, after
+    assert len(list(tmp_path.glob("*.manifest.json"))) == len(configs) == 10

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import harmonictails as ht
 from harmonictails import cli
+from harmonictails.kernels import band_solve, band_system
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -86,16 +87,80 @@ def test_apply_is_linear(a, b, f, g):
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-def test_irreducible(ex1_kernel):
-    assert ex1_kernel.embed().irreducible(10)
-    up_only = ht.kernel_from_rows(
-        {i: {1: 1.0} for i in range(5)},
-        truncation=4,
-        band_lo=1,
-        band_hi=1,
-        stochastic=True,
-    )
-    assert not up_only.irreducible(4)
+def _band_systems(rng):
+    """Seeded random band systems ((l, u), ab, b), pivoting ones included."""
+    shapes = [((1, 1), 0), ((2, 1), 0), ((0, 0), 1), ((1, 2), 1), ((3, 0), 1)]
+    shapes += [((1, 1), n) for n in (2, 7, 300)]
+    shapes += [((L, 0), n) for L in (1, 3, 30) for n in (2, 5, 31, 400)]
+    shapes += [(lu, n) for lu in ((0, 1), (2, 1), (1, 4), (5, 3), (7, 12)) for n in (2, 9, 250)]
+    for (l, u), n in shapes:
+        ab = rng.standard_normal((l + u + 1, n))
+        ab[u] += rng.uniform(0.0, 3.0) * (l + u + 1)  # from pivoting to diagonally dominant
+        yield (l, u), ab, rng.standard_normal(n)
+    for band_lo, W in ((1, 3), (1, 2), (3, 4), (2, 9), (30, 31)):
+        block = rng.uniform(size=(200, W))
+        block *= rng.uniform(0.9, 0.999) / block.sum(axis=1, keepdims=True)
+        lu, ab = band_system(block, band_lo, transpose=True)
+        mu = np.zeros(200)
+        mu[rng.integers(200)] = 1.0
+        yield lu, ab, mu
+
+
+def _assert_band_solve_matches_scipy(systems):
+    from scipy.linalg import solve_banded
+
+    count = 0
+    for lu, ab, b in systems:
+        ab0, b0 = ab.copy(), b.copy()
+        x = band_solve(lu, ab, b)
+        assert x.dtype == np.float64 and x.shape == b.shape
+        assert x.tobytes() == solve_banded(lu, ab, b).tobytes(), (lu, ab.shape)
+        assert ab.tobytes() == ab0.tobytes() and b.tobytes() == b0.tobytes()
+        count += 1
+    assert count == 40
+
+
+def test_band_solve_matches_scipy():
+    from harmonictails import kernels
+
+    _assert_band_solve_matches_scipy(_band_systems(np.random.default_rng(2013)))
+    # the extension file loads here, so the fallback is not what ran
+    assert [repr(f) for f in kernels._lapack_from_file()] == [
+        "<fortran function dgtsv>", "<fortran function dgbsv>"]
+
+
+def test_band_solve_falls_back_to_scipy_lapack(monkeypatch):
+    from scipy.linalg import lapack
+
+    from harmonictails import kernels
+
+    def missing():
+        raise ImportError("no _flapack extension")
+
+    monkeypatch.setattr(kernels, "_lapack_from_file", missing)
+    monkeypatch.setattr(kernels, "_lapack", kernels.functools.cache(kernels._lapack.__wrapped__))
+    assert kernels._lapack() == (lapack.dgtsv, lapack.dgbsv)
+    _assert_band_solve_matches_scipy(_band_systems(np.random.default_rng(2014)))
+
+
+@pytest.mark.parametrize("lu", [(1, 1), (2, 1), (3, 0)])
+def test_band_solve_errors_match_scipy(lu):
+    from scipy.linalg import solve_banded
+
+    l, u = lu
+    ab = np.ones((l + u + 1, 6))
+    ab[u] = 10.0
+    singular = ab.copy()
+    singular[:, 2] = 0.0  # column 2 of A is zero: an exact zero pivot
+    b = np.ones(6)
+    nan_ab, nan_b = ab.copy(), b.copy()
+    nan_ab[u, 3] = nan_b[3] = np.nan
+    for solve in (band_solve, solve_banded):
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            solve(lu, singular, b)
+        for bad in ((lu, nan_ab, b), (lu, ab, nan_b), (lu, ab, b[:5]), ((l + 1, u), ab, b)):
+            with pytest.raises(ValueError):
+                solve(*bad)
 
 
 def test_invalid_kernels_rejected():
