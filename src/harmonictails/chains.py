@@ -86,7 +86,9 @@ class ChainFamily:
     """A row rule plus its limiting jump law.
 
     ``row_rule`` maps a 1-d integer array of states to the (n, width) block
-    of their rows.
+    of their rows.  From ``homogeneous_from`` on, when it is set, every row
+    is ``limit_pmf``: a kernel built at that level or above broadcasts it as
+    its tail, and ``stationary_solve`` builds no explicit row beyond it.
     """
 
     name: str

@@ -54,7 +54,7 @@ from .harmonic import (
     check_conditions,
     reflected_walk_harmonic_exact,
 )
-from .kernels import HomogeneousTail, kernel_from_rows
+from .kernels import _ROW_SUM_TOL, HomogeneousTail, kernel_from_rows
 from .ladder import (
     LatticeWalk,
     cramer_root,
@@ -166,6 +166,7 @@ def _build_general(chain: dict) -> ChainFamily:
         if not rows:
             raise ConfigError("general chain 'rows' must be nonempty")
         truncation = max(rows)
+        stochastic = bool(chain.get("stochastic", False))
         if set(rows) != set(range(truncation + 1)):
             raise ConfigError("general chain rows must cover states 0..max contiguously")
         tail = None
@@ -179,11 +180,12 @@ def _build_general(chain: dict) -> ChainFamily:
                 trow[off + band_lo] = wt
             if not trow.sum() > 0:
                 raise ConfigError("tail_row needs a positive total weight")
+            if stochastic and abs(trow.sum() - 1.0) > _ROW_SUM_TOL:
+                raise ConfigError(f"tail_row sums to {trow.sum():.17g}, "
+                                  "not 1, in a stochastic chain")
             tail = HomogeneousTail(trow)
-        kernel = kernel_from_rows(
-            rows, truncation, band_lo, band_hi, tail=tail,
-            stochastic=bool(chain.get("stochastic", False)),
-        )
+        kernel = kernel_from_rows(rows, truncation, band_lo, band_hi, tail=tail,
+                                  stochastic=stochastic)
         limit = tail.row if tail is not None else None
 
         def row_rule(states: np.ndarray) -> np.ndarray:
@@ -197,7 +199,7 @@ def _build_general(chain: dict) -> ChainFamily:
             row_rule=row_rule,
             limit_pmf=limit,
             homogeneous_from=(truncation + 1) if tail is not None else None,
-            stochastic=bool(chain.get("stochastic", False)),
+            stochastic=stochastic,
             params={},
         )
     raise ConfigError("general chain needs either 'drift' or 'rows'")

@@ -26,8 +26,9 @@ obtained from sandwich solves on growing windows.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,17 +55,46 @@ from .ladder import LatticeWalk, ruin_exponent
 _DELTA_EPS = 1e-15
 
 
+class StateArray(Mapping):
+    """Read-only map from the consecutive states lo, lo + 1, ... to the
+    entries of a float array, without a Python object per state."""
+
+    def __init__(self, lo: int, array: np.ndarray):
+        self.lo = lo
+        self.array = np.asarray(array, dtype=float).view()
+        self.array.flags.writeable = False
+
+    def __getitem__(self, i) -> float:
+        try:
+            x = operator.index(i) - self.lo
+        except TypeError:
+            raise KeyError(i) from None
+        if not 0 <= x < self.array.size:
+            raise KeyError(i)
+        return self.array.item(x)
+
+    def __iter__(self):
+        return iter(range(self.lo, self.lo + self.array.size))
+
+    def __len__(self) -> int:
+        return self.array.size
+
+    def __repr__(self) -> str:
+        return f"StateArray({self.lo}, {self.array!r})"
+
+
 @dataclass(frozen=True)
 class HarmonicEstimate:
     """A computed harmonic function on a range of states.
 
-    ``values`` maps state to f(i).  ``boundary_value`` extends the function
-    above the truncation (the linear solve pins f to one there).  Monte
-    Carlo estimates carry per-state standard errors; solves carry the max
-    harmonicity residual actually achieved.
+    ``values`` maps state to f(i): a :class:`StateArray` over the solved
+    window, or a dict of the Monte Carlo start states.  ``boundary_value``
+    extends the function above the truncation (the linear solve pins f to
+    one there).  Monte Carlo estimates carry per-state standard errors;
+    solves carry the max harmonicity residual actually achieved.
     """
 
-    values: dict[int, float]
+    values: Mapping[int, float]
     method: str  # "monte-carlo" | "linear-solve" | "closed-form"
     truncation: int
     std_errors: dict[int, float] | None = None
@@ -75,7 +105,10 @@ class HarmonicEstimate:
     def __post_init__(self):
         if self.method not in ("monte-carlo", "linear-solve", "closed-form"):
             raise UnsupportedInputError(f"unknown method {self.method!r}")
-        vals = np.fromiter(self.values.values(), dtype=float, count=len(self.values))
+        if isinstance(self.values, StateArray):
+            vals = self.values.array
+        else:
+            vals = np.fromiter(self.values.values(), dtype=float, count=len(self.values))
         ok = np.isfinite(vals) & (vals >= 0.0)
         if not ok.all():
             bad = list(self.values)[int(np.argmin(ok))]
@@ -388,11 +421,12 @@ def build_solve(
     if first_row_below(block, bl) is not None:
         raise UnsupportedInputError("kernel places weight below its own represented range")
     n = K - lo + 1
-    f_K = _solve_truncated(block[:n], bl)
+    mass = block.sum(axis=1)
+    f_K = _solve_truncated(block[:n], bl, mass[:n])
 
     est_meta = {"doubling_disagreement": None} if check_doubling else {}
     if doubled:
-        f_2K = _solve_truncated(block, bl)
+        f_2K = _solve_truncated(block, bl, mass)
         half = K // 2
         a = f_K[: half - lo + 1]
         b = f_2K[: half - lo + 1]
@@ -415,7 +449,7 @@ def build_solve(
             diagnostics={"residual": res},
         )
     return HarmonicEstimate(
-        values=dict(zip(range(lo, K + 1), f_K.tolist())),
+        values=StateArray(lo, f_K),
         method="linear-solve",
         truncation=K,
         boundary_value=1.0,
@@ -424,8 +458,9 @@ def build_solve(
     )
 
 
-def _solve_truncated(block: np.ndarray, band_lo: int) -> np.ndarray:
-    """f on the window of the row block with f = 1 above it.
+def _solve_truncated(block: np.ndarray, band_lo: int, mass: np.ndarray) -> np.ndarray:
+    """f on the window of the row block with f = 1 above it; ``mass`` holds
+    the block's row sums.
 
     The solve runs on the deficit g = 1 - f, (I - P) g = 1 - (row mass), so
     stochastic rows give an exactly zero right-hand side and a recurrent
@@ -434,7 +469,7 @@ def _solve_truncated(block: np.ndarray, band_lo: int) -> np.ndarray:
     """
     lu, ab = band_system(block, band_lo)
     try:
-        g = band_solve(lu, ab, 1.0 - block.sum(axis=1))
+        g = band_solve(lu, ab, 1.0 - mass)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"banded solve failed: {exc}", reason="singular") from exc
     if not np.all(np.isfinite(g)):

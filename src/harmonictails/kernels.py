@@ -14,7 +14,14 @@ on the result.
 The solvers read rows as (n, width) blocks through ``TransitionKernel.rows``
 and work on them with the banded helpers at the end of this module: I - P
 (or its transpose) in LAPACK band storage, its solve, and the mat-vecs P v
-and mu P, accumulated column by column.
+and mu P.
+
+The helpers work column by column: one numpy call per jump offset, over all
+n rows, writing into a preallocated array (``out=``).  At large truncations
+n is 10^4-10^5 while the width is a handful, so a numpy op that runs along
+the short width axis (a row sum, a broadcast by a width-length vector) or
+that allocates a fresh (n, width) temporary costs more than the LAPACK solve
+itself; column by column, the work is a few streaming passes over n doubles.
 """
 
 from __future__ import annotations
@@ -134,6 +141,7 @@ class TransitionKernel:
         if self.tail is not None:
             if self.tail.rows_at(self.truncation + 1, self.truncation + 1).shape != (1, width):
                 raise UnsupportedInputError("tail rule row width does not match the band")
+        return masses  # for the subclass checks, so the rows are summed once
 
     # -- structure ---------------------------------------------------------
 
@@ -268,8 +276,7 @@ class StochasticKernel(TransitionKernel):
     stochastic_from: int | None = None
 
     def __post_init__(self):
-        super().__post_init__()
-        masses = self.weights.sum(axis=1)
+        masses = super().__post_init__()
         check_from = self.state_lo if self.stochastic_from is None else self.stochastic_from
         idx0 = max(0, check_from - self.state_lo)
         if np.any(np.abs(masses[idx0:] - 1.0) > _ROW_SUM_TOL):
@@ -397,9 +404,9 @@ def band_system(block: np.ndarray, band_lo: int, transpose: bool = False):
         off = c - band_lo
         lo, hi = max(0, -off), min(n, n - off)  # rows x whose target x + off is inside
         if transpose:  # entry (x + off, x) sits at ab[band_lo + off, x]
-            ab[c, lo:hi] = -block[lo:hi, c]
+            np.negative(block[lo:hi, c], out=ab[c, lo:hi])
         else:  # entry (x, x + off) sits at ab[band_hi - off, x + off]
-            ab[W - 1 - c, lo + off : hi + off] = -block[lo:hi, c]
+            np.negative(block[lo:hi, c], out=ab[W - 1 - c, lo + off : hi + off])
     ab[band_lo if transpose else band_hi] += 1.0
     return ((band_hi, band_lo) if transpose else (band_lo, band_hi)), ab
 
@@ -487,20 +494,20 @@ def band_matvec(block: np.ndarray, band_lo: int, v: np.ndarray) -> np.ndarray:
     """(P v)(x) for the window rows; ``v`` holds the values on the window
     padded by band_lo states below and band_hi states above it."""
     n = block.shape[0]
-    out = np.zeros(n)
+    out, term = np.zeros(n), np.empty(n)
     for c in range(block.shape[1]):
-        out += block[:, c] * v[c : c + n]
+        out += np.multiply(block[:, c], v[c : c + n], out=term)
     return out
 
 
 def band_rmatvec(block: np.ndarray, band_lo: int, mu: np.ndarray) -> np.ndarray:
     """(mu P) on the window; mass sent outside the window is dropped."""
     n, W = block.shape
-    out = np.zeros(n)
+    out, vals = np.zeros(n), np.empty(n)
     for c in range(W):
         off = c - band_lo
         k = min(abs(off), n)
-        vals = mu * block[:, c]
+        np.multiply(mu, block[:, c], out=vals)
         if off >= 0:
             out[k:] += vals[: n - k]
         else:

@@ -96,21 +96,27 @@ def _compensated_solve(block: np.ndarray, band_lo: int, beta: float):
     solution is rescaled so that sum_i y(i) exp(-beta i) = 1.
     """
     n, W = block.shape
-    P = np.array(block)
-    reflected = 0.0
-    for c in range(band_lo + 1, W):
-        k = min(c - band_lo, n)
-        over = np.arange(n - k, n)
-        reflected += float(P[over, c].sum())
-        P[over, n - 1 - over + band_lo] += P[over, c]
-        P[over, c] = 0.0
     with np.errstate(over="ignore"):
         tilt = np.exp(beta * (np.arange(W) - band_lo).astype(float))
     if not np.all(np.isfinite(tilt)):
         raise SolverFailure(
             f"tilt factors exp(beta * jump) overflow at beta = {beta:.6g}", reason="non-finite"
         )
-    tilted = P * tilt
+    # only the top h rows have jumps that leave the window: reflect a copy of them
+    h = min(W - 1 - band_lo, n)
+    edge = np.array(block[n - h :])
+    reflected = 0.0
+    for c in range(band_lo + 1, W):
+        x = np.arange(h - min(c - band_lo, n), h)
+        reflected += float(edge[x, c].sum())
+        edge[x, h - 1 - x + band_lo] += edge[x, c]
+        edge[x, c] = 0.0
+    # the tilted rows, column by column, into column-major storage so that
+    # band_system and band_rmatvec read each column contiguously
+    tilted = np.empty((W, n)).T
+    for c in range(W):
+        np.multiply(block[: n - h, c], tilt[c], out=tilted[: n - h, c])
+        np.multiply(edge[:, c], tilt[c], out=tilted[n - h :, c])
 
     lu, ab = band_system(tilted, band_lo, transpose=True)
     band_pin(lu, ab, 0)
@@ -123,7 +129,7 @@ def _compensated_solve(block: np.ndarray, band_lo: int, beta: float):
             f"compensated stationary solve failed: {exc}", reason="singular"
         ) from exc
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        norm = np.exp(-beta * np.arange(n).astype(float)) @ z
+        norm = np.exp(-beta * np.arange(n, dtype=float)) @ z
         y = z / norm
     if not (np.isfinite(norm) and np.all(np.isfinite(y))):
         raise SolverFailure("compensated stationary solve overflowed", reason="non-finite")
@@ -175,10 +181,15 @@ def stationary_solve(
     short windows).  The solve is repeated on a doubled window and the two
     stationary vectors must agree on 0..K/2.
     """
+    if K < 1:
+        raise StateRangeError(f"window 0..{K} needs K >= 1")
     top = 2 * K if check_doubling else K
     kernel = chain
     if isinstance(chain, ChainFamily):
-        kernel = chain.kernel(max(top, chain.homogeneous_from or 0))
+        # rows from homogeneous_from on are the limit row: one explicit copy
+        # is checked, and the kernel's tail broadcasts the rest
+        hf = chain.homogeneous_from
+        kernel = chain.kernel(top if hf is None else hf)
     if beta is None:
         walk = _limit_walk_of(chain)
         if walk.mean >= 0:
@@ -190,14 +201,14 @@ def stationary_solve(
 
     block = kernel.rows(0, top)
     y, reflected, balance_residual = _compensated_solve(block[: K + 1], kernel.band_lo, beta)
-    log_pi_raw = np.log(y) - beta * np.arange(K + 1)
+    log_pi_raw = np.log(y) - beta * np.arange(K + 1, dtype=float)
     logZ = _logsumexp(log_pi_raw)
     log_pi = log_pi_raw - logZ
 
     doubling = None
     if check_doubling:
         y2, _, _ = _compensated_solve(block, kernel.band_lo, beta)
-        log_pi2 = np.log(y2) - beta * np.arange(2 * K + 1)
+        log_pi2 = np.log(y2) - beta * np.arange(2 * K + 1, dtype=float)
         log_pi2 = log_pi2 - _logsumexp(log_pi2)
         half = K // 2
         doubling = float(np.max(np.abs(log_pi[: half + 1] - log_pi2[: half + 1])))

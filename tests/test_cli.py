@@ -21,6 +21,9 @@ EX3 = {"name": "example3", "p": 0.3, "c0": 0.05, "gamma": 0.7}
 TWO_ROWS = {"name": "general", "band_lo": 1, "band_hi": 1,
             "rows": {"0": {"1": 1.0}, "1": {"-1": 0.3, "1": 0.7}}}
 MC = {"seed": 1, "n_paths": 10, "horizon": 10}
+# a stochastic chain whose tail row sums to 1.1; CI validates this file too
+NON_STOCHASTIC_TAIL = json.loads(
+    (Path(__file__).resolve().parent / "fixtures" / "non_stochastic_tail_row.json").read_text())
 
 # (message fragment, config) pairs that used to pass `validate`
 HOLES = [
@@ -64,6 +67,7 @@ HOLES = [
                   "chain": {**TWO_ROWS, "tail_row": {"-1": 1.3, "1": -0.3}}}),
     ("tail_row", {"task": "harmonic-solve", "params": {"K": 60},
                   "chain": {**TWO_ROWS, "tail_row": {"-1": 0.0, "1": 0.0}}}),
+    ("tail_row", NON_STOCHASTIC_TAIL),
 ]
 
 

@@ -62,6 +62,32 @@ def test_solve_matches_closed_form(ex1_kernel):
         ht.build_solve(ex1_kernel, K=400, check_doubling=True).value(-1)
 
 
+def test_solve_values_keep_the_dict_behaviour(ex1_kernel):
+    from harmonictails.harmonic import StateArray
+
+    est = ht.build_solve(ex1_kernel, K=400)
+    f = est.array(0, 400)
+    as_dict = dict(zip(range(401), f.tolist()))
+    assert est.values == as_dict and len(est.values) == 401
+    assert list(est.values) == est.states() == list(range(401))
+    for i in (0, 7, 400):
+        assert est.values[np.int64(i)] == est.value(np.int64(i)) == as_dict[i]
+        assert type(est.values[i]) is float
+    assert np.int64(5) in est.values and 401 not in est.values and -1 not in est.values
+    assert "3" not in est.values and 2.5 not in est.values
+    assert est.value(401) == est.value(10**9) == 1.0  # the boundary value above K
+    with pytest.raises(ht.StateRangeError):
+        est.value(-1)
+    with pytest.raises(ValueError):
+        est.values.array[0] = 2.0  # read-only
+    with pytest.raises(TypeError):
+        est.values[0] = 2.0
+    for bad in (np.nan, -1e-3, np.inf):
+        vals = StateArray(3, np.array([1.0, 0.5, bad]))
+        with pytest.raises(ht.UnsupportedInputError, match="state 5"):
+            ht.HarmonicEstimate(values=vals, method="linear-solve", truncation=5)
+
+
 def test_solve_trichotomy():
     ok = ht.build_solve(ht.perturbed_reflected_walk(p=0.7, alpha=2.0).kernel(8), K=300)
     assert ok.value(0) == pytest.approx(8.0, abs=1e-8)

@@ -52,6 +52,38 @@ def test_stationary_needs_negative_drift():
         ht.stationary_solve(ht.lindley_chain(up), 100)
 
 
+@pytest.mark.parametrize("K", [0, -1, -7])
+def test_stationary_window_needs_K_at_least_one(down_walk, K):
+    with pytest.raises(ht.StateRangeError):
+        ht.stationary_solve(ht.lindley_chain(down_walk), K)
+
+
+def test_homogeneous_rows_are_built_once():
+    walk = ht.LatticeWalk.from_dict({-2: 0.175, -1: 0.4, 0: 0.125, 1: 0.3})
+    fam = ht.lindley_chain(walk)
+    asked = []
+
+    def counting(states):
+        asked.append(len(states))
+        return fam.row_rule(states)
+
+    res = ht.stationary_solve(dataclasses.replace(fam, row_rule=counting), 500)
+    assert sum(asked) <= fam.homogeneous_from + 1
+    ref = ht.stationary_solve(fam, 500)
+    assert res.log_pi.tobytes() == ref.log_pi.tobytes()
+
+    # the explicit row at homogeneous_from is the limit row, so a family whose
+    # limit row is not stochastic is still refused
+    def heavy(states):
+        rows = fam.row_rule(states)
+        rows[states >= fam.homogeneous_from] *= 1.1
+        return rows
+
+    bad = dataclasses.replace(fam, row_rule=heavy, limit_pmf=fam.limit_pmf * 1.1)
+    with pytest.raises(ht.UnsupportedInputError, match="sums to"):
+        ht.stationary_solve(bad, 500)
+
+
 def test_log_tail_envelope(lindley_result):
     _, res = lindley_result
     i = np.arange(50, 401)
@@ -511,3 +543,79 @@ def test_logsumexp_matches_scipy():
         ours, ref = _logsumexp(a), float(logsumexp(a))
         assert (ours == ref or (math.isnan(ours) and math.isnan(ref))
                 or abs(ours - ref) <= tol * max(1.0, abs(ref))), a
+
+
+# ---------------------------------------------------------------------------
+# the compensated solve against the assembly it replaced
+
+
+def _reference_compensated_solve(block, band_lo, beta):
+    """The earlier assembly: a copy of the whole block, the reflect loop over
+    it, the broadcast tilt, I - P filled from -block and mu P from fresh
+    products; the pin and the solve as in the library."""
+    from harmonictails.kernels import band_pin, band_solve
+
+    n, W = block.shape
+    P = np.array(block)
+    reflected = 0.0
+    for c in range(band_lo + 1, W):
+        k = min(c - band_lo, n)
+        over = np.arange(n - k, n)
+        reflected += float(P[over, c].sum())
+        P[over, n - 1 - over + band_lo] += P[over, c]
+        P[over, c] = 0.0
+    tilted = P * np.exp(beta * (np.arange(W) - band_lo).astype(float))
+    ab = np.zeros((W, n))
+    for c in range(W):
+        off = c - band_lo
+        lo, hi = max(0, -off), min(n, n - off)
+        ab[c, lo:hi] = -tilted[lo:hi, c]
+    ab[band_lo] += 1.0
+    lu = (W - 1 - band_lo, band_lo)
+    band_pin(lu, ab, 0)
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    z = band_solve(lu, ab, rhs)
+    norm = np.exp(-beta * np.arange(n).astype(float)) @ z
+    y = np.clip(z / norm, 1e-300, None)
+    yP = np.zeros(n)
+    for c in range(W):
+        off = c - band_lo
+        k = min(abs(off), n)
+        vals = y * tilted[:, c]
+        if off >= 0:
+            yP[k:] += vals[: n - k]
+        else:
+            yP[: n - k] += vals[k:]
+    balance = yP - y
+    return y, reflected, float(np.max(np.abs(balance[1:])) / max(1.0, float(np.abs(y).max())))
+
+
+def _seeded_lindley_chains(rng):
+    """Lindley chains of random walks with negative mean, band widths 2 to 11."""
+    for band_lo, band_hi in [(1, 0), (1, 1), (2, 1), (1, 2), (3, 2), (2, 4), (4, 4), (3, 7)]:
+        off = np.arange(-band_lo, band_hi + 1)
+        pmf = rng.dirichlet(np.ones(off.size))
+        while pmf @ off >= -0.05:  # push the mass down until the walk drifts down
+            pmf = pmf * np.exp(-0.5 * off)
+            pmf /= pmf.sum()
+        yield ht.lindley_chain(ht.LatticeWalk(lo=-band_lo, pmf=pmf))
+
+
+def test_compensated_solve_matches_reference_assembly():
+    from harmonictails.stationary import _compensated_solve
+
+    rng = np.random.default_rng(12)
+    cases = 0
+    for fam in _seeded_lindley_chains(rng):
+        bl, bh = fam.band_lo, fam.band_hi
+        betas = [0.0] + ([ht.cramer_root(fam.limit_walk)] if bh else [])
+        for n in sorted({2, bh, bh + 1, 40, 300} - {0, 1}):  # windows up to band_hi included
+            block = fam.kernel(max(n - 1, bl)).rows(0, n - 1)
+            for beta in betas:
+                y, reflected, residual = _compensated_solve(block, bl, beta)
+                y0, reflected0, residual0 = _reference_compensated_solve(block, bl, beta)
+                assert y.tobytes() == y0.tobytes(), (bl, bh, n, beta)
+                assert (reflected, residual) == (reflected0, residual0), (bl, bh, n, beta)
+                cases += 1
+    assert cases == 61
