@@ -25,6 +25,7 @@ obtained from sandwich solves on growing windows.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Iterable, Mapping, Sequence
@@ -49,6 +50,7 @@ from .kernels import (
     band_solve,
     band_system,
     first_row_below,
+    row_slice,
 )
 from .ladder import LatticeWalk, ruin_exponent
 
@@ -127,7 +129,27 @@ class HarmonicEstimate:
         return sorted(self.values)
 
     def array(self, lo: int, hi: int) -> np.ndarray:
-        return np.array([self.value(i) for i in range(lo, hi + 1)])
+        """f on the states lo..hi, as ``value`` gives it state by state.
+
+        Solved values are sliced out of their array, and states above
+        the truncation take the boundary value; any other state goes
+        through ``value``, which raises at the first one outside the range.
+        """
+        vals = self.values
+        if not isinstance(vals, StateArray):
+            return np.array([self.value(i) for i in range(lo, hi + 1)])
+        s, e = vals.lo, vals.lo + len(vals) - 1
+        above = max(e, self.truncation) if self.boundary_value is not None else hi
+        out = np.empty(max(hi - lo + 1, 0))
+        for i in itertools.chain(range(lo, min(hi, s - 1) + 1),
+                                 range(max(lo, e + 1), min(hi, above) + 1)):
+            out[i - lo] = self.value(i)
+        a, b = max(lo, s), min(hi, e)
+        if a <= b:
+            out[a - lo : b - lo + 1] = vals.array[a - s : b - s + 1]
+        if above < hi:
+            out[max(lo, above + 1) - lo :] = self.boundary_value
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -417,19 +439,22 @@ def build_solve(
                     "truncation needs asymptotically stochastic rows"
                 )
     doubled = check_doubling and kernel.has_row(2 * K)
-    block = kernel.rows(lo, 2 * K if doubled else K)
-    if first_row_below(block, bl) is not None:
+    top = 2 * K if doubled else K
+    if first_row_below(kernel.rows(lo, min(top, lo + bl - 1)), bl) is not None:
         raise UnsupportedInputError("kernel places weight below its own represented range")
+    # I - P once, for the widest window; the K window is its first n
+    # columns, since LAPACK reads no band entry of a row >= n (see README)
+    rows = kernel.row_blocks(lo, top)
+    lu, ab = band_system(rows, bl)
+    deficit = np.concatenate([1.0 - m for m in kernel.row_masses(lo, rows)])
     n = K - lo + 1
-    mass = block.sum(axis=1)
-    f_K = _solve_truncated(block[:n], bl, mass[:n])
+    f_K = _solve_truncated(lu, ab[:, :n], deficit[:n])
 
     est_meta = {"doubling_disagreement": None} if check_doubling else {}
     if doubled:
-        f_2K = _solve_truncated(block, bl, mass)
-        half = K // 2
-        a = f_K[: half - lo + 1]
-        b = f_2K[: half - lo + 1]
+        f_2K = _solve_truncated(lu, ab, deficit)
+        half = max(K // 2, lo) - lo + 1
+        a, b = f_K[:half], f_2K[:half]
         disagreement = float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))))
         est_meta["doubling_disagreement"] = disagreement
         if disagreement > doubling_tol:
@@ -441,7 +466,7 @@ def build_solve(
             )
 
     v = np.concatenate([np.zeros(bl), f_K, np.ones(kernel.band_hi)])
-    res = _residual(block[:n], bl, v)
+    res = _residual(row_slice(rows, 0, n), bl, v)
     if res > max(tol, 1e-9):
         raise SolverFailure(
             f"harmonicity residual {res:.3e} exceeds tolerance after the solve",
@@ -458,18 +483,17 @@ def build_solve(
     )
 
 
-def _solve_truncated(block: np.ndarray, band_lo: int, mass: np.ndarray) -> np.ndarray:
-    """f on the window of the row block with f = 1 above it; ``mass`` holds
-    the block's row sums.
+def _solve_truncated(lu, ab: np.ndarray, deficit: np.ndarray) -> np.ndarray:
+    """f on a window with f = 1 above it, from I - P in band storage and
+    ``deficit`` = 1 - (row mass).
 
     The solve runs on the deficit g = 1 - f, (I - P) g = 1 - (row mass), so
     stochastic rows give an exactly zero right-hand side and a recurrent
     chain, whose truncated system is singular to working precision, still
     gets f = 1.
     """
-    lu, ab = band_system(block, band_lo)
     try:
-        g = band_solve(lu, ab, 1.0 - mass)
+        g = band_solve(lu, ab, deficit)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"banded solve failed: {exc}", reason="singular") from exc
     if not np.all(np.isfinite(g)):
@@ -489,11 +513,12 @@ def _solve_truncated(block: np.ndarray, band_lo: int, mass: np.ndarray) -> np.nd
     return np.clip(f, 0.0, None)
 
 
-def _residual(block: np.ndarray, band_lo: int, v: np.ndarray, pos=slice(None)) -> float:
+def _residual(rows, band_lo: int, v: np.ndarray, pos=slice(None)) -> float:
     """max |(P f)(x) - f(x)| / max(1, f(x)) over the window rows ``pos``;
-    ``v`` is f on the window padded by band_lo states below, band_hi above."""
-    pf = band_matvec(block, band_lo, v)[pos]
-    f = v[band_lo : band_lo + block.shape[0]][pos]
+    ``v`` is f on the window (``rows``: a block or a list of blocks) padded
+    by band_lo states below, band_hi above."""
+    pf = band_matvec(rows, band_lo, v)
+    pf, f = pf[pos], v[band_lo : band_lo + pf.size][pos]
     return float(np.max(np.abs(pf - f) / np.maximum(1.0, f)))
 
 

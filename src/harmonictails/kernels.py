@@ -11,10 +11,27 @@ target states, exponential tilting) build new kernels; weights that fall
 below 1e-15 along the way are dropped and the discarded total is recorded
 on the result.
 
-The solvers read rows as (n, width) blocks through ``TransitionKernel.rows``
-and work on them with the banded helpers at the end of this module: I - P
-(or its transpose) in LAPACK band storage, its solve, and the mat-vecs P v
-and mu P.
+The solvers read rows as (n, width) blocks and work on them with the banded
+helpers at the end of this module: I - P (or its transpose) in LAPACK band
+storage, its solve, and the mat-vecs P v and mu P.  A window of rows is one
+block or a list of blocks stacked in state order, as
+``TransitionKernel.row_blocks`` hands them out without copying: a view of the
+explicit rows, then the tail's block, which for a homogeneous tail is one row
+broadcast (row stride 0), so that each band column of it is written as a
+scalar fill.  Row masses come from the kernel too: the explicit rows' sums are
+taken once, at construction, and a homogeneous tail has one.
+
+A solve at truncation K is checked by a second one at 2K, and the pair
+shares one assembly, for the 2K window.  The K window's I - P is the column
+slice ``ab[:, :n]`` of that storage: LAPACK never reads a band entry of a
+row >= n of an n x n matrix (``dgtsv`` takes only the first n or n - 1
+entries of each diagonal, and ``dgbtf2`` limits column j to min(kl, n - j)
+rows below the diagonal), so the slice solves with the bits of the window's
+own assembly.  The transposed system holds row x of P in column x, so there
+the K window is a copy of the first n columns with its reflected top rows
+rewritten (``stationary``).  The stationary solve also stops its exps where
+they underflow to exactly 0, as the BLAS dot and numpy's pairwise sum would
+add those zeros to unchanged sums.
 
 The helpers work column by column: one numpy call per jump offset, over all
 n rows, writing into a preallocated array (``out=``).  At large truncations
@@ -44,6 +61,10 @@ from .errors import (
 
 WEIGHT_FLOOR = 1e-15
 _ROW_SUM_TOL = 1e-12
+# Windows of fewer rows come as one block (``TransitionKernel.row_blocks``).
+# The copy costs about 12 ns a row and a second block about 60 us per
+# solve, so the two break even near this size.
+SHORT_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -104,7 +125,7 @@ class TransitionKernel:
     """Nonnegative banded kernel with explicit rows on ``state_lo..truncation``.
 
     Every represented row must carry positive total mass, and no weight may
-    point at a negative state.
+    point at a negative state.  ``masses`` holds the explicit rows' sums.
     """
 
     band_lo: int
@@ -114,9 +135,11 @@ class TransitionKernel:
     tail: TailRule | None = None
     dropped_mass: float = 0.0
     meta: dict = field(default_factory=dict)
+    masses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        # C order, so that a row's sum is the same double here and in a block
+        w = np.ascontiguousarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
         width = self.band_lo + self.band_hi + 1
         if w.ndim != 2 or w.shape[1] != width:
@@ -130,6 +153,8 @@ class TransitionKernel:
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise UnsupportedInputError("weights must be finite and nonnegative")
         masses = w.sum(axis=1)
+        masses.flags.writeable = False
+        object.__setattr__(self, "masses", masses)
         if np.any(masses <= 0):
             dead = int(np.argmax(masses <= 0)) + self.state_lo
             raise DegenerateRowError(f"row for state {dead} has no mass")
@@ -141,7 +166,6 @@ class TransitionKernel:
         if self.tail is not None:
             if self.tail.rows_at(self.truncation + 1, self.truncation + 1).shape != (1, width):
                 raise UnsupportedInputError("tail rule row width does not match the band")
-        return masses  # for the subclass checks, so the rows are summed once
 
     # -- structure ---------------------------------------------------------
 
@@ -162,12 +186,31 @@ class TransitionKernel:
         return self.rows(i, i)[0]
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows of the states lo..hi as a read-only (hi - lo + 1, width) block.
+        """Rows of the states lo..hi as a read-only (hi - lo + 1, width) block."""
+        parts = self._row_parts(lo, hi)
+        block = parts[0].view() if len(parts) == 1 else np.concatenate(parts)
+        block.flags.writeable = False
+        return block
 
-        Explicit rows are a view of the weights, a homogeneous tail is
-        broadcast and a parametric tail's rule is called once for the
-        states past the truncation.
+    def row_blocks(self, lo: int, hi: int) -> list[np.ndarray]:
+        """Rows of the states lo..hi as read-only blocks in state order.
+
+        A window of more than ``SHORT_WINDOW`` rows comes without a copy: a
+        view of the explicit rows, then the tail's block.  A shorter one is
+        the one block of ``rows``: for so few rows the banded helpers' numpy
+        call per block costs more than the copy.
         """
+        if hi - lo < SHORT_WINDOW:
+            return [self.rows(lo, hi)]
+        blocks = [b.view() for b in self._row_parts(lo, hi)]
+        for b in blocks:
+            b.flags.writeable = False
+        return blocks
+
+    def _row_parts(self, lo: int, hi: int) -> list[np.ndarray]:
+        """A view of the explicit rows and the tail's block (a homogeneous
+        tail's row broadcast, a parametric tail's rule called once), as far
+        as each covers lo..hi."""
         top = self.truncation
         if lo < self.state_lo or (hi > top and self.tail is None):
             raise StateRangeError(
@@ -179,9 +222,23 @@ class TransitionKernel:
             parts.append(self.weights[lo - self.state_lo : min(hi, top) - self.state_lo + 1])
         if hi > top:
             parts.append(self.tail.rows_at(max(lo, top + 1), hi))
-        block = parts[0].view() if len(parts) == 1 else np.concatenate(parts)
-        block.flags.writeable = False
-        return block
+        return parts
+
+    def row_masses(self, lo: int, blocks: list[np.ndarray]) -> list[np.ndarray]:
+        """Row sums of ``blocks = row_blocks(lo, hi)``, block by block: the
+        explicit rows' sums from construction, one sum of a homogeneous tail
+        row, broadcast, and the sum of any other block."""
+        out = []
+        for b in blocks:
+            first = lo - self.state_lo
+            if lo + len(b) - 1 <= self.truncation:
+                out.append(self.masses[first : first + len(b)])
+            elif lo > self.truncation and isinstance(self.tail, HomogeneousTail):
+                out.append(np.broadcast_to(self.tail.row.sum(), len(b)))
+            else:
+                out.append(b.sum(axis=1))
+            lo += len(b)
+        return out
 
     # -- scalar operations -------------------------------------------------
 
@@ -276,7 +333,8 @@ class StochasticKernel(TransitionKernel):
     stochastic_from: int | None = None
 
     def __post_init__(self):
-        masses = super().__post_init__()
+        super().__post_init__()
+        masses = self.masses
         check_from = self.state_lo if self.stochastic_from is None else self.stochastic_from
         idx0 = max(0, check_from - self.state_lo)
         if np.any(np.abs(masses[idx0:] - 1.0) > _ROW_SUM_TOL):
@@ -386,29 +444,84 @@ def kernel_from_rows(
 # ---------------------------------------------------------------------------
 # banded linear algebra on row blocks
 #
-# A block holds the rows of a window of n consecutive states; column c is
-# the jump c - band_lo.  Weight that leaves the window is not part of the
-# window's matrix.
+# A window of n consecutive states is given by its rows: one (n, width)
+# block, or a list of blocks stacked in state order (``row_blocks``); column
+# c is the jump c - band_lo.  Weight that leaves the window is not part of
+# the window's matrix.  Every helper runs column by column and, within a
+# column, block by block, so a split into blocks changes no result bit.
 
 
-def band_system(block: np.ndarray, band_lo: int, transpose: bool = False):
-    """I - P on the window of ``block`` in LAPACK band storage.
+def _stacked(rows) -> list[tuple[int, np.ndarray]]:
+    """(first window row, block) for each block of ``rows``."""
+    out, start = [], 0
+    for block in [rows] if isinstance(rows, np.ndarray) else rows:
+        out.append((start, block))
+        start += len(block)
+    return out
+
+
+def row_slice(rows, lo: int, hi: int) -> list[np.ndarray]:
+    """Rows lo..hi - 1 of the window ``rows`` as a list of blocks (views)."""
+    return [
+        block[max(lo - s, 0) : hi - s]
+        for s, block in _stacked(rows)
+        if s < hi and s + len(block) > lo
+    ]
+
+
+def band_system(rows, band_lo: int, transpose: bool = False, factors=None):
+    """I - P on the window ``rows`` in LAPACK band storage.
 
     Returns ``((l, u), ab)`` for ``band_solve``; with ``transpose`` the
-    matrix is (I - P)^T and (l, u) = (band_hi, band_lo).
+    matrix is (I - P)^T and (l, u) = (band_hi, band_lo).  With ``factors``,
+    column c of P is scaled by factors[c].  Storage entries outside the
+    n x n matrix are zero.
     """
-    n, W = block.shape
+    parts = _stacked(rows)
+    W = parts[0][1].shape[1]
+    n = sum(len(block) for _, block in parts)
     band_hi = W - 1 - band_lo
-    ab = np.zeros((W, n))
+    ab = np.empty((W, n))
+    for c in range(W):  # zero the two corners no row writes
+        off = c - band_lo
+        first = min(max(0, -off if transpose else off), n)
+        end = max(min(n, n - off if transpose else n + off), first)
+        ab[c if transpose else W - 1 - c, :first] = 0.0
+        ab[c if transpose else W - 1 - c, end:] = 0.0
+    for start, block in parts:
+        band_write(ab, start, block, band_lo, transpose, factors)
+    return ((band_hi, band_lo) if transpose else (band_lo, band_hi)), ab
+
+
+def band_write(ab: np.ndarray, start: int, block: np.ndarray, band_lo: int,
+               transpose: bool = False, factors=None) -> None:
+    """Write the rows ``start, start + 1, ...`` of I - P (or its transpose)
+    from ``block`` into the band storage ``ab`` of an ab.shape[1]-state window.
+
+    Column by column; a block with row stride 0 (a homogeneous tail's
+    broadcast row) is a scalar fill.  Entries whose target leaves the window
+    are not written.
+    """
+    W, n = ab.shape
+    stop = min(start + len(block), n)
+    uniform = block.strides[0] == 0 and len(block) > 0
     for c in range(W):
         off = c - band_lo
-        lo, hi = max(0, -off), min(n, n - off)  # rows x whose target x + off is inside
+        lo, hi = max(start, -off), min(stop, n - off)  # rows x whose target x + off is inside
+        if lo >= hi:
+            continue
         if transpose:  # entry (x + off, x) sits at ab[band_lo + off, x]
-            np.negative(block[lo:hi, c], out=ab[c, lo:hi])
+            dst = ab[c, lo:hi]
         else:  # entry (x, x + off) sits at ab[band_hi - off, x + off]
-            np.negative(block[lo:hi, c], out=ab[W - 1 - c, lo + off : hi + off])
-    ab[band_lo if transpose else band_hi] += 1.0
-    return ((band_hi, band_lo) if transpose else (band_lo, band_hi)), ab
+            dst = ab[W - 1 - c, lo + off : hi + off]
+        src = block[lo - start : hi - start, c]
+        if uniform:
+            dst.fill(-src[0] if factors is None else src[0] * -factors[c])
+        elif factors is None:
+            np.negative(src, out=dst)
+        else:
+            np.multiply(src, -factors[c], out=dst)
+    ab[band_lo if transpose else W - 1 - band_lo, start:stop] += 1.0
 
 
 def _lapack_from_file():
@@ -490,26 +603,37 @@ def band_pin(lu, ab: np.ndarray, i: int) -> None:
         ab[u + i - y, y] = 1.0 if y == i else 0.0
 
 
-def band_matvec(block: np.ndarray, band_lo: int, v: np.ndarray) -> np.ndarray:
+def band_matvec(rows, band_lo: int, v: np.ndarray) -> np.ndarray:
     """(P v)(x) for the window rows; ``v`` holds the values on the window
     padded by band_lo states below and band_hi states above it."""
-    n = block.shape[0]
+    parts = _stacked(rows)
+    n = sum(len(block) for _, block in parts)
     out, term = np.zeros(n), np.empty(n)
-    for c in range(block.shape[1]):
-        out += np.multiply(block[:, c], v[c : c + n], out=term)
+    for c in range(parts[0][1].shape[1]):
+        for s, block in parts:
+            e = s + len(block)
+            out[s:e] += np.multiply(block[:, c], v[s + c : e + c], out=term[s:e])
     return out
 
 
-def band_rmatvec(block: np.ndarray, band_lo: int, mu: np.ndarray) -> np.ndarray:
-    """(mu P) on the window; mass sent outside the window is dropped."""
-    n, W = block.shape
+def band_rmatvec(rows, band_lo: int, mu: np.ndarray, factors=None) -> np.ndarray:
+    """(mu P) on the window; mass sent outside the window is dropped.  With
+    ``factors``, column c of P is scaled by factors[c] first, as in
+    ``band_system``."""
+    parts = _stacked(rows)
+    n = sum(len(block) for _, block in parts)
     out, vals = np.zeros(n), np.empty(n)
-    for c in range(W):
+    for c in range(parts[0][1].shape[1]):
         off = c - band_lo
-        k = min(abs(off), n)
-        np.multiply(mu, block[:, c], out=vals)
-        if off >= 0:
-            out[k:] += vals[: n - k]
-        else:
-            out[: n - k] += vals[k:]
+        for s, block in parts:
+            e = s + len(block)
+            col = block[:, c]
+            if factors is not None and block.strides[0] == 0:
+                col = col[:1] * factors[c]  # one row, broadcast
+            elif factors is not None:
+                col = np.multiply(col, factors[c], out=vals[s:e])
+            np.multiply(mu[s:e], col, out=vals[s:e])
+            lo, hi = max(s, -off), min(e, n - off)  # rows whose target x + off is inside
+            if lo < hi:
+                out[lo + off : hi + off] += vals[lo:hi]
     return out

@@ -44,6 +44,8 @@ from .kernels import (
     band_rmatvec,
     band_solve,
     band_system,
+    band_write,
+    row_slice,
 )
 from .ladder import LatticeWalk, cramer_root, ruin_exponent
 
@@ -87,64 +89,75 @@ def _limit_walk_of(chain) -> LatticeWalk:
     )
 
 
-def _compensated_solve(block: np.ndarray, band_lo: int, beta: float):
-    """Solve the stationarity equations for y(i) = pi(i) exp(beta i) on the
-    window 0..K of the row block.
+def _compensated_solves(rows, band_lo: int, beta: float, windows: tuple[int, ...]):
+    """Solve the stationarity equations for y(i) = pi(i) exp(beta i) on each
+    window 0..n - 1 of ``windows`` (increasing, the last one all of
+    ``rows``, a list of row blocks stacked in state order).
 
-    Jumps that would leave the window upward are reflected onto K.  The
-    balance equation for state 0 is replaced by the pin y(0) = 1 and the
+    Jumps that would leave a window upward are reflected onto its top state.
+    The balance equation for state 0 is replaced by the pin y(0) = 1 and the
     solution is rescaled so that sum_i y(i) exp(-beta i) = 1.
+
+    The tilted (I - P)^T is assembled once, for the last window.  Column x
+    of its band storage holds row x of P, so a smaller window's system is a
+    copy of the first n columns with the reflected top rows written over
+    theirs.  Returns the y of each window, and the reflected weight and the
+    balance residual of the first.
     """
-    n, W = block.shape
+    W = rows[0].shape[1]
     with np.errstate(over="ignore"):
         tilt = np.exp(beta * (np.arange(W) - band_lo).astype(float))
     if not np.all(np.isfinite(tilt)):
         raise SolverFailure(
             f"tilt factors exp(beta * jump) overflow at beta = {beta:.6g}", reason="non-finite"
         )
-    # only the top h rows have jumps that leave the window: reflect a copy of them
-    h = min(W - 1 - band_lo, n)
-    edge = np.array(block[n - h :])
-    reflected = 0.0
-    for c in range(band_lo + 1, W):
-        x = np.arange(h - min(c - band_lo, n), h)
-        reflected += float(edge[x, c].sum())
-        edge[x, h - 1 - x + band_lo] += edge[x, c]
-        edge[x, c] = 0.0
-    # the tilted rows, column by column, into column-major storage so that
-    # band_system and band_rmatvec read each column contiguously
-    tilted = np.empty((W, n)).T
-    for c in range(W):
-        np.multiply(block[: n - h, c], tilt[c], out=tilted[: n - h, c])
-        np.multiply(edge[:, c], tilt[c], out=tilted[n - h :, c])
-
-    lu, ab = band_system(tilted, band_lo, transpose=True)
-    band_pin(lu, ab, 0)
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    try:
-        z = band_solve(lu, ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(
-            f"compensated stationary solve failed: {exc}", reason="singular"
-        ) from exc
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        norm = np.exp(-beta * np.arange(n, dtype=float)) @ z
-        y = z / norm
-    if not (np.isfinite(norm) and np.all(np.isfinite(y))):
-        raise SolverFailure("compensated stationary solve overflowed", reason="non-finite")
-    neg = float(y.min())
-    if neg < -1e-10 * max(1.0, float(np.abs(y).max())):
-        raise SolverFailure(
-            f"compensated stationary vector has negative entries (min {neg:.3e})",
-            reason="negative-values",
-            diagnostics={"min_value": neg},
-        )
-    y = np.clip(y, 1e-300, None)
-
-    balance = band_rmatvec(tilted, band_lo, y) - y
-    balance_residual = float(np.max(np.abs(balance[1:])) / max(1.0, float(np.abs(y).max())))
-    return y, reflected, balance_residual
+    lu, ab_all = band_system(rows, band_lo, transpose=True, factors=tilt)
+    ys = []
+    for n in windows:
+        ab = ab_all if n == windows[-1] else ab_all[:, :n].copy()
+        # only the top h rows have jumps that leave the window: reflect a copy of them
+        h = min(W - 1 - band_lo, n)
+        edge = np.concatenate([np.empty((0, W)), *row_slice(rows, n - h, n)])
+        reflected = 0.0
+        for c in range(band_lo + 1, W):
+            x = np.arange(h - min(c - band_lo, n), h)
+            reflected += float(edge[x, c].sum())
+            edge[x, h - 1 - x + band_lo] += edge[x, c]
+            edge[x, c] = 0.0
+        band_write(ab, n - h, edge, band_lo, transpose=True, factors=tilt)
+        band_pin(lu, ab, 0)
+        rhs = np.zeros(n)
+        rhs[0] = 1.0
+        try:
+            z = band_solve(lu, ab, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(
+                f"compensated stationary solve failed: {exc}", reason="singular"
+            ) from exc
+        # exp(-beta i) is exactly 0 from i = 746 / beta on: the BLAS dot adds
+        # its products in blocks, and past a prefix whose length is a
+        # multiple of 64 they are exact zeros, which leave the sum unchanged
+        live = n if beta * n <= 746.0 else min(n, -(-math.ceil(746.0 / beta) // 64) * 64)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            norm = np.exp(-beta * np.arange(live, dtype=float)) @ z[:live]
+            y = z / norm
+        if not (np.isfinite(norm) and np.all(np.isfinite(y))):
+            raise SolverFailure("compensated stationary solve overflowed", reason="non-finite")
+        neg = float(y.min())
+        if neg < -1e-10 * max(1.0, float(np.abs(y).max())):
+            raise SolverFailure(
+                f"compensated stationary vector has negative entries (min {neg:.3e})",
+                reason="negative-values",
+                diagnostics={"min_value": neg},
+            )
+        y = np.clip(y, 1e-300, None)
+        if not ys:
+            window = row_slice(rows, 0, n - h) + [edge]
+            balance = band_rmatvec(window, band_lo, y, factors=tilt) - y
+            balance_residual = float(np.max(np.abs(balance[1:])) / max(1.0, float(np.abs(y).max())))
+            first = (reflected, balance_residual)
+        ys.append(y)
+    return ys, *first
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -153,17 +166,44 @@ def _logsumexp(a: np.ndarray) -> float:
 
     The m entries equal to the max are split off: with s = sum exp(a - max)
     over the rest, the result is log1p(s / m) + log(m) + max.  A non-finite
-    result falls back to log(sum(exp(a))), as SciPy's does.
+    result falls back to log(sum(exp(a))), as SciPy's does.  Only the
+    leading segment that holds every term of s above exact 0 is
+    exponentiated (``_pairwise_head``).
     """
     top = a.max()
     at_top = a == top
     m = np.count_nonzero(at_top)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+        x = np.where(at_top, -np.inf, a) - top
+        s = np.exp(x[: _pairwise_head(x < -746.0)]).sum()
         out = np.log1p(s if s == 0 else s / m) + np.log(m) + top
         if not np.isfinite(out):
             out = np.log(np.exp(a).sum())
     return float(out)
+
+
+def _pairwise_head(dead: np.ndarray) -> int:
+    """Length of the shortest leading segment whose numpy sum is the sum of
+    the whole array, when the entries marked ``dead`` are exact zeros.
+
+    numpy sums a float array pairwise: a segment longer than 128 entries is
+    the sum of its first half (rounded down to a multiple of 8) and the rest.
+    While the rest is all dead its sum is +0, which leaves the first half's
+    sum unchanged, so the descent stops at the first split with a live entry
+    on the right or at a 128-entry leaf.
+    """
+    n = dead.size
+    if n <= 128:
+        return n
+    end = n - int(np.argmin(dead[::-1]))  # one past the last live entry
+    if dead[end - 1]:  # none is live
+        return 0
+    while n > 128:
+        half = n // 2 - (n // 2) % 8
+        if end > half:
+            break
+        n = half
+    return n
 
 
 def stationary_solve(
@@ -199,16 +239,18 @@ def stationary_solve(
             )
         beta = cramer_root(walk)
 
-    block = kernel.rows(0, top)
-    y, reflected, balance_residual = _compensated_solve(block[: K + 1], kernel.band_lo, beta)
+    windows = (K + 1, 2 * K + 1) if check_doubling else (K + 1,)
+    ys, reflected, balance_residual = _compensated_solves(
+        kernel.row_blocks(0, top), kernel.band_lo, beta, windows
+    )
+    y = ys[0]
     log_pi_raw = np.log(y) - beta * np.arange(K + 1, dtype=float)
     logZ = _logsumexp(log_pi_raw)
     log_pi = log_pi_raw - logZ
 
     doubling = None
     if check_doubling:
-        y2, _, _ = _compensated_solve(block, kernel.band_lo, beta)
-        log_pi2 = np.log(y2) - beta * np.arange(2 * K + 1, dtype=float)
+        log_pi2 = np.log(ys[1]) - beta * np.arange(2 * K + 1, dtype=float)
         log_pi2 = log_pi2 - _logsumexp(log_pi2)
         half = K // 2
         doubling = float(np.max(np.abs(log_pi[: half + 1] - log_pi2[: half + 1])))

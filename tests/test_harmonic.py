@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import harmonictails as ht
+from conftest import reference_band_matvec, reference_band_system, seeded_drift_kernels
 
 RATIO = 3.0 / 7.0  # q/p for the default up probability 0.7
 
@@ -86,6 +87,95 @@ def test_solve_values_keep_the_dict_behaviour(ex1_kernel):
         vals = StateArray(3, np.array([1.0, 0.5, bad]))
         with pytest.raises(ht.UnsupportedInputError, match="state 5"):
             ht.HarmonicEstimate(values=vals, method="linear-solve", truncation=5)
+
+
+def _per_state(est, lo, hi):
+    """``est.array(lo, hi)`` as it was: one ``value`` call per state."""
+    return np.array([est.value(i) for i in range(lo, hi + 1)])
+
+
+def _same_outcome(f, g):
+    """f() and g() return the same bytes, or raise the same error."""
+    try:
+        expect = g()
+    except ht.StateRangeError as exc:
+        with pytest.raises(ht.StateRangeError) as got:
+            f()
+        assert str(got.value) == str(exc)
+        return
+    out = f()
+    assert out.dtype == expect.dtype and out.tobytes() == expect.tobytes()
+
+
+def test_estimate_array_matches_the_per_state_loop(ex1_kernel):
+    solved = ht.build_solve(ex1_kernel, K=400)
+    killed = ht.build_solve(ht.perturbed_reflected_walk(p=0.7, alpha=2.0).kernel(8).embed().kill(range(6)),
+                            K=60)  # state_lo 6
+    mc = ht.build_mc(ex1_kernel, states=[0, 1, 2, 5], n_paths=50, horizon=10_000, seed=3)
+    windows = [(0, 400), (0, 0), (17, 230), (390, 420), (400, 401), (401, 450), (3, 2),
+               (-1, 5), (-3, -1), (5, 70), (6, 60), (55, 61), (61, 64), (0, 5), (2, 5), (5, 5)]
+    for est in (solved, killed, mc):
+        for lo, hi in windows:
+            _same_outcome(lambda: est.array(lo, hi), lambda: _per_state(est, lo, hi))
+    without_boundary = ht.HarmonicEstimate(values=solved.values, method="linear-solve",
+                                           truncation=400)
+    for lo, hi in [(0, 400), (399, 401), (450, 460)]:
+        _same_outcome(lambda: without_boundary.array(lo, hi),
+                      lambda: _per_state(without_boundary, lo, hi))
+
+
+def _reference_build_solve(kernel, K, check_doubling):
+    """The earlier assembly: the whole row block, its row sums, and one band
+    system per window; (f, doubling disagreement, residual)."""
+    from harmonictails.kernels import band_solve
+
+    lo, bl = kernel.state_lo, kernel.band_lo
+    doubled = check_doubling and kernel.has_row(2 * K)
+    block = kernel.rows(lo, 2 * K if doubled else K)
+    mass = block.sum(axis=1)
+    n = K - lo + 1
+
+    def solve(rows, m):
+        return np.clip(1.0 - band_solve(*reference_band_system(rows, bl), 1.0 - m), 0.0, None)
+
+    f = solve(block[:n], mass[:n])
+    disagreement = None
+    if doubled:
+        a, b = f[: K // 2 - lo + 1], solve(block, mass)[: K // 2 - lo + 1]
+        disagreement = float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))))
+    v = np.concatenate([np.zeros(bl), f, np.ones(kernel.band_hi)])
+    pf = reference_band_matvec(block[:n], v)
+    return f, disagreement, float(np.max(np.abs(pf - f) / np.maximum(1.0, f)))
+
+
+def test_build_solve_matches_reference_assembly():
+    cases = 0
+    for kernel in seeded_drift_kernels(np.random.default_rng(41)):
+        lo, W = kernel.state_lo, kernel.band_lo + kernel.band_hi + 1
+        # n >= W; at K = 2100 the 2K window is long enough for row blocks
+        for K in (2 * lo + W, kernel.truncation, kernel.truncation + 1, 150, 2100):
+            for check_doubling in (True, False):
+                est = ht.build_solve(kernel, K, check_doubling=check_doubling, doubling_tol=1.0)
+                f, disagreement, residual = _reference_build_solve(kernel, K, check_doubling)
+                assert est.values.array.tobytes() == f.tobytes(), (kernel.band_lo, lo, K)
+                assert est.residual == residual
+                assert est.meta.get("doubling_disagreement") == disagreement
+                cases += 1
+    assert cases == 40 * 5 * 2
+
+
+def test_doubling_below_twice_state_lo():
+    # states 0..5 killed: state_lo is 6, and at K < 12 the lower half K // 2
+    # lies below it; the two solves are compared at state_lo
+    killed = ht.perturbed_reflected_walk(p=0.7, alpha=2.0).kernel(8).embed().kill(range(6))
+    assert killed.state_lo == 6
+    for K in (6, 7, 8, 10, 11):
+        est = ht.build_solve(killed, K, doubling_tol=1.0)
+        wide = ht.build_solve(killed, 2 * K, check_doubling=False)
+        a, b = est.value(6), wide.value(6)
+        assert est.meta["doubling_disagreement"] == abs(a - b) / max(1.0, abs(a))
+    est = ht.build_solve(killed, 40)
+    assert est.value(6) == pytest.approx(1.0 - (3.0 / 7.0), abs=1e-12)
 
 
 def test_solve_trichotomy():

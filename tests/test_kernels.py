@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 import harmonictails as ht
 from harmonictails import cli
-from harmonictails.kernels import band_solve, band_system
+from harmonictails.kernels import SHORT_WINDOW, band_solve, band_system
+from conftest import reference_band_matvec, reference_band_rmatvec, reference_band_system, \
+    seeded_drift_kernels
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -374,3 +376,112 @@ def test_family_array_rule_matches_per_state_rows(fam):
     np.testing.assert_array_equal(block, [fam.row(int(i)) for i in states])
     np.testing.assert_array_equal(fam.kernel(50).rows(0, 60), fam.row_rule(np.arange(61)))
 
+
+
+# ---------------------------------------------------------------------------
+# one assembly from the kernel's row blocks, against the materialised block
+
+
+def _windows(kernel):
+    """Short windows (one block) and long ones (a view of the explicit rows
+    and the tail's block), within, across and past the truncation."""
+    lo, top, long = kernel.state_lo, kernel.truncation, SHORT_WINDOW + 40
+    return [(lo, lo), (lo, lo + 2), (lo, top), (lo + 1, top + 1), (lo, top + 60),
+            (top + 1, top + 40), (lo + 3, 2 * top + 7), (lo, lo + long), (top + 1, top + long)]
+
+
+def test_row_masses_match_block_sums():
+    # numpy sums a row of 8 or more entries in eight partial sums, so the
+    # order of the additions shows in the last bit for W >= 8
+    rng = np.random.default_rng(31)
+    unnormalised = [
+        ht.TransitionKernel(band_lo=bl, band_hi=W - 1 - bl, weights=w, state_lo=state_lo,
+                            tail=ht.HomogeneousTail(rng.uniform(size=W)))
+        for W in range(2, 12) for bl in (0, W // 2) for state_lo in (0, 3)
+        for w in [rng.uniform(size=(13, W)) * (np.arange(13)[:, None] + np.arange(W) >= bl)]
+    ]
+    for kernel in [*seeded_drift_kernels(rng), *unnormalised]:
+        for lo, hi in _windows(kernel):
+            blocks = kernel.row_blocks(lo, hi)
+            masses = np.concatenate(kernel.row_masses(lo, blocks))
+            assert masses.tobytes() == kernel.rows(lo, hi).sum(axis=1).tobytes(), (lo, hi)
+            assert all(not b.flags.writeable for b in blocks)
+            assert len(blocks) == (1 if hi - lo < SHORT_WINDOW else 1 + (lo <= kernel.truncation < hi))
+
+
+def _dense(lu, ab, n):
+    """The n x n matrix held in band storage ``ab``."""
+    l, u = lu
+    A = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - l), min(n, i + u + 1)):
+            A[i, j] = ab[u + i - j, j]
+    return A
+
+
+def test_band_system_from_blocks_matches_reference():
+    # the reference indexes past the storage in a window narrower than the
+    # band (a numpy error): there the dense matrices are compared
+    cases = 0
+    for kernel in seeded_drift_kernels(np.random.default_rng(32)):
+        bl, W = kernel.band_lo, kernel.band_lo + kernel.band_hi + 1
+        tilt = np.exp(0.37 * kernel.offsets.astype(float))
+        for lo, hi in _windows(kernel):
+            blocks, block = kernel.row_blocks(lo, hi), kernel.rows(lo, hi)
+            n = len(block)
+            for transpose in (False, True):
+                for factors in (None, tilt):
+                    lu, ab = band_system(blocks, bl, transpose, factors)
+                    scaled = block if factors is None else block * factors
+                    if n >= W - 1:
+                        lu0, ab0 = reference_band_system(scaled, bl, transpose)
+                        assert lu == lu0 and ab.tobytes() == ab0.tobytes(), (lo, hi, transpose)
+                    elif factors is None:
+                        dense = np.eye(n) - sum(
+                            np.diag(block[max(0, -o) : n - max(o, 0), o + bl], o)
+                            for o in range(-min(bl, n - 1), min(W - bl, n)))
+                        expect = dense.T if transpose else dense
+                        assert np.array_equal(_dense(lu, ab, n), expect), (lo, hi, transpose)
+                    cases += 1
+    assert cases == 40 * 9 * 4
+
+
+def test_window_solve_is_a_column_slice_of_the_wider_system():
+    # LAPACK reads no band entry of a row >= n of an n x n matrix, so the
+    # first n columns of the wider storage solve the n-state window as its
+    # own storage does (which matches the reference assembly above)
+    rng = np.random.default_rng(33)
+    cases = 0
+    for kernel in seeded_drift_kernels(rng):
+        bl, lo = kernel.band_lo, kernel.state_lo
+        for n in (1, 2, 3, kernel.band_hi + 1, 13, 40, SHORT_WINDOW // 2 + 10):
+            wide = kernel.row_blocks(lo, lo + 2 * n)
+            b = rng.standard_normal(2 * n + 1)
+            for transpose in (False, True):
+                lu, ab = band_system(wide, bl, transpose)
+                lu0, ab0 = band_system(kernel.row_blocks(lo, lo + n - 1), bl, transpose)
+                x = band_solve(lu, ab[:, :n], b[:n])
+                assert x.tobytes() == band_solve(lu0, ab0, b[:n]).tobytes(), (n, transpose)
+                cases += 1
+    assert cases == 40 * 7 * 2
+
+
+def test_band_matvecs_from_blocks_match_reference():
+    from harmonictails.kernels import band_matvec, band_rmatvec, row_slice
+
+    rng = np.random.default_rng(34)
+    for kernel in seeded_drift_kernels(rng):
+        bl, W = kernel.band_lo, kernel.band_lo + kernel.band_hi + 1
+        tilt = np.exp(-0.61 * kernel.offsets.astype(float))
+        for lo, hi in _windows(kernel):
+            blocks, block = kernel.row_blocks(lo, hi), kernel.rows(lo, hi)
+            n = block.shape[0]
+            v, mu = rng.standard_normal(n + W - 1), rng.standard_normal(n)
+            assert band_matvec(blocks, bl, v).tobytes() == reference_band_matvec(block, v).tobytes()
+            assert (band_rmatvec(blocks, bl, mu).tobytes()
+                    == reference_band_rmatvec(block, bl, mu).tobytes())
+            assert (band_rmatvec(blocks, bl, mu, factors=tilt).tobytes()
+                    == reference_band_rmatvec(block * tilt, bl, mu).tobytes())
+            for a, b in [(0, n), (1, n - 1), (n // 2, n), (0, 0)]:
+                part = row_slice(blocks, a, b)
+                assert np.concatenate([np.empty((0, W)), *part]).tobytes() == block[a:b].tobytes()

@@ -603,7 +603,7 @@ def _seeded_lindley_chains(rng):
 
 
 def test_compensated_solve_matches_reference_assembly():
-    from harmonictails.stationary import _compensated_solve
+    from harmonictails.stationary import _compensated_solves
 
     rng = np.random.default_rng(12)
     cases = 0
@@ -613,9 +613,93 @@ def test_compensated_solve_matches_reference_assembly():
         for n in sorted({2, bh, bh + 1, 40, 300} - {0, 1}):  # windows up to band_hi included
             block = fam.kernel(max(n - 1, bl)).rows(0, n - 1)
             for beta in betas:
-                y, reflected, residual = _compensated_solve(block, bl, beta)
+                (y,), reflected, residual = _compensated_solves([block], bl, beta, (n,))
                 y0, reflected0, residual0 = _reference_compensated_solve(block, bl, beta)
                 assert y.tobytes() == y0.tobytes(), (bl, bh, n, beta)
                 assert (reflected, residual) == (reflected0, residual0), (bl, bh, n, beta)
                 cases += 1
     assert cases == 61
+
+
+def test_compensated_pair_matches_reference_assembly():
+    # one assembly for the doubled window: the smaller window's system is a
+    # copy of its first columns, and the norm weights stop where exp(-beta i)
+    # is exactly 0; both solves equal the reference's, homogeneous and
+    # parametric tails, windows short enough and long enough to cut the norm
+    from harmonictails.stationary import _compensated_solves
+
+    rng = np.random.default_rng(13)
+    cases = cut = 0
+    for fam in _seeded_lindley_chains(rng):
+        bl, bh = fam.band_lo, fam.band_hi
+        betas = [0.0] + ([ht.cramer_root(fam.limit_walk)] if bh else [])
+        parametric = dataclasses.replace(fam, homogeneous_from=None).kernel(3 * bl + 2)
+        for kernel in (fam.kernel(fam.homogeneous_from), parametric):
+            for n in sorted({2, bh + 1, 40, 2100} - {0, 1}):  # 2n - 1 rows: one block or two
+                rows = kernel.row_blocks(0, 2 * n - 2)
+                block = kernel.rows(0, 2 * n - 2)
+                for beta in betas:
+                    ys, reflected, residual = _compensated_solves(rows, bl, beta, (n, 2 * n - 1))
+                    y0, reflected0, residual0 = _reference_compensated_solve(block[:n], bl, beta)
+                    y1, _, _ = _reference_compensated_solve(block, bl, beta)
+                    assert ys[0].tobytes() == y0.tobytes(), (bl, bh, n, beta)
+                    assert ys[1].tobytes() == y1.tobytes(), (bl, bh, n, beta)
+                    assert (reflected, residual) == (reflected0, residual0), (bl, bh, n, beta)
+                    cases += 1
+                    cut += beta * n > 746.0  # both windows' norms cut
+    assert cases == 110 and cut >= 8, (cases, cut)
+
+
+def _reference_logsumexp(a):
+    """The helper before the cut: exp over the whole array."""
+    top = a.max()
+    at_top = a == top
+    m = np.count_nonzero(at_top)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+        out = np.log1p(s if s == 0 else s / m) + np.log(m) + top
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
+
+
+def test_logsumexp_cut_matches_full_length():
+    # entries whose exp underflows to exactly 0, as a prefix, a suffix or
+    # scattered, at lengths around numpy's pairwise blocks, with -746 itself,
+    # the subnormal range just above it, +-inf and NaN among them
+    from harmonictails.stationary import _logsumexp
+
+    rng = np.random.default_rng(14)
+    lengths = sorted({1, 2, 7, 8, 9, 127, 128, 129} | {2**k + d for k in range(4, 18) for d in (-1, 0, 1)})
+    cases = split_count = 0
+    for n in lengths:
+        # the splits of numpy's pairwise sum of n entries, where a cut is exact
+        # (lengths up to 2^14 + 1, to keep the test short)
+        splits, m = [], n
+        while m > 128 and n < 20000:
+            m = m // 2 - (m // 2) % 8
+            splits.append(m)
+        split_count += len(splits)
+        for end in [m + d for m in splits for d in (-9, -5, -1, 0, 1, 4, 8)]:
+            a = rng.normal(0.0, 3.0, n)  # the live part ends at or next to a split
+            a[end:] = a.max() - 800.0
+            got, ref = _logsumexp(a), _reference_logsumexp(a)
+            assert got == ref, (n, end)
+            cases += 1
+        for layout in ("prefix", "suffix", "scattered", "decay"):
+            a = rng.normal(0.0, 3.0, n)
+            if layout == "decay":  # a log stationary law: the live part leads
+                a = -rng.uniform(0.05, 3.0) * np.arange(n) + rng.normal(0.0, 1.0, n)
+            else:
+                k = int(rng.integers(0, n + 1))
+                dead = {"prefix": np.arange(n) < k, "suffix": np.arange(n) >= n - k,
+                        "scattered": rng.random(n) < rng.uniform(0.2, 0.99)}[layout]
+                a[dead] = a.max() - rng.choice([746.0, 745.9, 760.0, 1e4], size=int(dead.sum()))
+            for special in (None, np.inf, -np.inf, np.nan):
+                b = a.copy()
+                if special is not None:
+                    b[rng.integers(0, n, size=min(n, 2))] = special
+                got, ref = _logsumexp(b), _reference_logsumexp(b)
+                assert got == ref or (math.isnan(got) and math.isnan(ref)), (n, layout, special)
+                cases += 1
+    assert cases == len(lengths) * 4 * 4 + 7 * split_count
