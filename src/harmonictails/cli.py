@@ -26,7 +26,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +116,8 @@ def _pmf_from_config(obj) -> LatticeWalk:
         probs = {int(k): float(v) for k, v in obj.items()}
     except (TypeError, ValueError):
         raise ConfigError("'pmf' keys must be integers and values numbers")
+    if max(probs) - min(probs) > _MAX_SPAN:  # before any array of that length
+        raise ConfigError(f"'pmf' offsets span {max(probs) - min(probs)} > {_MAX_SPAN}")
     return LatticeWalk.from_dict(probs)
 
 
@@ -325,6 +327,11 @@ def _check(config: ExperimentConfig) -> tuple[dict, ChainFamily | None, list[str
         if len(config.chain["rows"]) <= top:
             out.append(f"chain rows without a tail_row stop below state {top}, "
                        f"which task {config.task!r} reads")
+    name = "K" if "K" in typed else "probe"
+    width = family.band_lo + family.band_hi + 1
+    if typed.get(name, 0) * width > _MAX_BAND_ENTRIES:
+        out.append(f"params.{name} {typed[name]} times the band width {width} exceeds "
+                   f"{_MAX_BAND_ENTRIES} band entries")
     return typed, family, out
 
 
@@ -491,9 +498,8 @@ def _run_conditions(family: ChainFamily, probe: int):
 
 def _run_ladder(family: ChainFamily, i_max: int, beta):
     walk = LatticeWalk(lo=-family.band_lo, pmf=np.array(family.params["pmf"]))
-    if beta is None:  # a root computed here is stashed; a supplied one is not trusted
+    if beta is None:
         beta = cramer_root(walk)
-        walk = replace(walk, beta=beta)
     lad = ladder_height(walk).with_renewal(i_max)
     lad_t = ladder_height(tilt_walk(walk, beta))
     f_ladder = ladder_harmonic(lad, beta, np.arange(i_max + 1))
@@ -581,9 +587,15 @@ def _run_cramer_series(family: ChainFamily | None, M: int, m: list | None, D: di
 
 # Size caps from a peak-RSS budget of about 1 GB: a run holds about 70 bytes
 # per Monte Carlo path and at most about 400 bytes per state it materialises
-# (K, ladder i_max, conditions probe), on top of ~80 MB.
+# (K, ladder i_max, conditions probe), on top of ~80 MB.  A banded solve holds
+# up to ~70 bytes per state and band diagonal: at the cap on K (or probe)
+# times the width, harmonic-solve peaks at 711 MB (killed walk, width 2001).
+# The ladder law of a walk of span s holds ~20 s x s matrices: the ladder
+# task on {-2000: 0.6, 1: 0.4} peaks at 623 MB (7.5 s on a 2-core host).
 _MAX_PATHS = 10**7
 _MAX_STATES = 10**6
+_MAX_SPAN = 2000
+_MAX_BAND_ENTRIES = 10**7
 
 # task -> (runner, {param: (kind, default, lower bound)}); a default of ... is
 # required, a callable one a function of the task's truncation K (listed first)

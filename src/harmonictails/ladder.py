@@ -41,12 +41,11 @@ class LatticeWalk:
     """Step law of a lattice random walk with finite support.
 
     ``pmf[k]`` is the probability of the step ``lo + k``.  The law must sum
-    to one; the Cramér root, if already known, can be stashed in ``beta``.
+    to one.
     """
 
     lo: int
     pmf: np.ndarray
-    beta: float | None = None
 
     def __post_init__(self):
         pmf = np.asarray(self.pmf, dtype=float)
@@ -61,12 +60,12 @@ class LatticeWalk:
             )
 
     @classmethod
-    def from_dict(cls, probs: dict[int, float], beta: float | None = None) -> "LatticeWalk":
+    def from_dict(cls, probs: dict[int, float]) -> "LatticeWalk":
         lo, hi = min(probs), max(probs)
         pmf = np.zeros(hi - lo + 1)
         for off, p in probs.items():
             pmf[off - lo] = p
-        return cls(lo=lo, pmf=pmf, beta=beta)
+        return cls(lo=lo, pmf=pmf)
 
     @property
     def hi(self) -> int:
@@ -265,29 +264,19 @@ class LadderData:
         return replace(self, u=renewal_mass(self, J))
 
 
-def _divide(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient and remainder of u / v, both in descending coefficients."""
-    u = np.array(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = v.size - 1
-    for k in range(u.size - n):
-        u[k] /= v[0]
-        u[k + 1 : k + n + 1] -= u[k] * v[1:]
-    return u[: u.size - n], u[u.size - n :]
-
-
 def ladder_height(walk: LatticeWalk) -> LadderData:
     """Distribution of the first descent below the starting level.
 
-    Wiener-Hopf (Feller II, ch. XII): the L roots zeta_k of z^L (1 - E z^step)
-    in the closed unit disk (z = 1 among them iff the mean is <= 0) give
-    prod_k (z - zeta_k) = z^L - sum_d chi(d) z^(L-d) and the defect
-    prod_k (1 - zeta_k).  The known roots z = 1 and exp(+-beta) are divided
-    out before ``np.roots``, so near criticality none crosses the unit circle
-    by rounding; a Cramér root stashed in ``walk.beta`` is used as it is.
-    Certified by a division remainder <= 1e-10 and chi >= -1e-15; a wrong
-    stashed root fails the remainder unless L = 1, where the law does not
-    depend on it.
+    In levels of m = max(L, top step) states the walk is a quasi-birth-death
+    chain with blocks A_k[i, j] = P(step = j - i + k m), k = -1, 0, 1; the
+    minimal solution G of G = A_-1 + A_0 G + A_1 G^2 gives chi(d) =
+    G[0, m - d] and the defect 1 - sum G[0].  G comes from cyclic reduction
+    (Bini, Latouche & Meini, 2005) with no root to find: the blocks sum to
+    the walk mod m, which is doubly stochastic, so z = 1 is a known root of
+    A_-1 + (A_0 - I) z + A_1 z^2 with null vectors 1 and 1^T, and it is
+    shifted out first (to zero when the mean is <= 0, else to infinity), so
+    convergence stays quadratic up to zero mean.  Certified by the residual
+    of the unshifted equation (<= 1e-12, row-sum norm) and chi >= -1e-15.
     """
     support = walk.offsets[walk.pmf > 0]
     if walk.lo >= 0 or not support.any():
@@ -299,39 +288,38 @@ def ladder_height(walk: LatticeWalk) -> LadderData:
         chi = np.bincount(g * np.arange(coarse.chi_pmf.size), coarse.chi_pmf, L + 1)
         return replace(coarse, chi_pmf=chi)
 
-    # steps -L..max(0, top step): a zero leading coefficient is a spurious root
-    pmf = np.zeros(L + max(0, int(support.max())) + 1)
-    pmf[: walk.pmf.size] = walk.pmf[: pmf.size]
-    p = -pmf
-    p[L] += 1.0
-    # p(z) = (z - 1) q(z), q_j = P(step <= j - L) - [j >= L], each summed
-    # from its nearer end of the law so that nothing cancels
-    q = np.concatenate([np.cumsum(pmf[:L]), -np.cumsum(pmf[:L:-1])[::-1]])
-    if walk.mean > 0:  # exp(-r) inside the disk, z = 1 outside
-        r = ruin_exponent(walk)
-        known, known_gap = math.exp(-r), -math.expm1(-r)
-        rest = _divide(q[::-1], [1.0, -known])[0]
-    else:  # z = 1 inside; with up steps exp(beta) (z = 1 at zero mean) outside
-        known, known_gap, rest = 1.0, 0.0, q[::-1]
-        if support.max() > 0:
-            outer = 1.0
-            if walk.mean < 0:
-                outer = math.exp(walk.beta if walk.beta is not None else cramer_root(walk))
-            rest = _divide(q, [-outer, 1.0])[0][::-1]  # from the low end: stable for outer >= 1
-    inner = (z := np.roots(rest))[np.abs(z) < 1.0]
-    zeta = np.append(inner, known)
-    c = np.poly(zeta).real
-    remainder = float(np.max(np.abs(_divide(p[::-1], c)[1])))
-    chi = np.concatenate([[0.0], -c[1:]])
-    if inner.size != L - 1 or remainder > 1e-10 or chi.min() < -1e-15:
+    m = max(L, walk.hi)
+    law = np.zeros(4 * m + 1)  # P(step = s) at s + 2m
+    law[2 * m - L : 2 * m + walk.hi + 1] = walk.pmf
+    j = np.arange(m)
+    at = j - j[:, None] + 2 * m
+    down, level, up = (law[at + k] for k in (-m, 0, m))
+    J, eye = np.full((m, m), 1.0 / m), np.eye(m)
+    norm = lambda a: np.linalg.norm(a, np.inf)  # noqa: E731  (row-sum norm)
+    if walk.mean <= 0:  # G 1 = 1: the root goes to zero, and G = G~ + J
+        b_down, b_level, b_up = down - down @ J, level + up @ J, up
+    else:  # G 1 < 1: the root goes to infinity, and G = G~
+        b_down, b_level, b_up = down, level + J @ down, up - J @ up
+    shifted_down, hat = b_down, b_level
+    for iterations in range(1, 65):  # each step drops every other level
+        x = np.linalg.solve(eye - b_level, np.hstack([b_down, b_up]))
+        (dd, du), (ud, uu) = (np.vstack([b_down, b_up]) @ x).reshape(2, m, 2, m).swapaxes(1, 2)
+        hat = hat + ud
+        b_down, b_level, b_up = dd, b_level + du + ud, uu
+        if min(norm(dd), norm(uu)) < 1e-18 or norm(ud) <= 2**-53 * norm(hat):
+            break
+    G = np.linalg.solve(eye - hat, shifted_down) + (J if walk.mean <= 0 else 0.0)
+    residual = float(norm(down + level @ G + up @ G @ G - G))
+    chi = np.concatenate([[0.0], G[0, m - L :][::-1]])
+    if not (residual <= 1e-12 and chi.min() >= -1e-15):
         raise InternalConsistencyError(
-            f"Wiener-Hopf factor not certified: {zeta.size} of {L} roots, "
-            f"remainder {remainder:.3e}, smallest ladder mass {chi.min():.3e}"
+            f"ladder law not certified after {iterations} cyclic-reduction steps: "
+            f"residual {residual:.3e}, smallest ladder mass {chi.min():.3e}"
         )
     return LadderData(
         chi_pmf=np.clip(chi, 0.0, None),
-        defect=float(np.prod(1.0 - inner).real) * known_gap,
-        meta={"iterations": 0, "factor_remainder": remainder},
+        defect=max(0.0, 1.0 - float(G[0].sum())),
+        meta={"iterations": iterations, "residual": residual},
     )
 
 
@@ -422,9 +410,7 @@ def tilted_minimum_harmonic(
     through the tilt factor exp(-beta l)).
     """
     if beta is None:
-        if walk.beta is None:  # stash the root for ladder_height
-            walk = replace(walk, beta=cramer_root(walk))
-        beta = walk.beta
+        beta = cramer_root(walk)
     tilted = tilt_walk(walk, beta)
     if tilted_ladder is None:
         tilted_ladder = ladder_height(tilted)
@@ -467,9 +453,7 @@ def equivalence_multiplier(
     beyond ``agreement_tol`` raises.
     """
     if beta is None:
-        if walk.beta is None:  # stash the root for ladder_height
-            walk = replace(walk, beta=cramer_root(walk))
-        beta = walk.beta
+        beta = cramer_root(walk)
     if original_ladder is None:
         original_ladder = ladder_height(walk)
     if tilted_ladder is None:

@@ -68,6 +68,14 @@ HOLES = [
     ("tail_row", {"task": "harmonic-solve", "params": {"K": 60},
                   "chain": {**TWO_ROWS, "tail_row": {"-1": 0.0, "1": 0.0}}}),
     ("tail_row", NON_STOCHASTIC_TAIL),
+    # a step law of span 10**9 used to allocate gigabytes before any check
+    ("offsets span", {"task": "ladder",
+                      "chain": {"name": "killed-walk", "pmf": {"-1000000000": 0.6, "1": 0.4}}}),
+    ("offsets span", {"task": "stationary", "params": {"K": 60},
+                      "chain": {"name": "lindley", "pmf": {"-1": 0.6, "1000000000": 0.4}}}),
+    # a wide band at a K that is fine for a narrow one: about 70 GB of bands
+    ("band entries", {"task": "stationary", "params": {"K": 10**6},
+                      "chain": {"name": "lindley", "pmf": {"-2000": 0.6, "0": 0.4}}}),
 ]
 
 
@@ -394,8 +402,8 @@ def test_ladder_task_computes_each_root_once(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, "lad.json", {"task": "ladder",
                                            "chain": {"name": "killed-walk", "pmf": WALK}})
     assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
-    # beta, stashed for the raw ladder law; the tilted law's ruin exponent
-    assert len(calls) == 2
+    # beta; neither ladder law needs a root
+    assert len(calls) == 1
 
 
 def test_ladder_task_near_critical(tmp_path):
@@ -412,6 +420,35 @@ def test_ladder_task_near_critical(tmp_path):
     assert len(rows) == 1002
     ratio = [float(r[3]) for r in rows[1:]]
     assert max(abs(r / ((1 - 2 * a) / (1 - a)) - 1.0) for r in ratio) <= 1e-12
+
+
+@pytest.mark.parametrize("span,ok", [(2000, True), (2001, False)])
+def test_pmf_span_cap(span, ok):
+    doc = {"task": "ladder", "chain": {"name": "killed-walk", "pmf": {str(-span): 0.6, "0": 0.4}}}
+    problems = validate(ExperimentConfig.from_dict(doc))
+    assert (problems == []) == ok
+    assert ok or "offsets span 2001 > 2000" in problems[0]
+
+
+@pytest.mark.parametrize("task,name,states,ok", [
+    ("harmonic-solve", "K", 454545, True), ("harmonic-solve", "K", 454546, False),
+    ("conditions", "probe", 454546, False), ("ladder", "i_max", 10**6, True)])
+def test_band_entries_cap(task, name, states, ok):
+    # band width 22: K times the width may reach 10**7
+    doc = {"task": task, "params": {name: states},
+           "chain": {"name": "killed-walk", "pmf": {"-20": 0.6, "1": 0.4}}}
+    problems = validate(ExperimentConfig.from_dict(doc))
+    assert problems == ([] if ok else [f"params.{name} {states} times the band width 22 "
+                                       "exceeds 10000000 band entries"])
+
+
+def test_ladder_task_wide_walk(tmp_path):
+    # levels of 50 states; CI runs the same fixture with the console script
+    cfg = Path(__file__).resolve().parent / "fixtures" / "wide_walk_ladder.json"
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    doc = json.loads((tmp_path / "wide_walk_ladder.manifest.json").read_text())
+    assert doc["flagged"] is False
+    assert doc["diagnostics"]["max_ratio_deviation"] <= 1e-12
 
 
 def test_stationary_task_roundtrip(tmp_path):

@@ -214,7 +214,7 @@ def _raw_and_tilted(walk):
 def _check_against_iteration(walk):
     lad = ht.ladder_height(walk)
     chi, defect = _ladder_by_iteration(walk)
-    assert lad.meta["iterations"] == 0
+    assert 1 <= lad.meta["iterations"] <= 64
     assert np.max(np.abs(lad.chi_pmf - chi)) <= 1e-12
     assert abs(lad.defect - defect) <= 1e-12
 
@@ -231,6 +231,29 @@ def test_ladder_roots_match_iteration_random_walks():
     rng = np.random.default_rng(7)
     for _ in range(20):
         _check_against_iteration(_random_down_walk(rng))
+
+
+@pytest.mark.parametrize("law", [{-40: 0.5, -1: 0.1, 1: 0.4}, {-50: 0.6, 1: 0.4},
+                                 {-100: 0.6, 1: 0.4}])
+def test_ladder_matches_iteration_wide_walks(law):
+    # one up step against a deep down step: levels of L states
+    for walk in _raw_and_tilted(ht.LatticeWalk.from_dict(law)):
+        _check_against_iteration(walk)
+
+
+@pytest.mark.parametrize("law, chi", [
+    ({1: 0.6, -3: 0.2, 0: 0.2}, [1 / 3, 1 / 3, 1 / 3]),  # float mean -1.1e-16
+    ({3: 0.1, -1: 0.3, 0: 0.6}, [1.0]),  # float mean +2.8e-17
+    ({1: 0.7, -2: 0.2, -3: 0.1}, [3 / 7, 3 / 7, 1 / 7]),
+])
+def test_ladder_numerically_zero_mean(law, chi):
+    # zero mean, proper law: chi(d) = P(step <= -d) / E step^- when the only
+    # up step is +1, and chi = (0, 1) when L = 1
+    walk = ht.LatticeWalk.from_dict(law)
+    assert abs(walk.mean) < 2e-16
+    lad = ht.ladder_height(walk)
+    assert np.max(np.abs(lad.chi_pmf[1:] - chi)) <= 1e-15
+    assert abs(lad.defect) <= 1e-15
 
 
 def test_ladder_roots_lattice_and_zero_mean():
@@ -325,7 +348,7 @@ def test_brentq_matches_scipy(monkeypatch):
     for k in range(200):
         a = float(rng.uniform(0.01, 0.499))
         walk = _random_walk(rng) if k % 4 else ht.LatticeWalk.from_dict({1: a, -1: 1 - a})
-        ht.ladder_height(ht.tilt_walk(walk, ht.cramer_root(walk)))  # and its ruin exponent
+        ht.ruin_exponent(ht.tilt_walk(walk, ht.cramer_root(walk)))
     assert len(calls) == 400
     monkeypatch.undo()
     for (f, xa, xb), kw in calls:
@@ -373,32 +396,24 @@ def _count_cramer_roots(monkeypatch):
     return calls
 
 
-def test_ladder_height_uses_a_stashed_root(monkeypatch):
-    from dataclasses import replace
+def test_ladder_callers_compute_the_root_once(monkeypatch):
+    from harmonictails import ladder
 
-    walk = ht.LatticeWalk.from_dict({-2: 0.5, -1: 0.2, 1: 0.3})
-    beta = ht.cramer_root(walk)
-    plain = ht.ladder_height(walk)
-    calls = _count_cramer_roots(monkeypatch)
-    stashed = ht.ladder_height(replace(walk, beta=beta))
-    assert calls == []
-    assert np.array_equal(stashed.chi_pmf, plain.chi_pmf) and stashed.defect == plain.defect
-    # a wrong stashed root fails the division-remainder certificate
-    for wrong in (1.01 * beta, beta + 1e-6):
-        with pytest.raises(ht.InternalConsistencyError, match="remainder"):
-            ht.ladder_height(replace(walk, beta=wrong))
-
-
-def test_ladder_callers_stash_the_root_they_compute(monkeypatch):
     walk = ht.LatticeWalk.from_dict({2: 0.15, 1: 0.1, -1: 0.45, -2: 0.3})
     beta = ht.cramer_root(walk)
     mult = ht.equivalence_multiplier(walk, beta)
     tmin = ht.tilted_minimum_harmonic(walk, 30, beta=beta)
     calls = _count_cramer_roots(monkeypatch)
-    # one root for beta, one for the tilted law's ruin exponent; none in
-    # ladder_height(walk), and the same doubles as with beta passed in
+    ruin = []
+    monkeypatch.setattr(ladder, "ruin_exponent", lambda w: ruin.append(w))
+    # ladder_height needs no root, raw or tilted
+    ht.ladder_height(walk)
+    ht.ladder_height(ht.tilt_walk(walk, beta))
+    assert calls == [] and ruin == []
+    # one root for beta, and the same doubles as with beta passed in
     assert ht.equivalence_multiplier(walk) == mult
-    assert len(calls) == 2 and calls[0] is walk
+    assert len(calls) == 1 and calls[0] is walk
     calls.clear()
     assert np.array_equal(ht.tilted_minimum_harmonic(walk, 30), tmin)
-    assert len(calls) == 2 and calls[0] is walk
+    assert len(calls) == 1 and calls[0] is walk
+    assert ruin == []
