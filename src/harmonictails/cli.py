@@ -49,21 +49,14 @@ from .errors import (
     SolverFailure,
 )
 from .harmonic import (
+    _TAIL_SAMPLES,
     build_mc,
     build_solve,
     check_conditions,
     reflected_walk_harmonic_exact,
 )
 from .kernels import _ROW_SUM_TOL, HomogeneousTail, kernel_from_rows
-from .ladder import (
-    LatticeWalk,
-    cramer_root,
-    equivalence_multiplier,
-    ladder_harmonic,
-    ladder_height,
-    tilt_walk,
-    tilted_minimum_harmonic,
-)
+from .ladder import LatticeWalk, cramer_root, killed_walk_harmonic
 from .stationary import (
     build_beta_fn,
     cramer_coefficients,
@@ -322,8 +315,10 @@ def _check(config: ExperimentConfig) -> tuple[dict, ChainFamily | None, list[str
         out.append("ladder task needs a walk-based chain (killed-walk or lindley)")
     elif (family.name == "general" and family.limit_pmf is None
           and config.task != "cramer-series"):
-        # a kernel built at level n probes row n + 1; harmonic-solve reads up to 2K
-        top = max(_kernel_level(family, typed.get("probe")) + 1, 2 * typed.get("K", 0))
+        # a kernel built at level n probes row n + 1, the jump-law envelopes of
+        # conditions and harmonic-mc rows up to n + _TAIL_SAMPLES; harmonic-solve up to 2K
+        reach = _TAIL_SAMPLES if config.task in ("conditions", "harmonic-mc") else 1
+        top = max(_kernel_level(family, typed.get("probe")) + reach, 2 * typed.get("K", 0))
         if len(config.chain["rows"]) <= top:
             out.append(f"chain rows without a tail_row stop below state {top}, "
                        f"which task {config.task!r} reads")
@@ -496,31 +491,19 @@ def _run_conditions(family: ChainFamily, probe: int):
     return header, [names, values], diag, flagged, reason
 
 
-def _run_ladder(family: ChainFamily, i_max: int, beta):
+def _run_ladder(family: ChainFamily, i_max: int):
     walk = LatticeWalk(lo=-family.band_lo, pmf=np.array(family.params["pmf"]))
-    if beta is None:
-        beta = cramer_root(walk)
-    lad = ladder_height(walk).with_renewal(i_max)
-    lad_t = ladder_height(tilt_walk(walk, beta))
-    f_ladder = ladder_harmonic(lad, beta, np.arange(i_max + 1))
-    f_min = tilted_minimum_harmonic(walk, i_max, beta=beta, original_ladder=lad,
-                                    tilted_ladder=lad_t)
-    if not (np.all(np.isfinite(f_ladder)) and np.all(np.isfinite(f_min))):
-        raise SolverFailure(
-            f"exp(beta i) overflows below i_max = {i_max} (beta = {beta:.6g})",
-            reason="non-finite",
-        )
-    mult = equivalence_multiplier(walk, beta=beta, original_ladder=lad, tilted_ladder=lad_t)
+    h = killed_walk_harmonic(walk, i_max)
     header = ["i", "ladder_form", "tilted_min_form", "ratio"]
-    ratio = f_min / f_ladder
+    ratio = h.minimum_form / h.ladder_form
     diag = {
-        "beta": beta,
-        "multiplier": mult,
-        "ladder_defect": lad.defect,
-        "chi_mean": lad.mean(),
-        "max_ratio_deviation": float(np.max(np.abs(ratio - mult))),
+        "beta": h.beta,
+        "multiplier": h.multiplier,
+        "ladder_defect": h.ladder.defect,
+        "chi_mean": h.ladder.mean(),
+        "max_ratio_deviation": float(np.max(np.abs(ratio - h.multiplier))),
     }
-    return header, [np.arange(i_max + 1), f_ladder, f_min, ratio], diag, False, None
+    return header, [np.arange(i_max + 1), h.ladder_form, h.minimum_form, ratio], diag, False, None
 
 
 def _run_stationary(family: ChainFamily, K: int, beta, doubling_tol: float, i_max: int):
@@ -608,8 +591,7 @@ _TASK_SPECS = {
         "n_paths": (_int_upto(_MAX_PATHS), 100_000, 1),
         "horizon": (_int, 100_000, 1), "seed": (_int, ..., None)}),
     "conditions": (_run_conditions, {"probe": (_int_upto(_MAX_STATES), 64, 1)}),
-    "ladder": (_run_ladder, {
-        "i_max": (_int_upto(_MAX_STATES), 50, 0), "beta": (_float, None, None)}),
+    "ladder": (_run_ladder, {"i_max": (_int_upto(_MAX_STATES), 50, 0)}),
     "stationary": (_run_stationary, {
         "K": (_int_upto(_MAX_STATES), 400, 10), "beta": (_float, None, None),
         "doubling_tol": (_float, 1e-8, 0), "i_max": (_index, lambda K: K, 0)}),

@@ -55,6 +55,9 @@ from .kernels import (
 from .ladder import LatticeWalk, ruin_exponent
 
 _DELTA_EPS = 1e-15
+_TAIL_SAMPLES = 64  # rows a parametric tail contributes to the jump-law envelopes
+_MAX_DOUBLINGS = 10  # window doublings of the return-probability sandwich
+_CRITICAL_RTOL = 1e-12  # relative distance at which an origin weight counts as critical
 
 
 class StateArray(Mapping):
@@ -156,25 +159,25 @@ class HarmonicEstimate:
 # jump-law envelopes
 
 
-def _collect_rows(kernel: TransitionKernel, probe: int = 64) -> np.ndarray:
-    """Probability rows of the embedded chain, including tail samples."""
+def _collect_rows(kernel: TransitionKernel) -> np.ndarray:
+    """Probability rows of the embedded chain, including tail samples: one
+    row of a homogeneous tail, the next ``_TAIL_SAMPLES`` of any other."""
     rows = [kernel.weights]
     if kernel.tail is not None:
-        n_tail = 1 if isinstance(kernel.tail, HomogeneousTail) else probe
+        n_tail = 1 if isinstance(kernel.tail, HomogeneousTail) else _TAIL_SAMPLES
         rows.append(kernel.tail.rows_at(kernel.truncation + 1, kernel.truncation + n_tail))
     rows = np.vstack(rows)
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def jump_minorant(kernel: TransitionKernel, probe: int = 64,
-                  extra_rows: np.ndarray | None = None) -> LatticeWalk:
+def jump_minorant(kernel: TransitionKernel, extra_rows: np.ndarray | None = None) -> LatticeWalk:
     """Greatest common stochastic minorant of the jump laws.
 
     Built from the pointwise infimum of the upper tail functions
     P{jump > j} over all represented rows (plus tail samples).  The result
     is a genuine step law on the band, stochastically below every row.
     """
-    rows = _collect_rows(kernel, probe)
+    rows = _collect_rows(kernel)
     if extra_rows is not None:
         rows = np.vstack([rows, extra_rows])
     # tails[.., c] = P{jump > offsets[c]}
@@ -188,18 +191,15 @@ def jump_minorant(kernel: TransitionKernel, probe: int = 64,
     return LatticeWalk(lo=-kernel.band_lo, pmf=pmf)
 
 
-def jump_down_majorant(kernel: TransitionKernel, probe: int = 64) -> tuple[np.ndarray, float]:
+def jump_down_majorant(kernel: TransitionKernel) -> tuple[np.ndarray, float]:
     """Pointwise-supremum majorant of the downward jump tails.
 
-    Returns (Z, mean) where Z[j] = sup_i P{jump <= -j} for j = 1..band_lo
-    and mean = sum_j Z[j] bounds the expected downward overshoot.
+    Returns (Z, mean) where Z[j-1] = sup_i P{jump <= -j} for j = 1..band_lo
+    and mean = sum_j Z[j-1] bounds the expected downward overshoot.
     """
-    rows = _collect_rows(kernel, probe)
     L = kernel.band_lo
-    Z = np.zeros(L + 1)
-    for j in range(1, L + 1):
-        Z[j] = rows[:, : L - j + 1].sum(axis=1).max() if L - j + 1 > 0 else 0.0
-    return Z[1:], float(Z[1:].sum())
+    Z = _collect_rows(kernel)[:, :L].cumsum(axis=1).max(axis=0)[::-1]
+    return Z, float(Z.sum())
 
 
 def escape_probability(minorant: LatticeWalk) -> float:
@@ -229,7 +229,6 @@ def return_probability_bounds(
     j: int,
     tol: float = 1e-10,
     minorant: LatticeWalk | None = None,
-    max_doublings: int = 10,
 ) -> tuple[float, float]:
     """Two-sided bounds on the probability of ever returning to state j.
 
@@ -249,7 +248,7 @@ def return_probability_bounds(
     lo = P.state_lo
 
     bl, bh = P.band_lo, P.band_hi
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         rows = P.rows(lo, T)
         rows = rows / rows.sum(axis=1, keepdims=True)
         # H(x) = P{hit j from x} on the window, H(j) = 1, given values above it
@@ -333,7 +332,6 @@ def limit_theorem_verdict(
 def check_conditions(
     kernel: TransitionKernel,
     family=None,
-    probe: int = 64,
     return_tol: float = 1e-8,
 ) -> ConditionReport:
     notes = []
@@ -351,20 +349,17 @@ def check_conditions(
         row = np.asarray(family.limit_pmf, dtype=float)
         if row.size == width:
             extra = row[None, :]
-    minor = jump_minorant(kernel, probe=probe, extra_rows=extra)
+    minor = jump_minorant(kernel, extra_rows=extra)
     p_escape = escape_probability(minor)
     gamma_avail = math.log(1.0 / (1.0 - p_escape)) if p_escape > 0 else 0.0
 
-    zeta_tails, zeta_mean = jump_down_majorant(kernel, probe=probe)
+    zeta_tails, zeta_mean = jump_down_majorant(kernel)
 
-    rows = _collect_rows(kernel, probe)
-    offsets = kernel.offsets.astype(float)
-    drift_eps, drift_M = -math.inf, 0
-    for M in range(0, kernel.band_hi + 1):
-        mask = offsets <= M
-        eps = float((rows[:, mask] * offsets[mask]).sum(axis=1).min())
-        if eps > drift_eps:
-            drift_eps, drift_M = eps, M
+    # drift[M] = min over the rows of the drift truncated at M = 0..band_hi
+    moments = (_collect_rows(kernel) * kernel.offsets).cumsum(axis=1)
+    drift = moments[:, kernel.band_lo :].min(axis=0)
+    drift_M = int(np.argmax(drift))
+    drift_eps = float(drift[drift_M])
 
     support = (lo + np.flatnonzero(deltas > _DELTA_EPS)).tolist()
     if 0.0 < tail_bound < math.inf:
@@ -722,7 +717,7 @@ def expected_local_times_mc(
 # closed form for the reflected simple walk with one perturbed weight
 
 
-def reflected_walk_harmonic_exact(alpha: float, p: float, i, critical_rtol: float = 1e-12):
+def reflected_walk_harmonic_exact(alpha: float, p: float, i):
     """Harmonic function of the up-drift reflected simple walk whose only
     nonstochastic row is at the origin, with total weight ``alpha``.
 
@@ -741,7 +736,7 @@ def reflected_walk_harmonic_exact(alpha: float, p: float, i, critical_rtol: floa
     ratio = q / p
     critical = p / q
     idx = np.asarray(i)
-    if abs(alpha - critical) <= critical_rtol * critical:
+    if abs(alpha - critical) <= _CRITICAL_RTOL * critical:
         out = ratio**idx
         return out if out.ndim else float(out)
     if alpha > critical:

@@ -323,28 +323,16 @@ def _alive_suffix(weights: np.ndarray, state_lo: int) -> int:
 
 @dataclass(frozen=True)
 class StochasticKernel(TransitionKernel):
-    """Kernel whose rows sum to one.
-
-    ``stochastic_from`` relaxes the row-sum check below a level: the h-
-    transform of a killed chain keeps its entry rows, which are genuinely
-    substochastic, and this field records where strict stochasticity starts.
-    """
-
-    stochastic_from: int | None = None
+    """Kernel whose rows sum to one."""
 
     def __post_init__(self):
         super().__post_init__()
-        masses = self.masses
-        check_from = self.state_lo if self.stochastic_from is None else self.stochastic_from
-        idx0 = max(0, check_from - self.state_lo)
-        if np.any(np.abs(masses[idx0:] - 1.0) > _ROW_SUM_TOL):
-            bad = int(np.argmax(np.abs(masses[idx0:] - 1.0) > _ROW_SUM_TOL))
-            i = bad + idx0 + self.state_lo
+        off = np.abs(self.masses - 1.0) > _ROW_SUM_TOL
+        if np.any(off):
+            bad = int(np.argmax(off))
             raise UnsupportedInputError(
-                f"row for state {i} sums to {masses[bad + idx0]:.17g}, not 1"
+                f"row for state {bad + self.state_lo} sums to {self.masses[bad]:.17g}, not 1"
             )
-        if np.any(masses[:idx0] > 1.0 + _ROW_SUM_TOL):
-            raise UnsupportedInputError("substochastic prefix rows may not exceed mass 1")
 
     def kill(self, targets: Iterable[int]) -> TransitionKernel:
         """Restrict the kernel to the complement of the finite set ``targets``.

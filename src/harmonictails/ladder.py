@@ -13,12 +13,13 @@ written two ways:
 * through the probability that the tilted walk, started at ``i``, never
   goes below zero.
 
-Both forms are implemented and checked against each other.
+`killed_walk_harmonic` computes both forms and checks them against each other.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,12 +28,15 @@ from .errors import (
     InconsistentRootError,
     InternalConsistencyError,
     NoCramerRootError,
+    SolverFailure,
     StateRangeError,
     UnsupportedInputError,
 )
 from .kernels import band_solve
 
 _MASS_TOL = 1e-12
+_AGREEMENT_TOL = 1e-8  # between the two forms of the minimum law and of the multiplier
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 _RENEWAL_BLOCK_ENTRIES = 2**20
 
 
@@ -228,13 +232,11 @@ class LadderData:
     ``chi_pmf[x]`` is the probability that the first entry into the negative
     half-line lands a depth ``x`` below the start (index 0 is unused and
     zero).  ``defect`` is the probability of never going below the start;
-    it is positive exactly when the walk drifts upward.  ``u`` holds the
-    renewal mass function once :func:`renewal_mass` has been run.
+    it is positive exactly when the walk drifts upward.
     """
 
     chi_pmf: np.ndarray
     defect: float
-    u: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -259,9 +261,6 @@ class LadderData:
     def mean(self) -> float:
         """Mean ladder depth; only meaningful when the law is proper."""
         return float(self.chi_pmf @ np.arange(self.chi_pmf.size))
-
-    def with_renewal(self, J: int) -> "LadderData":
-        return replace(self, u=renewal_mass(self, J))
 
 
 def ladder_height(walk: LatticeWalk) -> LadderData:
@@ -357,112 +356,84 @@ def renewal_mass(ladder: LadderData, J: int) -> np.ndarray:
     return u
 
 
-def _discounted_renewal_sum(u: np.ndarray, beta: float, imax: int) -> np.ndarray:
-    """Cumulative sums g(i) = sum_{j<=i} exp(-beta j) u(j)."""
-    j = np.arange(imax + 1)
-    return np.cumsum(np.exp(-beta * j) * u[: imax + 1])
+@dataclass(frozen=True)
+class KilledWalkHarmonic:
+    """The minimal harmonic function of a walk killed below zero, on 0..imax.
 
-
-def ladder_harmonic(
-    ladder: LadderData,
-    beta: float,
-    i: int | np.ndarray,
-    log: bool = False,
-):
-    """Harmonic function of the walk killed below zero, renewal-series form.
-
-    f(i) = sum_{j=0}^{i} exp(beta (i-j)) u(j), built from the renewal mass
-    function of the original (untilted) walk's ladder heights.  Computed as
-    exp(beta i) times a bounded cumulative sum so only the final scaling can
-    overflow; pass ``log=True`` to get log f instead.
+    ``ladder_form`` is the renewal sum f(i) = sum_{j<=i} exp(beta (i-j)) u(j)
+    over the ladder heights of the walk; ``minimum_form`` is exp(beta i)
+    P{min of the tilted walk >= -i}.  They differ by the constant factor
+    ``multiplier`` = 1 - E exp(-beta chi).  ``ladder`` and ``tilted_ladder``
+    are the ladder laws of the walk and of its tilt at the Cramér root
+    ``beta``.
     """
-    if ladder.u is None:
-        raise UnsupportedInputError("ladder has no renewal mass function; call with_renewal first")
-    imax = int(np.max(i))
-    if imax >= ladder.u.size:
-        raise StateRangeError(
-            f"renewal mass truncation {ladder.u.size - 1} is below requested state {imax}"
-        )
-    g = _discounted_renewal_sum(ladder.u, beta, imax)
-    idx = np.asarray(i)
-    logf = beta * idx + np.log(g[idx])
-    if log:
-        return logf if logf.ndim else float(logf)
-    with np.errstate(over="ignore"):
-        out = np.exp(logf)
-    return out if out.ndim else float(out)
+
+    beta: float
+    ladder: LadderData
+    tilted_ladder: LadderData
+    ladder_form: np.ndarray
+    minimum_form: np.ndarray
+    multiplier: float
 
 
-def tilted_minimum_harmonic(
-    walk: LatticeWalk,
-    imax: int,
-    beta: float | None = None,
-    agreement_tol: float = 1e-8,
-    original_ladder: LadderData | None = None,
-    tilted_ladder: LadderData | None = None,
-) -> np.ndarray:
-    """Harmonic function via the running minimum of the tilted walk.
+def _ladder_laws(walk: LatticeWalk, beta: float) -> tuple[LadderData, LadderData, float]:
+    """Ladder laws of the walk and of its tilt at ``beta``, and the multiplier.
 
-    f(i) = exp(beta i) P{min of tilted walk >= -i}.  The minimum law is
-    assembled from the tilted walk's defective ladder renewal function; the
-    same quantity is recomputed by discounting the original walk's renewal
-    function, and the two must agree (they are related entry by entry
-    through the tilt factor exp(-beta l)).
+    The multiplier 1 - E exp(-beta chi) over the walk's ladder law is also
+    the defect of the tilted law (the chance the tilted walk never descends
+    below its start); the two must agree to ``_AGREEMENT_TOL``.
     """
-    if beta is None:
-        beta = cramer_root(walk)
-    tilted = tilt_walk(walk, beta)
-    if tilted_ladder is None:
-        tilted_ladder = ladder_height(tilted)
-    if original_ladder is None:
-        original_ladder = ladder_height(walk)
-
-    u_t = renewal_mass(tilted_ladder, imax)
-    defect = tilted_ladder.defect
-    min_tail = defect * np.cumsum(u_t)  # P{min >= -i}, i = 0..imax
-
-    u_o = renewal_mass(original_ladder, imax)
-    g = _discounted_renewal_sum(u_o, beta, imax)
-    min_tail_alt = defect * g
-
-    scale = np.maximum(min_tail, 1e-300)
-    disagreement = float(np.max(np.abs(min_tail - min_tail_alt) / scale))
-    if disagreement > agreement_tol:
-        raise InternalConsistencyError(
-            "tilted-ladder and discounted-renewal forms of the minimum law "
-            f"disagree by {disagreement:.3e} (tol {agreement_tol:.1e})"
-        )
-
-    i = np.arange(imax + 1)
-    with np.errstate(over="ignore"):
-        return np.exp(beta * i) * min_tail
-
-
-def equivalence_multiplier(
-    walk: LatticeWalk,
-    beta: float | None = None,
-    agreement_tol: float = 1e-8,
-    original_ladder: LadderData | None = None,
-    tilted_ladder: LadderData | None = None,
-) -> float:
-    """Proportionality constant between the two harmonic representations.
-
-    Equals 1 - E exp(-beta * chi) over the original walk's ladder law, and
-    also the defect of the tilted walk's ladder law (the chance the tilted
-    walk never descends below its start).  Both are computed; disagreement
-    beyond ``agreement_tol`` raises.
-    """
-    if beta is None:
-        beta = cramer_root(walk)
-    if original_ladder is None:
-        original_ladder = ladder_height(walk)
-    if tilted_ladder is None:
-        tilted_ladder = ladder_height(tilt_walk(walk, beta))
-    via_laplace = 1.0 - original_ladder.laplace(beta)
-    via_defect = tilted_ladder.defect
-    if abs(via_laplace - via_defect) > agreement_tol:
+    ladder = ladder_height(walk)
+    tilted = ladder_height(tilt_walk(walk, beta))
+    via_laplace = 1.0 - ladder.laplace(beta)
+    if abs(via_laplace - tilted.defect) > _AGREEMENT_TOL:
         raise InternalConsistencyError(
             f"multiplier mismatch: 1 - E exp(-beta chi) = {via_laplace:.17g} "
-            f"but tilted ladder defect = {via_defect:.17g}"
+            f"but tilted ladder defect = {tilted.defect:.17g}"
         )
-    return via_laplace
+    return ladder, tilted, via_laplace
+
+
+def equivalence_multiplier(walk: LatticeWalk) -> float:
+    """Proportionality constant between the two harmonic representations,
+    1 - E exp(-beta chi), checked against the tilted walk's ladder defect."""
+    return _ladder_laws(walk, cramer_root(walk))[2]
+
+
+def killed_walk_harmonic(walk: LatticeWalk, imax: int) -> KilledWalkHarmonic:
+    """Both forms of the harmonic function of the walk killed below zero.
+
+    The minimum law P{min of tilted walk >= -i} is the tilted ladder law's
+    defect times its cumulative renewal mass, and also the defect times the
+    discounted cumulative sum g(i) = sum_{j<=i} exp(-beta j) u(j) of the
+    walk's own renewal mass; the two must agree to ``_AGREEMENT_TOL``.  The
+    ladder form is exp(beta i + log g(i)), so only the final scaling can
+    overflow.  When exp(beta imax) overflows, ``SolverFailure`` is raised
+    before any ladder law is computed.
+    """
+    beta = cramer_root(walk)
+    overflow = SolverFailure(
+        f"exp(beta i) overflows below i_max = {imax} (beta = {beta:.6g})",
+        reason="non-finite",
+    )
+    if beta * imax > _LOG_DBL_MAX:
+        raise overflow
+    ladder, tilted, multiplier = _ladder_laws(walk, beta)
+    i = np.arange(imax + 1)
+    g = np.cumsum(np.exp(-beta * i) * renewal_mass(ladder, imax))
+    min_tail = tilted.defect * np.cumsum(renewal_mass(tilted, imax))  # P{min >= -i}
+
+    scale = np.maximum(min_tail, 1e-300)
+    disagreement = float(np.max(np.abs(min_tail - tilted.defect * g) / scale))
+    if disagreement > _AGREEMENT_TOL:
+        raise InternalConsistencyError(
+            "tilted-ladder and discounted-renewal forms of the minimum law "
+            f"disagree by {disagreement:.3e} (tol {_AGREEMENT_TOL:.1e})"
+        )
+
+    with np.errstate(over="ignore"):
+        ladder_form = np.exp(beta * i + np.log(g))
+        minimum_form = np.exp(beta * i) * min_tail
+    if not (np.all(np.isfinite(ladder_form)) and np.all(np.isfinite(minimum_form))):
+        raise overflow
+    return KilledWalkHarmonic(beta, ladder, tilted, ladder_form, minimum_form, multiplier)

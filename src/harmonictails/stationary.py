@@ -456,7 +456,6 @@ def build_beta_fn(
     family: ChainFamily,
     mode: str = "cramer-series",
     order: int = 2,
-    probe_states=None,
 ) -> TailModel:
     """Tail-rate model for a family with a drift perturbation profile.
 
@@ -491,17 +490,16 @@ def build_beta_fn(
             "moments": tuple(m),
         }
     else:
-        coeffs, resid = _fit_root_expansion(family, beta, M, probe_states)
+        coeffs, resid = _fit_root_expansion(family, beta, M)
         meta = {"hypotheses_verified": False, "fit_residual": resid}
     return TailModel(mode, beta, coeffs, family.alpha_profile, meta)
 
 
-def _fit_root_expansion(family, beta, M, probe_states):
+def _fit_root_expansion(family, beta, M):
     """Least-squares fit of beta(x) - beta against powers of the profile,
-    using exact local Cramér roots at the probe states."""
-    if probe_states is None:
-        probe_states = np.unique(np.geomspace(1, 4000, 40).astype(int))
-    states = np.asarray(probe_states, dtype=int)
+    using exact local Cramér roots at about 40 states spread geometrically
+    over 1..4000."""
+    states = np.unique(np.geomspace(1, 4000, 40).astype(int))
     rows = []
     rhs = []
     for x, r in zip(states, family.row_rule(states)):

@@ -92,11 +92,9 @@ def _random_down_walk(rng):
 
 
 def _check_ladder_equivalence(walk, i_max, ratio_tol, mult_tol):
-    beta = ht.cramer_root(walk)
-    lad = ht.ladder_height(walk).with_renewal(i_max)
-    ladder_form = np.array([ht.ladder_harmonic(lad, beta, i) for i in range(i_max + 1)])
-    f_min = ht.tilted_minimum_harmonic(walk, i_max, beta=beta, original_ladder=lad)
-    mult = ht.equivalence_multiplier(walk, beta=beta)
+    h = ht.killed_walk_harmonic(walk, i_max)
+    beta, ladder_form, f_min = h.beta, h.ladder_form, h.minimum_form
+    mult = ht.equivalence_multiplier(walk)
 
     ratio = f_min / ladder_form
     assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= ratio_tol
@@ -234,7 +232,7 @@ def test_criterion_09_invariant_suites():
 
     walk = ht.LatticeWalk.from_dict({1: 0.3, -1: 0.7})
     killed_fam = ht.walk_killed_at_negative(walk)
-    f_min = ht.tilted_minimum_harmonic(walk, 60)
+    f_min = ht.killed_walk_harmonic(walk, 60).minimum_form
     assert ht.verify_harmonicity(killed_fam.kernel(70), dict(enumerate(f_min)),
                                  range(0, 50)) <= 1e-8
 

@@ -76,6 +76,9 @@ HOLES = [
     # a wide band at a K that is fine for a narrow one: about 70 GB of bands
     ("band entries", {"task": "stationary", "params": {"K": 10**6},
                       "chain": {"name": "lindley", "pmf": {"-2000": 0.6, "0": 0.4}}}),
+    # the ladder task works beta out from the walk; it takes no beta
+    ("params.beta", {"task": "ladder", "chain": {"name": "killed-walk", "pmf": WALK},
+                     "params": {"beta": 0.8472978603872037}}),
 ]
 
 
@@ -406,6 +409,21 @@ def test_ladder_task_computes_each_root_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_ladder_overflow_fails_fast(tmp_path, capsys):
+    # exp(beta i) overflows from i ~ 775 on: flagged before any ladder law is
+    # computed; CI runs the same fixture with the console script
+    cfg = Path(__file__).resolve().parent / "fixtures" / "ladder_overflow.json"
+    t0 = time.perf_counter()
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
+    assert time.perf_counter() - t0 < 2.0
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads((tmp_path / "ladder_overflow.manifest.json").read_text())
+    assert doc["flagged"] is True
+    assert doc["diagnostics"]["reason"] == "non-finite"
+    assert doc["flag_reason"] == ("exp(beta i) overflows below i_max = 1000000 "
+                                  "(beta = 0.916291)")
+
+
 def test_ladder_task_near_critical(tmp_path):
     # drift 0.02: the ladder law must cost no more here than far from criticality
     a = 0.49
@@ -622,12 +640,22 @@ def test_seed_override_needs_a_seed_param(tmp_path, capsys):
     assert "config error: params.seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("top,rc", [(119, 1), (120, 0)])
-def test_general_rows_without_tail(tmp_path, top, rc):
-    # harmonic-solve at K = 60 reads rows up to 2K = 120
-    rows = {"0": {"1": 1.0}, **{str(i): {"-1": 0.6, "1": 0.4} for i in range(1, top + 1)}}
-    doc = {"task": "harmonic-solve", "params": {"K": 60},
-           "chain": {"name": "general", "band_lo": 1, "band_hi": 1, "rows": rows}}
+@pytest.mark.parametrize("task,params,up,top,rc", [
+    pytest.param("harmonic-solve", {"K": 60}, 0.4, 119, 1, id="119-1"),
+    pytest.param("harmonic-solve", {"K": 60}, 0.4, 120, 0, id="120-0"),
+    pytest.param("conditions", {}, 0.4, 70, 1, id="conditions-70-1"),
+    pytest.param("conditions", {}, 0.4, 128, 2, id="conditions-128-2"),
+    pytest.param("harmonic-mc", MC, 0.7, 19, 1, id="harmonic-mc-19-1"),
+    pytest.param("harmonic-mc", MC, 0.7, 72, 0, id="harmonic-mc-72-0"),
+])
+def test_general_rows_without_tail(tmp_path, task, params, up, top, rc):
+    # harmonic-solve at K = 60 reads rows up to 2K = 120; the jump-law envelopes
+    # read 64 rows past the kernel level (64 for conditions, 8 for harmonic-mc,
+    # whose path product also needs an upward drift and stochastic rows)
+    rows = {"0": {"1": 1.0}, **{str(i): {"-1": 1 - up, "1": up} for i in range(1, top + 1)}}
+    doc = {"task": task, "params": params,
+           "chain": {"name": "general", "band_lo": 1, "band_hi": 1, "rows": rows,
+                     "stochastic": task == "harmonic-mc"}}
     assert bool(validate(ExperimentConfig.from_dict(doc))) == (rc == 1)
     cfg = write_cfg(tmp_path, "rows.json", doc)
     assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == rc
@@ -643,7 +671,7 @@ FUZZ_TASKS = {
     "harmonic-solve": (EX1, ["K"], ["tol", "i_max"]),
     "harmonic-mc": (EX1, ["n_paths", "horizon"], ["states", "seed"]),
     "conditions": (EX1, [], ["probe"]),
-    "ladder": ({"name": "killed-walk", "pmf": WALK}, [], ["i_max", "beta"]),
+    "ladder": ({"name": "killed-walk", "pmf": WALK}, [], ["i_max"]),
     "stationary": ({"name": "lindley", "pmf": WALK}, ["K"], ["beta", "doubling_tol", "i_max"]),
     "tail": (EX3, ["K"], ["window", "mode", "order", "variation_tol", "doubling_tol"]),
     "cramer-series": (EX3, [], ["M", "m", "D"]),

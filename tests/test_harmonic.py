@@ -236,6 +236,61 @@ def test_jump_minorant_and_majorant(ex1_kernel):
     assert mean == pytest.approx(0.3, abs=1e-14)
 
 
+def _jump_down_majorant_loop(rows, L):
+    """Z[j] = max over the rows of P{jump <= -j}, one prefix sum per depth j:
+    the loop that the cumulative sum replaced, kept as its reference."""
+    Z = np.zeros(L + 1)
+    for j in range(1, L + 1):
+        Z[j] = rows[:, : L - j + 1].sum(axis=1).max() if L - j + 1 > 0 else 0.0
+    return Z[1:]
+
+
+def _truncated_drift_loop(rows, offsets, band_hi):
+    """The largest drift truncated at M = 0..band_hi, minimised over the rows,
+    and its M: the loop that the cumulative sum replaced."""
+    offsets = offsets.astype(float)
+    drift_eps, drift_M = -math.inf, 0
+    for M in range(0, band_hi + 1):
+        mask = offsets <= M
+        eps = float((rows[:, mask] * offsets[mask]).sum(axis=1).min())
+        if eps > drift_eps:
+            drift_eps, drift_M = eps, M
+    return drift_eps, drift_M
+
+
+def _wide_killed_kernels(rng):
+    """Killed walks with L >= 8 down steps and a few up steps."""
+    for L in (8, 12, 30):
+        for H in (1, 3):
+            pmf = rng.dirichlet(np.ones(L + H + 1))
+            yield ht.walk_killed_at_negative(ht.LatticeWalk(lo=-L, pmf=pmf)).kernel(2 * L)
+
+
+def test_envelopes_match_the_loops():
+    from harmonictails.harmonic import _collect_rows
+
+    rng = np.random.default_rng(15)
+    kernels = [*seeded_drift_kernels(rng), *_wide_killed_kernels(rng)]
+    assert max(k.band_lo for k in kernels) == 30
+    for kernel in kernels:
+        rows, L = _collect_rows(kernel), kernel.band_lo
+        tails, mean = ht.jump_down_majorant(kernel)
+        want = _jump_down_majorant_loop(rows, L)
+        rep = ht.check_conditions(kernel)
+        eps, M = _truncated_drift_loop(rows, kernel.offsets, kernel.band_hi)
+        # numpy sums 8 or more terms pairwise, the cumulative sum in order
+        if L < 8:
+            assert np.array_equal(tails, want)
+        else:
+            assert np.max(np.abs(tails - want)) <= 1e-15
+        assert mean == pytest.approx(want.sum(), abs=1e-15)
+        if kernel.band_lo + kernel.band_hi < 7:
+            assert (rep.drift_eps, rep.drift_M) == (eps, M)
+        else:
+            assert rep.drift_eps == pytest.approx(eps, abs=1e-15 * L)
+            assert rep.drift_M == M
+
+
 def test_escape_probability_no_drift():
     flat = ht.LatticeWalk(lo=-1, pmf=np.array([0.5, 0.0, 0.5]))
     assert ht.escape_probability(flat) == 0.0

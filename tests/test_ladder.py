@@ -108,21 +108,19 @@ def test_renewal_mass_oracles():
 
 def test_renewal_long_run_density():
     w = ht.LatticeWalk.from_dict({1: 0.2, -1: 0.4, -2: 0.4})
-    lad = ht.ladder_height(w).with_renewal(80)
-    assert lad.u[80] == pytest.approx(1.0 / lad.mean(), abs=1e-6)
+    lad = ht.ladder_height(w)
+    assert ht.renewal_mass(lad, 80)[80] == pytest.approx(1.0 / lad.mean(), abs=1e-6)
 
 
 def test_ladder_form_closed(down_walk):
-    beta = math.log(7 / 3)
-    lad = ht.ladder_height(down_walk).with_renewal(60)
-    f = np.array([ht.ladder_harmonic(lad, beta, i) for i in range(51)])
+    f = ht.killed_walk_harmonic(down_walk, 50).ladder_form
     want = (7 / 4) * (7 / 3) ** np.arange(51) - 3 / 4
     assert np.max(np.abs(f / want - 1)) < 1e-10
 
 
 def test_tilted_minimum_closed(down_walk):
     beta = math.log(7 / 3)
-    f = ht.tilted_minimum_harmonic(down_walk, 50, beta=beta)
+    f = ht.killed_walk_harmonic(down_walk, 50).minimum_form
     want = (7 / 3) ** np.arange(51) - 3 / 7
     assert np.max(np.abs(f / want - 1)) < 1e-10
 
@@ -133,34 +131,26 @@ def test_tilted_minimum_closed(down_walk):
 
 
 def test_ratio_is_equivalence_multiplier(down_walk):
-    beta = math.log(7 / 3)
-    lad = ht.ladder_height(down_walk).with_renewal(50)
-    ladder_form = np.array([ht.ladder_harmonic(lad, beta, i) for i in range(51)])
-    tmin = ht.tilted_minimum_harmonic(down_walk, 50, beta=beta, original_ladder=lad)
-    mult = ht.equivalence_multiplier(down_walk, beta=beta)
+    h = ht.killed_walk_harmonic(down_walk, 50)
+    ladder_form, tmin = h.ladder_form, h.minimum_form
+    mult = ht.equivalence_multiplier(down_walk)
     assert mult == pytest.approx(4 / 7, abs=1e-12)
     assert np.max(np.abs(tmin / ladder_form - mult)) < 1e-10
 
 
 def test_ratio_constant_for_wider_band():
     w = ht.LatticeWalk.from_dict({1: 0.15, 2: 0.1, -1: 0.3, -2: 0.45})
-    beta = ht.cramer_root(w)
-    lad = ht.ladder_height(w).with_renewal(40)
-    ladder_form = np.array([ht.ladder_harmonic(lad, beta, i) for i in range(41)])
-    tmin = ht.tilted_minimum_harmonic(w, 40, beta=beta, original_ladder=lad)
-    ratio = tmin / ladder_form
-    mult = ht.equivalence_multiplier(w, beta=beta)
+    h = ht.killed_walk_harmonic(w, 40)
+    ratio = h.minimum_form / h.ladder_form
+    mult = ht.equivalence_multiplier(w)
     assert np.max(np.abs(ratio / ratio[0] - 1)) < 1e-6
     assert ratio[0] == pytest.approx(mult, rel=1e-6)
 
 
 def test_ladder_harmonic_is_harmonic_for_killed_walk(down_walk):
-    beta = math.log(7 / 3)
-    lad = ht.ladder_height(down_walk).with_renewal(60)
+    f = ht.killed_walk_harmonic(down_walk, 60).ladder_form
     kernel = ht.walk_killed_at_negative(down_walk).kernel(8)
-    res = ht.verify_harmonicity(
-        kernel, lambda i: ht.ladder_harmonic(lad, beta, i), range(45)
-    )
+    res = ht.verify_harmonicity(kernel, lambda i: f[i], range(45))
     assert res < 1e-8
 
 
@@ -369,16 +359,19 @@ def test_brentq_out_of_iterations_is_no_cramer_root():
         ladder._brentq(f, 1.0, 2.0, 1e-15, 8.9e-16)
 
 
-def test_equivalence_multiplier_reuses_given_laws():
+def test_equivalence_multiplier_catches_a_wrong_tilted_law(monkeypatch):
+    from harmonictails import ladder
+
     walk = ht.LatticeWalk.from_dict({2: 0.15, 1: 0.1, -1: 0.45, -2: 0.3})
-    beta = ht.cramer_root(walk)
-    lad, lad_t = ht.ladder_height(walk), ht.ladder_height(ht.tilt_walk(walk, beta))
-    given_laws = ht.equivalence_multiplier(walk, beta, original_ladder=lad, tilted_ladder=lad_t)
-    assert given_laws == ht.equivalence_multiplier(walk, beta)
+    assert ht.killed_walk_harmonic(walk, 30).multiplier == ht.equivalence_multiplier(walk)
     # the two sides still check each other: a wrong tilted law is caught
     wrong = ht.LadderData(chi_pmf=np.array([0.0, 0.5]), defect=0.5)
+    height = ladder.ladder_height
+    monkeypatch.setattr(ladder, "ladder_height", lambda w: height(w) if w is walk else wrong)
     with pytest.raises(ht.InternalConsistencyError):
-        ht.equivalence_multiplier(walk, beta, original_ladder=lad, tilted_ladder=wrong)
+        ht.equivalence_multiplier(walk)
+    with pytest.raises(ht.InternalConsistencyError):
+        ht.killed_walk_harmonic(walk, 30)
 
 
 def _count_cramer_roots(monkeypatch):
@@ -401,8 +394,8 @@ def test_ladder_callers_compute_the_root_once(monkeypatch):
 
     walk = ht.LatticeWalk.from_dict({2: 0.15, 1: 0.1, -1: 0.45, -2: 0.3})
     beta = ht.cramer_root(walk)
-    mult = ht.equivalence_multiplier(walk, beta)
-    tmin = ht.tilted_minimum_harmonic(walk, 30, beta=beta)
+    mult = ht.equivalence_multiplier(walk)
+    h = ht.killed_walk_harmonic(walk, 30)
     calls = _count_cramer_roots(monkeypatch)
     ruin = []
     monkeypatch.setattr(ladder, "ruin_exponent", lambda w: ruin.append(w))
@@ -410,10 +403,21 @@ def test_ladder_callers_compute_the_root_once(monkeypatch):
     ht.ladder_height(walk)
     ht.ladder_height(ht.tilt_walk(walk, beta))
     assert calls == [] and ruin == []
-    # one root for beta, and the same doubles as with beta passed in
+    heights, renewals = [], []
+    height, renewal = ladder.ladder_height, ladder.renewal_mass
+    monkeypatch.setattr(ladder, "ladder_height", lambda w: heights.append(w) or height(w))
+    monkeypatch.setattr(ladder, "renewal_mass",
+                        lambda lad, J: renewals.append(J) or renewal(lad, J))
+    # one root for beta and one law each, raw and tilted, with the same doubles
     assert ht.equivalence_multiplier(walk) == mult
     assert len(calls) == 1 and calls[0] is walk
+    assert len(heights) == 2 and heights[0] is walk and renewals == []
     calls.clear()
-    assert np.array_equal(ht.tilted_minimum_harmonic(walk, 30), tmin)
+    heights.clear()
+    again = ht.killed_walk_harmonic(walk, 30)
     assert len(calls) == 1 and calls[0] is walk
+    assert len(heights) == 2 and heights[0] is walk and renewals == [30, 30]
+    assert again.beta == beta and again.multiplier == mult
+    assert np.array_equal(again.ladder_form, h.ladder_form)
+    assert np.array_equal(again.minimum_form, h.minimum_form)
     assert ruin == []
