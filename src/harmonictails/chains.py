@@ -95,7 +95,7 @@ class ChainFamily:
     band_lo: int
     band_hi: int
     row_rule: Callable[[np.ndarray], np.ndarray]
-    limit_pmf: np.ndarray | None = None
+    limit_pmf: np.ndarray
     homogeneous_from: int | None = None
     stochastic: bool = True
     alpha_profile: object | None = None
@@ -103,8 +103,6 @@ class ChainFamily:
 
     @property
     def limit_walk(self) -> LatticeWalk:
-        if self.limit_pmf is None:
-            raise UnsupportedInputError(f"family {self.name} has no limiting jump law")
         pmf = np.asarray(self.limit_pmf, dtype=float)
         return LatticeWalk(lo=-self.band_lo, pmf=pmf / pmf.sum())
 

@@ -49,7 +49,7 @@ from .errors import (
     SolverFailure,
 )
 from .harmonic import (
-    _TAIL_SAMPLES,
+    _BOUNDARY_MASS_TOL,
     build_mc,
     build_solve,
     check_conditions,
@@ -152,6 +152,8 @@ def _build_general(chain: dict) -> ChainFamily:
             )
         raise ConfigError("general drift profile type must be 'power' or 'alternating'")
     if "rows" in chain:
+        if "tail_row" not in chain:
+            raise ConfigError("general chain 'rows' needs a 'tail_row' for the states above")
         band_lo = int(chain["band_lo"])
         band_hi = int(chain["band_hi"])
         rows = {
@@ -164,24 +166,20 @@ def _build_general(chain: dict) -> ChainFamily:
         stochastic = bool(chain.get("stochastic", False))
         if set(rows) != set(range(truncation + 1)):
             raise ConfigError("general chain rows must cover states 0..max contiguously")
-        tail = None
-        if "tail_row" in chain:
-            trow = np.zeros(band_lo + band_hi + 1)
-            for off, wt in chain["tail_row"].items():
-                off, wt = int(off), float(wt)
-                if not (-band_lo <= off <= band_hi and math.isfinite(wt) and wt >= 0):
-                    raise ConfigError(f"tail_row entry {off}: {wt} needs an offset in "
-                                      f"{-band_lo}..{band_hi} and a finite weight >= 0")
-                trow[off + band_lo] = wt
-            if not trow.sum() > 0:
-                raise ConfigError("tail_row needs a positive total weight")
-            if stochastic and abs(trow.sum() - 1.0) > _ROW_SUM_TOL:
-                raise ConfigError(f"tail_row sums to {trow.sum():.17g}, "
-                                  "not 1, in a stochastic chain")
-            tail = HomogeneousTail(trow)
-        kernel = kernel_from_rows(rows, truncation, band_lo, band_hi, tail=tail,
-                                  stochastic=stochastic)
-        limit = tail.row if tail is not None else None
+        trow = np.zeros(band_lo + band_hi + 1)
+        for off, wt in chain["tail_row"].items():
+            off, wt = int(off), float(wt)
+            if not (-band_lo <= off <= band_hi and math.isfinite(wt) and wt >= 0):
+                raise ConfigError(f"tail_row entry {off}: {wt} needs an offset in "
+                                  f"{-band_lo}..{band_hi} and a finite weight >= 0")
+            trow[off + band_lo] = wt
+        total = sum(trow.tolist())  # inf, with no numpy overflow warning, past the float range
+        if not 0 < total < math.inf:
+            raise ConfigError("tail_row needs a positive, finite total weight")
+        if stochastic and abs(total - 1.0) > _ROW_SUM_TOL:
+            raise ConfigError(f"tail_row sums to {total:.17g}, not 1, in a stochastic chain")
+        kernel = kernel_from_rows(rows, truncation, band_lo, band_hi,
+                                  tail=HomogeneousTail(trow), stochastic=stochastic)
 
         def row_rule(states: np.ndarray) -> np.ndarray:
             lo = int(states.min())
@@ -192,8 +190,8 @@ def _build_general(chain: dict) -> ChainFamily:
             band_lo=band_lo,
             band_hi=band_hi,
             row_rule=row_rule,
-            limit_pmf=limit,
-            homogeneous_from=(truncation + 1) if tail is not None else None,
+            limit_pmf=trow,
+            homogeneous_from=truncation + 1,
             stochastic=stochastic,
             params={},
         )
@@ -313,21 +311,33 @@ def _check(config: ExperimentConfig) -> tuple[dict, ChainFamily | None, list[str
         return typed, None, out
     if config.task == "ladder" and "pmf" not in family.params:
         out.append("ladder task needs a walk-based chain (killed-walk or lindley)")
-    elif (family.name == "general" and family.limit_pmf is None
-          and config.task != "cramer-series"):
-        # a kernel built at level n probes row n + 1, the jump-law envelopes of
-        # conditions and harmonic-mc rows up to n + _TAIL_SAMPLES; harmonic-solve up to 2K
-        reach = _TAIL_SAMPLES if config.task in ("conditions", "harmonic-mc") else 1
-        top = max(_kernel_level(family, typed.get("probe")) + reach, 2 * typed.get("K", 0))
-        if len(config.chain["rows"]) <= top:
-            out.append(f"chain rows without a tail_row stop below state {top}, "
-                       f"which task {config.task!r} reads")
+    out += _limit_law_problems(config.task, typed, family)
     name = "K" if "K" in typed else "probe"
     width = family.band_lo + family.band_hi + 1
     if typed.get(name, 0) * width > _MAX_BAND_ENTRIES:
         out.append(f"params.{name} {typed[name]} times the band width {width} exceeds "
                    f"{_MAX_BAND_ENTRIES} band entries")
     return typed, family, out
+
+
+def _limit_law_problems(task: str, typed: dict, family: ChainFamily) -> list[str]:
+    """What ``task`` needs of the chain's limit law and does not get, each by
+    the test that the task's solver applies at run time (README, "Tasks")."""
+    unmet, mass = [], float(np.sum(family.limit_pmf))
+    if (task == "harmonic-solve" and abs(math.log(mass)) > _BOUNDARY_MASS_TOL
+            or task == "harmonic-mc" and HomogeneousTail(family.limit_pmf).delta_abs_bound() != 0):
+        unmet.append(f"a limit row of mass 1, not {mass:.17g}")
+    series = task == "cramer-series" and typed.get("m") is None
+    root = series or task in ("ladder", "tail", "stationary") and typed.get("beta") is None
+    if root or task == "harmonic-mc":
+        walk = family.limit_walk
+        if root and not (walk.mean < 0 and walk.pmf[walk.offsets > 0].any()):
+            unmet.append(f"Cramér's condition: limit mean < 0 (not {walk.mean:.6g}), a step up")
+        if task == "harmonic-mc" and walk.mean <= 0:
+            unmet.append(f"a limit law of mean > 0, not {walk.mean:.6g}")
+    if (series or typed.get("mode", "constant") != "constant") and family.alpha_profile is None:
+        unmet.append(f"a drift perturbation profile, which chain {family.name!r} lacks")
+    return [f"task {task!r} needs {need}" for need in unmet]
 
 
 def validate(config: ExperimentConfig) -> list[str]:
@@ -492,8 +502,7 @@ def _run_conditions(family: ChainFamily, probe: int):
 
 
 def _run_ladder(family: ChainFamily, i_max: int):
-    walk = LatticeWalk(lo=-family.band_lo, pmf=np.array(family.params["pmf"]))
-    h = killed_walk_harmonic(walk, i_max)
+    h = killed_walk_harmonic(family.limit_walk, i_max)
     header = ["i", "ladder_form", "tilted_min_form", "ratio"]
     ratio = h.minimum_form / h.ladder_form
     diag = {
@@ -555,11 +564,7 @@ def _run_tail(family: ChainFamily, K: int, window: tuple[int, int], mode: str, o
 
 def _run_cramer_series(family: ChainFamily | None, M: int, m: list | None, D: dict):
     if m is None:
-        data = family.moment_data(cramer_root(family.limit_walk), M)
-        if data is None:
-            raise ConfigError(f"chain {family.name!r} has no closed-form expansion data; "
-                              "pass params.m and params.D explicitly")
-        m, D, _scale = data
+        m, D, _scale = family.moment_data(cramer_root(family.limit_walk), M)
     R = cramer_coefficients(m, D, M)
     resid = cramer_series_residual(m, D, R)
     header = ["k", "R_k"]

@@ -58,6 +58,7 @@ _DELTA_EPS = 1e-15
 _TAIL_SAMPLES = 64  # rows a parametric tail contributes to the jump-law envelopes
 _MAX_DOUBLINGS = 10  # window doublings of the return-probability sandwich
 _CRITICAL_RTOL = 1e-12  # relative distance at which an origin weight counts as critical
+_BOUNDARY_MASS_TOL = 1e-9  # |log mass| of a tail row that boundary value 1 allows
 
 
 class StateArray(Mapping):
@@ -343,12 +344,7 @@ def check_conditions(
     sum_abs = float(np.abs(deltas).sum()) + tail_bound
     delta_plus = float(np.clip(deltas, 0.0, None).sum()) + tail_bound
 
-    extra = None
-    if family is not None and getattr(family, "limit_pmf", None) is not None:
-        width = kernel.band_lo + kernel.band_hi + 1
-        row = np.asarray(family.limit_pmf, dtype=float)
-        if row.size == width:
-            extra = row[None, :]
+    extra = None if family is None else np.asarray(family.limit_pmf, dtype=float)[None, :]
     minor = jump_minorant(kernel, extra_rows=extra)
     p_escape = escape_probability(minor)
     gamma_avail = math.log(1.0 / (1.0 - p_escape)) if p_escape > 0 else 0.0
@@ -428,7 +424,7 @@ def build_solve(
         raise StateRangeError(f"kernel has no rows up to the requested truncation {K}")
     if kernel.tail is not None:
         for i, m in enumerate(kernel.tail.rows_at(K + 1, K + 2).sum(axis=1), start=K + 1):
-            if abs(math.log(m)) > 1e-9:
+            if abs(math.log(m)) > _BOUNDARY_MASS_TOL:
                 raise UnsupportedInputError(
                     f"tail row at {i} has mass {m:.17g}; boundary value 1 above the "
                     "truncation needs asymptotically stochastic rows"

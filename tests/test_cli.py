@@ -24,6 +24,13 @@ MC = {"seed": 1, "n_paths": 10, "horizon": 10}
 # a stochastic chain whose tail row sums to 1.1; CI validates this file too
 NON_STOCHASTIC_TAIL = json.loads(
     (Path(__file__).resolve().parent / "fixtures" / "non_stochastic_tail_row.json").read_text())
+# rows that reach every state harmonic-mc reads, but no tail_row; CI validates it
+ROWS_WITHOUT_TAIL = json.loads(
+    (Path(__file__).resolve().parent / "fixtures" / "rows_without_tail_row.json").read_text())
+UP_WALK = {"-1": 0.3, "1": 0.7}
+HOLD_WALK = {"-1": 0.5, "0": 0.5}
+# a stochastic chain whose tail_row sums to 1 + 5e-13, within the row-sum check
+NEAR_ONE = {**TWO_ROWS, "stochastic": True, "tail_row": {"-1": 0.3, "1": 0.7 + 5e-13}}
 
 # (message fragment, config) pairs that used to pass `validate`
 HOLES = [
@@ -79,6 +86,28 @@ HOLES = [
     # the ladder task works beta out from the walk; it takes no beta
     ("params.beta", {"task": "ladder", "chain": {"name": "killed-walk", "pmf": WALK},
                      "params": {"beta": 0.8472978603872037}}),
+    ("tail_row", ROWS_WITHOUT_TAIL),
+    # limit laws that lack what the task needs: run ended in "error:" after starting
+    ("Cramér's condition", {"task": "stationary", "chain": EX1}),
+    ("Cramér's condition", {"task": "ladder", "chain": {"name": "lindley", "pmf": UP_WALK}}),
+    ("Cramér's condition", {"task": "stationary", "chain": {"name": "lindley", "pmf": HOLD_WALK}}),
+    ("Cramér's condition", {"task": "ladder", "chain": {"name": "lindley", "pmf": HOLD_WALK}}),
+    ("Cramér's condition", {"task": "cramer-series", "chain": EX1}),
+    ("mean > 0", {"task": "harmonic-mc", "chain": {"name": "lindley", "pmf": WALK},
+                  "params": MC}),
+    ("mean > 0", {"task": "harmonic-mc", "chain": EX3, "params": MC}),
+    ("perturbation profile", {"task": "tail", "chain": {"name": "lindley", "pmf": WALK},
+                              "params": {"K": 60, "mode": "alpha-over-m"}}),
+    ("perturbation profile", {"task": "cramer-series",
+                              "chain": {"name": "lindley", "pmf": WALK}}),
+    ("limit row of mass 1", {"task": "harmonic-solve", "params": {"K": 60},
+                             "chain": {**TWO_ROWS, "tail_row": {"-1": 0.3, "1": 0.6}}}),
+    ("limit row of mass 1", {"task": "harmonic-mc", "params": MC,
+                             "chain": {**TWO_ROWS, "tail_row": {"-1": 0.3, "1": 0.6}}}),
+    ("limit row of mass 1", {"task": "harmonic-mc", "chain": NEAR_ONE, "params": MC}),
+    # a limit row whose total overflows normalises to zeros
+    ("finite total weight", {"task": "stationary", "params": {"K": 60},
+                             "chain": {**TWO_ROWS, "tail_row": {"-1": 1e308, "1": 1e308}}}),
 ]
 
 
@@ -442,7 +471,7 @@ def test_ladder_task_near_critical(tmp_path):
 
 @pytest.mark.parametrize("span,ok", [(2000, True), (2001, False)])
 def test_pmf_span_cap(span, ok):
-    doc = {"task": "ladder", "chain": {"name": "killed-walk", "pmf": {str(-span): 0.6, "0": 0.4}}}
+    doc = {"task": "ladder", "chain": {"name": "killed-walk", "pmf": {str(1 - span): 0.6, "1": 0.4}}}
     problems = validate(ExperimentConfig.from_dict(doc))
     assert (problems == []) == ok
     assert ok or "offsets span 2001 > 2000" in problems[0]
@@ -633,6 +662,14 @@ def test_run_rejects_holes(tmp_path, capsys, fragment, doc):
     assert not (tmp_path / "hole.csv").exists()
 
 
+def test_near_stochastic_tail_row_solves(tmp_path):
+    # harmonic-solve allows a boundary row mass within 1e-9 of 1, harmonic-mc none
+    doc = {"task": "harmonic-solve", "chain": NEAR_ONE, "params": {"K": 60}}
+    assert validate(ExperimentConfig.from_dict(doc)) == []
+    cfg = write_cfg(tmp_path, "near.json", doc)
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+
+
 def test_seed_override_needs_a_seed_param(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "st.json", {"task": "stationary", "chain": EX3,
                                           "params": {"K": 20}})
@@ -640,25 +677,28 @@ def test_seed_override_needs_a_seed_param(tmp_path, capsys):
     assert "config error: params.seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("task,params,up,top,rc", [
-    pytest.param("harmonic-solve", {"K": 60}, 0.4, 119, 1, id="119-1"),
-    pytest.param("harmonic-solve", {"K": 60}, 0.4, 120, 0, id="120-0"),
-    pytest.param("conditions", {}, 0.4, 70, 1, id="conditions-70-1"),
-    pytest.param("conditions", {}, 0.4, 128, 2, id="conditions-128-2"),
-    pytest.param("harmonic-mc", MC, 0.7, 19, 1, id="harmonic-mc-19-1"),
-    pytest.param("harmonic-mc", MC, 0.7, 72, 0, id="harmonic-mc-72-0"),
+# ids: the task, the last row, and the exit code the case had while rows
+# without a tail_row were allowed as far as the task's solver read
+@pytest.mark.parametrize("task,params,up,top", [
+    pytest.param("harmonic-solve", {"K": 60}, 0.4, 119, id="119-1"),
+    pytest.param("harmonic-solve", {"K": 60}, 0.4, 120, id="120-0"),
+    pytest.param("conditions", {}, 0.4, 70, id="conditions-70-1"),
+    pytest.param("conditions", {}, 0.4, 128, id="conditions-128-2"),
+    pytest.param("harmonic-mc", MC, 0.7, 19, id="harmonic-mc-19-1"),
+    pytest.param("harmonic-mc", MC, 0.7, 72, id="harmonic-mc-72-0"),
 ])
-def test_general_rows_without_tail(tmp_path, task, params, up, top, rc):
-    # harmonic-solve at K = 60 reads rows up to 2K = 120; the jump-law envelopes
-    # read 64 rows past the kernel level (64 for conditions, 8 for harmonic-mc,
-    # whose path product also needs an upward drift and stochastic rows)
+def test_general_rows_without_tail(tmp_path, capsys, task, params, up, top):
+    # every rows chain needs a tail_row, however far its rows reach
     rows = {"0": {"1": 1.0}, **{str(i): {"-1": 1 - up, "1": up} for i in range(1, top + 1)}}
     doc = {"task": task, "params": params,
            "chain": {"name": "general", "band_lo": 1, "band_hi": 1, "rows": rows,
                      "stochastic": task == "harmonic-mc"}}
-    assert bool(validate(ExperimentConfig.from_dict(doc))) == (rc == 1)
+    problems = validate(ExperimentConfig.from_dict(doc))
+    assert len(problems) == 1 and "needs a 'tail_row'" in problems[0]
     cfg = write_cfg(tmp_path, "rows.json", doc)
-    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == rc
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
@@ -679,6 +719,20 @@ FUZZ_TASKS = {
 FUZZ_MAX = {"n_paths": 20, "horizon": 50}
 FUZZ_VALID = {"states": [0, 3], "window": [5, 9], "mode": "alpha-over-m", "m": [2.0, 3.0],
               "D": {"1,1": 1.0}}
+ROW_0 = {"name": "general", "band_lo": 1, "band_hi": 1, "rows": {"0": {"1": 1.0}}}
+# chains whose limit laws meet or break each task's needs, drawn beside its own
+FUZZ_CHAINS = [
+    {"name": "lindley", "pmf": {"-1": 0.3, "1": 0.7}},
+    {"name": "lindley", "pmf": WALK},
+    {"name": "lindley", "pmf": {"-1": 0.5, "0": 0.5}},
+    {"name": "killed-walk", "pmf": {"-1": 0.3, "1": 0.7}},
+    {"name": "killed-walk", "pmf": {"-2": 0.6, "1": 0.4}},
+    {**ROW_0, "stochastic": True, "tail_row": {"-1": 0.3, "1": 0.7}},
+    {**ROW_0, "tail_row": {"-1": 0.7, "1": 0.3}},
+    {**ROW_0, "tail_row": {"-1": 0.3, "1": 0.6}},
+    {"name": "general",
+     "drift": {"p": 0.3, "profile": {"type": "power", "c0": 0.05, "exponent": -0.6}}},
+]
 JUNK = st.sampled_from(["x", True, False, None, math.nan, -1, 0, 0.5, [], [1, 2], {}])
 
 
@@ -687,24 +741,27 @@ def fuzz_value(key):
     return st.one_of(JUNK, st.integers(1, FUZZ_MAX.get(key, 60)), *valid)
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(data=st.data())
 def test_fuzzed_params_never_crash(data):
+    # the contract: a config that validate passes runs to exit 0 or 2, never to
+    # "error:"; one that it refuses exits 1 before any output
     task = data.draw(st.sampled_from(sorted(FUZZ_TASKS)))
     chain, always, optional = FUZZ_TASKS[task]
     keys = always + data.draw(st.lists(st.sampled_from(optional + ["imax"]), unique=True))
     doc = {"task": task, "params": {k: data.draw(fuzz_value(k), label=k) for k in keys}}
     if task != "cramer-series" or data.draw(st.booleans()):
-        doc["chain"] = chain
+        doc["chain"] = data.draw(st.sampled_from([chain, *FUZZ_CHAINS]), label="chain")
     with tempfile.TemporaryDirectory() as out:
         cfg = Path(out) / "fuzz.json"
         cfg.write_text(json.dumps(doc))
         problems = validate(ExperimentConfig.from_file(cfg))
         rc = main(["run", str(cfg), "--out", out, "--quiet"])
-        assert rc in (0, 1, 2)
         if problems:
             assert rc == 1
             assert not (Path(out) / "fuzz.csv").exists()
+        else:
+            assert rc in (0, 2), doc
 
 
 def _write_csv_per_value(path, header, rows):
