@@ -53,9 +53,10 @@ from .harmonic import (
     build_mc,
     build_solve,
     check_conditions,
+    _product_setup,
     reflected_walk_harmonic_exact,
 )
-from .kernels import _ROW_SUM_TOL, HomogeneousTail, kernel_from_rows
+from .kernels import _ROW_SUM_TOL, HomogeneousTail, TransitionKernel, kernel_from_rows
 from .ladder import LatticeWalk, cramer_root, killed_walk_harmonic
 from .stationary import (
     build_beta_fn,
@@ -312,6 +313,11 @@ def _check(config: ExperimentConfig) -> tuple[dict, ChainFamily | None, list[str
     if config.task == "ladder" and "pmf" not in family.params:
         out.append("ladder task needs a walk-based chain (killed-walk or lindley)")
     out += _limit_law_problems(config.task, typed, family)
+    if config.task == "harmonic-mc" and not out:
+        try:  # the set-up build_mc itself runs: stopping level, scored range
+            _product_setup(_task_kernel(family), typed["states"])
+        except HarmonicTailsError as exc:
+            out.append(f"task 'harmonic-mc' cannot run: {exc}")
     name = "K" if "K" in typed else "probe"
     width = family.band_lo + family.band_hi + 1
     if typed.get(name, 0) * width > _MAX_BAND_ENTRIES:
@@ -435,19 +441,20 @@ def _write_manifest(path: Path, config: ExperimentConfig, diagnostics: dict,
 # numeric column as an int or float array
 
 
-def _kernel_level(family: ChainFamily, probe: int | None = None) -> int:
-    """The highest state whose row a kernel task materialises."""
-    return max(family.homogeneous_from or 0, family.band_lo + 1, probe or 8)
+def _task_kernel(family: ChainFamily, probe: int | None = None) -> TransitionKernel:
+    """The kernel a task runs on: explicit rows up to the homogeneous level,
+    past the band and up to ``probe`` (at least state 8)."""
+    return family.kernel(max(family.homogeneous_from or 0, family.band_lo + 1, probe or 8))
 
 
 def _run_harmonic_solve(family: ChainFamily, K: int, tol: float, i_max: int):
-    kernel = family.kernel(_kernel_level(family))
-    est = build_solve(kernel, K, tol=tol)
+    est = build_solve(_task_kernel(family), K, tol=tol)
     diag = {
         "residual": est.residual,
-        "doubling_disagreement": est.meta.get("doubling_disagreement"),
+        "doubling_disagreement": None,
         "K": K,
         "method": est.method,
+        **est.meta,
     }
     f_solve = est.array(0, i_max)
     if family.name == "perturbed-reflected-walk":
@@ -464,8 +471,7 @@ def _run_harmonic_solve(family: ChainFamily, K: int, tol: float, i_max: int):
 
 
 def _run_harmonic_mc(family: ChainFamily, states, n_paths: int, horizon: int, seed: int):
-    kernel = family.kernel(_kernel_level(family))
-    est = build_mc(kernel, states, n_paths, horizon, seed)
+    est = build_mc(_task_kernel(family), states, n_paths, horizon, seed)
     header = ["i", "f_mc", "std_error", "n_exhausted"]
     columns = [np.array(states), np.array([est.values[i] for i in states]),
                np.array([est.std_errors[i] for i in states]),
@@ -481,8 +487,7 @@ def _run_harmonic_mc(family: ChainFamily, states, n_paths: int, horizon: int, se
 
 
 def _run_conditions(family: ChainFamily, probe: int):
-    kernel = family.kernel(_kernel_level(family, probe))
-    report = check_conditions(kernel, family)
+    report = check_conditions(_task_kernel(family, probe), family)
     header = ["quantity", "value"]
     names = ["sum_abs_delta", "delta_plus_sum", "minorant_mean", "escape_prob_lower",
              "gamma_available", "drift_eps", "drift_M", "zeta_mean"]
@@ -527,7 +532,8 @@ def _run_stationary(family: ChainFamily, K: int, beta, doubling_tol: float, i_ma
         "normalization_error": res.normalization_error,
         "doubling_disagreement": res.doubling_disagreement,
         "reflected_weight": res.reflected_weight,
-        "balance_residual": res.meta["balance_residual"],
+        "method": res.method,
+        **res.meta,
     }
     return header, columns, diag, False, None
 

@@ -8,9 +8,15 @@ with f(i) -> 1.
 
 Two constructions are provided: direct Monte Carlo over trajectories with a
 certified stopping level (the product can no longer change more than a set
-tolerance once the path climbs high enough), and a truncated linear solve
-with boundary value one above the truncation, cross-checked by doubling the
-truncation.  A closed form covers the reflected simple walk with one
+tolerance once the path climbs high enough), and a linear solve.  The solve
+is exact (method ``matrix-geometric``) when every row from some level h on
+is a stochastic tail row with positive mean: there the deficit 1 - f is
+matrix-geometric, g_k = G g_(k-1) in levels of m states, with G the first-
+passage matrix of the tail walk.  Any other kernel (a parametric tail, a
+tail walk of the wrong sign or on gZ, g > 1, or a window too short to hold
+the level h + 2m - 1) gets a truncated solve with boundary value one above
+the truncation, cross-checked by doubling the truncation (method
+``linear-solve``).  A closed form covers the reflected simple walk with one
 perturbed weight at the origin.
 
 `check_conditions` evaluates the sufficient conditions under which the
@@ -46,19 +52,28 @@ from .kernels import (
     TransitionKernel,
     _as_state_fn,
     band_matvec,
+    band_closure,
     band_pin,
     band_solve,
     band_system,
     first_row_below,
     row_slice,
 )
-from .ladder import LatticeWalk, ruin_exponent
+from .ladder import (
+    LatticeWalk,
+    _certified_first_passage,
+    _homogeneous_levels,
+    _level_counts,
+    _level_powers,
+    ruin_exponent,
+)
 
 _DELTA_EPS = 1e-15
 _TAIL_SAMPLES = 64  # rows a parametric tail contributes to the jump-law envelopes
 _MAX_DOUBLINGS = 10  # window doublings of the return-probability sandwich
 _CRITICAL_RTOL = 1e-12  # relative distance at which an origin weight counts as critical
 _BOUNDARY_MASS_TOL = 1e-9  # |log mass| of a tail row that boundary value 1 allows
+_EXACT_MASS_TOL = 1e-14  # |mass - 1| of a tail row the matrix-geometric solve takes as 1
 
 
 class StateArray(Mapping):
@@ -101,7 +116,7 @@ class HarmonicEstimate:
     """
 
     values: Mapping[int, float]
-    method: str  # "monte-carlo" | "linear-solve" | "closed-form"
+    method: str  # "monte-carlo" | "linear-solve" | "matrix-geometric" | "closed-form"
     truncation: int
     std_errors: dict[int, float] | None = None
     residual: float | None = None
@@ -109,7 +124,7 @@ class HarmonicEstimate:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.method not in ("monte-carlo", "linear-solve", "closed-form"):
+        if self.method not in ("monte-carlo", "linear-solve", "matrix-geometric", "closed-form"):
             raise UnsupportedInputError(f"unknown method {self.method!r}")
         if isinstance(self.values, StateArray):
             vals = self.values.array
@@ -411,15 +426,19 @@ def build_solve(
     check_doubling: bool = True,
     doubling_tol: float = 1e-6,
 ) -> HarmonicEstimate:
-    """Solve f = Q f on [state_lo, K] with f pinned to one above K.
+    """Solve f = Q f on [state_lo, K] with f tending to one.
 
-    The system is banded and solved directly.  A solution with negative
-    entries means no positive harmonic function is compatible with the
-    boundary (the perturbation is too strong); disagreement between the
-    solves at K and 2K on the lower half means the boundary at K has not
-    yet decoupled.  Both conditions raise :class:`SolverFailure`.
+    When the rows from some level h on are a stochastic tail row with
+    positive mean and the window reaches h + 2m - 1 (``_homogeneous_levels``),
+    the solve is exact (method ``matrix-geometric``): above h the deficit
+    1 - f is matrix-geometric in levels of m states, and no doubling runs.
+    Otherwise f is pinned to one above K and the truncated solve is checked
+    by a second one at 2K (method ``linear-solve``).  A solution with
+    negative entries means no positive harmonic function is compatible with
+    the boundary (the perturbation is too strong); disagreement between the
+    solves at K and 2K on the lower half means the boundary at K has not yet
+    decoupled.  Both conditions raise :class:`SolverFailure`.
     """
-    lo, bl = kernel.state_lo, kernel.band_lo
     if not kernel.has_row(K):
         raise StateRangeError(f"kernel has no rows up to the requested truncation {K}")
     if kernel.tail is not None:
@@ -429,6 +448,68 @@ def build_solve(
                     f"tail row at {i} has mass {m:.17g}; boundary value 1 above the "
                     "truncation needs asymptotically stochastic rows"
                 )
+    levels = _homogeneous_levels(kernel, K)
+    if (levels is not None and levels[1].mean > 0
+            and abs(kernel.tail.row.sum() - 1.0) <= _EXACT_MASS_TOL):
+        return _matrix_geometric_solve(kernel, K, tol, *levels)
+    return _truncated_solve(kernel, K, tol, check_doubling, doubling_tol)
+
+
+def _matrix_geometric_solve(kernel: TransitionKernel, K: int, tol: float, h: int,
+                            walk: LatticeWalk) -> HarmonicEstimate:
+    """f on [state_lo, K] from the rows below h + m and the first-passage
+    matrix G of the tail walk.
+
+    From h on the deficit g = 1 - f is harmonic for the homogeneous walk and
+    tends to zero, so on the levels of m states above h, g_k = G g_(k-1)
+    (Neuts 1981; Latouche & Ramaswami 1999).  One banded system holds the
+    rows from state_lo up to the level below its top and, as its last m
+    equations, the closure g_top = G g_(top - 1); it spans the window up to
+    about ``_DIRECT_STATES`` states, and G's powers fill the levels above it
+    up to K + band_hi.  The harmonicity residual is taken over all of the
+    window, padded by that exact continuation.
+    """
+    lo, bl, bh = kernel.state_lo, kernel.band_lo, kernel.band_hi
+    G, g_residual = _certified_first_passage(walk)
+    m = len(G)
+    levels, direct = _level_counts(K + bh - h + 1, m)
+    n = h - lo + direct * m
+    rows = kernel.row_blocks(lo, max(K, lo + n - 1))
+    head = rows[0] if len(rows[0]) >= bl else kernel.rows(lo, lo + bl - 1)
+    if first_row_below(head, bl) is not None:
+        raise UnsupportedInputError("kernel places weight below its own represented range")
+    # rows below h are explicit; the tail row counts as stochastic
+    deficit = np.zeros(n)
+    np.subtract(1.0, kernel.masses[: h - lo], out=deficit[: h - lo])
+    # g on state_lo..K + band_hi, then f in place, padded by band_lo zeros below
+    v = np.zeros(bl + h - lo + levels * m)
+    g = v[bl:]
+    g[:n] = _deficit_solve(*band_closure(row_slice(rows, 0, n), bl, G), deficit)
+    _level_powers(G, g[h - lo :].reshape(levels, m), direct)
+    f = np.subtract(1.0, g, out=g)
+    f_K = _nonnegative(f[: K - lo + 1])
+    res = _residual(row_slice(rows, 0, K - lo + 1), bl, v)
+    if res > max(tol, 1e-9):
+        raise SolverFailure(
+            f"harmonicity residual {res:.3e} exceeds tolerance after the solve",
+            reason="residual",
+            diagnostics={"residual": res},
+        )
+    return HarmonicEstimate(
+        values=StateArray(lo, f_K),
+        method="matrix-geometric",
+        truncation=K,
+        boundary_value=1.0,
+        residual=res,
+        meta={"first_passage_residual": g_residual, "homogeneous_level": h, "level_size": m},
+    )
+
+
+def _truncated_solve(kernel: TransitionKernel, K: int, tol: float, check_doubling: bool,
+                     doubling_tol: float) -> HarmonicEstimate:
+    """f on [state_lo, K] pinned to one above K, checked by the solve at 2K
+    when ``check_doubling`` is set and the kernel has the rows."""
+    lo, bl = kernel.state_lo, kernel.band_lo
     doubled = check_doubling and kernel.has_row(2 * K)
     top = 2 * K if doubled else K
     if first_row_below(kernel.rows(lo, min(top, lo + bl - 1)), bl) is not None:
@@ -439,11 +520,11 @@ def build_solve(
     lu, ab = band_system(rows, bl)
     deficit = np.concatenate([1.0 - m for m in kernel.row_masses(lo, rows)])
     n = K - lo + 1
-    f_K = _solve_truncated(lu, ab[:, :n], deficit[:n])
+    f_K = _nonnegative(1.0 - _deficit_solve(lu, ab[:, :n], deficit[:n]))
 
     est_meta = {"doubling_disagreement": None} if check_doubling else {}
     if doubled:
-        f_2K = _solve_truncated(lu, ab, deficit)
+        f_2K = _nonnegative(1.0 - _deficit_solve(lu, ab, deficit))
         half = max(K // 2, lo) - lo + 1
         a, b = f_K[:half], f_2K[:half]
         disagreement = float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))))
@@ -474,14 +555,13 @@ def build_solve(
     )
 
 
-def _solve_truncated(lu, ab: np.ndarray, deficit: np.ndarray) -> np.ndarray:
-    """f on a window with f = 1 above it, from I - P in band storage and
-    ``deficit`` = 1 - (row mass).
+def _deficit_solve(lu, ab: np.ndarray, deficit: np.ndarray) -> np.ndarray:
+    """The deficit g = 1 - f from I - P in band storage and ``deficit`` =
+    1 - (row mass).
 
-    The solve runs on the deficit g = 1 - f, (I - P) g = 1 - (row mass), so
-    stochastic rows give an exactly zero right-hand side and a recurrent
-    chain, whose truncated system is singular to working precision, still
-    gets f = 1.
+    The solve runs on g, (I - P) g = 1 - (row mass), so stochastic rows give
+    an exactly zero right-hand side and a recurrent chain, whose truncated
+    system is singular to working precision, still gets f = 1.
     """
     try:
         g = band_solve(lu, ab, deficit)
@@ -492,25 +572,31 @@ def _solve_truncated(lu, ab: np.ndarray, deficit: np.ndarray) -> np.ndarray:
             "solution overflowed; values grow without bound as the truncation moves",
             reason="non-finite",
         )
-    f = 1.0 - g
+    return g
+
+
+def _nonnegative(f: np.ndarray) -> np.ndarray:
+    """f clipped at zero in place, after checking that it has no negative
+    entries beyond rounding."""
     neg = f.min()
-    if neg < -1e-9 * max(1.0, float(np.abs(f).max())):
+    if neg < -1e-9 * max(1.0, float(max(-neg, f.max()))):
         raise SolverFailure(
             f"solution has negative entries (min {neg:.6g}); no positive harmonic "
             "function matches the boundary",
             reason="negative-values",
             diagnostics={"min_value": float(neg)},
         )
-    return np.clip(f, 0.0, None)
+    return np.clip(f, 0.0, None, out=f)
 
 
 def _residual(rows, band_lo: int, v: np.ndarray, pos=slice(None)) -> float:
     """max |(P f)(x) - f(x)| / max(1, f(x)) over the window rows ``pos``;
     ``v`` is f on the window (``rows``: a block or a list of blocks) padded
-    by band_lo states below, band_hi above."""
+    by band_lo states below and at least band_hi above."""
     pf = band_matvec(rows, band_lo, v)
     pf, f = pf[pos], v[band_lo : band_lo + pf.size][pos]
-    return float(np.max(np.abs(pf - f) / np.maximum(1.0, f)))
+    diff = np.abs(np.subtract(pf, f, out=pf), out=pf)
+    return float(np.max(np.divide(diff, np.maximum(1.0, f), out=diff)))
 
 
 def verify_harmonicity(kernel: TransitionKernel, f, states: Iterable[int]) -> float:
@@ -609,6 +695,23 @@ def _mean_se(x: np.ndarray):
     return x.mean(axis=0), se
 
 
+def _product_setup(kernel: TransitionKernel, states: Sequence[int], return_tol: float = 1e-8):
+    """Log row masses, embedded chain, certified stopping level and scored
+    states of the path product from ``states``, as ``build_mc`` runs it.
+
+    Raises what ``build_mc`` would before its first path: a tail that is not
+    stochastic, no positive-drift minorant, rows that end below the stopping
+    level, or a start state outside the scored range.
+    """
+    lo = kernel.state_lo
+    deltas = np.log(kernel.weights.sum(axis=1))
+    if kernel.tail is not None and kernel.tail.delta_abs_bound() != 0.0:
+        raise UnsupportedInputError("tail rows must be stochastic for the path product")
+    nz = np.flatnonzero(np.abs(deltas) > _DELTA_EPS)
+    support_top = lo + int(nz[-1]) if nz.size else lo
+    return deltas, *_path_setup(kernel, support_top, return_tol, {"start state": states})
+
+
 def build_mc(
     kernel: TransitionKernel,
     states: Sequence[int],
@@ -625,13 +728,7 @@ def build_mc(
     horizon cuts short keep their partial product and are counted; more
     than 1% of them sets a warning flag on the estimate.
     """
-    lo = kernel.state_lo
-    deltas = np.log(kernel.weights.sum(axis=1))
-    if kernel.tail is not None and kernel.tail.delta_abs_bound() != 0.0:
-        raise UnsupportedInputError("tail rows must be stochastic for the path product")
-    nz = np.flatnonzero(np.abs(deltas) > _DELTA_EPS)
-    support_top = lo + int(nz[-1]) if nz.size else lo
-    P, stop, scored = _path_setup(kernel, support_top, return_tol, {"start state": states})
+    deltas, P, stop, scored = _product_setup(kernel, states, return_tol)
     score = np.zeros(scored.size)
     score[: deltas.size] = deltas[: scored.size]
 

@@ -224,6 +224,15 @@ class TransitionKernel:
             parts.append(self.tail.rows_at(max(lo, top + 1), hi))
         return parts
 
+    def homogeneous_level(self) -> int | None:
+        """First state from which every row is the homogeneous tail's row, bit
+        for bit; None without a homogeneous tail.  All explicit rows are
+        compared in one step."""
+        if not isinstance(self.tail, HomogeneousTail):
+            return None
+        differ = np.flatnonzero((self.weights != self.tail.row).any(axis=1))
+        return self.state_lo + (int(differ[-1]) + 1 if differ.size else 0)
+
     def row_masses(self, lo: int, blocks: list[np.ndarray]) -> list[np.ndarray]:
         """Row sums of ``blocks = row_blocks(lo, hi)``, block by block: the
         explicit rows' sums from construction, one sum of a homogeneous tail
@@ -589,6 +598,31 @@ def band_pin(lu, ab: np.ndarray, i: int) -> None:
     l, u = lu
     for y in range(max(0, i - l), min(ab.shape[1], i + u + 1)):
         ab[u + i - y, y] = 1.0 if y == i else 0.0
+
+
+def band_closure(rows, band_lo: int, G: np.ndarray, transpose: bool = False, factors=None):
+    """I - P (or its transpose) on the window ``rows``, as ``band_system``
+    assembles it, with its last m = len(G) equations replaced by the closure
+    x(top level) = G x(level below): the last 2m states of the window are two
+    levels of m states each.
+
+    Returns ``((l, u), ab)`` for ``band_solve``; the lower band is widened to
+    at least 2m - 1, which the closure needs.
+    """
+    parts = _stacked(rows)
+    W = parts[0][1].shape[1]
+    n, m = sum(len(block) for _, block in parts), len(G)
+    l0, u = (W - 1 - band_lo, band_lo) if transpose else (band_lo, W - 1 - band_lo)
+    l = max(l0, 2 * m - 1)
+    ab = np.zeros((l + u + 1, n))  # the extra subdiagonals are the last rows
+    for start, block in parts:
+        band_write(ab[: l0 + u + 1], start, block, band_lo, transpose, factors)
+    for k in range(l + u + 1):  # storage row k holds the entries (r, r + u - k)
+        ab[k, max(0, n - m + u - k) : max(0, n + u - k)] = 0.0
+    ab[u, n - m :] = 1.0
+    j = np.arange(m)
+    ab[u + m + j[:, None] - j, n - 2 * m + j] = -G
+    return (l, u), ab
 
 
 def band_matvec(rows, band_lo: int, v: np.ndarray) -> np.ndarray:

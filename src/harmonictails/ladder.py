@@ -14,6 +14,11 @@ written two ways:
   goes below zero.
 
 `killed_walk_harmonic` computes both forms and checks them against each other.
+
+Both ladder laws come from the walk's first-passage matrix between levels of
+m states (``_first_passage``), which the harmonic and stationary solvers
+also use to continue a solution exactly past the level from which a
+kernel's rows are its homogeneous tail row.
 """
 
 from __future__ import annotations
@@ -32,12 +37,16 @@ from .errors import (
     StateRangeError,
     UnsupportedInputError,
 )
-from .kernels import band_solve
+from .kernels import HomogeneousTail, TransitionKernel, band_solve
 
 _MASS_TOL = 1e-12
 _AGREEMENT_TOL = 1e-8  # between the two forms of the minimum law and of the multiplier
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 _RENEWAL_BLOCK_ENTRIES = 2**20
+_FIRST_PASSAGE_TOL = 1e-12  # residual of a first-passage matrix the solvers use
+# states solved directly before G's powers fill the levels above: a banded
+# solve of this size costs about what the numpy calls of doubling up to it do
+_DIRECT_STATES = 1024
 
 
 @dataclass(frozen=True)
@@ -263,19 +272,146 @@ class LadderData:
         return float(self.chi_pmf @ np.arange(self.chi_pmf.size))
 
 
+# ---------------------------------------------------------------------------
+# levels of m states: the first-passage matrix and the exact continuation
+
+
+def _row_sum_norm(a: np.ndarray) -> float:
+    """max_i sum_j |a[i, j]|, as ``np.linalg.norm(a, np.inf)`` computes it."""
+    return np.abs(a).sum(axis=1).max()
+
+
+def _first_passage(walk: LatticeWalk) -> tuple[np.ndarray, int, float]:
+    """First-passage matrix of the walk between levels of m = max(L, top step)
+    states: G[i, j] is the chance that the walk started at state i of a level
+    first enters the level below at its state j.
+
+    In levels the walk is a quasi-birth-death chain with blocks A_k[i, j] =
+    P(step = j - i + k m), k = -1, 0, 1, and G is the minimal solution of
+    G = A_-1 + A_0 G + A_1 G^2.  It comes from cyclic reduction (Bini,
+    Latouche & Meini, 2005) with no root to find: the blocks sum to the walk
+    mod m, which is doubly stochastic, so z = 1 is a known root of A_-1 +
+    (A_0 - I) z + A_1 z^2 with null vectors 1 and 1^T, and it is shifted out
+    first (to zero when the mean is <= 0, else to infinity), so convergence
+    stays quadratic up to zero mean.  A step whose down or up block is
+    exactly zero would leave G unchanged (for m = 1 the shift zeroes one at
+    once), so the reduction stops there.  Returns G, the number of reduction
+    steps (at most 64) and the residual of the unshifted equation (row-sum
+    norm); certifying it is the caller's.
+    """
+    L, top = -walk.lo, walk.hi
+    m = max(L, top)
+    law = np.zeros(4 * m + 1)  # P(step = s) at s + 2m
+    law[2 * m - L : 2 * m + top + 1] = walk.pmf
+    j = np.arange(m)
+    at = j - j[:, None] + 2 * m
+    down, level, up = law[at - m], law[at], law[at + m]
+    J, eye = np.full((m, m), 1.0 / m), np.eye(m)
+    recurrent = walk.mean <= 0
+    if recurrent:  # G 1 = 1: the root goes to zero, and G = G~ + J
+        b_down, b_level, b_up = down - down @ J, level + up @ J, up
+    else:  # G 1 < 1: the root goes to infinity, and G = G~
+        b_down, b_level, b_up = down, level + J @ down, up - J @ up
+    shifted_down, hat = b_down, b_level
+    for iterations in range(1, 65):  # each step drops every other level
+        if not (b_down.any() and b_up.any()):  # the levels decouple: hat is final
+            break
+        x = np.linalg.solve(eye - b_level, np.hstack([b_down, b_up]))
+        (dd, du), (ud, uu) = (np.vstack([b_down, b_up]) @ x).reshape(2, m, 2, m).swapaxes(1, 2)
+        hat = hat + ud
+        b_down, b_level, b_up = dd, b_level + du + ud, uu
+        if (min(_row_sum_norm(dd), _row_sum_norm(uu)) < 1e-18
+                or _row_sum_norm(ud) <= 2**-53 * _row_sum_norm(hat)):
+            break
+    G = np.linalg.solve(eye - hat, shifted_down) + (J if recurrent else 0.0)
+    residual = float(_row_sum_norm(down + level @ G + up @ G @ G - G))
+    return G, iterations, residual
+
+
+def _level_powers(G: np.ndarray, X: np.ndarray, done: int) -> None:
+    """Fill the rows done.. of the (levels, m) array X in place with
+    x_k = G^k x_0, given its first ``done`` rows, ``done`` a power of two.
+
+    By doubling: the rows x_0..x_{d-1} times (G^T)^d give the next d rows,
+    so the levels take about 2 log2(levels / done) products, and none once a
+    power of G has underflowed to zero.  When fewer levels are left than G
+    has rows, one product per level costs less than squaring G.
+    """
+    power = None
+    while done < len(X):
+        if len(X) - done <= len(G):
+            for k in range(done, len(X)):
+                np.matmul(X[k - 1], G.T, out=X[k])
+            return
+        if power is None:
+            power = G.T
+            for _ in range(done.bit_length() - 1):
+                power = power @ power
+        else:
+            power = power @ power
+        if not power.any():  # G^done underflowed: every further level is 0
+            X[done:] = 0.0
+            return
+        w = min(done, len(X) - done)
+        np.matmul(X[:w], power, out=X[done : done + w])
+        done += w
+
+
+def _homogeneous_levels(kernel: TransitionKernel, K: int) -> tuple[int, LatticeWalk] | None:
+    """(h, walk) when the window up to K can be closed exactly: from state h
+    on every row is the homogeneous tail row, whose step law ``walk``
+    (normalised, the zero steps at its ends cut off) steps both ways with
+    gcd 1, and the window holds the two levels of m = max(L, top step)
+    states above h that the closure couples (K >= h + 2m - 1).  None
+    otherwise, and the solvers fall back to their truncated solves."""
+    if not isinstance(kernel.tail, HomogeneousTail):
+        return None
+    row = kernel.tail.row
+    at = np.flatnonzero(row)
+    steps = (at - kernel.band_lo).tolist()
+    if not (steps and steps[0] < 0 < steps[-1] and math.gcd(*steps) == 1):
+        return None
+    h = kernel.homogeneous_level()
+    if K < h + 2 * max(-steps[0], steps[-1]) - 1:
+        return None
+    return h, LatticeWalk(lo=steps[0], pmf=row[at[0] : at[-1] + 1] / row.sum())
+
+
+def _level_counts(states: int, m: int) -> tuple[int, int]:
+    """The levels of m states that cover ``states`` states from h on, and
+    how many of them one banded solve takes: all of them up to about
+    ``_DIRECT_STATES`` states, else a power of two, at least the two levels
+    the closure couples; G's powers fill the rest."""
+    levels = -(-states // m)
+    block = max(2, _DIRECT_STATES // m)
+    return levels, min(levels, 1 << (block.bit_length() - 1))
+
+
+def _certified_first_passage(walk: LatticeWalk) -> tuple[np.ndarray, float]:
+    """The walk's first-passage matrix G and the residual of its equation,
+    which must be at most ``_FIRST_PASSAGE_TOL``."""
+    try:
+        G, iterations, residual = _first_passage(walk)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"cyclic reduction failed: {exc}", reason="singular") from exc
+    if not residual <= _FIRST_PASSAGE_TOL:
+        raise SolverFailure(
+            f"first-passage matrix not certified after {iterations} cyclic-reduction "
+            f"steps: residual {residual:.3e}",
+            reason="first-passage",
+            diagnostics={"residual": residual, "iterations": iterations},
+        )
+    return G, residual
+
+
 def ladder_height(walk: LatticeWalk) -> LadderData:
     """Distribution of the first descent below the starting level.
 
-    In levels of m = max(L, top step) states the walk is a quasi-birth-death
-    chain with blocks A_k[i, j] = P(step = j - i + k m), k = -1, 0, 1; the
-    minimal solution G of G = A_-1 + A_0 G + A_1 G^2 gives chi(d) =
-    G[0, m - d] and the defect 1 - sum G[0].  G comes from cyclic reduction
-    (Bini, Latouche & Meini, 2005) with no root to find: the blocks sum to
-    the walk mod m, which is doubly stochastic, so z = 1 is a known root of
-    A_-1 + (A_0 - I) z + A_1 z^2 with null vectors 1 and 1^T, and it is
-    shifted out first (to zero when the mean is <= 0, else to infinity), so
-    convergence stays quadratic up to zero mean.  Certified by the residual
-    of the unshifted equation (<= 1e-12, row-sum norm) and chi >= -1e-15.
+    With levels of m = max(L, top step) states, chi(d) = G[0, m - d] and the
+    defect is 1 - sum G[0], for the first-passage matrix G of
+    ``_first_passage``.  A walk on gZ, g > 1, is solved for step / g and its
+    law spread.  Certified by the residual of G's equation (<= 1e-12,
+    row-sum norm) and chi >= -1e-15.
     """
     support = walk.offsets[walk.pmf > 0]
     if walk.lo >= 0 or not support.any():
@@ -287,29 +423,8 @@ def ladder_height(walk: LatticeWalk) -> LadderData:
         chi = np.bincount(g * np.arange(coarse.chi_pmf.size), coarse.chi_pmf, L + 1)
         return replace(coarse, chi_pmf=chi)
 
-    m = max(L, walk.hi)
-    law = np.zeros(4 * m + 1)  # P(step = s) at s + 2m
-    law[2 * m - L : 2 * m + walk.hi + 1] = walk.pmf
-    j = np.arange(m)
-    at = j - j[:, None] + 2 * m
-    down, level, up = (law[at + k] for k in (-m, 0, m))
-    J, eye = np.full((m, m), 1.0 / m), np.eye(m)
-    norm = lambda a: np.linalg.norm(a, np.inf)  # noqa: E731  (row-sum norm)
-    if walk.mean <= 0:  # G 1 = 1: the root goes to zero, and G = G~ + J
-        b_down, b_level, b_up = down - down @ J, level + up @ J, up
-    else:  # G 1 < 1: the root goes to infinity, and G = G~
-        b_down, b_level, b_up = down, level + J @ down, up - J @ up
-    shifted_down, hat = b_down, b_level
-    for iterations in range(1, 65):  # each step drops every other level
-        x = np.linalg.solve(eye - b_level, np.hstack([b_down, b_up]))
-        (dd, du), (ud, uu) = (np.vstack([b_down, b_up]) @ x).reshape(2, m, 2, m).swapaxes(1, 2)
-        hat = hat + ud
-        b_down, b_level, b_up = dd, b_level + du + ud, uu
-        if min(norm(dd), norm(uu)) < 1e-18 or norm(ud) <= 2**-53 * norm(hat):
-            break
-    G = np.linalg.solve(eye - hat, shifted_down) + (J if walk.mean <= 0 else 0.0)
-    residual = float(norm(down + level @ G + up @ G @ G - G))
-    chi = np.concatenate([[0.0], G[0, m - L :][::-1]])
+    G, iterations, residual = _first_passage(walk)
+    chi = np.concatenate([[0.0], G[0, len(G) - L :][::-1]])
     if not (residual <= 1e-12 and chi.min() >= -1e-15):
         raise InternalConsistencyError(
             f"ladder law not certified after {iterations} cyclic-reduction steps: "

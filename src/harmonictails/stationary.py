@@ -6,7 +6,11 @@ root of the limit law.  Direct linear solves for the stationary vector
 underflow long before the asymptotic regime (exp(-beta i) hits 1e-308 around
 i = 850 for beta near 0.85), so the solver here works on the compensated
 vector y(i) = pi(i) exp(beta i), which stays of order one across the whole
-window.  Chains whose drift perturbation is not summable get a
+window.  When every row from some level h on is a tail row whose walk
+satisfies Cramér's condition, y is matrix-geometric above h and the law is
+exact (method ``matrix-geometric``); otherwise the chain is truncated, jumps
+above the window reflected onto its top, and checked by doubling the window
+(method ``linear-solve``).  Chains whose drift perturbation is not summable get a
 state-dependent decay rate beta(x) expanded in powers of the perturbation;
 the expansion coefficients come from a formal-series inversion of the local
 root equation.
@@ -20,6 +24,7 @@ together.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +33,7 @@ import numpy as np
 from .chains import ChainFamily
 from .errors import (
     InternalConsistencyError,
+    NoCramerRootError,
     SolverFailure,
     StateRangeError,
     UnsupportedInputError,
@@ -39,6 +45,7 @@ from .kernels import (
     StochasticKernel,
     TransitionKernel,
     _as_state_fn,
+    band_closure,
     band_matvec,
     band_pin,
     band_rmatvec,
@@ -47,7 +54,16 @@ from .kernels import (
     band_write,
     row_slice,
 )
-from .ladder import LatticeWalk, cramer_root, ruin_exponent
+from .ladder import (
+    LatticeWalk,
+    _certified_first_passage,
+    _homogeneous_levels,
+    _level_counts,
+    _level_powers,
+    cramer_root,
+    ruin_exponent,
+    tilt_walk,
+)
 
 
 @dataclass(frozen=True)
@@ -55,8 +71,12 @@ class StationaryResult:
     """Stationary law on 0..K in log form, with solve diagnostics.
 
     ``tilt_beta`` is the compensation rate used; ``y`` is the compensated
-    solution pi(i) exp(beta i).  ``normalization_error`` is how far the raw
-    solution was from summing to one (log scale) before renormalising.
+    solution pi(i) exp(beta i).  On the truncated path (``method``
+    ``linear-solve``) ``normalization_error`` is how far the raw solution was
+    from summing to one (log scale) before renormalising on the window; on
+    the exact path (``matrix-geometric``) the law is normalised on all
+    states, ``log_pi`` is not renormalised on the window, and
+    ``normalization_error`` is |log| of the window's mass.
     """
 
     K: int
@@ -66,6 +86,7 @@ class StationaryResult:
     normalization_error: float
     reflected_weight: float
     doubling_disagreement: float | None = None
+    method: str = "linear-solve"  # or "matrix-geometric"
     meta: dict = field(default_factory=dict)
 
     @property
@@ -218,8 +239,16 @@ def stationary_solve(
     ``chain`` is a :class:`ChainFamily` or a stochastic kernel with rows
     available up to 2K.  ``beta`` defaults to the Cramér root of the
     limiting jump law; passing 0 turns compensation off (only safe for
-    short windows).  The solve is repeated on a doubled window and the two
-    stationary vectors must agree on 0..K/2.
+    short windows).
+
+    When the rows from some level h on are a tail row whose walk satisfies
+    Cramér's condition, and the window reaches h + 2m - 1
+    (``_homogeneous_levels``), the law is exact (method
+    ``matrix-geometric``): it is solved at the Cramér root, where the
+    compensated vector is matrix-geometric above h, and an explicit ``beta``
+    only rescales y.  Otherwise the solve is truncated, with jumps above K
+    reflected onto K, and repeated on a doubled window: the two stationary
+    vectors must agree on 0..K/2 (method ``linear-solve``).
     """
     if K < 1:
         raise StateRangeError(f"window 0..{K} needs K >= 1")
@@ -230,6 +259,7 @@ def stationary_solve(
         # is checked, and the kernel's tail broadcasts the rest
         hf = chain.homogeneous_from
         kernel = chain.kernel(top if hf is None else hf)
+    root = None
     if beta is None:
         walk = _limit_walk_of(chain)
         if walk.mean >= 0:
@@ -237,8 +267,110 @@ def stationary_solve(
                 f"limiting drift {walk.mean:.6g} is not negative; "
                 "the chain has no stationary law to solve for"
             )
-        beta = cramer_root(walk)
+        beta = root = cramer_root(walk)
+    levels = _homogeneous_levels(kernel, K)
+    if levels is not None and levels[1].mean < 0:
+        if root is None:
+            with contextlib.suppress(NoCramerRootError):
+                root = cramer_root(_limit_walk_of(chain))
+        if root is not None:
+            return _matrix_geometric_stationary(kernel, K, root, beta, *levels)
+    return _truncated_stationary(kernel, K, beta, check_doubling, doubling_tol)
 
+
+def _matrix_geometric_stationary(kernel: TransitionKernel, K: int, root: float, beta: float,
+                                 h: int, walk: LatticeWalk) -> StationaryResult:
+    """The stationary law on 0..K from the rows below h + m, at the Cramér
+    root ``root`` of the tail walk, rescaled to the compensation ``beta``.
+
+    y(i) = pi(i) exp(root i) solves the balance equations of the tilted
+    rows, and on the levels of m states above h, y_(k+1) = y_k R, where
+    R = G^T for the first-passage matrix G of the negated tilted walk
+    (Neuts 1981; Latouche & Ramaswami 1999).  R has spectral radius 1, so
+    nothing underflows.  One banded system holds the balance equations from
+    state 0 (pinned, y(0) = 1) up to the level below its top and, as its
+    last m equations, the closure; G's powers fill the levels above it up
+    to K + band_lo.  The normalisation adds the exact geometric remainder
+    exp(-root h) y_0 (I - exp(-root m) R)^-1 d, d(j) = exp(-root j), and the
+    balance residual is taken over all of the window.
+    """
+    bl = kernel.band_lo
+    G, g_residual = _certified_first_passage(tilt_walk(walk, root).negated())
+    m = len(G)
+    levels, direct = _level_counts(K + bl - h + 1, m)
+    n = h + direct * m
+    tilt = np.exp(root * kernel.offsets)  # finite: the root is below 700 / band_hi
+    rows = kernel.row_blocks(0, max(K + bl, n - 1))
+    lu, ab = band_closure(row_slice(rows, 0, n), bl, G, transpose=True, factors=tilt)
+    band_pin(lu, ab, 0)
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    y = np.empty(h + levels * m)
+    try:
+        y[:n] = band_solve(lu, ab, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(
+            f"compensated stationary solve failed: {exc}", reason="singular"
+        ) from exc
+    _level_powers(G, y[h:].reshape(levels, m), direct)
+    with np.errstate(under="ignore"):
+        head = np.exp(-root * np.arange(h)) @ y[:h]
+        remainder = np.linalg.solve(np.eye(m) - math.exp(-root * m) * G, y[h : h + m])
+        total = head + math.exp(-root * h) * (remainder @ np.exp(-root * np.arange(m)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.divide(y[: K + bl + 1], total, out=y[: K + bl + 1])
+    if not (math.isfinite(total) and np.all(np.isfinite(y))):
+        raise SolverFailure("compensated stationary solve overflowed", reason="non-finite")
+    window = y[: K + 1]
+    neg = float(window.min())
+    scale = max(1.0, -neg, float(window.max()))
+    if neg < -1e-10 * scale:
+        raise SolverFailure(
+            f"compensated stationary vector has negative entries (min {neg:.3e})",
+            reason="negative-values",
+            diagnostics={"min_value": neg},
+        )
+    np.clip(y, 1e-300, None, out=y)
+    balance = band_rmatvec(row_slice(rows, 0, K + bl + 1), bl, y, factors=tilt)[: K + 1]
+    balance = np.abs(np.subtract(balance, window, out=balance), out=balance)
+    log_pi = np.log(window)
+    log_pi -= root * np.arange(K + 1, dtype=float)
+    # the window's mass; exp(-root i) is exactly 0 from i = 746 / root on
+    live = min(K + 1, math.ceil(746.0 / root) + 1)
+    with np.errstate(under="ignore"):
+        mass = float(np.exp(-root * np.arange(live)) @ window[:live])
+    if beta != root:
+        with np.errstate(over="ignore", under="ignore"):
+            window = np.exp(log_pi + beta * np.arange(K + 1, dtype=float))
+        if not (np.all(np.isfinite(window)) and window.min() > 0.0):
+            raise SolverFailure(
+                f"compensated vector pi(i) exp(beta i) leaves the float range at "
+                f"beta = {beta:.6g}",
+                reason="non-finite",
+            )
+    return StationaryResult(
+        K=K,
+        tilt_beta=float(beta),
+        log_pi=log_pi,
+        y=window,
+        normalization_error=abs(math.log(mass)),
+        reflected_weight=0.0,
+        method="matrix-geometric",
+        meta={
+            "balance_residual": float(balance[1:].max()) / scale,
+            "first_passage_residual": g_residual,
+            "homogeneous_level": h,
+            "level_size": m,
+        },
+    )
+
+
+def _truncated_stationary(kernel: TransitionKernel, K: int, beta: float, check_doubling: bool,
+                          doubling_tol: float) -> StationaryResult:
+    """The stationary law of the chain truncated at K, jumps above K
+    reflected onto K, checked on 0..K/2 by the solve at 2K when
+    ``check_doubling`` is set."""
+    top = 2 * K if check_doubling else K
     windows = (K + 1, 2 * K + 1) if check_doubling else (K + 1,)
     ys, reflected, balance_residual = _compensated_solves(
         kernel.row_blocks(0, top), kernel.band_lo, beta, windows

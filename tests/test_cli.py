@@ -108,6 +108,14 @@ HOLES = [
     # a limit row whose total overflows normalises to zeros
     ("finite total weight", {"task": "stationary", "params": {"K": 60},
                              "chain": {**TWO_ROWS, "tail_row": {"-1": 1e308, "1": 1e308}}}),
+    # what build_mc's own set-up refuses: explicit rows that hold, under a
+    # limit row that drifts up, and a start state above the scored range
+    ("positive-drift minorant", {"task": "harmonic-mc", "params": MC,
+                                 "chain": {"name": "general", "band_lo": 1, "band_hi": 1,
+                                           "stochastic": True, "rows": {"0": {"0": 1.0}},
+                                           "tail_row": UP_WALK}}),
+    ("outside the scored range", {"task": "harmonic-mc", "chain": EX1,
+                                  "params": {**MC, "states": [1000]}}),
 ]
 
 
@@ -636,11 +644,13 @@ def test_mc_states_validated(tmp_path, capsys, states):
 
 
 def test_mc_state_above_scored_range(tmp_path, capsys):
+    # validate runs build_mc's own set-up, so the run stops at the config check
     cfg = write_cfg(tmp_path, "mc.json",
                     {"task": "harmonic-mc", "chain": EX1,
                      "params": {"seed": 1, "n_paths": 10, "horizon": 10, "states": [1000]}})
     assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 1
-    assert "outside the scored range" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err and "outside the scored range" in err
 
 
 @pytest.mark.parametrize("params", [{"K": 50, "i_max": 51}, {"i_max": 401},

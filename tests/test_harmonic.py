@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import harmonictails as ht
 from conftest import reference_band_matvec, reference_band_system, seeded_drift_kernels
+from harmonictails.harmonic import _truncated_solve
 
 RATIO = 3.0 / 7.0  # q/p for the default up probability 0.7
 
@@ -50,15 +51,24 @@ def test_closed_form_critical_and_beyond():
 
 
 def test_solve_matches_closed_form(ex1_kernel):
+    # the rows from state 1 on are the limit row: the exact path
     est = ht.build_solve(ex1_kernel, K=400)
-    assert est.method == "linear-solve"
+    assert est.method == "matrix-geometric"
     assert est.residual is not None and est.residual <= 1e-9
-    assert est.meta["doubling_disagreement"] is not None
-    assert est.meta["doubling_disagreement"] <= 1e-6
-    for i in range(21):
-        assert est.value(i) == pytest.approx(exact_f(i), abs=1e-8)
-    # pinned boundary extends the function above the truncation
-    assert est.value(1000) == 1.0
+    assert est.meta["first_passage_residual"] <= 1e-12
+    assert (est.meta["homogeneous_level"], est.meta["level_size"]) == (1, 1)
+    assert "doubling_disagreement" not in est.meta
+    # the truncated solve, with its doubling check
+    trunc = _truncated_solve(ex1_kernel, 400, 1e-10, True, 1e-6)
+    assert trunc.method == "linear-solve"
+    assert trunc.residual is not None and trunc.residual <= 1e-9
+    assert trunc.meta["doubling_disagreement"] is not None
+    assert trunc.meta["doubling_disagreement"] <= 1e-6
+    for e in (est, trunc):
+        for i in range(21):
+            assert e.value(i) == pytest.approx(exact_f(i), abs=1e-8)
+        # pinned boundary extends the function above the truncation
+        assert e.value(1000) == 1.0
     with pytest.raises(ht.StateRangeError):
         ht.build_solve(ex1_kernel, K=400, check_doubling=True).value(-1)
 
@@ -155,7 +165,7 @@ def test_build_solve_matches_reference_assembly():
         # n >= W; at K = 2100 the 2K window is long enough for row blocks
         for K in (2 * lo + W, kernel.truncation, kernel.truncation + 1, 150, 2100):
             for check_doubling in (True, False):
-                est = ht.build_solve(kernel, K, check_doubling=check_doubling, doubling_tol=1.0)
+                est = _truncated_solve(kernel, K, 1e-10, check_doubling, 1.0)
                 f, disagreement, residual = _reference_build_solve(kernel, K, check_doubling)
                 assert est.values.array.tobytes() == f.tobytes(), (kernel.band_lo, lo, K)
                 assert est.residual == residual
@@ -170,12 +180,76 @@ def test_doubling_below_twice_state_lo():
     killed = ht.perturbed_reflected_walk(p=0.7, alpha=2.0).kernel(8).embed().kill(range(6))
     assert killed.state_lo == 6
     for K in (6, 7, 8, 10, 11):
-        est = ht.build_solve(killed, K, doubling_tol=1.0)
-        wide = ht.build_solve(killed, 2 * K, check_doubling=False)
+        est = _truncated_solve(killed, K, 1e-10, True, 1.0)
+        wide = _truncated_solve(killed, 2 * K, 1e-10, False, 1e-6)
         a, b = est.value(6), wide.value(6)
         assert est.meta["doubling_disagreement"] == abs(a - b) / max(1.0, abs(a))
     est = ht.build_solve(killed, 40)
     assert est.value(6) == pytest.approx(1.0 - (3.0 / 7.0), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the exact (matrix-geometric) solve and the cases left to the truncated one
+
+
+def test_exact_solve_matches_truncated_solve():
+    # the seeded kernels with a homogeneous tail that steps down (band widths
+    # 3 to 11; state_lo 0 and 5; three boundary rows off mass one), the
+    # example-1 walk killed on 0..5 (state_lo 6) and a killed walk with steps
+    # -3..2: the truncated solve at K = 3000 has converged to about 1e-11 on
+    # 0..K/2 (its doubling check), so the two agree there to 1e-10 relative
+    K = 3000
+    kernels = [k for k in seeded_drift_kernels(np.random.default_rng(41))
+               if isinstance(k.tail, ht.HomogeneousTail) and k.band_lo]
+    kernels.append(ht.perturbed_reflected_walk(p=0.7, alpha=2.0).kernel(8).embed().kill(range(6)))
+    walk = ht.LatticeWalk.from_dict({-3: 0.2, -1: 0.1, 0: 0.1, 2: 0.6})
+    kernels.append(ht.walk_killed_at_negative(walk).kernel(3))
+    for kernel in kernels:
+        est = ht.build_solve(kernel, K)
+        ref = _truncated_solve(kernel, K, 1e-10, True, 1e-6)
+        assert est.method == "matrix-geometric" and est.meta["first_passage_residual"] <= 1e-12
+        assert est.residual <= 1e-12 and est.value(K + 1) == 1.0
+        half = K // 2 - kernel.state_lo + 1
+        a, b = est.values.array[:half], ref.values.array[:half]
+        assert np.max(np.abs(a - b) / np.maximum(1.0, b)) <= 1e-10, (kernel.band_lo, kernel.band_hi)
+    assert len(kernels) == 20
+
+
+def test_exact_solve_needs_the_closure_level():
+    # the window must reach h + 2m - 1: below it the truncated solve runs
+    for kernel, h, m in [
+        (ht.perturbed_reflected_walk(p=0.7, alpha=2.0).kernel(8), 1, 1),
+        (ht.multi_perturbed_walk((1.2, 1.5), p=0.7).kernel(10), 3, 1),
+        (ht.walk_killed_at_negative(ht.LatticeWalk.from_dict({-3: 0.2, 2: 0.8})).kernel(3), 3, 3),
+    ]:
+        top = h + 2 * m - 1
+        assert ht.build_solve(kernel, top - 1, check_doubling=False).method == "linear-solve"
+        est = ht.build_solve(kernel, top)
+        assert est.method == "matrix-geometric"
+        assert (est.meta["homogeneous_level"], est.meta["level_size"]) == (h, m)
+
+
+def test_truncated_solve_cases():
+    # a limit walk on 2Z, a parametric tail and a limit walk that drifts down
+    limit = np.array([0.3, 0.0, 0.0, 0.0, 0.7])
+    gcd2 = ht.TransitionKernel(band_lo=2, band_hi=2, weights=np.array([[0, 0, 0, 0, 1.0]] * 2),
+                               tail=ht.HomogeneousTail(limit))
+    parametric = next(k for k in seeded_drift_kernels(np.random.default_rng(41))
+                      if isinstance(k.tail, ht.ParametricTail) and k.band_lo)
+    for kernel in (gcd2, parametric, recurrent_rows_chain()):
+        est = ht.build_solve(kernel, 200)
+        assert est.method == "linear-solve" and est.meta["doubling_disagreement"] <= 1e-6
+
+
+def test_exact_solve_of_a_kernel_with_rows_up_to_K():
+    # the homogeneous level comes from the rows themselves: explicit rows up
+    # to K that equal the limit row give the solve of the short kernel
+    fam = ht.perturbed_reflected_walk(p=0.7, alpha=2.0)
+    for K in (400, 5000):
+        long, short = ht.build_solve(fam.kernel(K), K), ht.build_solve(fam.kernel(8), K)
+        assert long.method == "matrix-geometric" and long.meta["homogeneous_level"] == 1
+        assert long.values.array.tobytes() == short.values.array.tobytes()
+        assert long.residual == short.residual
 
 
 def test_solve_trichotomy():

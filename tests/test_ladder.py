@@ -421,3 +421,110 @@ def test_ladder_callers_compute_the_root_once(monkeypatch):
     assert np.array_equal(again.ladder_form, h.ladder_form)
     assert np.array_equal(again.minimum_form, h.minimum_form)
     assert ruin == []
+
+
+# ---------------------------------------------------------------------------
+# the first-passage matrix: the cyclic-reduction core of the ladder law
+
+
+def _reference_ladder_height(walk):
+    """The ladder law as computed before its cyclic-reduction core moved into
+    ``_first_passage``: (chi, defect, iterations, residual), or the error."""
+    support = walk.offsets[walk.pmf > 0]
+    L = -walk.lo
+    g = int(np.gcd.reduce(support))
+    if g > 1:
+        coarse = _reference_ladder_height(ht.LatticeWalk(lo=-(L // g), pmf=walk.pmf[L % g :: g]))
+        chi = np.bincount(g * np.arange(coarse[0].size), coarse[0], L + 1)
+        return (chi, *coarse[1:])
+    m = max(L, walk.hi)
+    law = np.zeros(4 * m + 1)
+    law[2 * m - L : 2 * m + walk.hi + 1] = walk.pmf
+    j = np.arange(m)
+    at = j - j[:, None] + 2 * m
+    down, level, up = (law[at + k] for k in (-m, 0, m))
+    J, eye = np.full((m, m), 1.0 / m), np.eye(m)
+    norm = lambda a: np.linalg.norm(a, np.inf)  # noqa: E731
+    if walk.mean <= 0:
+        b_down, b_level, b_up = down - down @ J, level + up @ J, up
+    else:
+        b_down, b_level, b_up = down, level + J @ down, up - J @ up
+    shifted_down, hat = b_down, b_level
+    for iterations in range(1, 65):
+        x = np.linalg.solve(eye - b_level, np.hstack([b_down, b_up]))
+        (dd, du), (ud, uu) = (np.vstack([b_down, b_up]) @ x).reshape(2, m, 2, m).swapaxes(1, 2)
+        hat = hat + ud
+        b_down, b_level, b_up = dd, b_level + du + ud, uu
+        if min(norm(dd), norm(uu)) < 1e-18 or norm(ud) <= 2**-53 * norm(hat):
+            break
+    G = np.linalg.solve(eye - hat, shifted_down) + (J if walk.mean <= 0 else 0.0)
+    residual = float(norm(down + level @ G + up @ G @ G - G))
+    chi = np.concatenate([[0.0], G[0, m - L :][::-1]])
+    return np.clip(chi, 0.0, None), max(0.0, 1.0 - float(G[0].sum())), iterations, residual
+
+
+def test_ladder_height_keeps_its_bits_after_the_first_passage_split():
+    # Dirichlet walks with reach 1..45 down and 0..20 up, each also pushed to
+    # a mean within about 1e-3 of zero, the nearest-neighbour walks whose
+    # shifted block is zero at once, and walks on 2Z and 3Z
+    rng = np.random.default_rng(23)
+    walks = [ht.LatticeWalk.from_dict(d) for d in (
+        {-1: 0.3, 1: 0.7}, {-1: 0.7, 1: 0.3}, {-1: 0.5, 1: 0.5}, {-1: 0.2, 0: 0.3, 1: 0.5},
+        {-2: 0.175, -1: 0.4, 0: 0.125, 1: 0.3}, {-2: 0.5, 2: 0.5}, {-3: 0.6, 3: 0.4},
+        {-40: 0.5, -1: 0.1, 1: 0.4})]
+    for L in (1, 2, 3, 5, 8, 13, 30, 45):
+        for H in (0, 1, 2, 4, 9, 20):
+            off = np.arange(-L, H + 1)
+            pmf = rng.dirichlet(np.full(off.size, 0.7))
+            walks.append(ht.LatticeWalk(lo=-L, pmf=pmf))
+            if H:
+                for _ in range(60):
+                    pmf = pmf * np.exp(-0.3 * np.sign(pmf @ off) * off / max(L, H))
+                    pmf /= pmf.sum()
+                walks.append(ht.LatticeWalk(lo=-L, pmf=pmf))
+    for walk in walks:
+        want = _reference_ladder_height(walk)
+        lad = ht.ladder_height(walk)
+        assert lad.chi_pmf.tobytes() == want[0].tobytes(), walk
+        assert (lad.defect, lad.meta["iterations"], lad.meta["residual"]) == want[1:]
+    assert len(walks) == 8 + 8 * 6 + 8 * 5
+
+
+def test_first_passage_solves_its_equation():
+    from harmonictails.ladder import _first_passage
+
+    # G is the minimal solution: substochastic for an upward mean, stochastic
+    # otherwise; for the +-1 walk it is the ratio q/p, or 1
+    G, iterations, residual = _first_passage(ht.LatticeWalk.from_dict({-1: 0.3, 1: 0.7}))
+    assert G.shape == (1, 1) and G[0, 0] == pytest.approx(3 / 7, abs=1e-15)
+    assert iterations == 1 and residual <= 1e-16
+    G, _, _ = _first_passage(ht.LatticeWalk.from_dict({-1: 0.7, 1: 0.3}))
+    assert G[0, 0] == 1.0
+    walk = ht.LatticeWalk.from_dict({-2: 0.175, -1: 0.4, 0: 0.125, 1: 0.3})
+    G, _, residual = _first_passage(walk)
+    assert residual <= 1e-15 and np.allclose(G.sum(axis=1), 1.0, atol=1e-14)
+    G, _, residual = _first_passage(walk.negated())
+    assert residual <= 1e-15 and np.all(G.sum(axis=1) < 1.0) and np.all(G >= -1e-15)
+
+
+def test_level_powers_by_doubling():
+    from harmonictails.ladder import _level_powers
+
+    rng = np.random.default_rng(3)
+    for m, levels, done in [(1, 1, 1), (1, 40001, 1), (3, 100, 4), (4, 7, 2), (2, 3, 2)]:
+        G = rng.uniform(0.0, 1.0, (m, m))
+        G /= 1.05 * G.sum(axis=1, keepdims=True)
+        X = np.zeros((levels, m))
+        X[0] = rng.uniform(1.0, 2.0, m)
+        for k in range(1, min(done, levels)):
+            X[k] = G @ X[k - 1]
+        _level_powers(G, X, done)
+        x = X[0].copy()
+        for k in range(min(levels, 300)):  # level by level, where it has not underflowed
+            np.testing.assert_allclose(X[k], x, rtol=1e-12, atol=1e-300)
+            x = G @ x
+    # a power that underflows to zero zeroes every level above it
+    X = np.zeros((5000, 1))
+    X[0] = 1.0
+    _level_powers(np.array([[0.25]]), X, 1)
+    assert X[4999, 0] == 0.0 and X[500, 0] == 0.25**500

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import harmonictails as ht
 from conftest import lindley_exact_log_pi
+from harmonictails.stationary import _truncated_stationary
 
 BETA = math.log(7.0 / 3.0)
 
@@ -25,17 +26,78 @@ def example3_result(example3_family):
 def test_lindley_stationary_exact(lindley_result):
     fam, res = lindley_result
     exact = lindley_exact_log_pi(400)
-    assert np.max(np.abs(res.log_pi - exact)) <= 1e-10
-    assert res.tilt_beta == pytest.approx(BETA, abs=1e-14)
-    assert res.reflected_weight == pytest.approx(0.3, abs=1e-12)
-    assert res.normalization_error <= 1e-8
-    assert res.doubling_disagreement is not None
-    assert res.doubling_disagreement <= 1e-8
-    assert res.pi.sum() == pytest.approx(1.0, abs=1e-12)
+    # the rows from state 1 on are the limit row: the exact path
+    assert res.method == "matrix-geometric"
+    assert res.meta["first_passage_residual"] <= 1e-12
+    assert (res.meta["homogeneous_level"], res.meta["level_size"]) == (1, 1)
+    assert res.doubling_disagreement is None and res.reflected_weight == 0.0
+    # the truncated solve reflects the jumps above K and checks by doubling
+    trunc = _truncated_stationary(fam.kernel(800), 400, BETA, True, 1e-8)
+    assert trunc.method == "linear-solve"
+    assert trunc.reflected_weight == pytest.approx(0.3, abs=1e-12)
+    assert trunc.doubling_disagreement is not None
+    assert trunc.doubling_disagreement <= 1e-8
+    for r in (res, trunc):
+        assert np.max(np.abs(r.log_pi - exact)) <= 1e-10
+        assert r.tilt_beta == pytest.approx(BETA, abs=1e-14)
+        assert r.normalization_error <= 1e-8
+        assert r.pi.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ht.StateRangeError):
         res.log_value(401)
     with pytest.raises(ht.StateRangeError):
         res.log_value(-1)
+
+
+def _custom_boundary(fam, rng):
+    """The Lindley chain's limit row above its homogeneous level plus three,
+    random stochastic rows below."""
+    kernel = fam.kernel(fam.homogeneous_from + 3)
+    off = kernel.offsets
+    w = kernel.weights.copy()
+    for r in range(len(w) - 1):
+        w[r] = rng.dirichlet(np.ones(off.size)) * (r + off >= 0)
+        w[r] /= w[r].sum()
+    return ht.StochasticKernel(band_lo=kernel.band_lo, band_hi=kernel.band_hi, weights=w,
+                               tail=kernel.tail)
+
+
+def test_exact_stationary_matches_truncated_solve():
+    # Lindley chains of band widths 3 to 11 and, over the same limit rows,
+    # random stochastic boundary rows: the truncated solve at K = 3000 has
+    # converged on 0..K/2, and log pi agrees there to 1e-11
+    rng = np.random.default_rng(12)
+    K, cases = 3000, 0
+    for fam in _seeded_lindley_chains(rng):
+        if not fam.band_hi:
+            continue
+        for chain, kernel in ((fam, fam.kernel(2 * K)), 2 * (_custom_boundary(fam, rng),)):
+            res = ht.stationary_solve(chain, K)
+            ref = _truncated_stationary(kernel, K, res.tilt_beta, True, 1e-8)
+            assert res.method == "matrix-geometric" and res.meta["first_passage_residual"] <= 1e-12
+            assert res.meta["balance_residual"] <= 1e-12 and res.doubling_disagreement is None
+            assert np.max(np.abs(res.log_pi[: K // 2 + 1] - ref.log_pi[: K // 2 + 1])) <= 1e-11
+            cases += 1
+    assert cases == 14
+
+
+def test_stationary_beta_only_rescales(lindley_result):
+    fam, res = lindley_result
+    for beta in (0.0, 0.5, BETA):
+        other = ht.stationary_solve(fam, 400, beta=beta)
+        assert other.method == "matrix-geometric" and other.tilt_beta == beta
+        assert other.log_pi.tobytes() == res.log_pi.tobytes()
+        i = np.arange(401)
+        np.testing.assert_allclose(other.y, np.exp(res.log_pi + beta * i), rtol=1e-13)
+
+
+def test_stationary_truncated_cases():
+    # a walk on 2Z, a parametric tail and a window below the closure level
+    gcd2 = ht.lindley_chain(ht.LatticeWalk.from_dict({-2: 0.6, 0: 0.1, 2: 0.3}))
+    lind = ht.lindley_chain(ht.LatticeWalk.from_dict({-1: 0.7, 1: 0.3}))
+    ex3 = ht.alternating_drift_chain(p=0.3, c0=0.05, gamma=0.7)
+    for chain, K in ((gcd2, 100), (ex3, 100), (lind, 1)):
+        assert ht.stationary_solve(chain, K, check_doubling=K > 1).method == "linear-solve"
+    assert ht.stationary_solve(lind, 2).method == "matrix-geometric"
 
 
 def test_stationary_without_compensation(down_walk):
