@@ -460,7 +460,7 @@ def _run_harmonic_solve(family: ChainFamily, K: int, tol: float, i_max: int):
     if family.name == "perturbed-reflected-walk":
         alpha, p = family.params["alpha"], family.params["p"]
         header = ["i", "f_solve", "f_closed_form", "abs_err"]
-        fc = np.array([reflected_walk_harmonic_exact(alpha, p, i) for i in range(i_max + 1)])
+        fc = reflected_walk_harmonic_exact(alpha, p, np.arange(i_max + 1))
         err = np.abs(f_solve - fc)
         diag["max_abs_err"] = max(err.tolist())
         columns = [np.arange(i_max + 1), f_solve, fc, err]
@@ -586,6 +586,10 @@ def _run_cramer_series(family: ChainFamily | None, M: int, m: list | None, D: di
 # times the width, harmonic-solve peaks at 711 MB (killed walk, width 2001).
 # The ladder law of a walk of span s holds ~20 s x s matrices: the ladder
 # task on {-2000: 0.6, 1: 0.4} peaks at 623 MB (7.5 s on a 2-core host).
+# The exact solves hold the same matrices for levels of m = 2000 states, and
+# a closure system of about 3m band diagonals over 2m states: harmonic-solve
+# with tail row {-1: 0.5, 2000: 0.5} at K = 4995 peaks at 904 MB (7.7 s),
+# stationary on {-1: 0.9, 0: 0.0999, 1999: 0.0001} at 744 MB (18.5 s).
 _MAX_PATHS = 10**7
 _MAX_STATES = 10**6
 _MAX_SPAN = 2000

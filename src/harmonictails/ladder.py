@@ -43,7 +43,7 @@ _MASS_TOL = 1e-12
 _AGREEMENT_TOL = 1e-8  # between the two forms of the minimum law and of the multiplier
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 _RENEWAL_BLOCK_ENTRIES = 2**20
-_FIRST_PASSAGE_TOL = 1e-12  # residual of a first-passage matrix the solvers use
+_FIRST_PASSAGE_TOL = 1e-12  # residual of G's equation that certifies a first-passage matrix
 # states solved directly before G's powers fill the levels above: a banded
 # solve of this size costs about what the numpy calls of doubling up to it do
 _DIRECT_STATES = 1024
@@ -425,7 +425,7 @@ def ladder_height(walk: LatticeWalk) -> LadderData:
 
     G, iterations, residual = _first_passage(walk)
     chi = np.concatenate([[0.0], G[0, len(G) - L :][::-1]])
-    if not (residual <= 1e-12 and chi.min() >= -1e-15):
+    if not (residual <= _FIRST_PASSAGE_TOL and chi.min() >= -1e-15):
         raise InternalConsistencyError(
             f"ladder law not certified after {iterations} cyclic-reduction steps: "
             f"residual {residual:.3e}, smallest ladder mass {chi.min():.3e}"
