@@ -303,11 +303,19 @@ def _first_passage(walk: LatticeWalk) -> tuple[np.ndarray, int, float]:
     m = max(L, top)
     law = np.zeros(4 * m + 1)  # P(step = s) at s + 2m
     law[2 * m - L : 2 * m + top + 1] = walk.pmf
+    recurrent = walk.mean <= 0
+    if m == 1:  # the arithmetic below on scalars, one LAPACK solve kept: the shift
+        # zeroes the down (recurrent) or the up block, so no reduction step runs
+        d, lev, u = law[1:4].tolist()
+        hat, shifted = (lev + u * 1.0, d - d * 1.0) if recurrent else (lev + 1.0 * d, d)
+        G = np.linalg.solve(np.array([[1.0 - hat]]), np.array([[shifted]]))
+        G += 1.0 if recurrent else 0.0
+        g = G.item()
+        return G, 1, abs(d + lev * g + u * g * g - g)
     j = np.arange(m)
     at = j - j[:, None] + 2 * m
     down, level, up = law[at - m], law[at], law[at + m]
     J, eye = np.full((m, m), 1.0 / m), np.eye(m)
-    recurrent = walk.mean <= 0
     if recurrent:  # G 1 = 1: the root goes to zero, and G = G~ + J
         b_down, b_level, b_up = down - down @ J, level + up @ J, up
     else:  # G 1 < 1: the root goes to infinity, and G = G~
