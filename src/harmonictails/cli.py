@@ -586,10 +586,11 @@ def _run_cramer_series(family: ChainFamily | None, M: int, m: list | None, D: di
 # times the width, harmonic-solve peaks at 711 MB (killed walk, width 2001).
 # The ladder law of a walk of span s holds ~20 s x s matrices: the ladder
 # task on {-2000: 0.6, 1: 0.4} peaks at 623 MB (7.5 s on a 2-core host).
-# The exact solves hold the same matrices for levels of m = 2000 states, and
-# a closure system of about 3m band diagonals over 2m states: harmonic-solve
-# with tail row {-1: 0.5, 2000: 0.5} at K = 4995 peaks at 904 MB (7.7 s),
-# stationary on {-1: 0.9, 0: 0.0999, 1999: 0.0001} at 744 MB (18.5 s).
+# The exact solves take levels of m states only while m^3 <= 8 K x width,
+# so m <= 430 under the cap on band entries: harmonic-solve with tail row
+# {-1: 0.3, 1: 0.3, 430: 0.4} at K = 23012 peaks at 85 MB (0.6 s), and
+# stationary on {-1: 0.9, 0: 0.0999, 430: 0.0001} at 70 MB (0.7 s); wider
+# tails get the truncated solves above.
 _MAX_PATHS = 10**7
 _MAX_STATES = 10**6
 _MAX_SPAN = 2000

@@ -47,6 +47,13 @@ _FIRST_PASSAGE_TOL = 1e-12  # residual of G's equation that certifies a first-pa
 # states solved directly before G's powers fill the levels above: a banded
 # solve of this size costs about what the numpy calls of doubling up to it do
 _DIRECT_STATES = 1024
+# m^3 / (K x band width) above which cyclic reduction on levels of m states
+# costs more than the truncated solves at K and 2K.  On a 2-core host a
+# one-step reduction breaks even near 60 (killed walk {-1: 0.3, 1: 0.3,
+# 400: 0.4} at K = 5000, ratio 32: 104 ms exact, 198 ms truncated; with 800
+# in place of 400 at K = 2500, ratio 255: 864 ms and 182 ms); 8 leaves room
+# for the ten and more steps that two-sided tails take.
+_EXACT_WORK_RATIO = 8
 
 
 @dataclass(frozen=True)
@@ -366,21 +373,31 @@ def _level_powers(G: np.ndarray, X: np.ndarray, done: int) -> None:
 
 
 def _homogeneous_levels(kernel: TransitionKernel, K: int) -> tuple[int, LatticeWalk] | None:
-    """(h, walk) when the window up to K can be closed exactly: from state h
-    on every row is the homogeneous tail row, whose step law ``walk``
+    """(h, walk) when the window up to K is closed exactly: from state h on
+    every row is the homogeneous tail row, whose step law ``walk``
     (normalised, the zero steps at its ends cut off) steps both ways with
     gcd 1, and the window holds the two levels of m = max(L, top step)
-    states above h that the closure couples (K >= h + 2m - 1).  None
-    otherwise, and the solvers fall back to their truncated solves."""
-    if not isinstance(kernel.tail, HomogeneousTail):
+    states above h that the closure couples (K >= h + 2m - 1).
+
+    None otherwise, and the solvers fall back to their truncated solves;
+    also where the exact solve costs more than the truncated ones.  A window
+    of at most ``_DIRECT_STATES`` states above h is one banded solve either
+    way, and the walk and G are extra work.  Cyclic reduction costs a few
+    m^3 flops per step on top, against about K x (band width) for the
+    truncated solves at K and 2K, so m^3 may be at most
+    ``_EXACT_WORK_RATIO`` times that."""
+    if not isinstance(kernel.tail, HomogeneousTail) or K - kernel.state_lo < _DIRECT_STATES:
         return None
     row = kernel.tail.row
     at = np.flatnonzero(row)
     steps = (at - kernel.band_lo).tolist()
     if not (steps and steps[0] < 0 < steps[-1] and math.gcd(*steps) == 1):
         return None
+    m = max(-steps[0], steps[-1])
+    if m**3 > _EXACT_WORK_RATIO * K * row.size:
+        return None
     h = kernel.homogeneous_level()
-    if K < h + 2 * max(-steps[0], steps[-1]) - 1:
+    if K - h < max(_DIRECT_STATES, 2 * m - 1):
         return None
     return h, LatticeWalk(lo=steps[0], pmf=row[at[0] : at[-1] + 1] / row.sum())
 

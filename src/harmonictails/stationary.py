@@ -8,12 +8,13 @@ i = 850 for beta near 0.85), so the solver here works on the compensated
 vector y(i) = pi(i) exp(beta i), which stays of order one across the whole
 window.  When every row from some level h on is a tail row whose walk
 satisfies Cramér's condition, y is matrix-geometric above h and the law is
-exact (method ``matrix-geometric``); otherwise the chain is truncated, jumps
-above the window reflected onto its top, and checked by doubling the window
-(method ``linear-solve``).  Chains whose drift perturbation is not summable get a
-state-dependent decay rate beta(x) expanded in powers of the perturbation;
-the expansion coefficients come from a formal-series inversion of the local
-root equation.
+exact (method ``matrix-geometric``), where the window is long enough for
+that to pay and the tilted rows stay finite; otherwise the chain is
+truncated, jumps above the window reflected onto its top, and checked by
+doubling the window (method ``linear-solve``).  Chains whose drift
+perturbation is not summable get a state-dependent decay rate beta(x)
+expanded in powers of the perturbation; the expansion coefficients come
+from a formal-series inversion of the local root equation.
 
 Also here: the exact regeneration decomposition of the stationary law over
 a low set, the harmonic change of measure that turns the chain killed on
@@ -24,7 +25,6 @@ together.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -242,8 +242,9 @@ def stationary_solve(
     short windows).
 
     When the rows from some level h on are a tail row whose walk satisfies
-    Cramér's condition, and the window reaches h + 2m - 1
-    (``_homogeneous_levels``), the law is exact (method
+    Cramér's condition, the window is long enough for it to pay
+    (``_homogeneous_levels``) and the rows tilted at the root stay finite,
+    the law is exact (method
     ``matrix-geometric``): it is solved at the Cramér root, where the
     compensated vector is matrix-geometric above h, and an explicit ``beta``
     only rescales y.  Otherwise the solve is truncated, with jumps above K
@@ -259,7 +260,22 @@ def stationary_solve(
         # is checked, and the kernel's tail broadcasts the rest
         hf = chain.homogeneous_from
         kernel = chain.kernel(top if hf is None else hf)
-    root = None
+    levels = _homogeneous_levels(kernel, K)
+    if levels is not None and levels[1].mean < 0:
+        # tilted at the tail walk's own root; a root past cramer_root's
+        # overflow-safe bound, or a tilt that overflows on explicit rows
+        # wider than the tail row, leaves the chain to the truncated solve
+        try:
+            root = cramer_root(levels[1])
+        except NoCramerRootError:
+            root = None
+        if root is not None:
+            with np.errstate(over="ignore"):
+                tilt = np.exp(root * kernel.offsets)
+            if np.all(np.isfinite(tilt)):
+                return _matrix_geometric_stationary(
+                    kernel, K, root, root if beta is None else beta, tilt, *levels
+                )
     if beta is None:
         walk = _limit_walk_of(chain)
         if walk.mean >= 0:
@@ -267,21 +283,15 @@ def stationary_solve(
                 f"limiting drift {walk.mean:.6g} is not negative; "
                 "the chain has no stationary law to solve for"
             )
-        beta = root = cramer_root(walk)
-    levels = _homogeneous_levels(kernel, K)
-    if levels is not None and levels[1].mean < 0:
-        if root is None:
-            with contextlib.suppress(NoCramerRootError):
-                root = cramer_root(_limit_walk_of(chain))
-        if root is not None:
-            return _matrix_geometric_stationary(kernel, K, root, beta, *levels)
+        beta = cramer_root(walk)
     return _truncated_stationary(kernel, K, beta, check_doubling, doubling_tol)
 
 
 def _matrix_geometric_stationary(kernel: TransitionKernel, K: int, root: float, beta: float,
-                                 h: int, walk: LatticeWalk) -> StationaryResult:
+                                 tilt: np.ndarray, h: int, walk: LatticeWalk) -> StationaryResult:
     """The stationary law on 0..K from the rows below h + m, at the Cramér
-    root ``root`` of the tail walk, rescaled to the compensation ``beta``.
+    root ``root`` of the tail walk (``tilt`` = exp(root x offset) over the
+    band), rescaled to the compensation ``beta``.
 
     y(i) = pi(i) exp(root i) solves the balance equations of the tilted
     rows, and on the levels of m states above h, y_(k+1) = y_k R, where
@@ -299,7 +309,6 @@ def _matrix_geometric_stationary(kernel: TransitionKernel, K: int, root: float, 
     m = len(G)
     levels, direct = _level_counts(K + bl - h + 1, m)
     n = h + direct * m
-    tilt = np.exp(root * kernel.offsets)  # finite: the root is below 700 / band_hi
     rows = kernel.row_blocks(0, max(K + bl, n - 1))
     lu, ab = band_closure(row_slice(rows, 0, n), bl, G, transpose=True, factors=tilt)
     band_pin(lu, ab, 0)

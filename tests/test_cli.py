@@ -389,6 +389,31 @@ def test_overflow_is_flagged(tmp_path, capsys, doc):
     assert manifest["diagnostics"]["reason"] == "non-finite"
 
 
+# explicit rows that reach 200 states up over the tail row {-1: .99, 1: .01},
+# whose Cramér root log 99 makes exp(root x 200) overflow: the exact solve
+# cannot tilt the rows, and the chain goes to the truncated solve
+WIDE_ROWS = {"name": "general", "band_lo": 1, "band_hi": 200, "stochastic": True,
+             "rows": {"0": {"0": 0.5, "200": 0.5}}, "tail_row": {"-1": 0.99, "1": 0.01}}
+
+
+@pytest.mark.parametrize("beta", [None, 0.5])
+def test_stationary_tilt_overflow_takes_the_truncated_solve(tmp_path, capsys, beta):
+    params = {"K": 2000, "i_max": 10, **({} if beta is None else {"beta": beta})}
+    cfg = write_cfg(tmp_path, "wide.json", {"task": "stationary", "chain": WIDE_ROWS,
+                                           "params": params})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", str(cfg), "--out", str(tmp_path), "--quiet"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if beta is None:  # the limit walk spans the band, and its root is past 700 / 200
+        assert code == 1 and err.startswith("error: no Cramér root")
+    else:
+        assert code == 0
+        doc = json.loads((tmp_path / "wide.manifest.json").read_text())
+        assert doc["diagnostics"]["method"] == "linear-solve"
+
+
 def test_flagged_conditions(tmp_path):
     cfg = write_cfg(tmp_path, "cond.json",
                     {"task": "conditions",

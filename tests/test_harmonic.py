@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import harmonictails as ht
 from conftest import reference_band_matvec, reference_band_system, seeded_drift_kernels
 from harmonictails.harmonic import _truncated_solve
+from harmonictails.ladder import _DIRECT_STATES, _EXACT_WORK_RATIO
 
 RATIO = 3.0 / 7.0  # q/p for the default up probability 0.7
 
@@ -51,15 +52,16 @@ def test_closed_form_critical_and_beyond():
 
 
 def test_solve_matches_closed_form(ex1_kernel):
-    # the rows from state 1 on are the limit row: the exact path
-    est = ht.build_solve(ex1_kernel, K=400)
+    # the rows from state 1 on are the limit row, and the window above them
+    # is longer than one direct solve: the exact path
+    est = ht.build_solve(ex1_kernel, K=2000)
     assert est.method == "matrix-geometric"
     assert est.residual is not None and est.residual <= 1e-9
     assert est.meta["first_passage_residual"] <= 1e-12
     assert (est.meta["homogeneous_level"], est.meta["level_size"]) == (1, 1)
     assert "doubling_disagreement" not in est.meta
-    # the truncated solve, with its doubling check
-    trunc = _truncated_solve(ex1_kernel, 400, 1e-10, True, 1e-6)
+    # a window of one direct solve: the truncated solve, with its doubling check
+    trunc = ht.build_solve(ex1_kernel, K=400)
     assert trunc.method == "linear-solve"
     assert trunc.residual is not None and trunc.residual <= 1e-9
     assert trunc.meta["doubling_disagreement"] is not None
@@ -68,7 +70,7 @@ def test_solve_matches_closed_form(ex1_kernel):
         for i in range(21):
             assert e.value(i) == pytest.approx(exact_f(i), abs=1e-8)
         # pinned boundary extends the function above the truncation
-        assert e.value(1000) == 1.0
+        assert e.value(10000) == 1.0
     with pytest.raises(ht.StateRangeError):
         ht.build_solve(ex1_kernel, K=400, check_doubling=True).value(-1)
 
@@ -215,18 +217,26 @@ def test_exact_solve_matches_truncated_solve():
     assert len(kernels) == 20
 
 
-def test_exact_solve_needs_the_closure_level():
-    # the window must reach h + 2m - 1: below it the truncated solve runs
+def test_exact_solve_needs_a_long_window():
+    # the window above h must be longer than one direct solve, and the
+    # cyclic reduction on levels of m states must cost less than the
+    # truncated solves: otherwise the truncated solve runs
     for kernel, h, m in [
         (ht.perturbed_reflected_walk(p=0.7, alpha=2.0).kernel(8), 1, 1),
         (ht.multi_perturbed_walk((1.2, 1.5), p=0.7).kernel(10), 3, 1),
         (ht.walk_killed_at_negative(ht.LatticeWalk.from_dict({-3: 0.2, 2: 0.8})).kernel(3), 3, 3),
     ]:
-        top = h + 2 * m - 1
+        top = h + _DIRECT_STATES
         assert ht.build_solve(kernel, top - 1, check_doubling=False).method == "linear-solve"
         est = ht.build_solve(kernel, top)
         assert est.method == "matrix-geometric"
         assert (est.meta["homogeneous_level"], est.meta["level_size"]) == (h, m)
+    # m = 200 on a band of width 202: m^3 = 8e6 against 8 K x 202
+    walk = ht.LatticeWalk.from_dict({-1: 0.3, 1: 0.3, 200: 0.4})
+    kernel = ht.walk_killed_at_negative(walk).kernel(3)
+    K = -(-200**3 // (_EXACT_WORK_RATIO * 202))
+    assert ht.build_solve(kernel, K - 1, check_doubling=False).method == "linear-solve"
+    assert ht.build_solve(kernel, K, check_doubling=False).method == "matrix-geometric"
 
 
 def test_truncated_solve_cases():
@@ -245,7 +255,7 @@ def test_exact_solve_of_a_kernel_with_rows_up_to_K():
     # the homogeneous level comes from the rows themselves: explicit rows up
     # to K that equal the limit row give the solve of the short kernel
     fam = ht.perturbed_reflected_walk(p=0.7, alpha=2.0)
-    for K in (400, 5000):
+    for K in (2000, 5000):
         long, short = ht.build_solve(fam.kernel(K), K), ht.build_solve(fam.kernel(8), K)
         assert long.method == "matrix-geometric" and long.meta["homogeneous_level"] == 1
         assert long.values.array.tobytes() == short.values.array.tobytes()

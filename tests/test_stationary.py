@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import harmonictails as ht
 from conftest import lindley_exact_log_pi
+from harmonictails.ladder import _DIRECT_STATES
 from harmonictails.stationary import _truncated_stationary
 
 BETA = math.log(7.0 / 3.0)
@@ -25,20 +26,21 @@ def example3_result(example3_family):
 
 def test_lindley_stationary_exact(lindley_result):
     fam, res = lindley_result
-    exact = lindley_exact_log_pi(400)
-    # the rows from state 1 on are the limit row: the exact path
-    assert res.method == "matrix-geometric"
-    assert res.meta["first_passage_residual"] <= 1e-12
-    assert (res.meta["homogeneous_level"], res.meta["level_size"]) == (1, 1)
-    assert res.doubling_disagreement is None and res.reflected_weight == 0.0
-    # the truncated solve reflects the jumps above K and checks by doubling
-    trunc = _truncated_stationary(fam.kernel(800), 400, BETA, True, 1e-8)
-    assert trunc.method == "linear-solve"
-    assert trunc.reflected_weight == pytest.approx(0.3, abs=1e-12)
-    assert trunc.doubling_disagreement is not None
-    assert trunc.doubling_disagreement <= 1e-8
-    for r in (res, trunc):
-        assert np.max(np.abs(r.log_pi - exact)) <= 1e-10
+    # a window of one direct solve: the truncated solve reflects the jumps
+    # above K and checks by doubling
+    assert res.method == "linear-solve"
+    assert res.reflected_weight == pytest.approx(0.3, abs=1e-12)
+    assert res.doubling_disagreement is not None
+    assert res.doubling_disagreement <= 1e-8
+    # the rows from state 1 on are the limit row, and the window above them
+    # is longer than one direct solve: the exact path
+    ex = ht.stationary_solve(fam, 2000)
+    assert ex.method == "matrix-geometric"
+    assert ex.meta["first_passage_residual"] <= 1e-12
+    assert (ex.meta["homogeneous_level"], ex.meta["level_size"]) == (1, 1)
+    assert ex.doubling_disagreement is None and ex.reflected_weight == 0.0
+    for r in (res, ex):
+        assert np.max(np.abs(r.log_pi - lindley_exact_log_pi(r.K))) <= 1e-10
         assert r.tilt_beta == pytest.approx(BETA, abs=1e-14)
         assert r.normalization_error <= 1e-8
         assert r.pi.sum() == pytest.approx(1.0, abs=1e-12)
@@ -80,24 +82,29 @@ def test_exact_stationary_matches_truncated_solve():
     assert cases == 14
 
 
-def test_stationary_beta_only_rescales(lindley_result):
-    fam, res = lindley_result
-    for beta in (0.0, 0.5, BETA):
-        other = ht.stationary_solve(fam, 400, beta=beta)
+def test_stationary_beta_only_rescales(down_walk):
+    fam = ht.lindley_chain(down_walk)
+    res = ht.stationary_solve(fam, 2000)
+    for beta in (0.5, BETA, 1.0):
+        other = ht.stationary_solve(fam, 2000, beta=beta)
         assert other.method == "matrix-geometric" and other.tilt_beta == beta
         assert other.log_pi.tobytes() == res.log_pi.tobytes()
-        i = np.arange(401)
+        i = np.arange(2001)
         np.testing.assert_allclose(other.y, np.exp(res.log_pi + beta * i), rtol=1e-13)
+    # pi(2000) = exp(-1694) underflows: beta = 0 cannot carry it
+    with pytest.raises(ht.SolverFailure) as exc:
+        ht.stationary_solve(fam, 2000, beta=0.0)
+    assert exc.value.reason == "non-finite"
 
 
 def test_stationary_truncated_cases():
-    # a walk on 2Z, a parametric tail and a window below the closure level
+    # a walk on 2Z, a parametric tail and a window of one direct solve
     gcd2 = ht.lindley_chain(ht.LatticeWalk.from_dict({-2: 0.6, 0: 0.1, 2: 0.3}))
     lind = ht.lindley_chain(ht.LatticeWalk.from_dict({-1: 0.7, 1: 0.3}))
     ex3 = ht.alternating_drift_chain(p=0.3, c0=0.05, gamma=0.7)
-    for chain, K in ((gcd2, 100), (ex3, 100), (lind, 1)):
-        assert ht.stationary_solve(chain, K, check_doubling=K > 1).method == "linear-solve"
-    assert ht.stationary_solve(lind, 2).method == "matrix-geometric"
+    for chain, K in ((gcd2, 2000), (ex3, 2000), (lind, _DIRECT_STATES)):
+        assert ht.stationary_solve(chain, K, check_doubling=False).method == "linear-solve"
+    assert ht.stationary_solve(lind, _DIRECT_STATES + 1).method == "matrix-geometric"
 
 
 def test_stationary_without_compensation(down_walk):
