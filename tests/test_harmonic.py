@@ -240,14 +240,15 @@ def test_exact_solve_needs_a_long_window():
 
 
 def test_truncated_solve_cases():
-    # a limit walk on 2Z, a parametric tail and a limit walk that drifts down
+    # a limit walk on 2Z, a parametric tail and a limit walk that drifts down,
+    # past one direct solve
     limit = np.array([0.3, 0.0, 0.0, 0.0, 0.7])
     gcd2 = ht.TransitionKernel(band_lo=2, band_hi=2, weights=np.array([[0, 0, 0, 0, 1.0]] * 2),
                                tail=ht.HomogeneousTail(limit))
     parametric = next(k for k in seeded_drift_kernels(np.random.default_rng(41))
                       if isinstance(k.tail, ht.ParametricTail) and k.band_lo)
     for kernel in (gcd2, parametric, recurrent_rows_chain()):
-        est = ht.build_solve(kernel, 200)
+        est = ht.build_solve(kernel, 2000)
         assert est.method == "linear-solve" and est.meta["doubling_disagreement"] <= 1e-6
 
 
