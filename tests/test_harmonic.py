@@ -264,16 +264,18 @@ def test_exact_solve_of_a_kernel_with_rows_up_to_K():
 
 
 def test_solve_trichotomy():
-    ok = ht.build_solve(ht.perturbed_reflected_walk(p=0.7, alpha=2.0).kernel(8), K=300)
-    assert ok.value(0) == pytest.approx(8.0, abs=1e-8)
+    # K = 300 takes the truncated solve, K = 2000 the exact one
+    for K, method in ((300, "linear-solve"), (2000, "matrix-geometric")):
+        ok = ht.build_solve(ht.perturbed_reflected_walk(p=0.7, alpha=2.0).kernel(8), K=K)
+        assert ok.value(0) == pytest.approx(8.0, abs=1e-8) and ok.method == method
 
-    with pytest.raises(ht.SolverFailure) as exc:
-        ht.build_solve(ht.perturbed_reflected_walk(p=0.7, alpha=7.0 / 3.0).kernel(8), K=300)
-    assert exc.value.reason in ("negative-values", "doubling", "non-finite")
+        with pytest.raises(ht.SolverFailure) as exc:
+            ht.build_solve(ht.perturbed_reflected_walk(p=0.7, alpha=7.0 / 3.0).kernel(8), K=K)
+        assert exc.value.reason in ("negative-values", "doubling", "non-finite")
 
-    with pytest.raises(ht.SolverFailure) as exc:
-        ht.build_solve(ht.perturbed_reflected_walk(p=0.7, alpha=3.0).kernel(8), K=300)
-    assert exc.value.reason in ("negative-values", "doubling", "non-finite")
+        with pytest.raises(ht.SolverFailure) as exc:
+            ht.build_solve(ht.perturbed_reflected_walk(p=0.7, alpha=3.0).kernel(8), K=K)
+        assert exc.value.reason in ("negative-values", "doubling", "non-finite")
 
 
 def test_solve_limit_contract(ex1_kernel):
