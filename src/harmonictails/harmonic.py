@@ -15,8 +15,8 @@ matrix-geometric, g_k = G g_(k-1) in levels of m states, with G the first-
 passage matrix of the tail walk.  Any other kernel (a parametric tail, a
 tail walk of the wrong sign or on gZ, g > 1, a window too short to hold
 the level h + 2m - 1, or one where the exact solve costs more; see
-``ladder._homogeneous_levels``) gets a truncated solve with boundary value one above
-the truncation, cross-checked by doubling the truncation (method
+``ladder._homogeneous_levels``) gets a truncated solve with boundary value
+one above the truncation, cross-checked by doubling the truncation (method
 ``linear-solve``).  A closed form covers the reflected simple walk with one
 perturbed weight at the origin.
 
@@ -431,8 +431,9 @@ def build_solve(
 
     When the rows from some level h on are a stochastic tail row with
     positive mean and the window is long enough for it to pay
-    (``_homogeneous_levels``), the solve is exact (method ``matrix-geometric``): above h the deficit
-    1 - f is matrix-geometric in levels of m states, and no doubling runs.
+    (``_homogeneous_levels``), the solve is exact (method
+    ``matrix-geometric``): above h the deficit 1 - f is matrix-geometric in
+    levels of m states, and no doubling runs.
     Otherwise f is pinned to one above K and the truncated solve is checked
     by a second one at 2K (method ``linear-solve``).  A solution with
     negative entries means no positive harmonic function is compatible with

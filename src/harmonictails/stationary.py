@@ -244,12 +244,12 @@ def stationary_solve(
     When the rows from some level h on are a tail row whose walk satisfies
     Cramér's condition, the window is long enough for it to pay
     (``_homogeneous_levels``) and the rows tilted at the root stay finite,
-    the law is exact (method
-    ``matrix-geometric``): it is solved at the Cramér root, where the
-    compensated vector is matrix-geometric above h, and an explicit ``beta``
-    only rescales y.  Otherwise the solve is truncated, with jumps above K
-    reflected onto K, and repeated on a doubled window: the two stationary
-    vectors must agree on 0..K/2 (method ``linear-solve``).
+    the law is exact (method ``matrix-geometric``): it is solved at the
+    Cramér root, where the compensated vector is matrix-geometric above h,
+    and an explicit ``beta`` only rescales y.  Otherwise the solve is
+    truncated, with jumps above K reflected onto K, and repeated on a
+    doubled window: the two stationary vectors must agree on 0..K/2 (method
+    ``linear-solve``).
     """
     if K < 1:
         raise StateRangeError(f"window 0..{K} needs K >= 1")
