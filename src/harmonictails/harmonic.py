@@ -450,6 +450,10 @@ def build_solve(
                     f"tail row at {i} has mass {m:.17g}; boundary value 1 above the "
                     "truncation needs asymptotically stochastic rows"
                 )
+    lo, bl = kernel.state_lo, kernel.band_lo
+    top = 2 * K if check_doubling and kernel.has_row(2 * K) else K
+    if first_row_below(kernel.rows(lo, min(top, lo + bl - 1)), bl) is not None:
+        raise UnsupportedInputError("kernel places weight below its own represented range")
     levels = _homogeneous_levels(kernel, K)
     if (levels is not None and levels[1].mean > 0
             and abs(kernel.tail.row.sum() - 1.0) <= _EXACT_MASS_TOL):
@@ -477,9 +481,6 @@ def _matrix_geometric_solve(kernel: TransitionKernel, K: int, tol: float, h: int
     levels, direct = _level_counts(K + bh - h + 1, m)
     n = h - lo + direct * m
     rows = kernel.row_blocks(lo, max(K, lo + n - 1))
-    head = rows[0] if len(rows[0]) >= bl else kernel.rows(lo, lo + bl - 1)
-    if first_row_below(head, bl) is not None:
-        raise UnsupportedInputError("kernel places weight below its own represented range")
     # rows below h are explicit; the tail row counts as stochastic
     deficit = np.zeros(n)
     np.subtract(1.0, kernel.masses[: h - lo], out=deficit[: h - lo])
@@ -489,22 +490,9 @@ def _matrix_geometric_solve(kernel: TransitionKernel, K: int, tol: float, h: int
     g[:n] = _deficit_solve(*band_closure(row_slice(rows, 0, n), bl, G), deficit)
     _level_powers(G, g[h - lo :].reshape(levels, m), direct)
     f = np.subtract(1.0, g, out=g)
-    f_K = _nonnegative(f[: K - lo + 1])
-    res = _residual(row_slice(rows, 0, K - lo + 1), bl, v)
-    if res > max(tol, 1e-9):
-        raise SolverFailure(
-            f"harmonicity residual {res:.3e} exceeds tolerance after the solve",
-            reason="residual",
-            diagnostics={"residual": res},
-        )
-    return HarmonicEstimate(
-        values=StateArray(lo, f_K),
-        method="matrix-geometric",
-        truncation=K,
-        boundary_value=1.0,
-        residual=res,
-        meta={"first_passage_residual": g_residual, "homogeneous_level": h, "level_size": m},
-    )
+    _nonnegative(f[: K - lo + 1])
+    meta = {"first_passage_residual": g_residual, "homogeneous_level": h, "level_size": m}
+    return _estimate(kernel, K, tol, rows, v, "matrix-geometric", meta)
 
 
 def _truncated_solve(kernel: TransitionKernel, K: int, tol: float, check_doubling: bool,
@@ -513,24 +501,20 @@ def _truncated_solve(kernel: TransitionKernel, K: int, tol: float, check_doublin
     when ``check_doubling`` is set and the kernel has the rows."""
     lo, bl = kernel.state_lo, kernel.band_lo
     doubled = check_doubling and kernel.has_row(2 * K)
-    top = 2 * K if doubled else K
-    if first_row_below(kernel.rows(lo, min(top, lo + bl - 1)), bl) is not None:
-        raise UnsupportedInputError("kernel places weight below its own represented range")
     # I - P once, for the widest window; the K window is its first n
     # columns, since LAPACK reads no band entry of a row >= n (see README)
-    rows = kernel.row_blocks(lo, top)
+    rows = kernel.row_blocks(lo, 2 * K if doubled else K)
     lu, ab = band_system(rows, bl)
     deficit = np.concatenate([1.0 - m for m in kernel.row_masses(lo, rows)])
     n = K - lo + 1
     f_K = _nonnegative(1.0 - _deficit_solve(lu, ab[:, :n], deficit[:n]))
-
-    est_meta = {"doubling_disagreement": None} if check_doubling else {}
+    meta = {"doubling_disagreement": None} if check_doubling else {}
     if doubled:
         f_2K = _nonnegative(1.0 - _deficit_solve(lu, ab, deficit))
         half = max(K // 2, lo) - lo + 1
         a, b = f_K[:half], f_2K[:half]
         disagreement = float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))))
-        est_meta["doubling_disagreement"] = disagreement
+        meta["doubling_disagreement"] = disagreement
         if disagreement > doubling_tol:
             raise SolverFailure(
                 f"solutions at truncations {K} and {2 * K} disagree by "
@@ -538,8 +522,17 @@ def _truncated_solve(kernel: TransitionKernel, K: int, tol: float, check_doublin
                 reason="doubling",
                 diagnostics={"disagreement": disagreement, "K": K},
             )
-
     v = np.concatenate([np.zeros(bl), f_K, np.ones(kernel.band_hi)])
+    return _estimate(kernel, K, tol, rows, v, "linear-solve", meta)
+
+
+def _estimate(kernel: TransitionKernel, K: int, tol: float, rows, v: np.ndarray, method: str,
+              meta: dict) -> HarmonicEstimate:
+    """The estimate f on [state_lo, K] from ``v``, f on the window ``rows``
+    padded as ``_residual`` takes it, once its harmonicity residual over the
+    window is within ``tol``."""
+    lo, bl = kernel.state_lo, kernel.band_lo
+    n = K - lo + 1
     res = _residual(row_slice(rows, 0, n), bl, v)
     if res > max(tol, 1e-9):
         raise SolverFailure(
@@ -548,12 +541,12 @@ def _truncated_solve(kernel: TransitionKernel, K: int, tol: float, check_doublin
             diagnostics={"residual": res},
         )
     return HarmonicEstimate(
-        values=StateArray(lo, f_K),
-        method="linear-solve",
+        values=StateArray(lo, v[bl : bl + n]),
+        method=method,
         truncation=K,
         boundary_value=1.0,
         residual=res,
-        meta=est_meta,
+        meta=meta,
     )
 
 

@@ -30,8 +30,8 @@ rows below the diagonal), so the slice solves with the bits of the window's
 own assembly.  The transposed system holds row x of P in column x, so there
 the K window is a copy of the first n columns with its reflected top rows
 rewritten (``stationary``).  The stationary solve also stops its exps where
-they underflow to exactly 0, as the BLAS dot and numpy's pairwise sum would
-add those zeros to unchanged sums.
+they underflow to exactly 0, at a multiple of 64 terms, as the BLAS dot
+would add those zeros to unchanged sums.
 
 The helpers work column by column: one numpy call per jump offset, over all
 n rows, writing into a preallocated array (``out=``).  At large truncations

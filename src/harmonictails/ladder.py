@@ -184,10 +184,12 @@ def cramer_root(walk: LatticeWalk, tol: float = 1e-12) -> float:
     if not np.any((walk.offsets > 0) & (walk.pmf > 0)):
         raise NoCramerRootError("walk has no positive steps; mgf never returns to 1")
 
-    def g(t):  # walk.mgf(t) - 1; t <= t_cap keeps every exp finite
-        return float(np.exp(t * walk.offsets) @ walk.pmf) - 1.0
+    live, offsets = walk.pmf > 0, walk.offsets
 
-    t_cap = 700.0 / walk.hi  # beyond this exp overflows for the top step
+    def g(t):  # walk.mgf(t) - 1; t <= t_cap keeps every exp with mass finite
+        return float(np.exp(t * offsets, where=live, out=np.zeros(offsets.size)) @ walk.pmf) - 1.0
+
+    t_cap = 700.0 / offsets[live].max()  # beyond this exp overflows for the top step with mass
     hi = min(1.0, t_cap)
     while g(hi) <= 0.0:
         if hi >= t_cap:

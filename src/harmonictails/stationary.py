@@ -71,12 +71,11 @@ class StationaryResult:
     """Stationary law on 0..K in log form, with solve diagnostics.
 
     ``tilt_beta`` is the compensation rate used; ``y`` is the compensated
-    solution pi(i) exp(beta i).  On the truncated path (``method``
-    ``linear-solve``) ``normalization_error`` is how far the raw solution was
-    from summing to one (log scale) before renormalising on the window; on
-    the exact path (``matrix-geometric``) the law is normalised on all
-    states, ``log_pi`` is not renormalised on the window, and
-    ``normalization_error`` is |log| of the window's mass.
+    solution pi(i) exp(beta i).  On both paths ``normalization_error`` is
+    |log| of the window's mass.  The truncated path (``method``
+    ``linear-solve``) normalises the law on the window, so there it is
+    rounding; the exact path (``matrix-geometric``) normalises it on all
+    states, so there it also counts the mass above K.
     """
 
     K: int
@@ -146,85 +145,76 @@ def _compensated_solves(rows, band_lo: int, beta: float, windows: tuple[int, ...
             edge[x, h - 1 - x + band_lo] += edge[x, c]
             edge[x, c] = 0.0
         band_write(ab, n - h, edge, band_lo, transpose=True, factors=tilt)
-        band_pin(lu, ab, 0)
-        rhs = np.zeros(n)
-        rhs[0] = 1.0
-        try:
-            z = band_solve(lu, ab, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(
-                f"compensated stationary solve failed: {exc}", reason="singular"
-            ) from exc
-        # exp(-beta i) is exactly 0 from i = 746 / beta on: the BLAS dot adds
-        # its products in blocks, and past a prefix whose length is a
-        # multiple of 64 they are exact zeros, which leave the sum unchanged
-        live = n if beta * n <= 746.0 else min(n, -(-math.ceil(746.0 / beta) // 64) * 64)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            norm = np.exp(-beta * np.arange(live, dtype=float)) @ z[:live]
-            y = z / norm
-        if not (np.isfinite(norm) and np.all(np.isfinite(y))):
-            raise SolverFailure("compensated stationary solve overflowed", reason="non-finite")
-        neg = float(y.min())
-        if neg < -1e-10 * max(1.0, float(np.abs(y).max())):
-            raise SolverFailure(
-                f"compensated stationary vector has negative entries (min {neg:.3e})",
-                reason="negative-values",
-                diagnostics={"min_value": neg},
-            )
-        y = np.clip(y, 1e-300, None)
+        y = _pinned_solve(lu, ab)
+        scale = _positive(y, _discounted_sum(beta, y), n)
         if not ys:
             window = row_slice(rows, 0, n - h) + [edge]
-            balance = band_rmatvec(window, band_lo, y, factors=tilt) - y
-            balance_residual = float(np.max(np.abs(balance[1:])) / max(1.0, float(np.abs(y).max())))
-            first = (reflected, balance_residual)
+            first = (reflected, _balance_residual(window, band_lo, tilt, y, n) / scale)
         ys.append(y)
     return ys, *first
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) with the arithmetic of ``scipy.special.logsumexp``
-    (SciPy 1.17), so the result is the same double.
+def _pinned_solve(lu, ab: np.ndarray) -> np.ndarray:
+    """The tilted balance equations in band storage ``ab`` solved with the
+    equation of state 0 replaced by the pin y(0) = 1."""
+    band_pin(lu, ab, 0)
+    rhs = np.zeros(ab.shape[1])
+    rhs[0] = 1.0
+    try:
+        return band_solve(lu, ab, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(
+            f"compensated stationary solve failed: {exc}", reason="singular"
+        ) from exc
 
-    The m entries equal to the max are split off: with s = sum exp(a - max)
-    over the rest, the result is log1p(s / m) + log(m) + max.  A non-finite
-    result falls back to log(sum(exp(a))), as SciPy's does.  Only the
-    leading segment that holds every term of s above exact 0 is
-    exponentiated (``_pairwise_head``).
+
+def _discounted_sum(beta: float, y: np.ndarray) -> float:
+    """sum_i exp(-beta i) y(i).
+
+    exp(-beta i) is exactly 0 from i = 746 / beta on: the BLAS dot adds its
+    products in blocks, and past a prefix whose length is a multiple of 64
+    they are exact zeros, which leave the sum unchanged.
     """
-    top = a.max()
-    at_top = a == top
-    m = np.count_nonzero(at_top)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.where(at_top, -np.inf, a) - top
-        s = np.exp(x[: _pairwise_head(x < -746.0)]).sum()
-        out = np.log1p(s if s == 0 else s / m) + np.log(m) + top
-        if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
-    return float(out)
+    n = y.size
+    live = n if beta * n <= 746.0 else min(n, -(-math.ceil(746.0 / beta) // 64) * 64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.exp(-beta * np.arange(live, dtype=float)) @ y[:live])
 
 
-def _pairwise_head(dead: np.ndarray) -> int:
-    """Length of the shortest leading segment whose numpy sum is the sum of
-    the whole array, when the entries marked ``dead`` are exact zeros.
+def _positive(y: np.ndarray, total: float, n: int) -> float:
+    """Divide y by ``total`` in place, check that the result is finite and
+    that its first n entries are not negative beyond rounding, and clip it
+    at 1e-300.  Returns the scale max(1, max |y|) of the first n entries."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.divide(y, total, out=y)
+    if not (math.isfinite(total) and np.all(np.isfinite(y))):
+        raise SolverFailure("compensated stationary solve overflowed", reason="non-finite")
+    neg = float(y[:n].min())
+    scale = max(1.0, -neg, float(y[:n].max()))
+    if neg < -1e-10 * scale:
+        raise SolverFailure(
+            f"compensated stationary vector has negative entries (min {neg:.3e})",
+            reason="negative-values",
+            diagnostics={"min_value": neg},
+        )
+    np.clip(y, 1e-300, None, out=y)
+    return scale
 
-    numpy sums a float array pairwise: a segment longer than 128 entries is
-    the sum of its first half (rounded down to a multiple of 8) and the rest.
-    While the rest is all dead its sum is +0, which leaves the first half's
-    sum unchanged, so the descent stops at the first split with a live entry
-    on the right or at a 128-entry leaf.
-    """
-    n = dead.size
-    if n <= 128:
-        return n
-    end = n - int(np.argmin(dead[::-1]))  # one past the last live entry
-    if dead[end - 1]:  # none is live
-        return 0
-    while n > 128:
-        half = n // 2 - (n // 2) % 8
-        if end > half:
-            break
-        n = half
-    return n
+
+def _balance_residual(rows, band_lo: int, tilt: np.ndarray, y: np.ndarray, n: int) -> float:
+    """max |(y P)(i) - y(i)| over the states 1..n - 1 of the window ``rows``
+    tilted by ``tilt``; y covers every state the rows reach."""
+    balance = band_rmatvec(rows, band_lo, y, factors=tilt)[:n]
+    balance = np.abs(np.subtract(balance, y[:n], out=balance), out=balance)
+    return float(balance[1:].max())
+
+
+def _log_law(y: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
+    """log pi(i) = log y(i) - beta i on the window of y, and |log| of the
+    window's mass (the ``normalization_error``)."""
+    log_pi = np.log(y)
+    log_pi -= beta * np.arange(y.size, dtype=float)
+    return log_pi, abs(math.log(_discounted_sum(beta, y)))
 
 
 def stationary_solve(
@@ -310,44 +300,16 @@ def _matrix_geometric_stationary(kernel: TransitionKernel, K: int, root: float, 
     levels, direct = _level_counts(K + bl - h + 1, m)
     n = h + direct * m
     rows = kernel.row_blocks(0, max(K + bl, n - 1))
-    lu, ab = band_closure(row_slice(rows, 0, n), bl, G, transpose=True, factors=tilt)
-    band_pin(lu, ab, 0)
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
     y = np.empty(h + levels * m)
-    try:
-        y[:n] = band_solve(lu, ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(
-            f"compensated stationary solve failed: {exc}", reason="singular"
-        ) from exc
+    y[:n] = _pinned_solve(*band_closure(row_slice(rows, 0, n), bl, G, transpose=True, factors=tilt))
     _level_powers(G, y[h:].reshape(levels, m), direct)
-    with np.errstate(under="ignore"):
-        head = np.exp(-root * np.arange(h)) @ y[:h]
-        remainder = np.linalg.solve(np.eye(m) - math.exp(-root * m) * G, y[h : h + m])
-        total = head + math.exp(-root * h) * (remainder @ np.exp(-root * np.arange(m)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = np.divide(y[: K + bl + 1], total, out=y[: K + bl + 1])
-    if not (math.isfinite(total) and np.all(np.isfinite(y))):
-        raise SolverFailure("compensated stationary solve overflowed", reason="non-finite")
+    remainder = np.linalg.solve(np.eye(m) - math.exp(-root * m) * G, y[h : h + m])
+    total = _discounted_sum(root, y[:h]) + math.exp(-root * h) * _discounted_sum(root, remainder)
+    y = y[: K + bl + 1]
+    scale = _positive(y, total, K + 1)
+    residual = _balance_residual(row_slice(rows, 0, K + bl + 1), bl, tilt, y, K + 1) / scale
+    log_pi, normalization_error = _log_law(y[: K + 1], root)
     window = y[: K + 1]
-    neg = float(window.min())
-    scale = max(1.0, -neg, float(window.max()))
-    if neg < -1e-10 * scale:
-        raise SolverFailure(
-            f"compensated stationary vector has negative entries (min {neg:.3e})",
-            reason="negative-values",
-            diagnostics={"min_value": neg},
-        )
-    np.clip(y, 1e-300, None, out=y)
-    balance = band_rmatvec(row_slice(rows, 0, K + bl + 1), bl, y, factors=tilt)[: K + 1]
-    balance = np.abs(np.subtract(balance, window, out=balance), out=balance)
-    log_pi = np.log(window)
-    log_pi -= root * np.arange(K + 1, dtype=float)
-    # the window's mass; exp(-root i) is exactly 0 from i = 746 / root on
-    live = min(K + 1, math.ceil(746.0 / root) + 1)
-    with np.errstate(under="ignore"):
-        mass = float(np.exp(-root * np.arange(live)) @ window[:live])
     if beta != root:
         with np.errstate(over="ignore", under="ignore"):
             window = np.exp(log_pi + beta * np.arange(K + 1, dtype=float))
@@ -362,11 +324,11 @@ def _matrix_geometric_stationary(kernel: TransitionKernel, K: int, root: float, 
         tilt_beta=float(beta),
         log_pi=log_pi,
         y=window,
-        normalization_error=abs(math.log(mass)),
+        normalization_error=normalization_error,
         reflected_weight=0.0,
         method="matrix-geometric",
         meta={
-            "balance_residual": float(balance[1:].max()) / scale,
+            "balance_residual": residual,
             "first_passage_residual": g_residual,
             "homogeneous_level": h,
             "level_size": m,
@@ -384,15 +346,10 @@ def _truncated_stationary(kernel: TransitionKernel, K: int, beta: float, check_d
     ys, reflected, balance_residual = _compensated_solves(
         kernel.row_blocks(0, top), kernel.band_lo, beta, windows
     )
-    y = ys[0]
-    log_pi_raw = np.log(y) - beta * np.arange(K + 1, dtype=float)
-    logZ = _logsumexp(log_pi_raw)
-    log_pi = log_pi_raw - logZ
-
+    log_pi, normalization_error = _log_law(ys[0], beta)
     doubling = None
     if check_doubling:
-        log_pi2 = np.log(ys[1]) - beta * np.arange(2 * K + 1, dtype=float)
-        log_pi2 = log_pi2 - _logsumexp(log_pi2)
+        log_pi2 = _log_law(ys[1], beta)[0]
         half = K // 2
         doubling = float(np.max(np.abs(log_pi[: half + 1] - log_pi2[: half + 1])))
         if doubling > doubling_tol:
@@ -407,8 +364,8 @@ def _truncated_stationary(kernel: TransitionKernel, K: int, beta: float, check_d
         K=K,
         tilt_beta=float(beta),
         log_pi=log_pi,
-        y=y,
-        normalization_error=abs(logZ),
+        y=ys[0],
+        normalization_error=normalization_error,
         reflected_weight=reflected,
         doubling_disagreement=doubling,
         meta={"balance_residual": balance_residual},
@@ -432,7 +389,8 @@ def birth_death_closed_form(up, down, K: int) -> np.ndarray:
                 f"birth-death closed form needs positive rates (state {i})"
             )
         lp[i] = lp[i - 1] + math.log(u) - math.log(d)
-    return lp - _logsumexp(lp)
+    top = lp.max()
+    return lp - (top + math.log(np.exp(lp - top).sum()))
 
 
 def birth_death_rates(family: ChainFamily):

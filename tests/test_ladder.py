@@ -29,6 +29,24 @@ def test_cramer_root_requires_negative_mean_and_up_steps():
         ht.cramer_root(ht.LatticeWalk.from_dict({-1: 0.6, -2: 0.4}))
 
 
+def test_cramer_root_of_zero_padded_walk():
+    # a chain's limit walk is padded with zero steps out to its band: the
+    # bracket is capped by the top step with mass, so {-1: .99, 1: .01}
+    # padded to +200 keeps its root log 99, past 700 / 200
+    padded = ht.LatticeWalk(lo=-1, pmf=np.concatenate([[0.99, 0.0, 0.01], np.zeros(199)]))
+    assert padded.hi == 200
+    assert ht.cramer_root(padded) == pytest.approx(math.log(99), rel=1e-14)
+    # padding changes the BLAS dot's blocks, which moves the last bits only
+    for pmf in ({-1: 0.99, 1: 0.01}, {-1: 0.7, 1: 0.3}, {2: 0.2, -1: 0.8},
+                {-2: 0.175, -1: 0.4, 0: 0.125, 1: 0.3}, {-3: 0.5, -1: 0.4, 4: 0.1}):
+        walk = ht.LatticeWalk.from_dict(pmf)
+        root = ht.cramer_root(walk)
+        for below, above in ((0, 1), (0, 63), (0, 64), (0, 199), (5, 200), (64, 0)):
+            wide = ht.LatticeWalk(lo=walk.lo - below,
+                                  pmf=np.concatenate([np.zeros(below), walk.pmf, np.zeros(above)]))
+            assert ht.cramer_root(wide) == pytest.approx(root, rel=2e-15, abs=0), (pmf, below, above)
+
+
 def test_tilt_walk(down_walk):
     beta = math.log(7 / 3)
     tilted = ht.tilt_walk(down_walk, beta)

@@ -584,36 +584,6 @@ def test_doob_transform_rows_match_row_loop(lindley_result, example3_family, dow
         assert np.array_equal(tail, np.array([hat_row(i) for i in range(top + 1, top + 6)]))
 
 
-def test_logsumexp_matches_scipy():
-    # The helper copies SciPy 1.17's arithmetic, so from 1.17 on the results
-    # are the same double.  Older SciPy splits off one tied maximum or none,
-    # which moves the last bits; there the helper is held to 4 eps of
-    # max(1, |result|).  Those two formulas, run in numpy on these arrays,
-    # differ from the helper by at most 2 eps.
-    import scipy
-    from scipy.special import logsumexp
-
-    from harmonictails.stationary import _logsumexp
-
-    tol = 0.0 if np.lib.NumpyVersion(scipy.__version__) >= "1.17.0" else 4 * np.finfo(float).eps
-    rng = np.random.default_rng(5)
-    arrays = [np.array([x]) for x in (0.0, -3.5, 1e300, -np.inf)]
-    for _ in range(300):
-        n = int(rng.integers(1, 60))
-        a = rng.normal(0.0, float(rng.choice([1e-3, 1.0, 30.0, 800.0])), n)
-        arrays.append(a)
-        tied = a.copy()
-        tied[rng.integers(0, n, size=int(rng.integers(1, 4)))] = a.max()
-        arrays.append(tied)
-        arrays.append(np.log(rng.dirichlet(np.ones(n))))
-    arrays += [np.full(7, 2.25), np.array([-np.inf, 0.0, -np.inf]), np.full(3, -np.inf),
-               np.array([np.inf, 1.0]), np.array([700.0, 710.0, 710.0])]
-    for a in arrays:
-        ours, ref = _logsumexp(a), float(logsumexp(a))
-        assert (ours == ref or (math.isnan(ours) and math.isnan(ref))
-                or abs(ours - ref) <= tol * max(1.0, abs(ref))), a
-
-
 # ---------------------------------------------------------------------------
 # the compensated solve against the assembly it replaced
 
@@ -719,56 +689,25 @@ def test_compensated_pair_matches_reference_assembly():
     assert cases == 110 and cut >= 8, (cases, cut)
 
 
-def _reference_logsumexp(a):
-    """The helper before the cut: exp over the whole array."""
-    top = a.max()
-    at_top = a == top
-    m = np.count_nonzero(at_top)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
-        out = np.log1p(s if s == 0 else s / m) + np.log(m) + top
-        if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
-    return float(out)
-
-
-def test_logsumexp_cut_matches_full_length():
-    # entries whose exp underflows to exactly 0, as a prefix, a suffix or
-    # scattered, at lengths around numpy's pairwise blocks, with -746 itself,
-    # the subnormal range just above it, +-inf and NaN among them
-    from harmonictails.stationary import _logsumexp
+def test_discounted_sum_cut_matches_full_length():
+    # exp(-beta i) is exactly 0 from i = 746 / beta on, and the sum stops at
+    # the next multiple of 64: it equals the dot over the full length, bit
+    # for bit, at lengths around multiples of 64 and at rates whose 746 / beta
+    # falls just below, on or just above one; no cut at beta <= 0
+    from harmonictails.stationary import _discounted_sum
 
     rng = np.random.default_rng(14)
-    lengths = sorted({1, 2, 7, 8, 9, 127, 128, 129} | {2**k + d for k in range(4, 18) for d in (-1, 0, 1)})
-    cases = split_count = 0
-    for n in lengths:
-        # the splits of numpy's pairwise sum of n entries, where a cut is exact
-        # (lengths up to 2^14 + 1, to keep the test short)
-        splits, m = [], n
-        while m > 128 and n < 20000:
-            m = m // 2 - (m // 2) % 8
-            splits.append(m)
-        split_count += len(splits)
-        for end in [m + d for m in splits for d in (-9, -5, -1, 0, 1, 4, 8)]:
-            a = rng.normal(0.0, 3.0, n)  # the live part ends at or next to a split
-            a[end:] = a.max() - 800.0
-            got, ref = _logsumexp(a), _reference_logsumexp(a)
-            assert got == ref, (n, end)
-            cases += 1
-        for layout in ("prefix", "suffix", "scattered", "decay"):
-            a = rng.normal(0.0, 3.0, n)
-            if layout == "decay":  # a log stationary law: the live part leads
-                a = -rng.uniform(0.05, 3.0) * np.arange(n) + rng.normal(0.0, 1.0, n)
-            else:
-                k = int(rng.integers(0, n + 1))
-                dead = {"prefix": np.arange(n) < k, "suffix": np.arange(n) >= n - k,
-                        "scattered": rng.random(n) < rng.uniform(0.2, 0.99)}[layout]
-                a[dead] = a.max() - rng.choice([746.0, 745.9, 760.0, 1e4], size=int(dead.sum()))
-            for special in (None, np.inf, -np.inf, np.nan):
-                b = a.copy()
-                if special is not None:
-                    b[rng.integers(0, n, size=min(n, 2))] = special
-                got, ref = _logsumexp(b), _reference_logsumexp(b)
-                assert got == ref or (math.isnan(got) and math.isnan(ref)), (n, layout, special)
-                cases += 1
-    assert cases == len(lengths) * 4 * 4 + 7 * split_count
+    betas = [0.0, -0.01, 0.9, 3.0, 746.0] + [
+        746.0 / (64 * k + d) for k in (1, 2, 5, 16) for d in (-0.5, -1e-9, 0.0, 1e-9, 0.5)]
+    lengths = sorted({1, 2, 63, 64, 65, 127, 128, 129}
+                     | {64 * k + d for k in (2, 5, 16, 17, 40) for d in (-1, 0, 1)})
+    cut = 0
+    for beta in betas:
+        for n in lengths:
+            # products of order one up to i = 700 / beta, so that the order
+            # in which the dot adds them shows in the last bits
+            y = rng.uniform(0.5, 2.0, n) * np.exp(np.clip(beta * np.arange(n), None, 700.0))
+            ref = float(np.exp(-beta * np.arange(n, dtype=float)) @ y)
+            assert _discounted_sum(beta, y) == ref, (beta, n)
+            cut += beta * n > 746.0
+    assert cut >= 100, cut
