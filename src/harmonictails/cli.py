@@ -482,7 +482,11 @@ def _run_harmonic_mc(family: ChainFamily, states, n_paths: int, horizon: int, se
         "seed": seed,
         "stop_level": est.meta["stop_level"],
         "horizon_warning": est.meta["horizon_warning"],
+        "path_steps": est.meta["path_steps"],
     }
+    for key in ("excursion_level", "first_passage_residual"):
+        if key in est.meta:
+            diag[key] = est.meta[key]
     return header, columns, diag, False, None
 
 
@@ -590,7 +594,9 @@ def _run_cramer_series(family: ChainFamily | None, M: int, m: list | None, D: di
 # so m <= 430 under the cap on band entries: harmonic-solve with tail row
 # {-1: 0.3, 1: 0.3, 430: 0.4} at K = 23012 peaks at 85 MB (0.6 s), and
 # stationary on {-1: 0.9, 0: 0.0999, 430: 0.0001} at 70 MB (0.7 s); wider
-# tails get the truncated solves above.
+# tails get the truncated solves above.  harmonic-mc collapses excursions
+# only for m <= 512 (about 40 MB of cyclic reduction); on that 430-wide tail
+# row it keeps the stopping level (100000 paths: 0.65 s, 43 MB).
 _MAX_PATHS = 10**7
 _MAX_STATES = 10**6
 _MAX_SPAN = 2000

@@ -18,7 +18,8 @@ written two ways:
 Both ladder laws come from the walk's first-passage matrix between levels of
 m states (``_first_passage``), which the harmonic and stationary solvers
 also use to continue a solution exactly past the level from which a
-kernel's rows are its homogeneous tail row.
+kernel's rows are its homogeneous tail row, and Monte Carlo to draw a path's
+whole excursion above that level at once.
 """
 
 from __future__ import annotations
@@ -184,10 +185,14 @@ def cramer_root(walk: LatticeWalk, tol: float = 1e-12) -> float:
     if not np.any((walk.offsets > 0) & (walk.pmf > 0)):
         raise NoCramerRootError("walk has no positive steps; mgf never returns to 1")
 
-    live, offsets = walk.pmf > 0, walk.offsets
+    # the pmf from its first to its last step with mass, so that zeros padded
+    # at its ends (a limit row spread to the band) change no bit of g
+    first, last = np.flatnonzero(walk.pmf)[[0, -1]]
+    pmf, offsets = walk.pmf[first : last + 1], walk.offsets[first : last + 1]
+    live = pmf > 0
 
     def g(t):  # walk.mgf(t) - 1; t <= t_cap keeps every exp with mass finite
-        return float(np.exp(t * offsets, where=live, out=np.zeros(offsets.size)) @ walk.pmf) - 1.0
+        return float(np.exp(t * offsets, where=live, out=np.zeros(offsets.size)) @ pmf) - 1.0
 
     t_cap = 700.0 / offsets[live].max()  # beyond this exp overflows for the top step with mass
     hi = min(1.0, t_cap)
@@ -377,9 +382,9 @@ def _level_powers(G: np.ndarray, X: np.ndarray, done: int) -> None:
 def _homogeneous_levels(kernel: TransitionKernel, K: int) -> tuple[int, LatticeWalk] | None:
     """(h, walk) when the window up to K is closed exactly: from state h on
     every row is the homogeneous tail row, whose step law ``walk``
-    (normalised, the zero steps at its ends cut off) steps both ways with
-    gcd 1, and the window holds the two levels of m = max(L, top step)
-    states above h that the closure couples (K >= h + 2m - 1).
+    (``_tail_walk``) steps both ways with gcd 1, and the window holds the
+    two levels of m = max(L, top step) states above h that the closure
+    couples (K >= h + 2m - 1).
 
     None otherwise, and the solvers fall back to their truncated solves;
     also where the exact solve costs more than the truncated ones.  A window
@@ -388,20 +393,33 @@ def _homogeneous_levels(kernel: TransitionKernel, K: int) -> tuple[int, LatticeW
     m^3 flops per step on top, against about K x (band width) for the
     truncated solves at K and 2K, so m^3 may be at most
     ``_EXACT_WORK_RATIO`` times that."""
-    if not isinstance(kernel.tail, HomogeneousTail) or K - kernel.state_lo < _DIRECT_STATES:
+    if K - kernel.state_lo < _DIRECT_STATES:
+        return None
+    walk = _tail_walk(kernel)
+    if walk is None:
+        return None
+    m = max(-walk.lo, walk.hi)
+    if m**3 > _EXACT_WORK_RATIO * K * kernel.tail.row.size:
+        return None
+    h = kernel.homogeneous_level()
+    if K - h < max(_DIRECT_STATES, 2 * m - 1):
+        return None
+    return h, walk
+
+
+def _tail_walk(kernel: TransitionKernel) -> LatticeWalk | None:
+    """The step law of a homogeneous tail row, normalised and with the zero
+    steps at its ends cut off, when it steps both ways with gcd 1, so that
+    its first-passage matrix between levels of m = max(L, top step) states
+    exists; None for any other tail."""
+    if not isinstance(kernel.tail, HomogeneousTail):
         return None
     row = kernel.tail.row
     at = np.flatnonzero(row)
     steps = (at - kernel.band_lo).tolist()
     if not (steps and steps[0] < 0 < steps[-1] and math.gcd(*steps) == 1):
         return None
-    m = max(-steps[0], steps[-1])
-    if m**3 > _EXACT_WORK_RATIO * K * row.size:
-        return None
-    h = kernel.homogeneous_level()
-    if K - h < max(_DIRECT_STATES, 2 * m - 1):
-        return None
-    return h, LatticeWalk(lo=steps[0], pmf=row[at[0] : at[-1] + 1] / row.sum())
+    return LatticeWalk(lo=steps[0], pmf=row[at[0] : at[-1] + 1] / row.sum())
 
 
 def _level_counts(states: int, m: int) -> tuple[int, int]:

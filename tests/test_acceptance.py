@@ -33,9 +33,13 @@ def test_criterion_01_example1_exactness():
     worst = max(abs(est.value(i) - (1.0 + 7.0 * RATIO**i)) for i in range(21))
     assert worst <= 1e-6
 
+    # the path weights alpha^(visits to 0) have a finite variance only for
+    # alpha^2 q/p < 1, which alpha = 2 is not (12/7), so there a standard error
+    # bounds nothing; the Monte Carlo check runs at alpha = 1.2 (0.62)
+    kernel = ht.perturbed_reflected_walk(p=0.7, alpha=1.2).kernel(8)
     mc = ht.build_mc(kernel, states=(0, 1, 2), n_paths=100_000, horizon=100_000, seed=7)
     for i in (0, 1, 2):
-        assert abs(mc.values[i] - exact_f(i)) <= 3.0 * mc.std_errors[i]
+        assert abs(mc.values[i] - exact_f(i, alpha=1.2)) <= 3.0 * mc.std_errors[i]
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

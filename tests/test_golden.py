@@ -6,9 +6,8 @@ cells and fields must agree within their config's relative tolerance in
 ``RTOL``.  A change that moves an output on purpose rewrites its golden file in
 the same commit.
 
-``reflected_mc`` takes seconds, so the tier-1 test leaves it out; run as a
-script, ``python tests/test_golden.py DIR`` compares every output in DIR
-(``scripts/run_experiments.py --out DIR``), ``reflected_mc`` included.
+Run as a script, ``python tests/test_golden.py DIR`` compares every output
+in DIR (``scripts/run_experiments.py --out DIR``).
 """
 
 import csv
@@ -23,7 +22,6 @@ from harmonictails.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.json"))
-SLOW = {"reflected_mc"}
 
 # relative tolerance of float cells and fields, by config stem
 DEFAULT_RTOL = 4 * 2.0**-52
@@ -103,9 +101,8 @@ def test_golden_covers_the_shipped_configs():
 def test_shipped_outputs_match_golden(tmp_path):
     problems = []
     for cfg in CONFIGS:
-        if cfg.stem not in SLOW:
-            assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) in (0, 2), cfg
-            problems += mismatches(tmp_path, cfg.stem)
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) in (0, 2), cfg
+        problems += mismatches(tmp_path, cfg.stem)
     assert problems == []
 
 

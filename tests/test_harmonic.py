@@ -526,11 +526,15 @@ def test_build_mc_needs_drift_certificate(down_walk):
 
 
 def test_local_time_moment_mc(ex1_kernel):
+    # ell(0) is geometric with return probability q/p = 3/7, so E 1.2^ell(0)
+    # = 1.2 (4/7) / (1 - 1.2 (3/7)) = 24/17; at 1.2 the weights have finite
+    # moments up to the fourth (1.2^4 3/7 < 1), so the standard error means
+    # what a 3-SE check takes it to mean
     est, se, cut = ht.local_time_moment_mc(
-        ex1_kernel, i=0, gamma=math.log(2.0), n_paths=20_000, horizon=100_000, seed=11
+        ex1_kernel, i=0, gamma=math.log(1.2), n_paths=20_000, horizon=100_000, seed=11
     )
     assert cut == 0.0
-    assert abs(est - 8.0) <= 3.0 * se
+    assert abs(est - 24.0 / 17.0) <= 3.0 * se
 
     one, zero_se, _ = ht.local_time_moment_mc(
         ex1_kernel, i=0, gamma=0.0, n_paths=500, horizon=10_000, seed=11
@@ -553,14 +557,37 @@ def test_expected_local_times_mc(ex1_kernel):
 
 
 def test_mc_streams_pinned(ex1_kernel):
-    # a change of random stream shows up here first
+    # a change of random stream shows up here first: example 1 runs on the
+    # collapsed excursions, the doob kernel's parametric tail at a stopping level
     est = ht.build_mc(ex1_kernel, (0,), 2000, 10000, seed=42)
-    assert est.values[0] == 8.852999999999998
-    assert est.std_errors[0] == 2.1705508150975072
+    assert est.values[0] == 7.231
+    assert est.std_errors[0] == 0.7761665650930759
     got = ht.local_time_moment_mc(ex1_kernel, 0, 0.2, 2000, 10000, seed=11)
-    assert got == (1.4796964157353778, 0.01480776072416599, 0.0)
+    assert got == (1.4486698024386833, 0.008911122968656194, 0.0)
     got = ht.expected_local_times_mc(ex1_kernel, 0, (0, 3), 2000, 10000, seed=5)
-    assert got == {0: (1.766, 0.026757802413408336), 3: (2.52, 0.04242286942116252)}
+    assert got == {0: (1.78, 0.02634667101431947), 3: (2.5165, 0.04534194328555509)}
+    got = ht.local_time_moment_mc(ENGINE_KERNELS["doob"], 0, 0.2, 2000, 10000, seed=11)
+    assert got == (1.3474385578889083, 0.005751913686541286, 0.0)
+
+
+def test_excursions_cut_the_path_steps(ex1_kernel):
+    est = ht.build_mc(ex1_kernel, (0,), 2000, 10000, seed=42)
+    assert (est.meta["excursion_level"], est.meta["first_passage_residual"]) == (1, 0.0)
+    assert est.meta["stop_level"] == 23
+    # the same paths' law run up to the stopping level
+    P, stop, scored = ht.harmonic._path_setup(ex1_kernel, 0, 1e-8, {})
+    work = {"path_steps": 0}
+    ht.harmonic._run_paths(P, (scored == 0).astype(float), 0, stop, 2000, 10000, 42, 1,
+                           None, work)
+    assert 0 < 5 * est.meta["path_steps"] <= work["path_steps"]
+    # levels of m = 20 states: G costs m^3 = 8000, against _EXACT_WORK_RATIO
+    # x n_paths x 22 (the band width) for the paths; fewer than 46 paths keep
+    # the stopping level, and no excursion keys
+    wide = ht.kernel_from_rows({0: {20: 2.0}}, truncation=0, band_lo=1, band_hi=20,
+                               tail=ht.HomogeneousTail(np.eye(22)[[0, 21]].sum(0) / 2))
+    est = ht.build_mc(wide, (0,), 45, 100, seed=0)
+    assert "excursion_level" not in est.meta and est.meta["path_steps"] >= 45
+    assert ht.build_mc(wide, (0,), 46, 100, seed=0).meta["excursion_level"] == 19
 
 
 def test_expected_local_times_mc_one_path_set(ex1_kernel, monkeypatch):
@@ -578,6 +605,124 @@ def test_expected_local_times_mc_one_path_set(ex1_kernel, monkeypatch):
     assert out[0][0] >= 1.0  # time zero counts as a visit to the start
     assert ht.expected_local_times_mc(ex1_kernel, start=0, sites=(), n_paths=10,
                                       horizon=10, seed=0) == {}
+
+
+# ---------------------------------------------------------------------------
+# collapsed excursions against linear solves
+
+
+def collapsed(kernel, top):
+    """The path chain of paths scoring states up to ``top`` with its
+    excursions collapsed, and its rows as a dense matrix on state_lo..end
+    plus a last column, the escape."""
+    pc = ht.harmonic._path_chain(kernel, top, 1e-8, {}, n_paths=10**6)
+    C = pc.chain
+    assert pc.G is not None and C.truncation == pc.end
+    n = pc.end - C.state_lo + 1
+    dense = np.zeros((n, n + 1))
+    for x, row in enumerate(C.rows(C.state_lo, pc.end)):
+        for c in np.flatnonzero(row):
+            dense[x, x + c - C.band_lo] = row[c]
+    return pc, dense
+
+
+def excursion_kernels():
+    walk4 = ht.LatticeWalk.from_dict({-1: 0.3, 0: 0.125, 1: 0.4, 2: 0.175})
+    lindley4 = ht.lindley_chain(walk4).kernel(10)
+    weighted = lindley4.weights.copy()
+    weighted[0] *= 1.3
+    return {
+        "example1": ENGINE_KERNELS["example1"],
+        "rows": ENGINE_KERNELS["rows"],
+        # an explicit row that jumps four levels of m = 1 above the top
+        "reach": ht.kernel_from_rows({0: {4: 2.0}}, truncation=0, band_lo=1, band_hi=4,
+                                     tail=ht.HomogeneousTail(np.array([0.3, 0, 0.7, 0, 0, 0]))),
+        # levels of m = 2 states, weight 1.3 at the origin
+        "lindley4": ht.TransitionKernel(band_lo=1, band_hi=2, weights=weighted,
+                                        tail=lindley4.tail),
+    }
+
+
+@pytest.mark.parametrize("name", ["example1", "rows", "reach", "lindley4"])
+@pytest.mark.parametrize("top", [0, 3, 6])
+def test_collapsed_chain_solves_to_build_solve(name, top):
+    # f = e^delta P_c f on state_lo..top with f = 1 at the escape:
+    # (I - diag(e^delta) P_c) f = diag(e^delta) escape
+    kernel = excursion_kernels()[name]
+    pc, dense = collapsed(kernel, top)
+    lo, end, n = kernel.state_lo, pc.end, len(dense)
+    assert end == max(top, kernel.embed().homogeneous_level(), lo + len(pc.G) - 1)
+    assert np.max(np.abs(dense.sum(axis=1) - 1.0)) <= 4e-16
+    assert dense.min() >= 0.0
+    w = kernel.rows(lo, end).sum(axis=1)  # e^delta
+    f = np.linalg.solve(np.eye(n) - w[:, None] * dense[:, :n], w * dense[:, n])
+    if name == "rows":  # f(0) < 0: no positive f, so build_solve refuses; its system, dense
+        with pytest.raises(ht.SolverFailure, match="negative"):
+            ht.build_solve(kernel, K=400)
+        ref = truncated_system_solution(kernel, 400)
+    else:
+        est = ht.build_solve(kernel, K=400)
+        assert est.method == "linear-solve"
+        ref = est.array(lo, 400)
+    np.testing.assert_allclose(f, ref[:n], rtol=1e-10, atol=0)
+    # a start above the top comes down by its entry law, or escapes (f = 1)
+    m = len(pc.G)
+    for s in range(end + 1, end + 3 * m + 5):
+        law = np.diff(pc.entry(s), prepend=0.0)
+        got = law @ f[n - m :] + (1.0 - law.sum())
+        assert got == pytest.approx(ref[s - lo], rel=1e-10, abs=0)
+    assert pc.entry(end) is None
+
+
+def truncated_system_solution(kernel, K):
+    """f on state_lo..K from f = Q f there and f = 1 above K, by a dense solve."""
+    lo = kernel.state_lo
+    n = K - lo + 1
+    Q = np.zeros((n, n + kernel.band_hi))
+    for x, row in enumerate(kernel.rows(lo, K)):
+        Q[x, x : x + row.size - kernel.band_lo] = row[kernel.band_lo :]
+        Q[x, max(x - kernel.band_lo, 0) : x] = row[max(kernel.band_lo - x, 0) : kernel.band_lo]
+    return np.linalg.solve(np.eye(n) - Q[:, :n], Q[:, n:].sum(axis=1))
+
+
+def test_collapsed_chain_solves_seeded_kernels():
+    # bands up to (5, 4) and (2, 8), state_lo 0 and 5, rows of mass off one:
+    # the collapsed chain's solve against the truncated system at K = 600
+    solved = 0
+    for kernel in seeded_drift_kernels(np.random.default_rng(3)):
+        if not isinstance(kernel.tail, ht.HomogeneousTail) or kernel.band_lo == 0:
+            continue
+        try:
+            pc, dense = collapsed(kernel, kernel.state_lo + 2)
+        except ht.UnsupportedInputError:  # no positive-drift minorant
+            continue
+        lo, n = kernel.state_lo, len(dense)
+        w = kernel.rows(lo, pc.end).sum(axis=1)
+        f = np.linalg.solve(np.eye(n) - w[:, None] * dense[:, :n], w * dense[:, n])
+        np.testing.assert_allclose(f, truncated_system_solution(kernel, 600)[:n],
+                                   rtol=1e-10, atol=0)
+        solved += 1
+    assert solved >= 8
+
+
+@pytest.mark.parametrize("top", [1, 3, 6])
+def test_collapsed_visits_match_a_long_truncation(top):
+    # expected visits among state_lo..top: the collapsed chain's against those
+    # of the chain killed above K = 600, whose paths from near K come back
+    # below top with a chance of about (G's spectral radius)^300
+    walk4 = ht.LatticeWalk.from_dict({-1: 0.3, 0: 0.125, 1: 0.4, 2: 0.175})
+    kernel = ht.lindley_chain(walk4).kernel(10)
+    pc, dense = collapsed(kernel, top)
+    assert (len(pc.G), pc.end) == (2, top)
+    n, K = len(dense), 600
+    visits = np.linalg.inv(np.eye(n) - dense[:, :n])
+    P = np.zeros((K + 1, K + 1))
+    for x, row in enumerate(kernel.embed().rows(0, K)):
+        for c in np.flatnonzero(row):
+            if x + c - 1 <= K:
+                P[x, x + c - 1] = row[c]
+    ref = np.linalg.inv(np.eye(K + 1) - P)[:n, :n]
+    assert np.max(np.abs(visits - ref)) <= 1e-13 * np.max(ref)
 
 
 # ---------------------------------------------------------------------------

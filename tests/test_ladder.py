@@ -36,15 +36,42 @@ def test_cramer_root_of_zero_padded_walk():
     padded = ht.LatticeWalk(lo=-1, pmf=np.concatenate([[0.99, 0.0, 0.01], np.zeros(199)]))
     assert padded.hi == 200
     assert ht.cramer_root(padded) == pytest.approx(math.log(99), rel=1e-14)
-    # padding changes the BLAS dot's blocks, which moves the last bits only
+    # the root reads the pmf from its first to its last step with mass, so
+    # padding changes no bit of it
     for pmf in ({-1: 0.99, 1: 0.01}, {-1: 0.7, 1: 0.3}, {2: 0.2, -1: 0.8},
                 {-2: 0.175, -1: 0.4, 0: 0.125, 1: 0.3}, {-3: 0.5, -1: 0.4, 4: 0.1}):
-        walk = ht.LatticeWalk.from_dict(pmf)
-        root = ht.cramer_root(walk)
-        for below, above in ((0, 1), (0, 63), (0, 64), (0, 199), (5, 200), (64, 0)):
-            wide = ht.LatticeWalk(lo=walk.lo - below,
-                                  pmf=np.concatenate([np.zeros(below), walk.pmf, np.zeros(above)]))
-            assert ht.cramer_root(wide) == pytest.approx(root, rel=2e-15, abs=0), (pmf, below, above)
+        assert_padding_keeps_the_root(ht.LatticeWalk.from_dict(pmf))
+
+
+PADDINGS = ((0, 1), (0, 63), (0, 64), (0, 199), (5, 200), (64, 0))
+
+
+def assert_padding_keeps_the_root(walk):
+    root = ht.cramer_root(walk)
+    for below, above in PADDINGS:
+        wide = ht.LatticeWalk(lo=walk.lo - below,
+                              pmf=np.concatenate([np.zeros(below), walk.pmf, np.zeros(above)]))
+        assert ht.cramer_root(wide) == root, (walk, below, above)
+
+
+def test_cramer_root_of_padded_walks_near_zero_mean():
+    # a flat mgf near the root is where Brent's method stops anywhere in the
+    # interval where g rounds to 0: mean in (-0.05, -0.02), by mixing a random
+    # law on -L..U with a step of -1 or +1
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        L, U = rng.integers(1, 6, size=2)
+        pmf = rng.dirichlet(np.ones(L + U + 1))
+        mean, target = pmf @ np.arange(-L, U + 1), rng.uniform(-0.05, -0.02)
+        if mean > target:
+            step, t = -1, (mean - target) / (mean + 1)
+        else:
+            step, t = 1, (target - mean) / (1 - mean)
+        pmf *= 1.0 - t
+        pmf[L + step] += t
+        walk = ht.LatticeWalk(lo=-int(L), pmf=pmf)
+        assert -0.05 < walk.mean < -0.02
+        assert_padding_keeps_the_root(walk)
 
 
 def test_tilt_walk(down_walk):
