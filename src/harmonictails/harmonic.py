@@ -721,8 +721,10 @@ class _PathChain:
     state_lo..top, ``end`` = top, each excursion above top one step: the
     mass a row sends to a state y > top goes to where the chain first comes
     back to top - m + 1..top from y, by y's row of G^k when y lies in the
-    k-th level of m states above top, and the defect to the escape, top + 1,
-    which is the last scored state and scores 0.  Above top every row is
+    k-th level of m states above top, and the defect to the escape, top + 1.
+    The scored states run on to top + band_hi, where a row's dropped last
+    column points, and score 0 above top: a uniform above a row's rounded
+    sum ends the path as an escape.  Above top every row is
     the tail row, whose walk has the first-passage matrix ``G`` (Latouche &
     Ramaswami 1999), so each path's score keeps its law (conditional Monte
     Carlo; Asmussen & Glynn 2007, ch. V).  ``stop_level`` still bounds the
@@ -760,15 +762,17 @@ def _path_chain(kernel: TransitionKernel, top: int, return_tol: float, checked: 
     Cyclic reduction on G costs a few m^3 flops, which may be at most
     ``_EXACT_WORK_RATIO`` times ``n_paths`` x W, W the band width, about what
     one step of the paths costs, and m at most ``_MAX_EXCURSION_LEVEL``; no
-    ``n_paths`` (0) takes the stopping level.  The collapse saves a path the
-    climb from the new top to the stopping level, about (stop - top) / (walk
-    mean) steps of W compares each, and widens every step by the
-    max(0, m - 1 - band_lo) columns that the re-entry needs; it is taken
-    where the saved compares are at least those extra ones.  On a 2-core
-    host, tail row {-1: .5, b: .5} from state 1 with 100000 paths: b = 3
-    takes 28 ms collapsed against 237 ms at the stopping level, b = 20 (the
-    rule's edge) 65 against 64 ms, and b = 60 (top above the stopping
-    level) 207 against 59 ms."""
+    ``n_paths`` (0) takes the stopping level.  Per path, in compares times
+    the walk mean: the collapse saves the climb from the new top to the
+    stopping level, W (stop - top), and widens each of the (top + 1 -
+    state_lo) / mean steps through state_lo..top by the max(0, m - 1 -
+    band_lo) columns that the re-entry needs; it is taken where the saving
+    is at least the cost.  On a 2-core host, tail row {-1: .5, b: .5},
+    state 0 jumping to b, with 100000 paths from states 0 and 5 each,
+    collapsed against the stopping level: b = 3 takes 34 against 256 ms,
+    b = 16 (the last collapsed) 84 against 94 ms, b = 17 94 against 98 ms,
+    b = 20 89 against 101 ms, b = 25 124 against 105 ms and b = 60 (top
+    above the stopping level) 242 against 106 ms."""
     P, stop, scored = _path_setup(kernel, top, return_tol, checked)
     walk = _tail_walk(P)
     if walk is None:
@@ -776,15 +780,15 @@ def _path_chain(kernel: TransitionKernel, top: int, return_tol: float, checked: 
     m, W = max(-walk.lo, walk.hi), P.weights.shape[1]
     top = max(top, P.homogeneous_level(), P.state_lo + m - 1)
     if (m > _MAX_EXCURSION_LEVEL or m**3 > _EXACT_WORK_RATIO * n_paths * W
-            or max(0, m - 1 - P.band_lo) * walk.mean > W * (stop - top)):
+            or max(0, m - 1 - P.band_lo) * (top + 1 - P.state_lo) > W * (stop - top)):
         return _PathChain(P, stop, scored, stop)
     try:
         G, residual = _certified_first_passage(walk)
     except SolverFailure:
         return _PathChain(P, stop, scored, stop)
     G = np.clip(G, 0.0, None)  # rounding can leave entries of -1e-17 or so
-    return _PathChain(_collapse(P, top, G), top, np.arange(P.state_lo, top + 2), stop, G,
-                      residual)
+    return _PathChain(_collapse(P, top, G), top, np.arange(P.state_lo, top + P.band_hi + 1),
+                      stop, G, residual)
 
 
 def _collapse(P: StochasticKernel, top: int, G: np.ndarray) -> StochasticKernel:
@@ -869,7 +873,7 @@ def build_mc(
     score = np.zeros(pc.scored.size)
     score[: deltas.size] = deltas[: score.size]
     if pc.G is not None:
-        score[-1] = 0.0  # the escape
+        score[pc.end + 1 - kernel.state_lo :] = 0.0  # the escape
 
     values, errs, exhausted, work = {}, {}, {}, {"path_steps": 0}
     for s in states:

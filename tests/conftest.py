@@ -112,3 +112,20 @@ def seeded_drift_kernels(rng):
             for tail in (ht.HomogeneousTail(limit), ht.ParametricTail(rule, 0.0)):
                 yield ht.TransitionKernel(band_lo=band_lo, band_hi=band_hi, weights=w,
                                           state_lo=state_lo, tail=tail)
+
+
+def collapsed_chain(kernel, top, n_paths=10**6, return_tol=1e-8):
+    """The path chain of ``n_paths`` paths scoring states up to ``top`` with
+    its excursions collapsed, and its rows as a dense matrix on
+    state_lo..end plus a last column, the escape."""
+    pc = ht.harmonic._path_chain(kernel, top, return_tol, {}, n_paths)
+    C = pc.chain
+    assert pc.G is not None and C.truncation == pc.end
+    # a row's dropped last column, end + band_hi at most, is scored
+    assert pc.scored[-1] == pc.end + C.band_hi
+    n = pc.end - C.state_lo + 1
+    dense = np.zeros((n, n + 1))
+    for x, row in enumerate(C.rows(C.state_lo, pc.end)):
+        for c in np.flatnonzero(row):
+            dense[x, x + c - C.band_lo] = row[c]
+    return pc, dense

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import harmonictails as ht
+from conftest import collapsed_chain
 from harmonictails.cli import main as cli_main
 
 RATIO = 3.0 / 7.0
@@ -33,9 +34,20 @@ def test_criterion_01_example1_exactness():
     worst = max(abs(est.value(i) - (1.0 + 7.0 * RATIO**i)) for i in range(21))
     assert worst <= 1e-6
 
-    # the path weights alpha^(visits to 0) have a finite variance only for
-    # alpha^2 q/p < 1, which alpha = 2 is not (12/7), so there a standard error
-    # bounds nothing; the Monte Carlo check runs at alpha = 1.2 (0.62)
+    # Monte Carlo paths run the embedded chain, the walk reflected at 0 for
+    # every alpha, to the weight alpha^(visits to 0).  At alpha = 2 that weight
+    # has an infinite variance (alpha^2 q/p = 12/7 > 1) and no standard error
+    # bounds an estimate, so the chain the paths run on, excursions above its
+    # top collapsed, is solved: f = e^delta P_c f, f = 1 at the escape
+    pc, dense = collapsed_chain(kernel, 0, n_paths=100_000)
+    n = len(dense)
+    w = kernel.rows(0, pc.end).sum(axis=1)  # e^delta
+    f = np.linalg.solve(np.eye(n) - w[:, None] * dense[:, :n], w * dense[:, n])
+    for i in range(21):  # a start above top comes down by its entry law, or escapes
+        law = np.diff(pc.entry(i), prepend=0.0) if i > pc.end else np.eye(n)[i]
+        fi = law @ f[n - law.size :] + (1.0 - law.sum())
+        assert abs(fi - (1.0 + 7.0 * RATIO**i)) <= 1e-10 * fi
+    # the same paths at alpha = 1.2, whose weights have a finite variance (0.62)
     kernel = ht.perturbed_reflected_walk(p=0.7, alpha=1.2).kernel(8)
     mc = ht.build_mc(kernel, states=(0, 1, 2), n_paths=100_000, horizon=100_000, seed=7)
     for i in (0, 1, 2):
@@ -43,7 +55,8 @@ def test_criterion_01_example1_exactness():
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    print(f"criterion 01 PASS ({elapsed:.1f}s): solve err {worst:.2e}, MC within 3 SE")
+    print(f"criterion 01 PASS ({elapsed:.1f}s): solve err {worst:.2e}, path chain solved, "
+          "MC within 3 SE")
 
 
 def test_criterion_02_example1_trichotomy():

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import harmonictails as ht
-from conftest import reference_band_matvec, reference_band_system, seeded_drift_kernels
+from conftest import (
+    collapsed_chain as collapsed,
+    reference_band_matvec,
+    reference_band_system,
+    seeded_drift_kernels,
+)
 from harmonictails.harmonic import _truncated_solve
 from harmonictails.ladder import _DIRECT_STATES, _EXACT_WORK_RATIO
 
@@ -526,10 +531,17 @@ def test_build_mc_needs_drift_certificate(down_walk):
 
 
 def test_local_time_moment_mc(ex1_kernel):
-    # ell(0) is geometric with return probability q/p = 3/7, so E 1.2^ell(0)
-    # = 1.2 (4/7) / (1 - 1.2 (3/7)) = 24/17; at 1.2 the weights have finite
-    # moments up to the fourth (1.2^4 3/7 < 1), so the standard error means
-    # what a 3-SE check takes it to mean
+    # ell(0) is geometric with return probability q/p = 3/7, so E 2^ell(0)
+    # = 2 (4/7) / (1 - 2 (3/7)) = 8; 2^ell(0) has an infinite variance
+    # (4 (3/7) > 1), so the chain the paths run on is solved for it
+    pc, dense = collapsed(ex1_kernel, 0, n_paths=20_000)
+    n = len(dense)
+    w = np.where(pc.scored[:n] == 0, 2.0, 1.0)
+    f = np.linalg.solve(np.eye(n) - w[:, None] * dense[:, :n], w * dense[:, n])
+    assert f[0] == pytest.approx(8.0, rel=1e-12)
+    # E 1.2^ell(0) = 1.2 (4/7) / (1 - 1.2 (3/7)) = 24/17, by Monte Carlo: at
+    # 1.2 the weights have finite moments up to the fourth (1.2^4 3/7 < 1),
+    # so the standard error means what a 3-SE check takes it to mean
     est, se, cut = ht.local_time_moment_mc(
         ex1_kernel, i=0, gamma=math.log(1.2), n_paths=20_000, horizon=100_000, seed=11
     )
@@ -580,14 +592,23 @@ def test_excursions_cut_the_path_steps(ex1_kernel):
     ht.harmonic._run_paths(P, (scored == 0).astype(float), 0, stop, 2000, 10000, 42, 1,
                            None, work)
     assert 0 < 5 * est.meta["path_steps"] <= work["path_steps"]
-    # levels of m = 20 states: G costs m^3 = 8000, against _EXACT_WORK_RATIO
-    # x n_paths x 22 (the band width) for the paths; fewer than 46 paths keep
-    # the stopping level, and no excursion keys
-    wide = ht.kernel_from_rows({0: {20: 2.0}}, truncation=0, band_lo=1, band_hi=20,
-                               tail=ht.HomogeneousTail(np.eye(22)[[0, 21]].sum(0) / 2))
-    est = ht.build_mc(wide, (0,), 45, 100, seed=0)
-    assert "excursion_level" not in est.meta and est.meta["path_steps"] >= 45
-    assert ht.build_mc(wide, (0,), 46, 100, seed=0).meta["excursion_level"] == 19
+    # tail row {-1: .5, b: .5}, levels of m = b states, band width b + 2
+
+    def wide(b):
+        return ht.kernel_from_rows({0: {b: 2.0}}, truncation=0, band_lo=1, band_hi=b,
+                                   tail=ht.HomogeneousTail(np.eye(b + 2)[[0, b + 1]].sum(0) / 2))
+
+    # b = 10: G costs m^3 = 1000 against _EXACT_WORK_RATIO x n_paths x 12 for
+    # the paths; fewer than 11 paths keep the stopping level, and no excursion keys
+    est = ht.build_mc(wide(10), (0,), 10, 100, seed=0)
+    assert "excursion_level" not in est.meta and est.meta["path_steps"] >= 10
+    assert ht.build_mc(wide(10), (0,), 11, 100, seed=0).meta["excursion_level"] == 9
+    # the stopping level is 28 from b = 10 on; the re-entry widens the steps
+    # through 0..b - 1 (b levels) by b - 2 columns, against the climb's b + 2
+    # columns a step over 28 - (b - 1) levels: b = 16 collapses, b = 17 does not
+    assert ht.build_mc(wide(16), (0,), 100, 100, seed=0).meta["excursion_level"] == 15
+    est = ht.build_mc(wide(17), (0,), 100, 100, seed=0)
+    assert "excursion_level" not in est.meta and est.meta["stop_level"] == 28
 
 
 def test_expected_local_times_mc_one_path_set(ex1_kernel, monkeypatch):
@@ -609,21 +630,6 @@ def test_expected_local_times_mc_one_path_set(ex1_kernel, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # collapsed excursions against linear solves
-
-
-def collapsed(kernel, top):
-    """The path chain of paths scoring states up to ``top`` with its
-    excursions collapsed, and its rows as a dense matrix on state_lo..end
-    plus a last column, the escape."""
-    pc = ht.harmonic._path_chain(kernel, top, 1e-8, {}, n_paths=10**6)
-    C = pc.chain
-    assert pc.G is not None and C.truncation == pc.end
-    n = pc.end - C.state_lo + 1
-    dense = np.zeros((n, n + 1))
-    for x, row in enumerate(C.rows(C.state_lo, pc.end)):
-        for c in np.flatnonzero(row):
-            dense[x, x + c - C.band_lo] = row[c]
-    return pc, dense
 
 
 def excursion_kernels():
@@ -693,7 +699,9 @@ def test_collapsed_chain_solves_seeded_kernels():
         if not isinstance(kernel.tail, ht.HomogeneousTail) or kernel.band_lo == 0:
             continue
         try:
-            pc, dense = collapsed(kernel, kernel.state_lo + 2)
+            # a stopping level far above top, so that the collapse pays on every
+            # kernel (rows to state_lo + 12 put top at state_lo + 13 or above)
+            pc, dense = collapsed(kernel, kernel.state_lo + 2, return_tol=1e-30)
         except ht.UnsupportedInputError:  # no positive-drift minorant
             continue
         lo, n = kernel.state_lo, len(dense)
@@ -723,6 +731,21 @@ def test_collapsed_visits_match_a_long_truncation(top):
                 P[x, x + c - 1] = row[c]
     ref = np.linalg.inv(np.eye(K + 1) - P)[:n, :n]
     assert np.max(np.abs(visits - ref)) <= 1e-13 * np.max(ref)
+
+
+def test_collapsed_overshoot_scores_zero():
+    # rows are stochastic only within rounding, and a uniform above a row's
+    # sum lands on its dropped last column, up to end + band_hi; with the
+    # rows halved half the steps do, and each ends its path as an escape
+    kernel = excursion_kernels()["reach"]
+    pc, dense = collapsed(kernel, 0)
+    C = pc.chain
+    half = ht.TransitionKernel(band_lo=C.band_lo, band_hi=C.band_hi, weights=C.weights / 2,
+                               state_lo=C.state_lo)
+    score = np.ones(pc.scored.size)
+    score[pc.end + 1 - C.state_lo :] = 0.0
+    totals, cut = ht.harmonic._run_paths(half, score, 0, pc.end, 1000, 100, 0, 1)
+    assert cut == 0 and totals.min() >= 1.0 and totals.max() <= 100.0
 
 
 # ---------------------------------------------------------------------------
