@@ -596,7 +596,9 @@ def _run_cramer_series(family: ChainFamily | None, M: int, m: list | None, D: di
 # stationary on {-1: 0.9, 0: 0.0999, 430: 0.0001} at 70 MB (0.7 s); wider
 # tails get the truncated solves above.  harmonic-mc collapses excursions
 # only for m <= 512 (about 40 MB of cyclic reduction); on that 430-wide tail
-# row it keeps the stopping level (100000 paths: 0.65 s, 43 MB).
+# row it collapses them (tests/fixtures/wide_tail_mc.json, 100000 paths:
+# 0.8-1.1 s and 61 MB, against 0.9-1.5 s and 44 MB at the stopping level;
+# G's cyclic reduction holds the extra memory).
 _MAX_PATHS = 10**7
 _MAX_STATES = 10**6
 _MAX_SPAN = 2000

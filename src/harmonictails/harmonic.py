@@ -9,16 +9,16 @@ with f(i) -> 1.
 Two constructions are provided: direct Monte Carlo over trajectories, and a
 linear solve.  Where the rows from some level h on are a tail row whose walk
 has a first-passage matrix G, Monte Carlo draws each excursion above the
-support of delta (and h) at once, from G, as where the path comes back or
-its escape; otherwise a path runs up to a certified stopping level (the
-product can no longer change more than a set tolerance once the path
-climbs high enough).  The solve
-is exact (method ``matrix-geometric``) when every row from some level h on
-is a stochastic tail row with positive mean: there the deficit 1 - f is
-matrix-geometric, g_k = G g_(k-1) in levels of m states, with G the first-
-passage matrix of the tail walk.  Any other kernel (a parametric tail, a
-tail walk of the wrong sign or on gZ, g > 1, a window too short to hold
-the level h + 2m - 1, or one where the exact solve costs more; see
+support of delta (and h) at once, from G, as where the path comes back
+(one of the L states a down step of at most L can reach) or its escape;
+otherwise a path runs up to a certified stopping level (the product can no
+longer change more than a set tolerance once the path climbs high enough).
+The solve is exact (method ``matrix-geometric``) when every row from some
+level h on is a stochastic tail row with positive mean: there the deficit
+1 - f is matrix-geometric, g_k = G g_(k-1) in levels of m states, with G
+the first-passage matrix of the tail walk.  Any other kernel (a parametric
+tail, a tail walk of the wrong sign or on gZ, g > 1, a window too short to
+hold the level h + 2m - 1, or one where the exact solve costs more; see
 ``ladder._homogeneous_levels``) gets a truncated solve with boundary value
 one above the truncation, cross-checked by doubling the truncation (method
 ``linear-solve``).  A closed form covers the reflected simple walk with one
@@ -629,35 +629,6 @@ def verify_harmonicity(kernel: TransitionKernel, f, states: Iterable[int]) -> fl
 # Monte Carlo
 
 
-def _path_setup(kernel: TransitionKernel, top: int, return_tol: float, checked: dict):
-    """Embedded chain, stopping level and scored states for paths that score
-    states up to ``top``.
-
-    Above the stopping level the chain revisits ``top`` or below with
-    probability at most ``return_tol`` (Lundberg bound via the minorant).
-    Paths score the states from state_lo to the stopping level plus band_hi;
-    ``checked`` maps a name to states that must lie in that range.
-    """
-    P = kernel.embed()
-    minorant = jump_minorant(P)
-    if minorant.mean <= 0:
-        raise UnsupportedInputError(
-            "no positive-drift minorant: cannot certify Monte Carlo termination"
-        )
-    r = ruin_exponent(minorant)
-    stop = top + 1
-    if r != math.inf:
-        stop += int(math.ceil(math.log(1.0 / return_tol) / r))
-    if not P.has_row(stop):
-        raise StateRangeError(f"kernel rows end before the certified stopping level {stop}")
-    lo, hi = P.state_lo, stop + kernel.band_hi
-    for what, states in checked.items():
-        for s in states:
-            if not lo <= s <= hi:
-                raise StateRangeError(f"{what} {s} outside the scored range [{lo}, {hi}]")
-    return P, stop, np.arange(lo, hi + 1)
-
-
 def _run_paths(P, score, start, stop, n_paths, horizon, seed, estimator, entry=None,
                work=None):
     """``n_paths`` trajectories of the chain ``P`` from ``start``, each adding
@@ -669,7 +640,7 @@ def _run_paths(P, score, start, stop, n_paths, horizon, seed, estimator, entry=N
     each draws one uniform per step; its jump counts the cdf columns at or
     below the uniform (the last column is 1, never counted).
 
-    With ``entry`` (``_PathChain.entry``: the cdf over the m states up to
+    With ``entry`` (``_PathChain.entry``: the cdf over the L states up to
     ``stop`` where a path from ``start`` > ``stop`` first comes back down,
     the rest of the mass escaping), each path first draws one uniform for
     that state and scores it; time zero scores 0.  ``work``, if given, is a
@@ -720,12 +691,13 @@ class _PathChain:
     With its excursions collapsed it is the embedded chain on
     state_lo..top, ``end`` = top, each excursion above top one step: the
     mass a row sends to a state y > top goes to where the chain first comes
-    back to top - m + 1..top from y, by y's row of G^k when y lies in the
-    k-th level of m states above top, and the defect to the escape, top + 1.
-    The scored states run on to top + band_hi, where a row's dropped last
-    column points, and score 0 above top: a uniform above a row's rounded
-    sum ends the path as an escape.  Above top every row is
-    the tail row, whose walk has the first-passage matrix ``G`` (Latouche &
+    back to top - L + 1..top from y, L the tail walk's largest down step, by
+    y's row of G^k when y lies in the k-th level of m states above top, and
+    the defect to the escape, top + 1.  The rows keep the embedded chain's
+    band.  The scored states run on to top + band_hi, where a row's dropped
+    last column points, and score 0 above top: a uniform above a row's
+    rounded sum ends the path as an escape.  Above top every row is the
+    tail row, whose walk has the first-passage matrix ``G`` (Latouche &
     Ramaswami 1999), so each path's score keeps its law (conditional Monte
     Carlo; Asmussen & Glynn 2007, ch. V).  ``stop_level`` still bounds the
     start states; a start above top first draws its re-entry (``entry``).
@@ -737,9 +709,10 @@ class _PathChain:
     stop_level: int
     G: np.ndarray | None = None
     residual: float | None = None
+    L: int = 0
 
     def entry(self, start: int) -> np.ndarray | None:
-        """The cdf over top - m + 1..top of the first state at or below top
+        """The cdf over top - L + 1..top of the first state at or below top
         of a path from ``start``, when the excursions are collapsed and
         ``start`` > top (the remaining mass escapes); None otherwise."""
         if self.G is None or start <= self.end:
@@ -748,76 +721,86 @@ class _PathChain:
         law = self.G[i]
         for _ in range(k):
             law = law @ self.G
-        return np.cumsum(law)
+        return np.cumsum(law[len(law) - self.L :])
 
 
 def _path_chain(kernel: TransitionKernel, top: int, return_tol: float, checked: dict,
                 n_paths: int) -> _PathChain:
-    """``_path_setup``'s chain for paths that score states up to ``top``,
-    with its excursions above max(top, h, state_lo + m - 1) collapsed where
-    that pays: the embedded chain has a homogeneous tail from level h on
-    whose walk steps both ways with gcd 1 (``_tail_walk``, levels of m
-    states), and G is certified.
+    """The chain that ``n_paths`` paths scoring states up to ``top`` run on.
 
-    Cyclic reduction on G costs a few m^3 flops, which may be at most
-    ``_EXACT_WORK_RATIO`` times ``n_paths`` x W, W the band width, about what
-    one step of the paths costs, and m at most ``_MAX_EXCURSION_LEVEL``; no
-    ``n_paths`` (0) takes the stopping level.  Per path, in compares times
-    the walk mean: the collapse saves the climb from the new top to the
-    stopping level, W (stop - top), and widens each of the (top + 1 -
-    state_lo) / mean steps through state_lo..top by the max(0, m - 1 -
-    band_lo) columns that the re-entry needs; it is taken where the saving
-    is at least the cost.  On a 2-core host, tail row {-1: .5, b: .5},
-    state 0 jumping to b, with 100000 paths from states 0 and 5 each,
-    collapsed against the stopping level: b = 3 takes 34 against 256 ms,
-    b = 16 (the last collapsed) 84 against 94 ms, b = 17 94 against 98 ms,
-    b = 20 89 against 101 ms, b = 25 124 against 105 ms and b = 60 (top
-    above the stopping level) 242 against 106 ms."""
-    P, stop, scored = _path_setup(kernel, top, return_tol, checked)
+    Above the stopping level the embedded chain revisits ``top`` or below
+    with probability at most ``return_tol`` (Lundberg bound via the
+    minorant); the states from state_lo to it plus band_hi are scored, and
+    ``checked`` maps a name to states that must lie in that range.  Its
+    excursions above max(top, h, state_lo + L - 1) are collapsed instead
+    where the embedded chain has a homogeneous tail from level h on whose
+    walk steps both ways with gcd 1 (``_tail_walk``, down steps of at most
+    L, levels of m states), G is certified and affordable, and that top is
+    not above the stopping level.  Cyclic reduction on G costs a few m^3
+    flops, which may be at most ``_EXACT_WORK_RATIO`` times ``n_paths`` x W,
+    W the band width, about what one step of the paths costs, and m at most
+    ``_MAX_EXCURSION_LEVEL``; no ``n_paths`` (0) takes the stopping level.
+    """
+    P = kernel.embed()
+    minorant = jump_minorant(P)
+    if minorant.mean <= 0:
+        raise UnsupportedInputError(
+            "no positive-drift minorant: cannot certify Monte Carlo termination"
+        )
+    r = ruin_exponent(minorant)
+    stop = top + 1
+    if r != math.inf:
+        stop += int(math.ceil(math.log(1.0 / return_tol) / r))
+    if not P.has_row(stop):
+        raise StateRangeError(f"kernel rows end before the certified stopping level {stop}")
+    lo, hi = P.state_lo, stop + kernel.band_hi
+    for what, states in checked.items():
+        for s in states:
+            if not lo <= s <= hi:
+                raise StateRangeError(f"{what} {s} outside the scored range [{lo}, {hi}]")
+    at_stop = _PathChain(P, stop, np.arange(lo, hi + 1), stop)
     walk = _tail_walk(P)
     if walk is None:
-        return _PathChain(P, stop, scored, stop)
-    m, W = max(-walk.lo, walk.hi), P.weights.shape[1]
-    top = max(top, P.homogeneous_level(), P.state_lo + m - 1)
-    if (m > _MAX_EXCURSION_LEVEL or m**3 > _EXACT_WORK_RATIO * n_paths * W
-            or max(0, m - 1 - P.band_lo) * (top + 1 - P.state_lo) > W * (stop - top)):
-        return _PathChain(P, stop, scored, stop)
+        return at_stop
+    L, m = -walk.lo, max(-walk.lo, walk.hi)
+    top = max(top, P.homogeneous_level(), lo + L - 1)
+    if (m > _MAX_EXCURSION_LEVEL or m**3 > _EXACT_WORK_RATIO * n_paths * P.weights.shape[1]
+            or top > stop):
+        return at_stop
     try:
         G, residual = _certified_first_passage(walk)
     except SolverFailure:
-        return _PathChain(P, stop, scored, stop)
+        return at_stop
     G = np.clip(G, 0.0, None)  # rounding can leave entries of -1e-17 or so
-    return _PathChain(_collapse(P, top, G), top, np.arange(P.state_lo, top + P.band_hi + 1),
-                      stop, G, residual)
+    return _PathChain(_collapse(P, top, G, L), top, np.arange(lo, top + P.band_hi + 1),
+                      stop, G, residual, L)
 
 
-def _collapse(P: StochasticKernel, top: int, G: np.ndarray) -> StochasticKernel:
+def _collapse(P: StochasticKernel, top: int, G: np.ndarray, L: int) -> StochasticKernel:
     """The rows of state_lo..top of ``P``, whose rows above top are its tail
     row, with each jump above top replaced by the re-entry law of its target
-    and the escape to top + 1 (``_PathChain``).  The lower band widens to
-    m - 1, so a row's re-entry columns fit."""
+    and the escape to top + 1 (``_PathChain``).  A walk whose down steps are
+    at most L <= band_lo enters a level only at its last L states, so G's
+    first m - L columns are zero and the re-entry fits the band of ``P``."""
     lo, bl, bh = P.state_lo, P.band_lo, P.band_hi
     m, W = len(G), bl + bh + 1
-    wide = max(bl, m - 1)
-    rows = P.rows(lo, top)
-    out = np.zeros((len(rows), wide + bh + 1))
-    out[:, wide - bl : wide - bl + W] = rows
+    out = np.array(P.rows(lo, top))
     # the jumps from x to top + 1 + j sit in the columns c = top + 1 + j - x + bl < W
     x = np.arange(max(lo, top + 1 - bh), top + 1)
     c = top + 1 + np.arange(bh) - x[:, None] + bl
     r, j = np.nonzero(c < W)
     jumps = np.zeros((x.size, bh))
-    jumps[r, j] = rows[x[r] - lo, c[r, j]]
-    out[x[r] - lo, c[r, j] + wide - bl] = 0.0
-    # the law from top + 1 + j: row j % m of G^(j // m + 1) over top - m + 1..top,
+    jumps[r, j] = out[x[r] - lo, c[r, j]]
+    out[x[r] - lo, c[r, j]] = 0.0
+    # the law from top + 1 + j: row j % m of G^(j // m + 1) over top - L + 1..top,
     # then the escape
     powers = [G]
     while len(powers) * m < bh:
         powers.append(powers[-1] @ G)
-    law = np.vstack(powers)[:bh]
+    law = np.vstack(powers)[:bh, m - L :]
     law = np.hstack([law, np.clip(1.0 - law.sum(axis=1, keepdims=True), 0.0, None)])
-    out[(x - lo)[:, None], top + 1 - m + np.arange(m + 1) - x[:, None] + wide] += jumps @ law
-    return StochasticKernel(band_lo=wide, band_hi=bh, weights=out, state_lo=lo)
+    out[(x - lo)[:, None], top + 1 - L + np.arange(L + 1) - x[:, None] + bl] += jumps @ law
+    return StochasticKernel(band_lo=bl, band_hi=bh, weights=out, state_lo=lo)
 
 
 def _mean_se(x: np.ndarray):

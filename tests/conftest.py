@@ -121,6 +121,8 @@ def collapsed_chain(kernel, top, n_paths=10**6, return_tol=1e-8):
     pc = ht.harmonic._path_chain(kernel, top, return_tol, {}, n_paths)
     C = pc.chain
     assert pc.G is not None and C.truncation == pc.end
+    # the re-entry fits the embedded chain's own band
+    assert (C.band_lo, C.band_hi) == (kernel.band_lo, kernel.band_hi)
     # a row's dropped last column, end + band_hi at most, is scored
     assert pc.scored[-1] == pc.end + C.band_hi
     n = pc.end - C.state_lo + 1

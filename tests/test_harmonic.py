@@ -582,33 +582,47 @@ def test_mc_streams_pinned(ex1_kernel):
     assert got == (1.3474385578889083, 0.005751913686541286, 0.0)
 
 
+def wide(b):
+    """Tail row {-1: .5, b: .5}, levels of m = b states, band width b + 2,
+    and state 0 jumping to b."""
+    return ht.kernel_from_rows({0: {b: 2.0}}, truncation=0, band_lo=1, band_hi=b,
+                               tail=ht.HomogeneousTail(np.eye(b + 2)[[0, b + 1]].sum(0) / 2))
+
+
+def stop_level_steps(kernel, top, n_paths, seed):
+    """The path steps of ``n_paths`` paths from state 0 run up to the
+    stopping level, on build_mc's stream."""
+    pc = ht.harmonic._path_chain(kernel, top, 1e-8, {}, 0)
+    assert pc.G is None
+    work = {"path_steps": 0}
+    ht.harmonic._run_paths(pc.chain, (pc.scored == 0).astype(float), 0, pc.end, n_paths,
+                           10000, seed, 1, None, work)
+    return work["path_steps"]
+
+
 def test_excursions_cut_the_path_steps(ex1_kernel):
     est = ht.build_mc(ex1_kernel, (0,), 2000, 10000, seed=42)
     assert (est.meta["excursion_level"], est.meta["first_passage_residual"]) == (1, 0.0)
     assert est.meta["stop_level"] == 23
     # the same paths' law run up to the stopping level
-    P, stop, scored = ht.harmonic._path_setup(ex1_kernel, 0, 1e-8, {})
-    work = {"path_steps": 0}
-    ht.harmonic._run_paths(P, (scored == 0).astype(float), 0, stop, 2000, 10000, 42, 1,
-                           None, work)
-    assert 0 < 5 * est.meta["path_steps"] <= work["path_steps"]
-    # tail row {-1: .5, b: .5}, levels of m = b states, band width b + 2
-
-    def wide(b):
-        return ht.kernel_from_rows({0: {b: 2.0}}, truncation=0, band_lo=1, band_hi=b,
-                                   tail=ht.HomogeneousTail(np.eye(b + 2)[[0, b + 1]].sum(0) / 2))
-
+    assert 0 < 5 * est.meta["path_steps"] <= stop_level_steps(ex1_kernel, 0, 2000, 42)
     # b = 10: G costs m^3 = 1000 against _EXACT_WORK_RATIO x n_paths x 12 for
     # the paths; fewer than 11 paths keep the stopping level, and no excursion keys
     est = ht.build_mc(wide(10), (0,), 10, 100, seed=0)
     assert "excursion_level" not in est.meta and est.meta["path_steps"] >= 10
-    assert ht.build_mc(wide(10), (0,), 11, 100, seed=0).meta["excursion_level"] == 9
-    # the stopping level is 28 from b = 10 on; the re-entry widens the steps
-    # through 0..b - 1 (b levels) by b - 2 columns, against the climb's b + 2
-    # columns a step over 28 - (b - 1) levels: b = 16 collapses, b = 17 does not
-    assert ht.build_mc(wide(16), (0,), 100, 100, seed=0).meta["excursion_level"] == 15
-    est = ht.build_mc(wide(17), (0,), 100, 100, seed=0)
+    assert ht.build_mc(wide(10), (0,), 11, 100, seed=0).meta["excursion_level"] == 1
+    # the re-entry lands on state 1 (L = 1) whatever b, so every b the m^3 guard
+    # admits for 100 paths (b <= 29) collapses at 1, below the stopping level
+    # (28 from b = 10 on), in fewer steps than the climb to it while b is
+    # below that level (from 29 on, state 0 jumps above it at once)
+    for b in (3, 10, 16, 17, 20, 25, 28):
+        est = ht.build_mc(wide(b), (0,), 100, 100, seed=0)
+        assert est.meta["excursion_level"] == 1, b
+        assert 0 < est.meta["path_steps"] < stop_level_steps(wide(b), 0, 100, 0), b
+    # b = 60: 60^3 > 8 x 100 x 62
+    est = ht.build_mc(wide(60), (0,), 100, 100, seed=0)
     assert "excursion_level" not in est.meta and est.meta["stop_level"] == 28
+    assert ht.build_mc(wide(60), (0,), 436, 100, seed=0).meta["excursion_level"] == 1
 
 
 def test_expected_local_times_mc_one_path_set(ex1_kernel, monkeypatch):
@@ -646,18 +660,28 @@ def excursion_kernels():
         # levels of m = 2 states, weight 1.3 at the origin
         "lindley4": ht.TransitionKernel(band_lo=1, band_hi=2, weights=weighted,
                                         tail=lindley4.tail),
+        # levels of m = b states entered at their last state, L = 1
+        "wide3": wide(3),
+        "wide17": wide(17),
+        "wide60": wide(60),
+        # levels of m = 430, weight 1.5 at the origin
+        "wide430": ht.kernel_from_rows(
+            {0: {1: 1.5}}, truncation=0, band_lo=1, band_hi=430,
+            tail=ht.HomogeneousTail(np.eye(432)[[0, 2, 431]].T @ [0.3, 0.3, 0.4])),
     }
 
 
-@pytest.mark.parametrize("name", ["example1", "rows", "reach", "lindley4"])
+@pytest.mark.parametrize("name", ["example1", "rows", "reach", "lindley4", "wide3", "wide17",
+                                  "wide60", "wide430"])
 @pytest.mark.parametrize("top", [0, 3, 6])
 def test_collapsed_chain_solves_to_build_solve(name, top):
     # f = e^delta P_c f on state_lo..top with f = 1 at the escape:
     # (I - diag(e^delta) P_c) f = diag(e^delta) escape
     kernel = excursion_kernels()[name]
     pc, dense = collapsed(kernel, top)
-    lo, end, n = kernel.state_lo, pc.end, len(dense)
-    assert end == max(top, kernel.embed().homogeneous_level(), lo + len(pc.G) - 1)
+    lo, end, n, m = kernel.state_lo, pc.end, len(dense), len(pc.G)
+    L = -ht.ladder._tail_walk(kernel.embed()).lo
+    assert pc.L == L and end == max(top, kernel.embed().homogeneous_level(), lo + L - 1)
     assert np.max(np.abs(dense.sum(axis=1) - 1.0)) <= 4e-16
     assert dense.min() >= 0.0
     w = kernel.rows(lo, end).sum(axis=1)  # e^delta
@@ -666,16 +690,16 @@ def test_collapsed_chain_solves_to_build_solve(name, top):
         with pytest.raises(ht.SolverFailure, match="negative"):
             ht.build_solve(kernel, K=400)
         ref = truncated_system_solution(kernel, 400)
-    else:
-        est = ht.build_solve(kernel, K=400)
+    else:  # K above the starts below, which reach three levels above end
+        K = max(400, end + 3 * m + 4)
+        est = ht.build_solve(kernel, K=K)
         assert est.method == "linear-solve"
-        ref = est.array(lo, 400)
+        ref = est.array(lo, K)
     np.testing.assert_allclose(f, ref[:n], rtol=1e-10, atol=0)
     # a start above the top comes down by its entry law, or escapes (f = 1)
-    m = len(pc.G)
     for s in range(end + 1, end + 3 * m + 5):
         law = np.diff(pc.entry(s), prepend=0.0)
-        got = law @ f[n - m :] + (1.0 - law.sum())
+        got = law @ f[n - L :] + (1.0 - law.sum())
         assert got == pytest.approx(ref[s - lo], rel=1e-10, abs=0)
     assert pc.entry(end) is None
 
@@ -904,7 +928,8 @@ ENGINE_KERNELS = engine_kernels()
 def test_run_paths_matches_compare_matrix_loop(name, top, return_tol, shape, horizon,
                                                n_paths, seed, estimator, data):
     kernel = ENGINE_KERNELS[name]
-    P, stop, scored = ht.harmonic._path_setup(kernel, kernel.state_lo + top, return_tol, {})
+    pc = ht.harmonic._path_chain(kernel, kernel.state_lo + top, return_tol, {}, 0)
+    P, stop, scored = pc.chain, pc.end, pc.scored
     start = data.draw(st.one_of(
         st.integers(P.state_lo, stop - 1),  # below the stopping level
         st.just(stop),

@@ -552,6 +552,31 @@ def test_first_passage_solves_its_equation():
     assert residual <= 1e-15 and np.all(G.sum(axis=1) < 1.0) and np.all(G >= -1e-15)
 
 
+def test_first_passage_enters_only_the_last_L_states():
+    from harmonictails.ladder import _first_passage
+
+    # a walk whose down steps are at most L enters the level below only at
+    # its last L states: for a positive mean G = (I - A_hat)^-1 A_-1, whose
+    # first m - L columns are those of A_-1, exact zeros, as in its powers
+    rng = np.random.default_rng(29)
+    walks = [ht.LatticeWalk.from_dict({-1: 0.5, b: 0.5}) for b in (2, 3, 10, 17, 60)]
+    walks.append(ht.LatticeWalk.from_dict({-1: 0.3, 1: 0.3, 430: 0.4}))
+    while len(walks) < 6 + 96:
+        L, H = (int(k) for k in rng.integers(1, 25, size=2))
+        walk = ht.LatticeWalk(lo=-L, pmf=rng.dirichlet(np.full(L + H + 1, 0.7)))
+        if walk.mean > 1e-3 and H > L:
+            walks.append(walk)
+    for walk in walks:
+        L = -walk.lo
+        G, _, _ = _first_passage(walk)
+        m = len(G)
+        assert m == max(L, walk.hi) and G[:, m - L :].any(axis=0).all(), walk
+        power = G
+        for _ in range(3):
+            assert not power[:, : m - L].any(), walk
+            power = power @ G
+
+
 def test_level_powers_by_doubling():
     from harmonictails.ladder import _level_powers
 
