@@ -31,12 +31,11 @@ truncated-drift condition with an integrable majorant of the downward
 jumps, and finiteness of the exponential local-time moments
 E_i exp(delta_plus_total * ell(i)) at the states carrying positive delta.
 The last is checked through two-sided bounds on return probabilities
-obtained from sandwich solves on growing windows.
+obtained from sandwich solves on a window sized from the tolerance.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Iterable, Mapping, Sequence
@@ -77,7 +76,6 @@ from .ladder import (
 
 _DELTA_EPS = 1e-15
 _TAIL_SAMPLES = 64  # rows a parametric tail contributes to the jump-law envelopes
-_MAX_DOUBLINGS = 10  # window doublings of the return-probability sandwich
 _CRITICAL_RTOL = 1e-12  # relative distance at which an origin weight counts as critical
 _BOUNDARY_MASS_TOL = 1e-9  # |log mass| of a tail row that boundary value 1 allows
 _EXACT_MASS_TOL = 1e-14  # |mass - 1| of a tail row the matrix-geometric solve takes as 1
@@ -160,24 +158,22 @@ class HarmonicEstimate:
     def array(self, lo: int, hi: int) -> np.ndarray:
         """f on the states lo..hi, as ``value`` gives it state by state.
 
-        Solved values are sliced out of their array, and states above
-        the truncation take the boundary value; any other state goes
-        through ``value``, which raises at the first one outside the range.
+        A solve's values, a :class:`StateArray` up to the truncation with a
+        boundary value above it, are sliced out of their array; states
+        below it, and every state of any other estimate, go through
+        ``value``, which raises at the first one outside the range.
         """
-        vals = self.values
-        if not isinstance(vals, StateArray):
+        vals, K = self.values, self.truncation
+        if not (isinstance(vals, StateArray) and self.boundary_value is not None
+                and vals.lo + len(vals) - 1 == K):
             return np.array([self.value(i) for i in range(lo, hi + 1)])
-        s, e = vals.lo, vals.lo + len(vals) - 1
-        above = max(e, self.truncation) if self.boundary_value is not None else hi
-        out = np.empty(max(hi - lo + 1, 0))
-        for i in itertools.chain(range(lo, min(hi, s - 1) + 1),
-                                 range(max(lo, e + 1), min(hi, above) + 1)):
+        s = vals.lo
+        out = np.full(max(hi - lo + 1, 0), self.boundary_value)
+        for i in range(lo, min(hi, s - 1) + 1):
             out[i - lo] = self.value(i)
-        a, b = max(lo, s), min(hi, e)
+        a, b = max(lo, s), min(hi, K)
         if a <= b:
             out[a - lo : b - lo + 1] = vals.array[a - s : b - s + 1]
-        if above < hi:
-            out[max(lo, above + 1) - lo :] = self.boundary_value
         return out
 
 
@@ -261,41 +257,39 @@ def return_probability_bounds(
     The hitting probabilities are solved on a window [state_lo, T] twice:
     once with boundary 0 above the window (underestimate) and once with the
     Lundberg descent bound exp(-r (y - j)) (overestimate).  The window
-    doubles until the bounds close to ``tol``.  Without a positive-mean
-    minorant there is no certificate and the trivial (0, 1) is returned.
+    reaches ceil(max(36, ln(1/tol)) / r) + 4 states above j, where the
+    Lundberg bound is below min(tol, e^-36); bounds that still differ by
+    more than ``tol`` > 0 raise :class:`ConvergenceError`.  Without a
+    positive-mean minorant there is no certificate and the trivial (0, 1)
+    is returned.
     """
     if minorant is None:
         minorant = jump_minorant(P)
     if minorant.mean <= 0:
         return (0.0, 1.0)
     r = ruin_exponent(minorant)
-    margin = 26 if r == math.inf else int(math.ceil(36.0 / r)) + 4
-    T = j + margin
-    lo = P.state_lo
-
-    bl, bh = P.band_lo, P.band_hi
-    for _ in range(_MAX_DOUBLINGS):
-        rows = P.rows(lo, T)
-        rows = rows / rows.sum(axis=1, keepdims=True)
-        # H(x) = P{hit j from x} on the window, H(j) = 1, given values above it
-        jdx = j - lo
-        lu, ab = band_system(rows, bl)
-        band_pin(lu, ab, jdx)
-        ys = np.arange(T + 1, T + bh + 1)
-        above_hi = np.zeros(bh) if r == math.inf else np.minimum(1.0, np.exp(-r * (ys - j)))
-        first_step = []
-        for above in (np.zeros(bh), above_hi):
-            b = band_matvec(rows, bl, np.concatenate([np.zeros(bl + len(rows)), above]))
-            b[jdx] = 1.0
-            v = np.concatenate([np.zeros(bl), band_solve(lu, ab, b), above])
-            first_step.append(float(band_matvec(rows[jdx : jdx + 1], bl, v[jdx:])[0]))
-        r_lo, r_hi = max(0.0, first_step[0]), min(1.0, first_step[1])
-        if r_hi - r_lo <= tol:
-            return (r_lo, r_hi)
-        T = lo + 2 * (T - lo)
-    raise ConvergenceError(
-        f"return-probability sandwich for state {j} did not close below {tol:.1e}"
-    )
+    T = j + (26 if r == math.inf else math.ceil(max(36.0, math.log(1.0 / tol)) / r) + 4)
+    lo, bl, bh = P.state_lo, P.band_lo, P.band_hi
+    rows = P.rows(lo, T)
+    rows = rows / rows.sum(axis=1, keepdims=True)
+    # H(x) = P{hit j from x} on the window, H(j) = 1, given values above it
+    jdx = j - lo
+    lu, ab = band_system(rows, bl)
+    band_pin(lu, ab, jdx)
+    ys = np.arange(T + 1, T + bh + 1)
+    above_hi = np.zeros(bh) if r == math.inf else np.minimum(1.0, np.exp(-r * (ys - j)))
+    first_step = []
+    for above in (np.zeros(bh), above_hi):
+        b = band_matvec(rows, bl, np.concatenate([np.zeros(bl + len(rows)), above]))
+        b[jdx] = 1.0
+        v = np.concatenate([np.zeros(bl), band_solve(lu, ab, b), above])
+        first_step.append(float(band_matvec(rows[jdx : jdx + 1], bl, v[jdx:])[0]))
+    r_lo, r_hi = max(0.0, first_step[0]), min(1.0, first_step[1])
+    if r_hi - r_lo > tol:
+        raise ConvergenceError(
+            f"return-probability sandwich for state {j} did not close below {tol:.1e}"
+        )
+    return (r_lo, r_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -629,44 +623,37 @@ def verify_harmonicity(kernel: TransitionKernel, f, states: Iterable[int]) -> fl
 # Monte Carlo
 
 
-def _run_paths(P, score, start, stop, n_paths, horizon, seed, estimator, entry=None,
-               work=None):
-    """``n_paths`` trajectories of the chain ``P`` from ``start``, each adding
-    score[X_n - state_lo] at every visit, time zero included, until it
-    climbs above ``stop`` or the horizon hits.  ``score`` is 1-d, or 2-d with
-    one column per quantity.  The random stream is keyed by (seed,
-    estimator, start).  Returns the per-path totals and the number of paths
-    the horizon cut short.  Only live paths are carried, in path order, and
-    each draws one uniform per step; its jump counts the cdf columns at or
-    below the uniform (the last column is 1, never counted).
-
-    With ``entry`` (``_PathChain.entry``: the cdf over the L states up to
-    ``stop`` where a path from ``start`` > ``stop`` first comes back down,
-    the rest of the mass escaping), each path first draws one uniform for
-    that state and scores it; time zero scores 0.  ``work``, if given, is a
-    dict whose ``path_steps`` grows by the (live path, step) pairs the loop
-    advances."""
-    top = stop - P.state_lo
-    cols = np.ascontiguousarray(P.rows(P.state_lo, stop).cumsum(axis=1)[:, :-1].T)
+def _run_paths(pc, score, start, n_paths, horizon, seed, estimator, work=None):
+    """``n_paths`` trajectories of the path chain ``pc`` from ``start``, each
+    adding score[X_n - state_lo] (``score`` over ``pc.scored``, 1-d or 2-d
+    with one column per quantity) at every visit, time zero included, until
+    it leaves the chain or the horizon hits.  A start above ``pc.end``
+    first draws where it lands (``_PathChain.entry``), one uniform per path,
+    and scores that state.  The random stream is keyed by (seed, estimator,
+    start).  Returns the per-path totals and the number of paths the
+    horizon cut short.  Only live paths are carried, in path order, and
+    each draws one uniform per step; its jump counts the cdf columns of its
+    row at or below the uniform (the last column is 1, never counted).
+    ``work``, if given, is a dict whose ``path_steps`` grows by the (live
+    path, step) pairs the loop advances."""
+    C = pc.chain
+    lo, top = C.state_lo, pc.end - C.state_lo
+    cols = np.ascontiguousarray(C.weights.cumsum(axis=1)[:, :-1].T)
     key = np.array([seed % 2**64, ((estimator << 48) ^ start) % 2**64], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    if entry is None:
-        x0 = start - P.state_lo
-        totals = np.full((n_paths,) + score.shape[1:], score[x0])
-        ids = np.arange(n_paths if x0 <= top else 0)
-        x = np.full(ids.size, x0)
-    else:
-        x = top + 1 - len(entry) + np.searchsorted(entry, rng.random(n_paths), side="right")
-        totals = score[x]
-        ids = np.flatnonzero(x <= top)
-        x = x[ids]
-    run, steps = totals[ids], 0
+    x = np.full(n_paths, start - lo)
+    if start > pc.end:
+        entry = pc.entry(start)
+        x = top + 1 - entry.size + np.searchsorted(entry, rng.random(n_paths), side="right")
+    totals = score[x]
+    ids = np.flatnonzero(x <= top)
+    x, run, steps = x[ids], totals[ids], 0
     for _ in range(horizon):
         if ids.size == 0:
             break
         steps += ids.size
         u = rng.random(ids.size)
-        nx = x - P.band_lo
+        nx = x - C.band_lo
         for c in cols:
             nx += u >= c[x]
         x = nx
@@ -683,40 +670,46 @@ def _run_paths(P, score, start, stop, n_paths, horizon, seed, estimator, entry=N
 
 @dataclass(frozen=True)
 class _PathChain:
-    """The chain that Monte Carlo paths run on, and the level ``end`` above
-    which they end.
+    """The finite chain that Monte Carlo paths run on: the embedded chain's
+    rows of state_lo..``end``, each jump above end folded onto where it
+    lands, end - L + 1..end or the escape, end + 1, which ends the path.
+    The rows keep the embedded chain's band.
 
-    At a stopping level (``G`` None) it is the embedded chain, ``end`` is
-    ``stop_level``, and ``scored`` runs from state_lo to it plus band_hi.
-    With its excursions collapsed it is the embedded chain on
-    state_lo..top, ``end`` = top, each excursion above top one step: the
-    mass a row sends to a state y > top goes to where the chain first comes
-    back to top - L + 1..top from y, L the tail walk's largest down step, by
-    y's row of G^k when y lies in the k-th level of m states above top, and
-    the defect to the escape, top + 1.  The rows keep the embedded chain's
-    band.  The scored states run on to top + band_hi, where a row's dropped
-    last column points, and score 0 above top: a uniform above a row's
-    rounded sum ends the path as an escape.  Above top every row is the
-    tail row, whose walk has the first-passage matrix ``G`` (Latouche &
-    Ramaswami 1999), so each path's score keeps its law (conditional Monte
-    Carlo; Asmussen & Glynn 2007, ch. V).  ``stop_level`` still bounds the
-    start states; a start above top first draws its re-entry (``entry``).
+    At a stopping level (``G`` None, L = 0) ``end`` is ``stop_level`` and
+    every such jump escapes.  With its excursions collapsed, every row above
+    end is the tail row, and a jump to y > end lands where its walk first
+    comes back to end - L + 1..end from y, L its largest down step: by y's
+    row of G^k when y lies in the k-th level of m states above end, ``G``
+    the walk's first-passage matrix (Latouche & Ramaswami 1999), and on the
+    escape by the defect.  Each path's score keeps its law (conditional
+    Monte Carlo; Asmussen & Glynn 2007, ch. V).  The ``scored`` states run
+    on to end + band_hi, where a row's dropped last column points, and
+    score 0 above end: a uniform above a row's rounded sum ends the path as
+    an escape.  A start above end first draws where it lands (``entry``).
     """
 
     chain: StochasticKernel
-    end: int
-    scored: np.ndarray
     stop_level: int
     G: np.ndarray | None = None
     residual: float | None = None
     L: int = 0
 
+    @property
+    def end(self) -> int:
+        return self.chain.truncation
+
+    @property
+    def scored(self) -> np.ndarray:
+        return np.arange(self.chain.state_lo, self.end + self.chain.band_hi + 1)
+
     def entry(self, start: int) -> np.ndarray | None:
-        """The cdf over top - L + 1..top of the first state at or below top
-        of a path from ``start``, when the excursions are collapsed and
-        ``start`` > top (the remaining mass escapes); None otherwise."""
-        if self.G is None or start <= self.end:
+        """The cdf over end - L + 1..end of where a path from ``start`` >
+        end lands (the remaining mass escapes; at the stopping level all of
+        it), None for a start at or below end."""
+        if start <= self.end:
             return None
+        if self.G is None:
+            return np.zeros(0)
         k, i = divmod(start - self.end - 1, len(self.G))
         law = self.G[i]
         for _ in range(k):
@@ -730,15 +723,15 @@ def _path_chain(kernel: TransitionKernel, top: int, return_tol: float, checked: 
 
     Above the stopping level the embedded chain revisits ``top`` or below
     with probability at most ``return_tol`` (Lundberg bound via the
-    minorant); the states from state_lo to it plus band_hi are scored, and
-    ``checked`` maps a name to states that must lie in that range.  Its
-    excursions above max(top, h, state_lo + L - 1) are collapsed instead
-    where the embedded chain has a homogeneous tail from level h on whose
-    walk steps both ways with gcd 1 (``_tail_walk``, down steps of at most
-    L, levels of m states), G is certified and affordable, and that top is
-    not above the stopping level.  Cyclic reduction on G costs a few m^3
-    flops, which may be at most ``_EXACT_WORK_RATIO`` times ``n_paths`` x W,
-    W the band width, about what one step of the paths costs, and m at most
+    minorant), and ``checked`` maps a name to states that must lie from
+    state_lo to it plus band_hi.  The chain ends there, unless its
+    excursions above max(top, h, state_lo + L - 1) are collapsed: where the
+    embedded chain has a homogeneous tail from level h on whose walk steps
+    both ways with gcd 1 (``_tail_walk``, down steps of at most L, levels of
+    m states), G is certified and affordable, and that top is not above the
+    stopping level.  Cyclic reduction on G costs a few m^3 flops, which may
+    be at most ``_EXACT_WORK_RATIO`` times ``n_paths`` x W, W the band
+    width, about what one step of the paths costs, and m at most
     ``_MAX_EXCURSION_LEVEL``; no ``n_paths`` (0) takes the stopping level.
     """
     P = kernel.embed()
@@ -753,53 +746,54 @@ def _path_chain(kernel: TransitionKernel, top: int, return_tol: float, checked: 
         stop += int(math.ceil(math.log(1.0 / return_tol) / r))
     if not P.has_row(stop):
         raise StateRangeError(f"kernel rows end before the certified stopping level {stop}")
-    lo, hi = P.state_lo, stop + kernel.band_hi
+    lo, bh = P.state_lo, P.band_hi
     for what, states in checked.items():
         for s in states:
-            if not lo <= s <= hi:
-                raise StateRangeError(f"{what} {s} outside the scored range [{lo}, {hi}]")
-    at_stop = _PathChain(P, stop, np.arange(lo, hi + 1), stop)
+            if not lo <= s <= stop + bh:
+                raise StateRangeError(f"{what} {s} outside the scored range [{lo}, {stop + bh}]")
+
+    def at_stop():  # every jump above the stopping level escapes
+        return _PathChain(_collapse(P, stop, np.ones((bh, 1))), stop)
+
     walk = _tail_walk(P)
     if walk is None:
-        return at_stop
+        return at_stop()
     L, m = -walk.lo, max(-walk.lo, walk.hi)
-    top = max(top, P.homogeneous_level(), lo + L - 1)
+    end = max(top, P.homogeneous_level(), lo + L - 1)
     if (m > _MAX_EXCURSION_LEVEL or m**3 > _EXACT_WORK_RATIO * n_paths * P.weights.shape[1]
-            or top > stop):
-        return at_stop
+            or end > stop):
+        return at_stop()
     try:
         G, residual = _certified_first_passage(walk)
     except SolverFailure:
-        return at_stop
+        return at_stop()
     G = np.clip(G, 0.0, None)  # rounding can leave entries of -1e-17 or so
-    return _PathChain(_collapse(P, top, G, L), top, np.arange(lo, top + P.band_hi + 1),
-                      stop, G, residual, L)
-
-
-def _collapse(P: StochasticKernel, top: int, G: np.ndarray, L: int) -> StochasticKernel:
-    """The rows of state_lo..top of ``P``, whose rows above top are its tail
-    row, with each jump above top replaced by the re-entry law of its target
-    and the escape to top + 1 (``_PathChain``).  A walk whose down steps are
-    at most L <= band_lo enters a level only at its last L states, so G's
-    first m - L columns are zero and the re-entry fits the band of ``P``."""
-    lo, bl, bh = P.state_lo, P.band_lo, P.band_hi
-    m, W = len(G), bl + bh + 1
-    out = np.array(P.rows(lo, top))
-    # the jumps from x to top + 1 + j sit in the columns c = top + 1 + j - x + bl < W
-    x = np.arange(max(lo, top + 1 - bh), top + 1)
-    c = top + 1 + np.arange(bh) - x[:, None] + bl
-    r, j = np.nonzero(c < W)
-    jumps = np.zeros((x.size, bh))
-    jumps[r, j] = out[x[r] - lo, c[r, j]]
-    out[x[r] - lo, c[r, j]] = 0.0
-    # the law from top + 1 + j: row j % m of G^(j // m + 1) over top - L + 1..top,
-    # then the escape
+    # from end + 1 + j: row j % m of G^(j // m + 1) over end - L + 1..end, then the escape
     powers = [G]
     while len(powers) * m < bh:
         powers.append(powers[-1] @ G)
     law = np.vstack(powers)[:bh, m - L :]
     law = np.hstack([law, np.clip(1.0 - law.sum(axis=1, keepdims=True), 0.0, None)])
-    out[(x - lo)[:, None], top + 1 - L + np.arange(L + 1) - x[:, None] + bl] += jumps @ law
+    return _PathChain(_collapse(P, end, law), stop, G, residual, L)
+
+
+def _collapse(P: StochasticKernel, end: int, law: np.ndarray) -> StochasticKernel:
+    """The rows of state_lo..end of ``P`` with each jump to end + 1 + j
+    moved onto row j of ``law``, the law of where it lands among
+    end - L + 1..end + 1, L = law.shape[1] - 1 (``_PathChain``).  For
+    L <= band_lo that fits the band of ``P``: a walk whose down steps are at
+    most L enters a level only at its last L states."""
+    lo, bl, bh = P.state_lo, P.band_lo, P.band_hi
+    L, W = law.shape[1] - 1, bl + bh + 1
+    out = np.array(P.rows(lo, end))
+    # the jumps from x to end + 1 + j sit in the columns c = end + 1 + j - x + bl < W
+    x = np.arange(max(lo, end + 1 - bh), end + 1)
+    c = end + 1 + np.arange(bh) - x[:, None] + bl
+    r, j = np.nonzero(c < W)
+    jumps = np.zeros((x.size, bh))
+    jumps[r, j] = out[x[r] - lo, c[r, j]]
+    out[x[r] - lo, c[r, j]] = 0.0
+    out[(x - lo)[:, None], end + 1 - L + np.arange(L + 1) - x[:, None] + bl] += jumps @ law
     return StochasticKernel(band_lo=bl, band_hi=bh, weights=out, state_lo=lo)
 
 
@@ -818,7 +812,7 @@ def _product_setup(kernel: TransitionKernel, states: Sequence[int], return_tol: 
     Raises what ``build_mc`` would before its first path: a tail that is not
     stochastic, no positive-drift minorant, rows that end below the stopping
     level, or a start state outside the scored range.  Without ``n_paths``
-    it builds no collapsed excursions, which cannot fail.
+    the chain ends at the stopping level, which cannot fail.
     """
     lo = kernel.state_lo
     deltas = np.log(kernel.weights.sum(axis=1))
@@ -839,29 +833,28 @@ def build_mc(
 ) -> HarmonicEstimate:
     """Monte Carlo estimate of f(i) = E_i exp(sum_n delta(X_n)).
 
-    Each path runs the embedded chain, adding the log row mass at every
-    visited state.  Where the chain's tail allows it (``_path_chain``), an
-    excursion above the top of the support of delta (at least the
-    homogeneous level) is one draw of where the path comes back, or of its
-    escape, which ends it: the meta records that ``excursion_level`` and the
-    certified ``first_passage_residual``.  Otherwise a path runs until it
-    climbs above a stopping level from which the remaining contribution is
-    certifiably below ``return_tol``; the meta's ``stop_level``, which also
-    bounds the start states, is that level.  Paths the horizon cuts short
-    keep their partial product and are counted; more than 1% of them sets a
-    warning flag on the estimate.  ``path_steps`` counts the (live path,
-    step) pairs of all start states, a work figure that repeats for a seed.
+    Each path runs the path chain (``_path_chain``), adding the log row mass
+    of every visited state up to the chain's end, until it leaves it.
+    Where the chain's tail allows it, the end is the top of the support of
+    delta (at least the homogeneous level), and an excursion above it is
+    one draw of where the path comes back, or of its escape: the meta
+    records that ``excursion_level`` and the certified
+    ``first_passage_residual``.  Otherwise the end is the meta's
+    ``stop_level``, from which the remaining contribution is certifiably
+    below ``return_tol``; it also bounds the start states.  Paths the
+    horizon cuts short keep their partial product and are counted; more
+    than 1% of them sets a warning flag on the estimate.  ``path_steps``
+    counts the (live path, step) pairs of all start states, a work figure
+    that repeats for a seed.
     """
     deltas, pc = _product_setup(kernel, states, return_tol, n_paths)
-    score = np.zeros(pc.scored.size)
-    score[: deltas.size] = deltas[: score.size]
-    if pc.G is not None:
-        score[pc.end + 1 - kernel.state_lo :] = 0.0  # the escape
+    score = np.zeros(pc.scored.size)  # 0 above the end
+    k = min(deltas.size, pc.end + 1 - kernel.state_lo)
+    score[:k] = deltas[:k]
 
     values, errs, exhausted, work = {}, {}, {}, {"path_steps": 0}
     for s in states:
-        totals, exhausted[int(s)] = _run_paths(pc.chain, score, s, pc.end, n_paths, horizon,
-                                               seed, 1, pc.entry(s), work)
+        totals, exhausted[int(s)] = _run_paths(pc, score, s, n_paths, horizon, seed, 1, work)
         with np.errstate(over="ignore"):
             w = np.exp(totals)
         values[int(s)], errs[int(s)] = map(float, _mean_se(w))
@@ -887,6 +880,18 @@ def build_mc(
     )
 
 
+def _visit_counts(kernel: TransitionKernel, start: int, sites, checked: dict, n_paths: int,
+                  horizon: int, seed: int, estimator: int, return_tol: float):
+    """Each path's visits from ``start`` to ``sites``, a state or one column
+    per state of a sequence, time zero included, and the number of paths
+    the horizon cut short; the path chain scores states up to the highest
+    site."""
+    top = max(np.atleast_1d(sites).tolist(), default=start)
+    pc = _path_chain(kernel, top, return_tol, checked, n_paths)
+    score = np.equal.outer(pc.scored, sites).astype(float)
+    return _run_paths(pc, score, start, n_paths, horizon, seed, estimator)
+
+
 def local_time_moment_mc(
     kernel: TransitionKernel,
     i: int,
@@ -905,10 +910,8 @@ def local_time_moment_mc(
     near the critical gamma the estimate blows up and the cut-off fraction
     is the signal to distrust it.
     """
-    pc = _path_chain(kernel, i, return_tol, {"state": [i]}, n_paths)
-    counts, n_exhausted = _run_paths(
-        pc.chain, (pc.scored == i).astype(float), i, pc.end, n_paths, horizon, seed, 2
-    )
+    counts, n_exhausted = _visit_counts(kernel, i, i, {"state": [i]}, n_paths, horizon, seed,
+                                        2, return_tol)
     with np.errstate(over="ignore"):
         w = np.exp(gamma * counts)
     est, se = _mean_se(w)
@@ -929,11 +932,8 @@ def expected_local_times_mc(
     Every site is scored on one path set, so the estimates are correlated.
     Used to evaluate the convexity lower bound on the path product.
     """
-    pc = _path_chain(kernel, max(sites, default=start), return_tol,
-                     {"start state": [start], "site": sites}, n_paths)
-    score = (pc.scored[:, None] == np.asarray(sites, dtype=np.int64)).astype(float)
-    counts, _ = _run_paths(pc.chain, score, start, pc.end, n_paths, horizon, seed, 3,
-                           pc.entry(start))
+    counts, _ = _visit_counts(kernel, start, sites, {"start state": [start], "site": sites},
+                              n_paths, horizon, seed, 3, return_tol)
     means, ses = _mean_se(counts)
     return {int(j): (float(m), float(e)) for j, m, e in zip(sites, means, ses)}
 

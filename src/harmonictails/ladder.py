@@ -100,14 +100,6 @@ class LatticeWalk:
     def mean(self) -> float:
         return float(self.offsets @ self.pmf)
 
-    @property
-    def span(self) -> int:
-        """Lattice span diagnostic: gcd of gaps between support points."""
-        sup = self.offsets[self.pmf > 0]
-        if sup.size <= 1:
-            return 0
-        return int(np.gcd.reduce(np.diff(sup)))
-
     def mgf(self, t: float) -> float:
         """E exp(t * step); overflows propagate as inf."""
         with np.errstate(over="ignore"):

@@ -1,5 +1,6 @@
 """Harmonic construction: closed form, linear solve, conditions, Monte Carlo."""
 
+import dataclasses
 import math
 import warnings
 
@@ -595,8 +596,7 @@ def stop_level_steps(kernel, top, n_paths, seed):
     pc = ht.harmonic._path_chain(kernel, top, 1e-8, {}, 0)
     assert pc.G is None
     work = {"path_steps": 0}
-    ht.harmonic._run_paths(pc.chain, (pc.scored == 0).astype(float), 0, pc.end, n_paths,
-                           10000, seed, 1, None, work)
+    ht.harmonic._run_paths(pc, (pc.scored == 0).astype(float), 0, n_paths, 10000, seed, 1, work)
     return work["path_steps"]
 
 
@@ -768,8 +768,37 @@ def test_collapsed_overshoot_scores_zero():
                                state_lo=C.state_lo)
     score = np.ones(pc.scored.size)
     score[pc.end + 1 - C.state_lo :] = 0.0
-    totals, cut = ht.harmonic._run_paths(half, score, 0, pc.end, 1000, 100, 0, 1)
+    totals, cut = ht.harmonic._run_paths(dataclasses.replace(pc, chain=half), score, 0, 1000,
+                                         100, 0, 1)
     assert cut == 0 and totals.min() >= 1.0 and totals.max() <= 100.0
+
+
+def test_path_chain_is_finite_in_both_shapes(ex1_kernel):
+    # a parametric tail row {-1: .3, 1: .3, 2: .4} runs at a stopping level,
+    # example 1 on its collapsed excursions; either way on a finite chain
+    rule = lambda s: np.tile([0.3, 0.0, 0.3, 0.4], (len(s), 1))  # noqa: E731
+    parametric = ht.TransitionKernel(band_lo=1, band_hi=2, weights=np.array([[0, 0, 2.0, 0]]),
+                                     tail=ht.ParametricTail(rule, 0.0))
+    for kernel in (ex1_kernel, parametric):
+        pc = ht.harmonic._path_chain(kernel, 0, 1e-8, {}, 2000)
+        C = pc.chain
+        assert (pc.G is not None) == (kernel is ex1_kernel)
+        assert C.tail is None and C.truncation == pc.end
+        assert np.max(np.abs(C.weights.sum(axis=1) - 1.0)) <= 4e-16
+    # at the stopping level every jump above end lands on the escape, end + 1
+    end = pc.end
+    rows = parametric.embed().rows(0, end)
+    target = np.arange(end + 1)[:, None] + C.offsets
+    assert np.array_equal(C.weights[target <= end], rows[target <= end])
+    assert np.all(C.weights[target > end + 1] == 0.0)
+    np.testing.assert_allclose(C.weights[target == end + 1], [0.4, 0.7], rtol=1e-15)
+    # paths scored by how far above end they land: one step from end, and a
+    # start above end, which lands on the escape at once
+    score = np.clip(pc.scored - end, 0, None).astype(float)
+    totals, cut = ht.harmonic._run_paths(pc, score, end, 1000, 1, 0, 1)
+    assert set(totals) == {0.0, 1.0} and np.count_nonzero(totals) == 1000 - cut > 500
+    totals, cut = ht.harmonic._run_paths(pc, score, end + 2, 1000, 10, 0, 1)
+    assert cut == 0 and np.all(totals == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -845,6 +874,26 @@ def test_solve_recurrent_chain_is_constant():
     assert est.meta["doubling_disagreement"] <= 1e-12
 
 
+def test_build_solve_doubling_failure():
+    # near-critical drift and weight: the solves at K = 20 and 40 disagree
+    # on 0..10, so the boundary at 20 has not decoupled
+    kernel = ht.perturbed_reflected_walk(p=0.51, alpha=1.01).kernel(40)
+    with pytest.raises(ht.SolverFailure) as exc:
+        ht.build_solve(kernel, K=20)
+    assert exc.value.reason == "doubling"
+    assert set(exc.value.diagnostics) == {"disagreement", "K"}
+    assert exc.value.diagnostics["K"] == 20
+    assert exc.value.diagnostics["disagreement"] == pytest.approx(0.0754, abs=1e-4)
+
+
+def test_build_solve_refuses_a_substochastic_tail_row():
+    # boundary value 1 above the truncation needs tail rows of mass one
+    kernel = ht.TransitionKernel(band_lo=1, band_hi=1, weights=np.array([[0.0, 0.0, 1.0]]),
+                                 tail=ht.HomogeneousTail(np.array([0.3, 0.0, 0.69])))
+    with pytest.raises(ht.UnsupportedInputError, match="tail row at 21 has mass 0.98"):
+        ht.build_solve(kernel, K=20)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo start states and sites
 
@@ -869,17 +918,18 @@ def test_mc_rejects_states_outside_scored_range(ex1_kernel):
 # the path engine against the compare-matrix loop
 
 
-def compare_matrix_paths(P, score, start, stop, n_paths, horizon, seed, estimator):
-    """The reference loop: each step scans every path and compares each live
-    one against its whole cdf row, scattering back into full-length arrays."""
-    lo = P.state_lo
+def compare_matrix_paths(P, score, start, n_paths, horizon, seed, estimator):
+    """The reference loop on the finite chain ``P``: each step scans every
+    path and compares each live one against its whole cdf row, scattering
+    back into full-length arrays.  A start above the chain is on its escape."""
+    lo, stop = P.state_lo, P.truncation
     cdf = P.rows(lo, stop).cumsum(axis=1)
     cdf[:, -1] = 1.0
     key = np.array([seed % 2**64, ((estimator << 48) ^ start) % 2**64], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     offsets = P.offsets
-    states = np.full(n_paths, start, dtype=np.int64)
-    totals = np.full((n_paths,) + score.shape[1:], score[start - lo])
+    states = np.full(n_paths, min(start, stop + 1), dtype=np.int64)
+    totals = np.full((n_paths,) + score.shape[1:], score[states[0] - lo])
     active = states <= stop
     for _ in range(horizon):
         idx = np.flatnonzero(active)
@@ -936,8 +986,8 @@ def test_run_paths_matches_compare_matrix_loop(name, top, return_tol, shape, hor
         st.integers(stop + 1, stop + P.band_hi),  # already above it
     ))
     score = np.random.default_rng(seed).normal(size=(scored.size,) + shape)
-    args = (P, score, start, stop, n_paths, horizon, seed, estimator)
-    totals, exhausted = ht.harmonic._run_paths(*args)
-    ref_totals, ref_exhausted = compare_matrix_paths(*args)
+    args = (score, start, n_paths, horizon, seed, estimator)
+    totals, exhausted = ht.harmonic._run_paths(pc, *args)
+    ref_totals, ref_exhausted = compare_matrix_paths(P, *args)
     assert np.array_equal(totals, ref_totals)
     assert exhausted == ref_exhausted

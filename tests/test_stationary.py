@@ -115,6 +115,33 @@ def test_stationary_without_compensation(down_walk):
     assert np.max(np.abs(res.log_pi[:31] - exact[:31])) <= 1e-9
 
 
+def test_stationary_doubling_failure():
+    # drift -0.02: the reflected windows at 20 and 40 disagree on 0..10
+    chain = ht.lindley_chain(ht.LatticeWalk.from_dict({1: 0.49, -1: 0.51}))
+    with pytest.raises(ht.SolverFailure) as exc:
+        ht.stationary_solve(chain, K=20)
+    assert exc.value.reason == "doubling"
+    assert set(exc.value.diagnostics) == {"disagreement", "K"}
+    assert exc.value.diagnostics["K"] == 20
+    assert exc.value.diagnostics["disagreement"] == pytest.approx(0.349, abs=1e-3)
+
+
+def test_stationary_bare_kernel_tilt():
+    # without beta, a bare kernel's homogeneous tail gives the limit walk (the
+    # same law as its family's), and a parametric tail gives none
+    walk = ht.LatticeWalk.from_dict({1: 0.3, -1: 0.7})
+    chain = ht.lindley_chain(walk)
+    bare = ht.stationary_solve(chain.kernel(80), K=40)
+    assert bare.method == "linear-solve" and bare.tilt_beta == ht.cramer_root(walk)
+    assert np.array_equal(bare.log_pi, ht.stationary_solve(chain, K=40).log_pi)
+    rule = lambda s: np.tile([0.7, 0.0, 0.3], (len(s), 1))  # noqa: E731
+    parametric = ht.TransitionKernel(band_lo=1, band_hi=1, weights=np.array([[0.0, 0.7, 0.3]]),
+                                     tail=ht.ParametricTail(rule, 0.0))
+    with pytest.raises(ht.UnsupportedInputError, match="limiting jump law"):
+        ht.stationary_solve(parametric, K=40)
+    assert ht.stationary_solve(parametric, K=40, beta=ht.cramer_root(walk)).K == 40
+
+
 def test_stationary_needs_negative_drift():
     up = ht.LatticeWalk.from_dict({1: 0.7, -1: 0.3})
     with pytest.raises(ht.UnsupportedInputError):
