@@ -53,7 +53,7 @@ from .harmonic import (
     build_mc,
     build_solve,
     check_conditions,
-    _product_setup,
+    _check_product,
     reflected_walk_harmonic_exact,
 )
 from .kernels import _ROW_SUM_TOL, HomogeneousTail, TransitionKernel, kernel_from_rows
@@ -314,8 +314,8 @@ def _check(config: ExperimentConfig) -> tuple[dict, ChainFamily | None, list[str
         out.append("ladder task needs a walk-based chain (killed-walk or lindley)")
     out += _limit_law_problems(config.task, typed, family)
     if config.task == "harmonic-mc" and not out:
-        try:  # the set-up build_mc itself runs: stopping level, scored range
-            _product_setup(_task_kernel(family), typed["states"])
+        try:  # build_mc's own checks: stopping level, scored range
+            _check_product(_task_kernel(family), typed["states"])
         except HarmonicTailsError as exc:
             out.append(f"task 'harmonic-mc' cannot run: {exc}")
     name = "K" if "K" in typed else "probe"

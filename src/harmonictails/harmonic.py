@@ -630,24 +630,31 @@ def _run_paths(pc, score, start, n_paths, horizon, seed, estimator, work=None):
     it leaves the chain or the horizon hits.  A start above ``pc.end``
     first draws where it lands (``_PathChain.entry``), one uniform per path,
     and scores that state.  The random stream is keyed by (seed, estimator,
-    start).  Returns the per-path totals and the number of paths the
-    horizon cut short.  Only live paths are carried, in path order, and
-    each draws one uniform per step; its jump counts the cdf columns of its
-    row at or below the uniform (the last column is 1, never counted).
+    start).  Returns the per-path totals, shaped (n_paths,) + score.shape[1:],
+    and the number of paths the horizon cut short.  Only live paths are
+    carried, in path order, compacted by index where some leave; each draws
+    one uniform per step, and its jump counts the cdf columns of its row at
+    or below the uniform (the last column is 1, never counted).  A landing
+    state counts the entry cdf's columns the same way.  Each quantity's
+    score is held as one contiguous row and gathered with ``take``.
     ``work``, if given, is a dict whose ``path_steps`` grows by the (live
     path, step) pairs the loop advances."""
     C = pc.chain
     lo, top = C.state_lo, pc.end - C.state_lo
     cols = np.ascontiguousarray(C.weights.cumsum(axis=1)[:, :-1].T)
+    rows = np.ascontiguousarray(score.reshape(len(score), math.prod(score.shape[1:])).T)
     key = np.array([seed % 2**64, ((estimator << 48) ^ start) % 2**64], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     x = np.full(n_paths, start - lo)
     if start > pc.end:
         entry = pc.entry(start)
-        x = top + 1 - entry.size + np.searchsorted(entry, rng.random(n_paths), side="right")
-    totals = score[x]
+        u = rng.random(n_paths)
+        x = np.full(n_paths, top + 1 - entry.size)
+        for e in entry:
+            x += u >= e
+    totals = rows.take(x, axis=1)
     ids = np.flatnonzero(x <= top)
-    x, run, steps = x[ids], totals[ids], 0
+    x, run, steps = x.take(ids), totals.take(ids, axis=1), 0
     for _ in range(horizon):
         if ids.size == 0:
             break
@@ -655,17 +662,19 @@ def _run_paths(pc, score, start, n_paths, horizon, seed, estimator, work=None):
         u = rng.random(ids.size)
         nx = x - C.band_lo
         for c in cols:
-            nx += u >= c[x]
+            nx += u >= c.take(x)
         x = nx
-        run += score[x]
-        live = x <= top
-        if not live.all():
-            totals[ids[~live]] = run[~live]
-            ids, x, run = ids[live], x[live], run[live]
-    totals[ids] = run
+        for r, s in zip(run, rows):
+            r += s.take(x)
+        keep = np.flatnonzero(x <= top)
+        if keep.size < ids.size:
+            totals[:, ids] = run
+            ids, x, run = ids.take(keep), x.take(keep), run.take(keep, axis=1)
+    totals[:, ids] = run
     if work is not None:
         work["path_steps"] += steps
-    return totals, ids.size
+    # C order: the standard error's sum over paths depends on the layout
+    return np.ascontiguousarray(totals.T).reshape((n_paths,) + score.shape[1:]), ids.size
 
 
 @dataclass(frozen=True)
@@ -719,20 +728,32 @@ class _PathChain:
 
 def _path_chain(kernel: TransitionKernel, top: int, return_tol: float, checked: dict,
                 n_paths: int) -> _PathChain:
-    """The chain that ``n_paths`` paths scoring states up to ``top`` run on.
+    """The chain that ``n_paths`` paths scoring states up to ``top`` run on,
+    certified by ``_certify`` (which also checks the ``checked`` states)
+    and built by ``_build_path_chain``.  The kernel keeps the last chain
+    built on it in ``mc_chain``, keyed by (top, return_tol, n_paths); a
+    call with that key takes it and checks the states against its stopping
+    level alone.
+    """
+    key = (top, return_tol, n_paths)
+    if kernel.mc_chain is not None and kernel.mc_chain[0] == key:
+        pc = kernel.mc_chain[1]
+        _check_range(checked, pc.chain, pc.stop_level)
+        return pc
+    P, stop = _certify(kernel, top, return_tol, checked)
+    pc = _build_path_chain(P, top, stop, n_paths)
+    object.__setattr__(kernel, "mc_chain", (key, pc))
+    return pc
 
-    Above the stopping level the embedded chain revisits ``top`` or below
-    with probability at most ``return_tol`` (Lundberg bound via the
-    minorant), and ``checked`` maps a name to states that must lie from
-    state_lo to it plus band_hi.  The chain ends there, unless its
-    excursions above max(top, h, state_lo + L - 1) are collapsed: where the
-    embedded chain has a homogeneous tail from level h on whose walk steps
-    both ways with gcd 1 (``_tail_walk``, down steps of at most L, levels of
-    m states), G is certified and affordable, and that top is not above the
-    stopping level.  Cyclic reduction on G costs a few m^3 flops, which may
-    be at most ``_EXACT_WORK_RATIO`` times ``n_paths`` x W, W the band
-    width, about what one step of the paths costs, and m at most
-    ``_MAX_EXCURSION_LEVEL``; no ``n_paths`` (0) takes the stopping level.
+
+def _certify(kernel: TransitionKernel, top: int, return_tol: float,
+             checked: dict) -> tuple[StochasticKernel, int]:
+    """The embedded chain and the stopping level of paths scoring states up
+    to ``top``: above it the embedded chain revisits ``top`` or below with
+    probability at most ``return_tol`` (Lundberg bound via the minorant).
+    Raises unless the minorant drifts up and the rows reach the stopping
+    level, and unless ``checked``, a map from a name to states, has every
+    state from state_lo to the stopping level plus band_hi.
     """
     P = kernel.embed()
     minorant = jump_minorant(P)
@@ -746,11 +767,35 @@ def _path_chain(kernel: TransitionKernel, top: int, return_tol: float, checked: 
         stop += int(math.ceil(math.log(1.0 / return_tol) / r))
     if not P.has_row(stop):
         raise StateRangeError(f"kernel rows end before the certified stopping level {stop}")
-    lo, bh = P.state_lo, P.band_hi
+    _check_range(checked, P, stop)
+    return P, stop
+
+
+def _check_range(checked: dict, P: TransitionKernel, stop: int) -> None:
+    """Raises unless every state in ``checked`` lies in the scored range of
+    stopping level ``stop``, state_lo..stop + band_hi."""
+    lo, hi = P.state_lo, stop + P.band_hi
     for what, states in checked.items():
         for s in states:
-            if not lo <= s <= stop + bh:
-                raise StateRangeError(f"{what} {s} outside the scored range [{lo}, {stop + bh}]")
+            if not lo <= s <= hi:
+                raise StateRangeError(f"{what} {s} outside the scored range [{lo}, {hi}]")
+
+
+def _build_path_chain(P: StochasticKernel, top: int, stop: int, n_paths: int) -> _PathChain:
+    """The path chain of the embedded chain ``P`` for ``n_paths`` paths
+    scoring states up to ``top``, with certified stopping level ``stop``.
+
+    The chain ends there, unless its excursions above
+    max(top, h, state_lo + L - 1) are collapsed: where the embedded chain
+    has a homogeneous tail from level h on whose walk steps both ways with
+    gcd 1 (``_tail_walk``, down steps of at most L, levels of m states), G
+    is certified and affordable, and that top is not above the stopping
+    level.  Cyclic reduction on G costs a few m^3 flops, which may be at
+    most ``_EXACT_WORK_RATIO`` times ``n_paths`` x W, W the band width,
+    about what one step of the paths costs, and m at most
+    ``_MAX_EXCURSION_LEVEL``; no ``n_paths`` (0) takes the stopping level.
+    """
+    lo, bh = P.state_lo, P.band_hi
 
     def at_stop():  # every jump above the stopping level escapes
         return _PathChain(_collapse(P, stop, np.ones((bh, 1))), stop)
@@ -804,23 +849,25 @@ def _mean_se(x: np.ndarray):
     return x.mean(axis=0), se
 
 
-def _product_setup(kernel: TransitionKernel, states: Sequence[int], return_tol: float = 1e-8,
-                   n_paths: int = 0) -> tuple[np.ndarray, _PathChain]:
-    """Log row masses and the path chain (``_path_chain``) of the path
-    product from ``states``, as ``build_mc`` runs it with ``n_paths`` paths.
-
-    Raises what ``build_mc`` would before its first path: a tail that is not
-    stochastic, no positive-drift minorant, rows that end below the stopping
-    level, or a start state outside the scored range.  Without ``n_paths``
-    the chain ends at the stopping level, which cannot fail.
-    """
-    lo = kernel.state_lo
+def _log_masses(kernel: TransitionKernel) -> tuple[np.ndarray, int]:
+    """Log row masses of the path product and the top of their support
+    (state_lo where every row is stochastic); a tail that is not stochastic
+    raises."""
     deltas = np.log(kernel.weights.sum(axis=1))
     if kernel.tail is not None and kernel.tail.delta_abs_bound() != 0.0:
         raise UnsupportedInputError("tail rows must be stochastic for the path product")
     nz = np.flatnonzero(np.abs(deltas) > _DELTA_EPS)
-    support_top = lo + int(nz[-1]) if nz.size else lo
-    return deltas, _path_chain(kernel, support_top, return_tol, {"start state": states}, n_paths)
+    return deltas, kernel.state_lo + (int(nz[-1]) if nz.size else 0)
+
+
+def _check_product(kernel: TransitionKernel, states: Sequence[int],
+                   return_tol: float = 1e-8) -> None:
+    """Raises what ``build_mc`` would before its first path: a tail that is
+    not stochastic, no positive-drift minorant, rows that end below the
+    stopping level, or a start state outside the scored range.  Only the
+    stopping level is certified (``_certify``); the path chain is not
+    built, which cannot fail."""
+    _certify(kernel, _log_masses(kernel)[1], return_tol, {"start state": states})
 
 
 def build_mc(
@@ -847,7 +894,8 @@ def build_mc(
     counts the (live path, step) pairs of all start states, a work figure
     that repeats for a seed.
     """
-    deltas, pc = _product_setup(kernel, states, return_tol, n_paths)
+    deltas, top = _log_masses(kernel)
+    pc = _path_chain(kernel, top, return_tol, {"start state": states}, n_paths)
     score = np.zeros(pc.scored.size)  # 0 above the end
     k = min(deltas.size, pc.end + 1 - kernel.state_lo)
     score[:k] = deltas[:k]

@@ -125,7 +125,10 @@ class TransitionKernel:
     """Nonnegative banded kernel with explicit rows on ``state_lo..truncation``.
 
     Every represented row must carry positive total mass, and no weight may
-    point at a negative state.  ``masses`` holds the explicit rows' sums.
+    point at a negative state.  ``masses`` holds the explicit rows' sums,
+    and ``mc_chain`` the last Monte Carlo path chain built on the kernel,
+    as ((top, return_tol, n_paths), chain) (``harmonic._path_chain``).
+    Both are taken from the rows once, so a kernel is not edited in place.
     """
 
     band_lo: int
@@ -136,6 +139,7 @@ class TransitionKernel:
     dropped_mass: float = 0.0
     meta: dict = field(default_factory=dict)
     masses: np.ndarray = field(init=False, repr=False, compare=False)
+    mc_chain: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # C order, so that a row's sum is the same double here and in a block

@@ -15,6 +15,7 @@ import harmonictails as ht
 from harmonictails.cli import ExperimentConfig, build_chain, main, validate
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 EX1 = {"name": "example1", "p": 0.7, "alpha": 2.0}
 WALK = {"1": 0.3, "-1": 0.7}
 EX3 = {"name": "example3", "p": 0.3, "c0": 0.05, "gamma": 0.7}
@@ -676,6 +677,36 @@ def test_mc_state_above_scored_range(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert "config error:" in err and "outside the scored range" in err
+
+
+@pytest.mark.parametrize("path", [CONFIGS / "reflected_mc.json", FIXTURES / "stop_level_mc.json"],
+                         ids=lambda p: p.stem)
+def test_mc_validate_builds_no_path_chain(path, monkeypatch):
+    # validate certifies the stopping level and the scored range; the path
+    # chain, whose build cannot fail, is left to the run
+    calls = []
+    collapse = ht.harmonic._collapse
+    monkeypatch.setattr(ht.harmonic, "_collapse", lambda *a: calls.append(a) or collapse(*a))
+    config = ExperimentConfig.from_file(path)
+    assert validate(config) == []
+    assert calls == []
+    kernel = ht.cli._task_kernel(build_chain(config.chain))
+    ht.build_mc(kernel, config.params["states"], 10, 10, seed=0)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("chain,states,message", [
+    ({"name": "general", "band_lo": 1, "band_hi": 1, "stochastic": True,
+      "rows": {"0": {"0": 1.0}}, "tail_row": UP_WALK}, [0],
+     "no positive-drift minorant: cannot certify Monte Carlo termination"),
+    (EX1, [1000], "start state 1000 outside the scored range [0, 24]"),
+    (EX1, [0, 24, 25], "start state 25 outside the scored range [0, 24]"),
+])
+def test_mc_validate_messages(tmp_path, capsys, chain, states, message):
+    cfg = write_cfg(tmp_path, "mc.json", {"task": "harmonic-mc", "chain": chain,
+                                          "params": {**MC, "states": states}})
+    assert main(["validate", str(cfg)]) == 1
+    assert capsys.readouterr().out == f"task 'harmonic-mc' cannot run: {message}\n"
 
 
 @pytest.mark.parametrize("params", [{"K": 50, "i_max": 51}, {"i_max": 401},

@@ -642,6 +642,49 @@ def test_expected_local_times_mc_one_path_set(ex1_kernel, monkeypatch):
                                       horizon=10, seed=0) == {}
 
 
+def test_path_chain_reused_per_kernel(monkeypatch):
+    def fresh():
+        return ht.perturbed_reflected_walk(p=0.7, alpha=1.2).kernel(8)
+
+    certified = []
+    ruin = ht.harmonic.ruin_exponent
+    monkeypatch.setattr(ht.harmonic, "ruin_exponent", lambda w: certified.append(1) or ruin(w))
+    kernel = fresh()
+    # (call, whether its (top, return_tol, n_paths) differs from the call before)
+    calls = [
+        (lambda k: ht.build_mc(k, (0, 3), 500, 1000, seed=1), True),
+        (lambda k: ht.build_mc(k, (2,), 500, 1000, seed=2), False),
+        (lambda k: ht.local_time_moment_mc(k, 0, 0.2, 500, 1000, seed=3), False),
+        (lambda k: ht.expected_local_times_mc(k, 0, (0, 2), 500, 1000, seed=4), True),
+        (lambda k: ht.build_mc(k, (0,), 500, 1000, seed=5, return_tol=1e-4), True),
+        (lambda k: ht.build_mc(k, (0,), 700, 1000, seed=5), True),
+        (lambda k: ht.local_time_moment_mc(k, 0, 0.2, 700, 1000, seed=6), False),
+        (lambda k: ht.build_mc(k, (1,), 500, 1000, seed=1), True),
+    ]
+    for call, new_key in calls:
+        before = len(certified)
+        got = call(kernel)
+        assert len(certified) - before == new_key
+        assert got == call(fresh())
+    # a call that takes the kept chain checks its states all the same
+    stop = ht.build_mc(kernel, (0,), 500, 1000, seed=1).meta["stop_level"]
+    before = len(certified)
+    with pytest.raises(ht.StateRangeError) as kept:
+        ht.build_mc(kernel, (stop + 1, stop + 2), 500, 1000, seed=1)
+    assert len(certified) == before
+    with pytest.raises(ht.StateRangeError) as built:
+        ht.build_mc(fresh(), (stop + 1, stop + 2), 500, 1000, seed=1)
+    assert str(kept.value) == str(built.value) == (
+        f"start state {stop + 2} outside the scored range [0, {stop + 1}]")
+    # a replaced kernel is a new value with no chain kept
+    copy = dataclasses.replace(kernel)
+    assert copy.mc_chain is None
+    before = len(certified)
+    got = ht.build_mc(copy, (1,), 500, 1000, seed=1)
+    assert len(certified) == before + 1
+    assert got == ht.build_mc(kernel, (1,), 500, 1000, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # collapsed excursions against linear solves
 
@@ -918,10 +961,12 @@ def test_mc_rejects_states_outside_scored_range(ex1_kernel):
 # the path engine against the compare-matrix loop
 
 
-def compare_matrix_paths(P, score, start, n_paths, horizon, seed, estimator):
+def compare_matrix_paths(P, score, start, n_paths, horizon, seed, estimator, entry=None):
     """The reference loop on the finite chain ``P``: each step scans every
     path and compares each live one against its whole cdf row, scattering
-    back into full-length arrays.  A start above the chain is on its escape."""
+    back into full-length arrays.  A start above the chain is on its escape,
+    or with ``entry``, a cdf over the chain's last entry.size states, lands
+    by a binary search of one uniform per path."""
     lo, stop = P.state_lo, P.truncation
     cdf = P.rows(lo, stop).cumsum(axis=1)
     cdf[:, -1] = 1.0
@@ -930,6 +975,10 @@ def compare_matrix_paths(P, score, start, n_paths, horizon, seed, estimator):
     offsets = P.offsets
     states = np.full(n_paths, min(start, stop + 1), dtype=np.int64)
     totals = np.full((n_paths,) + score.shape[1:], score[states[0] - lo])
+    if entry is not None:
+        u = rng.random(n_paths)
+        states = stop + 1 - entry.size + np.searchsorted(entry, u, side="right")
+        totals = score[states - lo]
     active = states <= stop
     for _ in range(horizon):
         idx = np.flatnonzero(active)
@@ -991,3 +1040,46 @@ def test_run_paths_matches_compare_matrix_loop(name, top, return_tol, shape, hor
     ref_totals, ref_exhausted = compare_matrix_paths(P, *args)
     assert np.array_equal(totals, ref_totals)
     assert exhausted == ref_exhausted
+
+
+# tail rows {-2: .2, -1: .1, 1: .3, 2: .4}: down steps of two, so an entry
+# above the end lands on one of the last L = 2 states
+ENTRY_KERNELS = {**ENGINE_KERNELS, "down2": ht.kernel_from_rows(
+    {0: {2: 1.0}, 1: {1: 1.0}}, truncation=1, band_lo=2, band_hi=2,
+    tail=ht.HomogeneousTail(np.array([0.2, 0.1, 0.0, 0.3, 0.4])))}
+
+
+@given(
+    name=st.sampled_from(sorted(ENTRY_KERNELS)),
+    top=st.integers(0, 4),
+    return_tol=st.sampled_from([1e-2, 1e-6]),
+    shape=st.sampled_from([(), (1,), (3,)]),
+    horizon=st.sampled_from([0, 1, 30, 100_000]),
+    n_paths=st.sampled_from([1, 2, 257]),
+    seed=st.integers(0, 2**64 - 1),
+    estimator=st.integers(1, 3),
+    data=st.data(),
+)
+def test_run_paths_entry_matches_searchsorted(name, top, return_tol, shape, horizon, n_paths,
+                                              seed, estimator, data):
+    # collapsed chains: a start above the end lands by its entry cdf
+    kernel = ENTRY_KERNELS[name]
+    pc = ht.harmonic._path_chain(kernel, kernel.state_lo + top, return_tol, {}, 2000)
+    m = 1 if pc.G is None else len(pc.G)
+    start = data.draw(st.integers(pc.end + 1, pc.end + 2 * m))
+    score = np.random.default_rng(seed).normal(size=(pc.scored.size,) + shape)
+    args = (score, start, n_paths, horizon, seed, estimator)
+    totals, exhausted = ht.harmonic._run_paths(pc, *args)
+    ref_totals, ref_exhausted = compare_matrix_paths(pc.chain, *args, entry=pc.entry(start))
+    assert np.array_equal(totals, ref_totals)
+    assert totals.shape == (n_paths,) + shape and totals.flags.c_contiguous
+    assert exhausted == ref_exhausted
+
+
+def test_entry_kernels_collapse():
+    # every kernel but the Doob transform (no homogeneous tail) collapses,
+    # down2 with entries over two states
+    for name, kernel in ENTRY_KERNELS.items():
+        pc = ht.harmonic._path_chain(kernel, kernel.state_lo, 1e-6, {}, 2000)
+        assert (pc.G is None) == (name == "doob"), name
+        assert pc.L == {"doob": 0, "down2": 2}.get(name, 1), name
