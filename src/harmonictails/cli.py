@@ -294,7 +294,9 @@ def _resolve(task: str, raw: dict) -> tuple[dict, list[str]]:
 
 def _check(config: ExperimentConfig) -> tuple[dict, ChainFamily | None, list[str]]:
     """The typed params, the built family (None without a chain) and the
-    violations; the family is built once, here, for both validate and run."""
+    violations; the family is built once, here, for both validate and run.
+    For ``harmonic-mc`` the params also carry the task kernel, certified
+    here, so that the run reuses its certification (``_check_product``)."""
     if config.task not in _TASK_SPECS:
         return {}, None, [f"unknown task {config.task!r} (expected one of {tuple(_TASK_SPECS)})"]
     typed, out = _resolve(config.task, config.params)
@@ -314,8 +316,9 @@ def _check(config: ExperimentConfig) -> tuple[dict, ChainFamily | None, list[str
         out.append("ladder task needs a walk-based chain (killed-walk or lindley)")
     out += _limit_law_problems(config.task, typed, family)
     if config.task == "harmonic-mc" and not out:
+        typed["kernel"] = _task_kernel(family)
         try:  # build_mc's own checks: stopping level, scored range
-            _check_product(_task_kernel(family), typed["states"])
+            _check_product(typed["kernel"], typed["states"])
         except HarmonicTailsError as exc:
             out.append(f"task 'harmonic-mc' cannot run: {exc}")
     name = "K" if "K" in typed else "probe"
@@ -470,8 +473,9 @@ def _run_harmonic_solve(family: ChainFamily, K: int, tol: float, i_max: int):
     return header, columns, diag, False, None
 
 
-def _run_harmonic_mc(family: ChainFamily, states, n_paths: int, horizon: int, seed: int):
-    est = build_mc(_task_kernel(family), states, n_paths, horizon, seed)
+def _run_harmonic_mc(family: ChainFamily, states, n_paths: int, horizon: int, seed: int,
+                     kernel: TransitionKernel):
+    est = build_mc(kernel, states, n_paths, horizon, seed)
     header = ["i", "f_mc", "std_error", "n_exhausted"]
     columns = [np.array(states), np.array([est.values[i] for i in states]),
                np.array([est.std_errors[i] for i in states]),

@@ -36,6 +36,7 @@ obtained from sandwich solves on a window sized from the tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Iterable, Mapping, Sequence
@@ -82,6 +83,7 @@ _EXACT_MASS_TOL = 1e-14  # |mass - 1| of a tail row the matrix-geometric solve t
 # widest level of collapsed Monte Carlo excursions: cyclic reduction holds about
 # 20 m x m matrices, 40 MB here (576 MB at the span cap of 2000)
 _MAX_EXCURSION_LEVEL = 512
+_KEPT_FOLDS = 2  # path chains a kernel keeps: one per top that alternating callers score
 
 
 class StateArray(Mapping):
@@ -356,7 +358,7 @@ def check_conditions(
 ) -> ConditionReport:
     notes = []
     lo = kernel.state_lo
-    deltas = np.log(kernel.weights.sum(axis=1))
+    deltas = np.log(kernel.masses)
     tail_bound = kernel.tail.delta_abs_bound() if kernel.tail is not None else 0.0
     if tail_bound == math.inf:
         notes.append("tail rule carries no certified |delta| bound; sums treated as infinite")
@@ -630,15 +632,16 @@ def _run_paths(pc, score, start, n_paths, horizon, seed, estimator, work=None):
     it leaves the chain or the horizon hits.  A start above ``pc.end``
     first draws where it lands (``_PathChain.entry``), one uniform per path,
     and scores that state.  The random stream is keyed by (seed, estimator,
-    start).  Returns the per-path totals, shaped (n_paths,) + score.shape[1:],
-    and the number of paths the horizon cut short.  Only live paths are
-    carried, in path order, compacted by index where some leave; each draws
-    one uniform per step, and its jump counts the cdf columns of its row at
-    or below the uniform (the last column is 1, never counted).  A landing
-    state counts the entry cdf's columns the same way.  Each quantity's
-    score is held as one contiguous row and gathered with ``take``.
-    ``work``, if given, is a dict whose ``path_steps`` grows by the (live
-    path, step) pairs the loop advances."""
+    start).  Returns the per-path totals in the score's dtype, shaped
+    (n_paths,) + score.shape[1:], and the number of paths the horizon cut
+    short.  Only live paths are carried, in path order, compacted by index
+    where some leave; each draws one uniform per step, and its jump counts
+    the cdf columns of its row at or below the uniform (the last column is
+    1, never counted).  A landing state counts the entry cdf's columns the
+    same way.  Each quantity's score and totals are held as contiguous
+    1-d rows of their own, gathered with ``take`` and written back by
+    index.  ``work``, if given, is a dict whose ``path_steps`` grows by the
+    (live path, step) pairs the loop advances."""
     C = pc.chain
     lo, top = C.state_lo, pc.end - C.state_lo
     cols = np.ascontiguousarray(C.weights.cumsum(axis=1)[:, :-1].T)
@@ -653,8 +656,9 @@ def _run_paths(pc, score, start, n_paths, horizon, seed, estimator, work=None):
         for e in entry:
             x += u >= e
     totals = rows.take(x, axis=1)
-    ids = np.flatnonzero(x <= top)
-    x, run, steps = x.take(ids), totals.take(ids, axis=1), 0
+    ids = (x <= top).nonzero()[0]
+    x, steps = x.take(ids), 0
+    run = [t.take(ids) for t in totals]
     for _ in range(horizon):
         if ids.size == 0:
             break
@@ -666,11 +670,14 @@ def _run_paths(pc, score, start, n_paths, horizon, seed, estimator, work=None):
         x = nx
         for r, s in zip(run, rows):
             r += s.take(x)
-        keep = np.flatnonzero(x <= top)
+        keep = (x <= top).nonzero()[0]
         if keep.size < ids.size:
-            totals[:, ids] = run
-            ids, x, run = ids.take(keep), x.take(keep), run.take(keep, axis=1)
-    totals[:, ids] = run
+            for t, r in zip(totals, run):
+                t[ids] = r
+            ids, x = ids.take(keep), x.take(keep)
+            run = [r.take(keep) for r in run]
+    for t, r in zip(totals, run):
+        t[ids] = r
     if work is not None:
         work["path_steps"] += steps
     # C order: the standard error's sum over paths depends on the layout
@@ -729,46 +736,113 @@ class _PathChain:
 def _path_chain(kernel: TransitionKernel, top: int, return_tol: float, checked: dict,
                 n_paths: int) -> _PathChain:
     """The chain that ``n_paths`` paths scoring states up to ``top`` run on,
-    certified by ``_certify`` (which also checks the ``checked`` states)
-    and built by ``_build_path_chain``.  The kernel keeps the last chain
-    built on it in ``mc_chain``, keyed by (top, return_tol, n_paths); a
-    call with that key takes it and checks the states against its stopping
-    level alone.
-    """
-    key = (top, return_tol, n_paths)
-    if kernel.mc_chain is not None and kernel.mc_chain[0] == key:
-        pc = kernel.mc_chain[1]
-        _check_range(checked, pc.chain, pc.stop_level)
-        return pc
-    P, stop = _certify(kernel, top, return_tol, checked)
-    pc = _build_path_chain(P, top, stop, n_paths)
-    object.__setattr__(kernel, "mc_chain", (key, pc))
-    return pc
+    its stopping level certified (``_PathCache.stop_level``, which also
+    checks the ``checked`` states) and its rows folded
+    (``_PathCache.chain``) by what the kernel keeps in ``mc_cache``."""
+    cache = _path_cache(kernel)
+    return cache.chain(top, cache.stop_level(top, return_tol, checked), n_paths)
 
 
-def _certify(kernel: TransitionKernel, top: int, return_tol: float,
-             checked: dict) -> tuple[StochasticKernel, int]:
-    """The embedded chain and the stopping level of paths scoring states up
-    to ``top``: above it the embedded chain revisits ``top`` or below with
-    probability at most ``return_tol`` (Lundberg bound via the minorant).
-    Raises unless the minorant drifts up and the rows reach the stopping
-    level, and unless ``checked``, a map from a name to states, has every
-    state from state_lo to the stopping level plus band_hi.
+def _path_cache(kernel: TransitionKernel) -> _PathCache:
+    """The kernel's ``mc_cache``, made on the first call."""
+    if kernel.mc_cache is None:
+        object.__setattr__(kernel, "mc_cache", _PathCache(kernel))
+    return kernel.mc_cache
+
+
+class _PathCache:
+    """What Monte Carlo keeps of a kernel, whatever the top its paths score
+    (``TransitionKernel.mc_cache``): the embedded chain ``P``, the Lundberg
+    exponent ``r`` of its jump minorant (None without a positive-drift
+    minorant), its tail walk, that walk's certified excursion law once a
+    chain first asks for it, and the rows of the last ``_KEPT_FOLDS`` path
+    chains built.  So a kernel holds at most one embedded chain, one
+    excursion law (bh x (L + 1)) and ``_KEPT_FOLDS`` folds, each no longer
+    than the embedded rows up to a stopping level.
     """
-    P = kernel.embed()
-    minorant = jump_minorant(P)
-    if minorant.mean <= 0:
-        raise UnsupportedInputError(
-            "no positive-drift minorant: cannot certify Monte Carlo termination"
-        )
-    r = ruin_exponent(minorant)
-    stop = top + 1
-    if r != math.inf:
-        stop += int(math.ceil(math.log(1.0 / return_tol) / r))
-    if not P.has_row(stop):
-        raise StateRangeError(f"kernel rows end before the certified stopping level {stop}")
-    _check_range(checked, P, stop)
-    return P, stop
+
+    def __init__(self, kernel: TransitionKernel):
+        self.P = kernel.embed()
+        minorant = jump_minorant(self.P)
+        self.r = ruin_exponent(minorant) if minorant.mean > 0 else None
+        self.walk = _tail_walk(self.P)
+        self.folds: dict[tuple[int, int], StochasticKernel] = {}
+
+    def stop_level(self, top: int, return_tol: float, checked: dict) -> int:
+        """The stopping level of paths scoring states up to ``top``: above
+        it the embedded chain revisits ``top`` or below with probability at
+        most ``return_tol`` (Lundberg bound via the minorant).  Raises
+        unless the minorant drifts up and the rows reach the stopping
+        level, and unless ``checked``, a map from a name to states, has
+        every state from state_lo to the stopping level plus band_hi.
+        """
+        if self.r is None:
+            raise UnsupportedInputError(
+                "no positive-drift minorant: cannot certify Monte Carlo termination"
+            )
+        stop = top + 1
+        if self.r != math.inf:
+            stop += int(math.ceil(math.log(1.0 / return_tol) / self.r))
+        if not self.P.has_row(stop):
+            raise StateRangeError(f"kernel rows end before the certified stopping level {stop}")
+        _check_range(checked, self.P, stop)
+        return stop
+
+    @functools.cached_property
+    def excursion_law(self) -> tuple[np.ndarray, float, np.ndarray] | None:
+        """(G, its certified residual, law): law's row j is where a jump to
+        end + 1 + j lands, row j % m of G^(j // m + 1) over end - L + 1..end
+        and then the escape; None where G cannot be certified."""
+        try:
+            G, residual = _certified_first_passage(self.walk)
+        except SolverFailure:
+            return None
+        G = np.clip(G, 0.0, None)  # rounding can leave entries of -1e-17 or so
+        m, L, bh = len(G), -self.walk.lo, self.P.band_hi
+        powers = [G]
+        while len(powers) * m < bh:
+            powers.append(powers[-1] @ G)
+        law = np.vstack(powers)[:bh, m - L :]
+        law = np.hstack([law, np.clip(1.0 - law.sum(axis=1, keepdims=True), 0.0, None)])
+        return G, residual, law
+
+    def chain(self, top: int, stop: int, n_paths: int) -> _PathChain:
+        """The path chain for ``n_paths`` paths scoring states up to
+        ``top``, with certified stopping level ``stop``.
+
+        The chain ends there, unless its excursions above
+        max(top, h, state_lo + L - 1) are collapsed: where the embedded
+        chain has a homogeneous tail from level h on whose walk steps both
+        ways with gcd 1 (``_tail_walk``, down steps of at most L, levels of
+        m states), G is certified and affordable, and that top is not above
+        the stopping level.  Cyclic reduction on G costs a few m^3 flops,
+        which may be at most ``_EXACT_WORK_RATIO`` times ``n_paths`` x W, W
+        the band width, about what one step of the paths costs, and m at
+        most ``_MAX_EXCURSION_LEVEL``; no ``n_paths`` (0) takes the stopping
+        level.
+        """
+        P, walk = self.P, self.walk
+        if walk is not None:
+            L, m = -walk.lo, max(-walk.lo, walk.hi)
+            end = max(top, P.homogeneous_level(), P.state_lo + L - 1)
+            W = P.weights.shape[1]
+            if (m <= _MAX_EXCURSION_LEVEL and m**3 <= _EXACT_WORK_RATIO * n_paths * W
+                    and end <= stop and self.excursion_law is not None):
+                G, residual, law = self.excursion_law
+                return _PathChain(self._fold(end, law), stop, G, residual, L)
+        # every jump above the stopping level escapes
+        return _PathChain(self._fold(stop, np.ones((P.band_hi, 1))), stop)
+
+    def _fold(self, end: int, law: np.ndarray) -> StochasticKernel:
+        """``_collapse(P, end, law)``, kept among the last ``_KEPT_FOLDS``."""
+        key = (end, law.shape[1])
+        fold = self.folds.pop(key, None)
+        if fold is None:
+            fold = _collapse(self.P, end, law)
+            if len(self.folds) == _KEPT_FOLDS:
+                del self.folds[next(iter(self.folds))]
+        self.folds[key] = fold
+        return fold
 
 
 def _check_range(checked: dict, P: TransitionKernel, stop: int) -> None:
@@ -779,47 +853,6 @@ def _check_range(checked: dict, P: TransitionKernel, stop: int) -> None:
         for s in states:
             if not lo <= s <= hi:
                 raise StateRangeError(f"{what} {s} outside the scored range [{lo}, {hi}]")
-
-
-def _build_path_chain(P: StochasticKernel, top: int, stop: int, n_paths: int) -> _PathChain:
-    """The path chain of the embedded chain ``P`` for ``n_paths`` paths
-    scoring states up to ``top``, with certified stopping level ``stop``.
-
-    The chain ends there, unless its excursions above
-    max(top, h, state_lo + L - 1) are collapsed: where the embedded chain
-    has a homogeneous tail from level h on whose walk steps both ways with
-    gcd 1 (``_tail_walk``, down steps of at most L, levels of m states), G
-    is certified and affordable, and that top is not above the stopping
-    level.  Cyclic reduction on G costs a few m^3 flops, which may be at
-    most ``_EXACT_WORK_RATIO`` times ``n_paths`` x W, W the band width,
-    about what one step of the paths costs, and m at most
-    ``_MAX_EXCURSION_LEVEL``; no ``n_paths`` (0) takes the stopping level.
-    """
-    lo, bh = P.state_lo, P.band_hi
-
-    def at_stop():  # every jump above the stopping level escapes
-        return _PathChain(_collapse(P, stop, np.ones((bh, 1))), stop)
-
-    walk = _tail_walk(P)
-    if walk is None:
-        return at_stop()
-    L, m = -walk.lo, max(-walk.lo, walk.hi)
-    end = max(top, P.homogeneous_level(), lo + L - 1)
-    if (m > _MAX_EXCURSION_LEVEL or m**3 > _EXACT_WORK_RATIO * n_paths * P.weights.shape[1]
-            or end > stop):
-        return at_stop()
-    try:
-        G, residual = _certified_first_passage(walk)
-    except SolverFailure:
-        return at_stop()
-    G = np.clip(G, 0.0, None)  # rounding can leave entries of -1e-17 or so
-    # from end + 1 + j: row j % m of G^(j // m + 1) over end - L + 1..end, then the escape
-    powers = [G]
-    while len(powers) * m < bh:
-        powers.append(powers[-1] @ G)
-    law = np.vstack(powers)[:bh, m - L :]
-    law = np.hstack([law, np.clip(1.0 - law.sum(axis=1, keepdims=True), 0.0, None)])
-    return _PathChain(_collapse(P, end, law), stop, G, residual, L)
 
 
 def _collapse(P: StochasticKernel, end: int, law: np.ndarray) -> StochasticKernel:
@@ -853,7 +886,7 @@ def _log_masses(kernel: TransitionKernel) -> tuple[np.ndarray, int]:
     """Log row masses of the path product and the top of their support
     (state_lo where every row is stochastic); a tail that is not stochastic
     raises."""
-    deltas = np.log(kernel.weights.sum(axis=1))
+    deltas = np.log(kernel.masses)
     if kernel.tail is not None and kernel.tail.delta_abs_bound() != 0.0:
         raise UnsupportedInputError("tail rows must be stochastic for the path product")
     nz = np.flatnonzero(np.abs(deltas) > _DELTA_EPS)
@@ -865,9 +898,10 @@ def _check_product(kernel: TransitionKernel, states: Sequence[int],
     """Raises what ``build_mc`` would before its first path: a tail that is
     not stochastic, no positive-drift minorant, rows that end below the
     stopping level, or a start state outside the scored range.  Only the
-    stopping level is certified (``_certify``); the path chain is not
+    stopping level is certified (``_PathCache.stop_level``), on the cache
+    that ``build_mc`` on the same kernel reuses; the path chain is not
     built, which cannot fail."""
-    _certify(kernel, _log_masses(kernel)[1], return_tol, {"start state": states})
+    _path_cache(kernel).stop_level(_log_masses(kernel)[1], return_tol, {"start state": states})
 
 
 def build_mc(
@@ -931,13 +965,25 @@ def build_mc(
 def _visit_counts(kernel: TransitionKernel, start: int, sites, checked: dict, n_paths: int,
                   horizon: int, seed: int, estimator: int, return_tol: float):
     """Each path's visits from ``start`` to ``sites``, a state or one column
-    per state of a sequence, time zero included, and the number of paths
-    the horizon cut short; the path chain scores states up to the highest
-    site."""
+    per state of a sequence, time zero included, as floats, and the number
+    of paths the horizon cut short; the path chain scores states up to the
+    highest site.  A path visits a site at most horizon + 1 times, so each
+    site is scored as a field of b = (horizon + 1).bit_length() bits (at
+    most 63) in an int64 word of 63 // b sites: one add per word and step
+    counts them all, and no field carries into the next."""
     top = max(np.atleast_1d(sites).tolist(), default=start)
     pc = _path_chain(kernel, top, return_tol, checked, n_paths)
-    score = np.equal.outer(pc.scored, sites).astype(float)
-    return _run_paths(pc, score, start, n_paths, horizon, seed, estimator)
+    b = min((horizon + 1).bit_length(), 63)
+    per = 63 // b
+    field = np.arange(np.size(sites))
+    n = pc.scored.size
+    score = np.zeros((n, -(-field.size // per) * per), dtype=np.int64)
+    score[:, : field.size] = np.equal.outer(pc.scored, np.ravel(sites)) << b * (field % per)
+    score = score.reshape(n, -1, per).sum(axis=2)
+    words, cut = _run_paths(pc, score, start, n_paths, horizon, seed, estimator)
+    counts = (words[:, field // per] >> b * (field % per)) & (1 << b) - 1
+    # C order, as a float score's totals: the standard error depends on the layout
+    return counts.astype(float, order="C").reshape((n_paths,) + np.shape(sites)), cut
 
 
 def local_time_moment_mc(

@@ -126,9 +126,12 @@ class TransitionKernel:
 
     Every represented row must carry positive total mass, and no weight may
     point at a negative state.  ``masses`` holds the explicit rows' sums,
-    and ``mc_chain`` the last Monte Carlo path chain built on the kernel,
-    as ((top, return_tol, n_paths), chain) (``harmonic._path_chain``).
-    Both are taken from the rows once, so a kernel is not edited in place.
+    and ``mc_cache`` what Monte Carlo keeps of the kernel once certified,
+    whatever the top its paths score: the embedded chain, the Lundberg
+    exponent, the tail walk's excursion law and the last two path chains
+    built (``harmonic._PathCache``).  Both are taken from the rows once, so
+    a kernel is not edited in place; ``dataclasses.replace`` gives a kernel
+    with no cache.
     """
 
     band_lo: int
@@ -139,7 +142,7 @@ class TransitionKernel:
     dropped_mass: float = 0.0
     meta: dict = field(default_factory=dict)
     masses: np.ndarray = field(init=False, repr=False, compare=False)
-    mc_chain: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    mc_cache: object | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # C order, so that a row's sum is the same double here and in a block

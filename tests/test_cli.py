@@ -695,6 +695,19 @@ def test_mc_validate_builds_no_path_chain(path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_mc_run_certifies_once(tmp_path, monkeypatch):
+    # the run gets the kernel that the config check certified: one embedded
+    # chain and one Lundberg exponent per run
+    embeds, ruins = [], []
+    embed = ht.TransitionKernel.embed
+    monkeypatch.setattr(ht.TransitionKernel, "embed", lambda k: embeds.append(1) or embed(k))
+    ruin = ht.harmonic.ruin_exponent
+    monkeypatch.setattr(ht.harmonic, "ruin_exponent", lambda w: ruins.append(1) or ruin(w))
+    path = FIXTURES / "stop_level_mc.json"
+    assert main(["run", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    assert (len(embeds), len(ruins)) == (1, 1)
+
+
 @pytest.mark.parametrize("chain,states,message", [
     ({"name": "general", "band_lo": 1, "band_hi": 1, "stochastic": True,
       "rows": {"0": {"0": 1.0}}, "tail_row": UP_WALK}, [0],

@@ -646,27 +646,30 @@ def test_path_chain_reused_per_kernel(monkeypatch):
     def fresh():
         return ht.perturbed_reflected_walk(p=0.7, alpha=1.2).kernel(8)
 
-    certified = []
+    certified, folded = [], []
     ruin = ht.harmonic.ruin_exponent
     monkeypatch.setattr(ht.harmonic, "ruin_exponent", lambda w: certified.append(1) or ruin(w))
+    collapse = ht.harmonic._collapse
+    monkeypatch.setattr(ht.harmonic, "_collapse", lambda *a: folded.append(a[1]) or collapse(*a))
     kernel = fresh()
-    # (call, whether its (top, return_tol, n_paths) differs from the call before)
+    # one certification for any sequence of tops, return_tol and n_paths
     calls = [
-        (lambda k: ht.build_mc(k, (0, 3), 500, 1000, seed=1), True),
-        (lambda k: ht.build_mc(k, (2,), 500, 1000, seed=2), False),
-        (lambda k: ht.local_time_moment_mc(k, 0, 0.2, 500, 1000, seed=3), False),
-        (lambda k: ht.expected_local_times_mc(k, 0, (0, 2), 500, 1000, seed=4), True),
-        (lambda k: ht.build_mc(k, (0,), 500, 1000, seed=5, return_tol=1e-4), True),
-        (lambda k: ht.build_mc(k, (0,), 700, 1000, seed=5), True),
-        (lambda k: ht.local_time_moment_mc(k, 0, 0.2, 700, 1000, seed=6), False),
-        (lambda k: ht.build_mc(k, (1,), 500, 1000, seed=1), True),
+        lambda k: ht.build_mc(k, (0, 3), 500, 1000, seed=1),
+        lambda k: ht.build_mc(k, (2,), 500, 1000, seed=2),
+        lambda k: ht.local_time_moment_mc(k, 0, 0.2, 500, 1000, seed=3),
+        lambda k: ht.expected_local_times_mc(k, 0, (0, 2), 500, 1000, seed=4),
+        lambda k: ht.build_mc(k, (0,), 500, 1000, seed=5, return_tol=1e-4),
+        lambda k: ht.build_mc(k, (0,), 700, 1000, seed=5),
+        lambda k: ht.local_time_moment_mc(k, 0, 0.2, 700, 1000, seed=6),
+        lambda k: ht.expected_local_times_mc(k, 1, (1, 5), 500, 1000, seed=7, return_tol=1e-3),
+        lambda k: ht.build_mc(k, (1,), 500, 1000, seed=1),
     ]
-    for call, new_key in calls:
+    for n, call in enumerate(calls):
         before = len(certified)
         got = call(kernel)
-        assert len(certified) - before == new_key
+        assert len(certified) - before == (n == 0)
         assert got == call(fresh())
-    # a call that takes the kept chain checks its states all the same
+    # each call checks its states against its own stopping level all the same
     stop = ht.build_mc(kernel, (0,), 500, 1000, seed=1).meta["stop_level"]
     before = len(certified)
     with pytest.raises(ht.StateRangeError) as kept:
@@ -676,13 +679,64 @@ def test_path_chain_reused_per_kernel(monkeypatch):
         ht.build_mc(fresh(), (stop + 1, stop + 2), 500, 1000, seed=1)
     assert str(kept.value) == str(built.value) == (
         f"start state {stop + 2} outside the scored range [0, {stop + 1}]")
-    # a replaced kernel is a new value with no chain kept
-    copy = dataclasses.replace(kernel)
-    assert copy.mc_chain is None
+    # the last two folds are kept: alternating tops 0 and 2 (ends 1 and 2)
+    # builds the end-2 fold once, a stopping-level chain evicts the older one
+    folded.clear()
     before = len(certified)
+    for _ in range(3):
+        ht.build_mc(kernel, (0,), 10, 100, seed=1)
+        ht.expected_local_times_mc(kernel, 0, (0, 2), 10, 100, seed=1)
+    assert folded == [2]
+    folded.clear()
+    assert ht.harmonic._path_chain(kernel, 0, 1e-8, {}, 0).end == stop
+    ht.build_mc(kernel, (0,), 10, 100, seed=1)
+    assert folded == [stop, 1] and len(kernel.mc_cache.folds) == ht.harmonic._KEPT_FOLDS
+    assert len(certified) == before
+    # a replaced kernel is a new value with nothing kept
+    copy = dataclasses.replace(kernel)
+    assert copy.mc_cache is None
     got = ht.build_mc(copy, (1,), 500, 1000, seed=1)
     assert len(certified) == before + 1
     assert got == ht.build_mc(kernel, (1,), 500, 1000, seed=1)
+
+
+HELD = ht.TransitionKernel(band_lo=0, band_hi=1, weights=np.array([[0.999, 0.001]]),
+                           tail=ht.HomogeneousTail(np.array([0.0, 1.0])))
+
+
+@pytest.mark.parametrize("name,sites,horizon,words", [
+    ("example1", (), 10**5, 0),
+    ("example1", 0, 10**5, 1),
+    ("example1", (0,), 10**5, 1),
+    ("example1", (0, 1, 2), 10**5, 1),
+    ("example1", (0, 1, 2, 3), 10**5, 2),  # 17-bit fields, three to a word
+    ("example1", tuple(range(7)), 10**5, 3),
+    ("example1", tuple(range(7)), 14, 1),  # 4-bit fields, 15 to a word
+    ("example1", tuple(range(7)), 15, 1),  # a count of 16 takes 5 bits
+    ("lindley4", (3, 0, 3, 1), 30, 1),
+    ("held", (0, 1), 14, 1),  # 0 is held until the horizon: 15 visits
+    ("held", (0, 1), 15, 1),  # 16 visits, which must not carry into site 1
+    ("held", 0, 15, 1),
+])
+def test_visit_counts_match_float_scores(name, sites, horizon, words, monkeypatch):
+    # packed int64 counts give the float score's totals bit for bit
+    kernel = HELD if name == "held" else ENGINE_KERNELS[name]
+    scores = []
+    run_paths = ht.harmonic._run_paths
+    monkeypatch.setattr(ht.harmonic, "_run_paths",
+                        lambda pc, score, *a: scores.append(score) or run_paths(pc, score, *a))
+    for start, n_paths, seed in ((2, 257, 2**64 - 1), (1, 1, 0), (0, 300, 3)):
+        counts, cut = ht.harmonic._visit_counts(kernel, start, sites, {}, n_paths, horizon,
+                                                seed, 3, 1e-6)
+        assert scores[-1].dtype == np.int64 and scores[-1].shape[1:] == (words,)
+        top = max(np.atleast_1d(sites).tolist(), default=start)
+        pc = ht.harmonic._path_chain(kernel, top, 1e-6, {}, n_paths)
+        score = np.equal.outer(pc.scored, sites).astype(float)
+        ref, ref_cut = run_paths(pc, score, start, n_paths, horizon, seed, 3)
+        assert counts.dtype == ref.dtype and counts.flags.c_contiguous
+        assert np.array_equal(counts, ref) and cut == ref_cut
+    if name == "held":  # from 0, the site's count reaches horizon + 1
+        assert np.max(counts) == horizon + 1
 
 
 # ---------------------------------------------------------------------------
