@@ -49,8 +49,11 @@ class PowerAlpha:
     c0: float
     exponent: float
 
-    def value(self, x):
-        return self.c0 * (1.0 + np.asarray(x, dtype=float)) ** self.exponent
+    def value(self, x, out=None):
+        """a at the points x; with ``out``, written into it."""
+        base = np.add(x, 1.0, dtype=float)
+        base **= self.exponent
+        return np.multiply(base, self.c0, out=out)
 
     def integral_power(self, k: int, x: float) -> float:
         """Integral of a(t)^k over t in [0, x], in closed form."""
@@ -68,10 +71,14 @@ class AlternatingAlpha:
     c0: float
     gamma: float
 
-    def value(self, i):
+    def value(self, i, out=None):
+        """phi at the points i; with ``out``, written into it."""
         i = np.asarray(i)
-        sign = np.where(i % 2 == 0, 1.0, -1.0)
-        out = self.c0 * sign * (1.0 + i) ** (-self.gamma)
+        decay = np.add(i, 1.0, dtype=float)
+        decay **= -self.gamma
+        out = np.multiply(decay, self.c0, out=out)
+        # (-c0) x = -(c0 x) exactly, so the sign may come last
+        out *= 1.0 - 2.0 * (i % 2 != 0)
         return out if out.ndim else float(out)
 
     def integral_power(self, k: int, x: float) -> float:
@@ -283,10 +290,15 @@ def _birth_death_family(name, p, profile, extra_params) -> ChainFamily:
     q = 1.0 - p
 
     def row_rule(states: np.ndarray) -> np.ndarray:
-        u = p + profile.value(states)
-        rows = np.stack([1.0 - u, np.zeros_like(u), u], axis=1)
-        at0 = states == 0
-        rows[at0, :2] = rows[at0, 1::-1]  # the origin holds instead of stepping down
+        # column by column into one block: up p + a(i), hold 0, down 1 - up
+        rows = np.empty((len(states), 3))
+        up = profile.value(states, out=rows[:, 2])
+        up += p
+        np.subtract(1.0, up, out=rows[:, 0])
+        rows[:, 1] = 0.0
+        at0 = np.flatnonzero(states == 0)  # the origin holds instead of stepping down
+        rows[at0, 1] = rows[at0, 0]
+        rows[at0, 0] = 0.0
         return rows
 
     u0 = p + float(profile.value(0))

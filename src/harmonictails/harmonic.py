@@ -63,6 +63,7 @@ from .kernels import (
     band_system,
     first_row_below,
     row_slice,
+    row_sums,
 )
 from .ladder import (
     LatticeWalk,
@@ -191,7 +192,7 @@ def _collect_rows(kernel: TransitionKernel) -> np.ndarray:
         n_tail = 1 if isinstance(kernel.tail, HomogeneousTail) else _TAIL_SAMPLES
         rows.append(kernel.tail.rows_at(kernel.truncation + 1, kernel.truncation + n_tail))
     rows = np.vstack(rows)
-    return rows / rows.sum(axis=1, keepdims=True)
+    return rows / row_sums(rows)[:, None]
 
 
 def jump_minorant(kernel: TransitionKernel, extra_rows: np.ndarray | None = None) -> LatticeWalk:
@@ -273,7 +274,7 @@ def return_probability_bounds(
     T = j + (26 if r == math.inf else math.ceil(max(36.0, math.log(1.0 / tol)) / r) + 4)
     lo, bl, bh = P.state_lo, P.band_lo, P.band_hi
     rows = P.rows(lo, T)
-    rows = rows / rows.sum(axis=1, keepdims=True)
+    rows = rows / row_sums(rows)[:, None]
     # H(x) = P{hit j from x} on the window, H(j) = 1, given values above it
     jdx = j - lo
     lu, ab = band_system(rows, bl)
@@ -449,7 +450,7 @@ def build_solve(
     if not kernel.has_row(K):
         raise StateRangeError(f"kernel has no rows up to the requested truncation {K}")
     if kernel.tail is not None:
-        for i, m in enumerate(kernel.tail.rows_at(K + 1, K + 2).sum(axis=1), start=K + 1):
+        for i, m in enumerate(row_sums(kernel.tail.rows_at(K + 1, K + 2)), start=K + 1):
             if abs(math.log(m)) > _BOUNDARY_MASS_TOL:
                 raise UnsupportedInputError(
                     f"tail row at {i} has mass {m:.17g}; boundary value 1 above the "
@@ -803,7 +804,7 @@ class _PathCache:
         while len(powers) * m < bh:
             powers.append(powers[-1] @ G)
         law = np.vstack(powers)[:bh, m - L :]
-        law = np.hstack([law, np.clip(1.0 - law.sum(axis=1, keepdims=True), 0.0, None)])
+        law = np.hstack([law, np.clip(1.0 - row_sums(law), 0.0, None)[:, None]])
         return G, residual, law
 
     def chain(self, top: int, stop: int, n_paths: int) -> _PathChain:

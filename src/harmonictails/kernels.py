@@ -19,7 +19,8 @@ block or a list of blocks stacked in state order, as
 explicit rows, then the tail's block, which for a homogeneous tail is one row
 broadcast (row stride 0), so that each band column of it is written as a
 scalar fill.  Row masses come from the kernel too: the explicit rows' sums are
-taken once, at construction, and a homogeneous tail has one.
+taken once, at construction, and a homogeneous tail has one.  Every row sum
+of a block goes through ``row_sums``, column by column in numpy's own order.
 
 A solve at truncation K is checked by a second one at 2K, and the pair
 shares one assembly, for the 2K window.  The K window's I - P is the column
@@ -108,6 +109,27 @@ class ParametricTail:
 
 TailRule = HomogeneousTail | ParametricTail
 
+# numpy's pairwise sum adds fewer than this many entries one after another,
+# left to right, and unrolls into partial sums from this many on
+_PAIRWISE_UNROLL = 8
+
+
+def row_sums(block: np.ndarray) -> np.ndarray:
+    """Row sums of an (n, width) block, bit for bit ``block.sum(axis=1)``.
+
+    Below ``_PAIRWISE_UNROLL`` columns numpy adds a row's entries left to
+    right, so the sum is taken column by column in that order: width - 1
+    streaming passes over n doubles, where a reduction along the short axis
+    costs about ten times as much at n = 4 x 10^4.  Wider blocks keep
+    ``sum(axis=1)``, whose pairwise order no column loop reproduces.
+    """
+    if not 0 < block.shape[1] < _PAIRWISE_UNROLL:
+        return block.sum(axis=1)
+    out = block[:, 0].copy()
+    for c in range(1, block.shape[1]):
+        out += block[:, c]
+    return out
+
 
 def _as_state_fn(f):
     """Accept a callable, a mapping, or an estimate object with .value()."""
@@ -159,7 +181,7 @@ class TransitionKernel:
             raise UnsupportedInputError("states live on the nonnegative integers")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise UnsupportedInputError("weights must be finite and nonnegative")
-        masses = w.sum(axis=1)
+        masses = row_sums(w)
         masses.flags.writeable = False
         object.__setattr__(self, "masses", masses)
         if np.any(masses <= 0):
@@ -252,7 +274,7 @@ class TransitionKernel:
             elif lo > self.truncation and isinstance(self.tail, HomogeneousTail):
                 out.append(np.broadcast_to(self.tail.row.sum(), len(b)))
             else:
-                out.append(b.sum(axis=1))
+                out.append(row_sums(b))
             lo += len(b)
         return out
 
@@ -283,7 +305,7 @@ class TransitionKernel:
     def embed(self) -> "StochasticKernel":
         """Normalise every row to total mass one."""
         def normalise(block):
-            return block / block.sum(axis=1, keepdims=True)
+            return block / row_sums(block)[:, None]
 
         w, dropped = _drop_dust(normalise(self.weights))
         tail = _map_tail(self.tail, normalise, 0.0)
@@ -323,8 +345,7 @@ def _alive_suffix(weights: np.ndarray, state_lo: int) -> int:
     Rows emptied by a transform must form a prefix of the state range;
     an empty row above a live one would leave a hole in the domain.
     """
-    masses = weights.sum(axis=1)
-    alive = masses > 0
+    alive = row_sums(weights) > 0
     if not alive.any():
         raise DegenerateRowError("transform removed all mass from every represented row")
     first = int(np.argmax(alive))
@@ -557,15 +578,20 @@ def _lapack():
         return lapack.dgtsv, lapack.dgbsv
 
 
-def band_solve(lu, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+def band_solve(lu, ab: np.ndarray, b: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
     """Solve A x = b for the band-stored A of ``band_system``.
 
     The checks, LAPACK calls and result bits of
     ``scipy.linalg.solve_banded(lu, ab, b)`` (scipy 1.17) on float64 input:
     one division for n = 1, ``dgtsv`` for (l, u) = (1, 1) and ``dgbsv`` on a
-    zeroed (2l + u + 1, n) copy otherwise.  A non-finite input or a shape
+    zeroed (2l + u + 1, n) copy otherwise, in Fortran order, so that f2py
+    hands it to LAPACK without a second copy.  A non-finite input or a shape
     mismatch raises ``ValueError``, a singular matrix
-    ``np.linalg.LinAlgError``.  Neither ``ab`` nor ``b`` is written.
+    ``np.linalg.LinAlgError``.  Neither ``ab`` nor ``b`` is written, unless
+    ``overwrite`` is set: then LAPACK works in place on the diagonals of a
+    C-ordered tridiagonal ``ab`` and on a contiguous ``b``, and the result
+    may be ``b`` itself.  Only a caller that owns both and reads neither
+    afterwards sets it.
     """
     l, u = lu
     a1 = np.asarray_chkfinite(ab, dtype=float)
@@ -579,12 +605,13 @@ def band_solve(lu, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a1.shape[1] == 1:
         return b1 / a1[u, 0]
     gtsv, gbsv = _lapack()
-    if l == u == 1:  # f2py copies the diagonals and b before dgtsv overwrites them
-        *_, x, info = gtsv(a1[2, :-1], a1[1], a1[0, 1:], b1)
+    if l == u == 1:  # f2py copies the diagonals and b before dgtsv overwrites them, unless told
+        *_, x, info = gtsv(a1[2, :-1], a1[1], a1[0, 1:], b1, overwrite_dl=overwrite,
+                           overwrite_d=overwrite, overwrite_du=overwrite, overwrite_b=overwrite)
     else:
-        a2 = np.zeros((2 * l + u + 1, a1.shape[1]))
+        a2 = np.zeros((2 * l + u + 1, a1.shape[1]), order="F")
         a2[l:] = a1
-        *_, x, info = gbsv(l, u, a2, b1, overwrite_ab=True)
+        *_, x, info = gbsv(l, u, a2, b1, overwrite_ab=True, overwrite_b=overwrite)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:

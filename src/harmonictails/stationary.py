@@ -53,6 +53,7 @@ from .kernels import (
     band_system,
     band_write,
     row_slice,
+    row_sums,
 )
 from .ladder import (
     LatticeWalk,
@@ -121,8 +122,9 @@ def _compensated_solves(rows, band_lo: int, beta: float, windows: tuple[int, ...
     The tilted (I - P)^T is assembled once, for the last window.  Column x
     of its band storage holds row x of P, so a smaller window's system is a
     copy of the first n columns with the reflected top rows written over
-    theirs.  Returns the y of each window, and the reflected weight and the
-    balance residual of the first.
+    theirs; LAPACK then works in place on it, and on the full storage last.
+    Returns the y of each window, and the reflected weight and the balance
+    residual of the first.
     """
     W = rows[0].shape[1]
     with np.errstate(over="ignore"):
@@ -156,12 +158,13 @@ def _compensated_solves(rows, band_lo: int, beta: float, windows: tuple[int, ...
 
 def _pinned_solve(lu, ab: np.ndarray) -> np.ndarray:
     """The tilted balance equations in band storage ``ab`` solved with the
-    equation of state 0 replaced by the pin y(0) = 1."""
+    equation of state 0 replaced by the pin y(0) = 1.  ``ab`` is the
+    caller's own copy, which the solve may overwrite."""
     band_pin(lu, ab, 0)
     rhs = np.zeros(ab.shape[1])
     rhs[0] = 1.0
     try:
-        return band_solve(lu, ab, rhs)
+        return band_solve(lu, ab, rhs, overwrite=True)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(
             f"compensated stationary solve failed: {exc}", reason="singular"
@@ -209,12 +212,17 @@ def _balance_residual(rows, band_lo: int, tilt: np.ndarray, y: np.ndarray, n: in
     return float(balance[1:].max())
 
 
-def _log_law(y: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """log pi(i) = log y(i) - beta i on the window of y, and |log| of the
-    window's mass (the ``normalization_error``)."""
+def _log_pi(y: np.ndarray, beta: float) -> np.ndarray:
+    """log pi(i) = log y(i) - beta i on the states of y."""
     log_pi = np.log(y)
     log_pi -= beta * np.arange(y.size, dtype=float)
-    return log_pi, abs(math.log(_discounted_sum(beta, y)))
+    return log_pi
+
+
+def _log_law(y: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
+    """``_log_pi`` on the window of y, and |log| of the window's mass (the
+    ``normalization_error``)."""
+    return _log_pi(y, beta), abs(math.log(_discounted_sum(beta, y)))
 
 
 def stationary_solve(
@@ -349,9 +357,8 @@ def _truncated_stationary(kernel: TransitionKernel, K: int, beta: float, check_d
     log_pi, normalization_error = _log_law(ys[0], beta)
     doubling = None
     if check_doubling:
-        log_pi2 = _log_law(ys[1], beta)[0]
         half = K // 2
-        doubling = float(np.max(np.abs(log_pi[: half + 1] - log_pi2[: half + 1])))
+        doubling = float(np.max(np.abs(log_pi[: half + 1] - _log_pi(ys[1][: half + 1], beta))))
         if doubling > doubling_tol:
             raise SolverFailure(
                 f"stationary solves at windows {K} and {2 * K} disagree by "
@@ -431,14 +438,23 @@ def tail_extract(log_pi: np.ndarray, predict_log, window: tuple[int, int],
                  variation_tol: float = 0.01) -> TailFit:
     """Estimate the tail constant over a state window.
 
-    ``predict_log(i)`` is the predicted log tail shape (without the
-    constant).  The fit passes when the pointwise constants stay within
-    ``variation_tol`` relative deviation of their median across the window.
+    ``predict_log`` is called once, with the window's states as one integer
+    array, and returns the predicted log tail shape (without the constant)
+    at each of them, as ``TailModel.predict_log_tail`` does; a callable that
+    takes one state at a time needs ``np.vectorize``.  The fit passes when
+    the pointwise constants stay within ``variation_tol`` relative deviation
+    of their median across the window.
     """
     i0, i1 = window
     if not 0 <= i0 < i1 < len(log_pi):
         raise StateRangeError(f"window {window} outside the solved range")
-    predicted = np.array([predict_log(i) for i in range(i0, i1 + 1)], dtype=float)
+    states = np.arange(i0, i1 + 1)
+    predicted = np.asarray(predict_log(states), dtype=float)
+    if predicted.shape != states.shape:
+        raise UnsupportedInputError(
+            f"predict_log gave shape {predicted.shape} for the {states.size} states of the "
+            "window; a callable of one state needs np.vectorize"
+        )
     logc = log_pi[i0 : i1 + 1] - predicted
     med = float(np.median(logc))
     variation = float(np.max(np.abs(np.exp(logc - med) - 1.0)))
@@ -529,7 +545,8 @@ class TailModel:
 
     ``coefficients[k-1]`` multiplies profile.value(x)**k in beta(x) (the
     interaction scale is already folded in).  ``predict_log_tail`` returns
-    the predicted log stationary tail up to an additive constant.
+    the predicted log stationary tail up to an additive constant, at a state
+    or at each of an array of states.
     """
 
     mode: str  # "constant" | "alpha-over-m" | "cramer-series"
@@ -544,11 +561,14 @@ class TailModel:
             b = b + r * np.asarray(self.profile.value(x)) ** k
         return b if b.ndim else float(b)
 
-    def predict_log_tail(self, i) -> float:
-        out = -self.beta_limit * float(i)
+    def predict_log_tail(self, i):
+        x = np.asarray(i, dtype=float)
+        out = -self.beta_limit * x
         for k, r in enumerate(self.coefficients, start=1):
-            out -= r * self.profile.integral_power(k, float(i))
-        return out
+            # integral_power stays on Python floats, one state at a time
+            terms = [self.profile.integral_power(k, s) for s in x.ravel().tolist()]
+            out = out - r * np.reshape(terms, x.shape)
+        return out if out.ndim else float(out)
 
 
 def build_beta_fn(
@@ -670,7 +690,7 @@ def doob_transform(
 
     top = max(kernel.truncation, lo + _DOOB_EXPLICIT_ROWS)
     weights = hat_rows(np.arange(lo, top + 1))
-    defect = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
+    defect = float(np.max(np.abs(row_sums(weights) - 1.0)))
     if residual_tol is not None and defect > residual_tol:
         raise InternalConsistencyError(
             f"transformed rows are off stochastic by {defect:.3e} "
@@ -691,7 +711,7 @@ def _climb_transform(rows: np.ndarray, offsets: np.ndarray, lo: int):
     """b -> sup_i E exp(b * step from row i), with missing row mass sent to
     the cemetery level ``lo - 1`` (which only lowers the transform)."""
     x = np.arange(rows.shape[0]) + lo
-    defects = np.clip(1.0 - rows.sum(axis=1), 0.0, None)
+    defects = np.clip(1.0 - row_sums(rows), 0.0, None)
     return lambda b: float((rows @ np.exp(b * offsets) + defects * np.exp(b * (lo - 1 - x))).max())
 
 
@@ -779,7 +799,7 @@ def renewal_measure(
                 "climb exponent degraded when the window was widened"
             )
         x_all = np.arange(rows.shape[0]) + lo
-        defects = np.clip(1.0 - rows.sum(axis=1), 0.0, None)
+        defects = np.clip(1.0 - row_sums(rows), 0.0, None)
         means = rows @ offsets + defects * (lo - 1 - x_all)
         eps = -float(means.max())
         if eps <= 0.0:

@@ -7,6 +7,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -564,12 +565,15 @@ def test_tail_task_predicts_each_state_once(tmp_path, monkeypatch):
     calls = []
     predict = ht.TailModel.predict_log_tail
     monkeypatch.setattr(ht.TailModel, "predict_log_tail",
-                        lambda self, i: calls.append(i) or predict(self, i))
+                        lambda self, i: calls.append(np.copy(i)) or predict(self, i))
     cfg = write_cfg(tmp_path, "tail.json",
                     {"task": "tail", "chain": EX3,
                      "params": {"K": 400, "window": [200, 300], "mode": "constant"}})
     assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
-    assert calls == list(range(200, 301))
+    # one call, with the window's states as one integer array
+    assert len(calls) == 1
+    assert calls[0].dtype.kind == "i"
+    assert calls[0].tolist() == list(range(200, 301))
 
 
 def test_tail_task_general_drift(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import harmonictails as ht
 from harmonictails import cli
-from harmonictails.kernels import SHORT_WINDOW, band_solve, band_system
+from harmonictails.kernels import SHORT_WINDOW, band_solve, band_system, row_sums
 from conftest import reference_band_matvec, reference_band_rmatvec, reference_band_system, \
     seeded_drift_kernels
 
@@ -118,6 +118,8 @@ def _assert_band_solve_matches_scipy(systems):
         assert x.dtype == np.float64 and x.shape == b.shape
         assert x.tobytes() == solve_banded(lu, ab, b).tobytes(), (lu, ab.shape)
         assert ab.tobytes() == ab0.tobytes() and b.tobytes() == b0.tobytes()
+        # LAPACK working in place on copies the caller owns gives the same bits
+        assert band_solve(lu, ab0, b0, overwrite=True).tobytes() == x.tobytes()
         count += 1
     assert count == 40
 
@@ -407,6 +409,74 @@ def test_row_masses_match_block_sums():
             assert masses.tobytes() == kernel.rows(lo, hi).sum(axis=1).tobytes(), (lo, hi)
             assert all(not b.flags.writeable for b in blocks)
             assert len(blocks) == (1 if hi - lo < SHORT_WINDOW else 1 + (lo <= kernel.truncation < hi))
+
+
+def _mixed_block(rng, n, width):
+    """Magnitudes 1e-3..1e3 with zeros and subnormals mixed in."""
+    block = rng.uniform(size=(n, width)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, width))
+    block[rng.uniform(size=(n, width)) < 0.2] = 0.0
+    tiny = rng.uniform(size=(n, width)) < 0.1
+    block[tiny] = rng.integers(1, 2**40, size=int(tiny.sum())) * 5e-324
+    return block
+
+
+def test_row_sums_match_numpy_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for width in range(1, 13):
+        for n in (1, 2, 9, 1000):
+            block = _mixed_block(rng, n, width)
+            # C order, Fortran order, a strided view and a broadcast row
+            for b in (block, np.asfortranarray(block), block[::3],
+                      np.broadcast_to(block[0], (5, width))):
+                assert row_sums(b).tobytes() == b.sum(axis=1).tobytes(), (width, n)
+    # from 8 columns numpy's order is pairwise, which a column loop misses
+    block = _mixed_block(rng, 1000, 8)
+    by_columns = block[:, 0].copy()
+    for c in range(1, 8):
+        by_columns += block[:, c]
+    assert by_columns.tobytes() != block.sum(axis=1).tobytes()
+    assert row_sums(block).tobytes() == block.sum(axis=1).tobytes()
+
+
+def stacked_birth_death_rows(fam, states):
+    """A birth-death family's rows as three stacked columns with the origin
+    swapped in by a boolean mask, and each profile on its own temporaries."""
+    x = np.asarray(states)
+    u = fam.params["p"] + stacked_profile_value(fam.alpha_profile, x)
+    rows = np.stack([1.0 - u, np.zeros_like(u), u], axis=1)
+    at0 = x == 0
+    rows[at0, :2] = rows[at0, 1::-1]
+    return rows
+
+
+def stacked_profile_value(prof, x):
+    """The profile evaluated as one expression on fresh temporaries."""
+    if isinstance(prof, ht.PowerAlpha):
+        return prof.c0 * (1.0 + np.asarray(x, dtype=float)) ** prof.exponent
+    x = np.asarray(x)
+    out = prof.c0 * np.where(x % 2 == 0, 1.0, -1.0) * (1.0 + x) ** (-prof.gamma)
+    return out if out.ndim else float(out)
+
+
+@pytest.mark.parametrize("fam", [
+    ht.power_drift_chain(0.3, 0.05, -0.6), ht.power_drift_chain(0.2, 0.1, -1.0),
+    ht.power_drift_chain(0.4, 0.02, -0.5), ht.power_drift_chain(0.3, 0.05, -2.0),
+    ht.alternating_drift_chain(0.3, 0.05, 0.7), ht.alternating_drift_chain(0.25, 0.2, 1.0),
+    ht.alternating_drift_chain(0.3, 0.05, 0.5),
+], ids=lambda f: f"{f.name}-{f.params}")
+def test_birth_death_rows_match_stacked_columns(fam):
+    states = np.arange(5001)
+    ref = stacked_birth_death_rows(fam, states)
+    assert fam.row_rule(states).tobytes() == ref.tobytes()
+    assert fam.kernel(5000).weights.tobytes() == ref.tobytes()
+    assert fam.kernel(10).tail.rows_at(11, 5000).tobytes() == ref[11:].tobytes()
+    batch = np.array([7, 0, 3, 1, 2, 0, 40, 5, 4, 1000, 6, 2])
+    assert fam.row_rule(batch).tobytes() == stacked_birth_death_rows(fam, batch).tobytes()
+    for i in (0, 1, 2, 4999):
+        assert fam.row(i).tobytes() == ref[i].tobytes()
+        # one state: a scalar, from the same operations as before
+        a, b = fam.alpha_profile.value(i), stacked_profile_value(fam.alpha_profile, i)
+        assert type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def _dense(lu, ab, n):

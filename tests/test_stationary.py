@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,22 @@ def test_stationary_truncated_cases():
     for chain, K in ((gcd2, 2000), (ex3, 2000), (lind, _DIRECT_STATES)):
         assert ht.stationary_solve(chain, K, check_doubling=False).method == "linear-solve"
     assert ht.stationary_solve(lind, _DIRECT_STATES + 1).method == "matrix-geometric"
+
+
+def test_truncated_power_drift_solve_memory_peak():
+    # K = 20000 with doubling: the rows, the 2K assembly and the K window's
+    # copy, solved in place, hold about 3.2 MB at once; LAPACK's own copies
+    # of the diagonals and right-hand side took it to 4.0 MB
+    fam = ht.power_drift_chain(0.3, 0.05, -0.6)
+    ht.stationary_solve(fam, 100)  # loads LAPACK outside the trace
+    tracemalloc.start()
+    try:
+        res = ht.stationary_solve(fam, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.method == "linear-solve"
+    assert peak < 3.5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_stationary_without_compensation(down_walk):
@@ -251,6 +268,27 @@ def test_tail_extract_window_errors():
         ht.tail_extract(log_pi, lambda j: 0.0, (50, 150))
     with pytest.raises(ht.StateRangeError):
         ht.tail_extract(log_pi, lambda j: 0.0, (60, 40))
+    # predict_log gets the window's states as one array; a callable of one
+    # state is refused unless wrapped in np.vectorize
+    with pytest.raises(ht.UnsupportedInputError, match="np.vectorize"):
+        ht.tail_extract(log_pi, lambda j: 0.0, (10, 40))
+    fit = ht.tail_extract(log_pi, np.vectorize(lambda j: -0.5 * math.sqrt(j)), (10, 40))
+    assert fit.predicted.tolist() == [-0.5 * math.sqrt(j) for j in range(10, 41)]
+
+
+@pytest.mark.parametrize("mode,order", [("constant", 1), ("alpha-over-m", 1),
+                                        ("cramer-series", 2), ("cramer-series", 3)])
+@pytest.mark.parametrize("family", [ht.alternating_drift_chain(0.3, 0.05, 0.7),
+                                    ht.power_drift_chain(0.3, 0.05, -0.6)], ids=["alt", "power"])
+def test_predict_log_tail_on_an_array_matches_each_state(family, mode, order):
+    model = ht.build_beta_fn(family, mode=mode, order=order)
+    states = np.arange(0, 400)
+    each = [model.predict_log_tail(int(i)) for i in states]
+    assert all(type(v) is float for v in each)
+    assert model.predict_log_tail(states).tobytes() == np.array(each).tobytes()
+    res = ht.stationary_solve(family, 400)
+    fit = ht.tail_extract(res.log_pi, model.predict_log_tail, (150, 350))
+    assert fit.predicted.tobytes() == np.array(each[150:351]).tobytes()
 
 
 # ---------------------------------------------------------------------------
