@@ -55,8 +55,13 @@ class PowerAlpha:
         base **= self.exponent
         return np.multiply(base, self.c0, out=out)
 
-    def integral_power(self, k: int, x: float) -> float:
-        """Integral of a(t)^k over t in [0, x], in closed form."""
+    def integral_power(self, k: int, x):
+        """Integral of a(t)^k over t in [0, x], in closed form, for a number
+        or an array of them; each on Python floats, one at a time."""
+        out = np.reshape([self._integral_power(k, s) for s in np.ravel(x).tolist()], np.shape(x))
+        return out if out.ndim else float(out)
+
+    def _integral_power(self, k: int, x: float) -> float:
         e = k * self.exponent
         c = self.c0**k
         if abs(e + 1.0) < 1e-14:
@@ -81,11 +86,16 @@ class AlternatingAlpha:
         out *= 1.0 - 2.0 * (i % 2 != 0)
         return out if out.ndim else float(out)
 
-    def integral_power(self, k: int, x: float) -> float:
+    def integral_power(self, k: int, x):
         """Sum of phi(i)^k over integer i in [0, x] (alternating, bounded
-        for odd k when gamma > 0)."""
-        i = np.arange(0, int(math.floor(x)) + 1)
-        return float(np.sum(self.value(i) ** k))
+        for odd k when gamma > 0), for a number or an array of them: the
+        entries of one running sum over 0..max x, so that a number gets the
+        same sum alone or in an array."""
+        top = np.maximum(np.floor(x).astype(np.intp), -1) + 1  # terms in the sum
+        sums = np.zeros(int(np.max(top)) + 1)
+        np.cumsum(self.value(np.arange(len(sums) - 1)) ** k, out=sums[1:])
+        out = sums[top]
+        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -565,9 +565,7 @@ class TailModel:
         x = np.asarray(i, dtype=float)
         out = -self.beta_limit * x
         for k, r in enumerate(self.coefficients, start=1):
-            # integral_power stays on Python floats, one state at a time
-            terms = [self.profile.integral_power(k, s) for s in x.ravel().tolist()]
-            out = out - r * np.reshape(terms, x.shape)
+            out = out - r * self.profile.integral_power(k, x)
         return out if out.ndim else float(out)
 
 

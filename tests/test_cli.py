@@ -861,9 +861,7 @@ def _write_csv_per_value(path, header, rows):
 
 
 def test_write_csv_bytes_match_per_value_writer(tmp_path):
-    import numpy as np
-
-    from harmonictails.cli import _write_csv
+    from harmonictails.cli import _VECTOR_CELLS, _fast_fractions, _write_csv
 
     specials = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308, 0.1]
     n = 40
@@ -899,6 +897,92 @@ def test_write_csv_bytes_match_per_value_writer(tmp_path):
             _write_csv(tmp_path / "new.csv", list(names), body)
             _write_csv_per_value(tmp_path / "old.csv", list(names), list(zip(*body)))
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    # long tables: one fast-set fraction below the vector layout's threshold,
+    # at it, and the tail task's 1001 rows of every kind of value, so that
+    # both paths meet the per-value writer
+    rng = np.random.default_rng(25)
+    for n, few_kinds in ((_VECTOR_CELLS - 1, True), (_VECTOR_CELLS, True), (1001, False)):
+        wide = 10.0 ** rng.uniform(-4, 11, n) * rng.choice([-1.0, 1.0], n)  # fractions
+        body = [np.arange(n, dtype=np.int64) * 7919 - 10**6 * (np.arange(n) % 3),
+                wide, np.round(wide, 0), np.zeros(n, np.float32),
+                rng.integers(-2**62, 2**62, n)]
+        if not few_kinds:
+            wide[::7] = np.resize(np.array(specials), len(wide[::7]))
+            body += [np.round(np.clip(wide, -1e15, 1e15), 3),
+                     np.clip(10.0 ** rng.uniform(-6, 17, n), 0, 1e38).astype(np.float32),
+                     rng.choice(_FORMAT_CASES, n)]
+        assert (_fast_fractions(body) >= _VECTOR_CELLS) == (n >= _VECTOR_CELLS)
+        names = [f"c{i}" for i in range(len(body))]
+        _write_csv(tmp_path / "new.csv", names, body)
+        _write_csv_per_value(tmp_path / "old.csv", names, list(zip(*body)))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), n
+
+
+def _ties():
+    """Doubles whose 17-digit rounding is an exact tie, 2000 for each decimal
+    exponent of the fast set: x 10^(16-k) = n + 1/2, so x = odd / 2^(17-k)."""
+    rng = np.random.default_rng(17)
+    out = []
+    for k in range(-4, 15):
+        scale = 2 ** (17 - k)
+        lo, hi = -(-scale * 10**(k + 4) // 10**4), scale * 10**(k + 5) // 10**4
+        out.append(np.ldexp((rng.integers(lo // 2, hi // 2, 2000) * 2 + 1).astype(float), k - 17))
+    return np.concatenate(out)
+
+
+# the edges of the fast set and of each decimal exponent, with their
+# neighbours one ulp away, signed zeros, subnormals, and exact 17-digit ties
+_POWERS = np.array([float(f"1e{k}") for k in range(-324, 309)])
+_FORMAT_CASES = np.concatenate([
+    _POWERS, np.nextafter(_POWERS, 0), np.nextafter(_POWERS, math.inf),
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     math.inf, -math.inf, math.nan, 1e15 - 0.125, 0.5, 1.5, 2.5, 9.5, 0.30000000000000004],
+    _ties()])
+_FORMAT_CASES = np.concatenate([_FORMAT_CASES, -_FORMAT_CASES])
+
+
+def test_numeric_rows_match_percent_format_on_edges():
+    from harmonictails.cli import _numeric_rows
+
+    assert _numeric_rows([_FORMAT_CASES]) == "".join("%.17g\n" % v for v in _FORMAT_CASES.tolist())
+
+
+_bits = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+_fast = st.floats(1e-4, 1e15, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_bits, _fast, st.sampled_from(_FORMAT_CASES.tolist())),
+                min_size=1, max_size=60),
+       st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=60))
+def test_numeric_rows_match_percent_format(floats, ints):
+    # the vector layout writes '%.17g' and '%d' text byte for byte, on any
+    # bit pattern of a double and any int64
+    from harmonictails.cli import _numeric_rows
+
+    values = np.array(floats)
+    assert _numeric_rows([values]) == "".join("%.17g\n" % v for v in floats)
+    assert _numeric_rows([-values]) == "".join("%.17g\n" % -v for v in floats)
+    n = min(len(floats), len(ints))
+    with np.errstate(over="ignore"):  # doubles past float32's range cast to inf
+        columns = [np.array(ints[:n]), values[:n], values[:n].astype(np.float32)]
+    assert _numeric_rows(columns) == "".join(
+        "%d,%.17g,%.17g\n" % (i, f, g) for i, f, g in zip(*(c.tolist() for c in columns)))
+
+
+def test_jsonable_writes_numpy_scalars_as_python_ones():
+    # a numpy float that is not finite becomes its repr string, as a Python
+    # float does (json.dumps would write Infinity or NaN, which is not JSON),
+    # and a numpy bool becomes a bool (json.dumps raised TypeError on it)
+    from harmonictails.cli import _jsonable
+
+    doc = {"a": np.float64(math.inf), "b": [np.float32(-math.inf), np.float64(math.nan)],
+           "c": np.bool_(True), "d": (np.bool_(False), np.int64(3), np.float64(0.5)),
+           "e": math.nan, "f": np.array([math.inf, 1.0])}
+    assert json.dumps(_jsonable(doc), allow_nan=False) == json.dumps(
+        {"a": "inf", "b": ["-inf", "nan"], "c": True, "d": [False, 3, 0.5], "e": "nan",
+         "f": ["inf", 1.0]})
 
 
 def _contract_docs():

@@ -583,6 +583,19 @@ def test_mc_streams_pinned(ex1_kernel):
     assert got == (1.3474385578889083, 0.005751913686541286, 0.0)
 
 
+def test_mean_se_matches_numpy_reductions_bit_for_bit():
+    # expected_local_times_mc's per-site statistics run along contiguous rows
+    # in the order numpy's axis-0 reductions add a C-ordered block
+    rng = np.random.default_rng(3)
+    for n, q in ((1, 3), (2, 2), (5000, 1), (5000, 2), (20000, 3), (777, 9)):
+        for x in (rng.poisson(2.5, (n, q)).astype(float),
+                  rng.standard_normal((n, q)) * 1e3, rng.exponential(1.0, (n, q)) ** 3):
+            se = x.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(q)
+            mean, got_se = ht.harmonic._mean_se(x)
+            assert mean.tobytes() == x.mean(axis=0).tobytes()
+            assert got_se.tobytes() == se.tobytes()
+
+
 def wide(b):
     """Tail row {-1: .5, b: .5}, levels of m = b states, band width b + 2,
     and state 0 jumping to b."""
