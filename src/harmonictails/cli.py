@@ -698,6 +698,7 @@ def _run_harmonic_mc(family: ChainFamily, states, n_paths: int, horizon: int, se
         "stop_level": est.meta["stop_level"],
         "horizon_warning": est.meta["horizon_warning"],
         "path_steps": est.meta["path_steps"],
+        "rng": est.meta["rng"],
     }
     for key in ("excursion_level", "first_passage_residual"):
         if key in est.meta:

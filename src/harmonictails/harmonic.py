@@ -626,29 +626,40 @@ def verify_harmonicity(kernel: TransitionKernel, f, states: Iterable[int]) -> fl
 # Monte Carlo
 
 
+_PATH_RNG = "SFC64(SeedSequence(seed, estimator, start))"  # _path_stream, named in the meta
+
+
+def _path_stream(seed: int, estimator: int, start: int) -> np.random.Generator:
+    """The uniforms of the paths from ``start``: an SFC64 stream keyed by
+    (seed mod 2^64, estimator, start) through a ``SeedSequence``, so a
+    state's estimate does not depend on which other states are listed."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        (int(seed) % 2**64, estimator, int(start)))))
+
+
 def _run_paths(pc, score, start, n_paths, horizon, seed, estimator, work=None):
     """``n_paths`` trajectories of the path chain ``pc`` from ``start``, each
     adding score[X_n - state_lo] (``score`` over ``pc.scored``, 1-d or 2-d
     with one column per quantity) at every visit, time zero included, until
     it leaves the chain or the horizon hits.  A start above ``pc.end``
     first draws where it lands (``_PathChain.entry``), one uniform per path,
-    and scores that state.  The random stream is keyed by (seed, estimator,
-    start).  Returns the per-path totals in the score's dtype, shaped
-    (n_paths,) + score.shape[1:], and the number of paths the horizon cut
-    short.  Only live paths are carried, in path order, compacted by index
-    where some leave; each draws one uniform per step, and its jump counts
-    the cdf columns of its row at or below the uniform (the last column is
-    1, never counted).  A landing state counts the entry cdf's columns the
-    same way.  Each quantity's score and totals are held as contiguous
-    1-d rows of their own, gathered with ``take`` and written back by
-    index.  ``work``, if given, is a dict whose ``path_steps`` grows by the
-    (live path, step) pairs the loop advances."""
+    and scores that state.  The uniforms come from ``_path_stream``, an
+    SFC64 stream keyed by (seed, estimator, start).  Returns the per-path
+    totals in the score's dtype, shaped (n_paths,) + score.shape[1:], and
+    the number of paths the horizon cut short.  Only live paths are
+    carried, in path order, compacted by index where some leave; each draws
+    one uniform per step, and its jump counts the cdf columns of its row at
+    or below the uniform (the last column is 1, never counted).  A landing
+    state counts the entry cdf's columns the same way.  Each quantity's
+    score and totals are held as contiguous 1-d rows of their own, gathered
+    with ``take`` and written back by index.  ``work``, if given, is a dict
+    whose ``path_steps`` grows by the (live path, step) pairs the loop
+    advances."""
     C = pc.chain
     lo, top = C.state_lo, pc.end - C.state_lo
     cols = np.ascontiguousarray(C.weights.cumsum(axis=1)[:, :-1].T)
     rows = np.ascontiguousarray(score.reshape(len(score), math.prod(score.shape[1:])).T)
-    key = np.array([seed % 2**64, ((estimator << 48) ^ start) % 2**64], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = _path_stream(seed, estimator, start)
     x = np.full(n_paths, start - lo)
     if start > pc.end:
         entry = pc.entry(start)
@@ -945,7 +956,8 @@ def build_mc(
     horizon cuts short keep their partial product and are counted; more
     than 1% of them sets a warning flag on the estimate.  ``path_steps``
     counts the (live path, step) pairs of all start states, a work figure
-    that repeats for a seed.
+    that repeats for a seed, and ``rng`` names the paths' generator
+    (``_path_stream``).
     """
     deltas, top = _log_masses(kernel)
     pc = _path_chain(kernel, top, return_tol, {"start state": states}, n_paths)
@@ -969,6 +981,7 @@ def build_mc(
         "exhausted": exhausted,
         "horizon_warning": warn,
         "path_steps": work["path_steps"],
+        "rng": _PATH_RNG,
     }
     if pc.G is not None:
         meta.update(excursion_level=pc.end, first_passage_residual=pc.residual)

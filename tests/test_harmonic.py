@@ -573,14 +573,44 @@ def test_mc_streams_pinned(ex1_kernel):
     # a change of random stream shows up here first: example 1 runs on the
     # collapsed excursions, the doob kernel's parametric tail at a stopping level
     est = ht.build_mc(ex1_kernel, (0,), 2000, 10000, seed=42)
-    assert est.values[0] == 7.231
-    assert est.std_errors[0] == 0.7761665650930759
+    assert est.values[0] == 5.909
+    assert est.std_errors[0] == 0.42937051484645483
     got = ht.local_time_moment_mc(ex1_kernel, 0, 0.2, 2000, 10000, seed=11)
-    assert got == (1.4486698024386833, 0.008911122968656194, 0.0)
+    assert got == (1.4515870301148874, 0.009186217780543626, 0.0)
     got = ht.expected_local_times_mc(ex1_kernel, 0, (0, 3), 2000, 10000, seed=5)
-    assert got == {0: (1.78, 0.02634667101431947), 3: (2.5165, 0.04534194328555509)}
+    assert got == {0: (1.772, 0.026445371595790242), 3: (2.5155, 0.044338051450229274)}
     got = ht.local_time_moment_mc(ENGINE_KERNELS["doob"], 0, 0.2, 2000, 10000, seed=11)
-    assert got == (1.3474385578889083, 0.005751913686541286, 0.0)
+    assert got == (1.348427452810467, 0.005783374267860485, 0.0)
+
+
+def test_mc_streams_keyed_by_seed_estimator_and_start(ex1_kernel):
+    # a state's estimate does not depend on which other states are listed
+    both = ht.build_mc(ex1_kernel, (0, 5), 2000, 10000, seed=9)
+    alone = ht.build_mc(ex1_kernel, (5,), 2000, 10000, seed=9)
+    assert (both.values[5], both.std_errors[5]) == (alone.values[5], alone.std_errors[5])
+    # build_mc, local_time_moment_mc and expected_local_times_mc (estimators
+    # 1, 2 and 3) draw apart from one (seed, start)
+    stream = ht.harmonic._path_stream
+    assert len({stream(9, estimator, 0).random() for estimator in (1, 2, 3)}) == 3
+    # the seed is taken mod 2^64
+    assert stream(-9, 1, 0).random(64).tobytes() == stream(2**64 - 9, 1, 0).random(64).tobytes()
+    neg, wrapped = (ht.build_mc(ex1_kernel, (0,), 500, 10000, seed=s) for s in (-9, 2**64 - 9))
+    assert (neg.values, neg.std_errors) == (wrapped.values, wrapped.std_errors)
+
+
+def test_mc_stream_z_scores_are_standard():
+    # at alpha = 1.2 the weight has a finite fourth moment (1.2^4 3/7 < 1),
+    # so over 40 seeds the z-scores of 2000-path estimates at states 0-2
+    # against the exact f center on 0 with unit spread
+    kernel = ht.perturbed_reflected_walk(p=0.7, alpha=1.2).kernel(8)
+    states = (0, 1, 2)
+    exact = ht.reflected_walk_harmonic_exact(1.2, 0.7, np.array(states))
+    z = []
+    for seed in range(40):
+        est = ht.build_mc(kernel, states, n_paths=2000, horizon=100_000, seed=seed)
+        z += [(est.values[i] - f) / est.std_errors[i] for i, f in zip(states, exact)]
+    assert abs(np.mean(z)) <= 0.3
+    assert 0.8 <= np.std(z, ddof=1) <= 1.2
 
 
 def test_mean_se_matches_numpy_reductions_bit_for_bit():
@@ -1037,8 +1067,7 @@ def compare_matrix_paths(P, score, start, n_paths, horizon, seed, estimator, ent
     lo, stop = P.state_lo, P.truncation
     cdf = P.rows(lo, stop).cumsum(axis=1)
     cdf[:, -1] = 1.0
-    key = np.array([seed % 2**64, ((estimator << 48) ^ start) % 2**64], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = ht.harmonic._path_stream(seed, estimator, start)
     offsets = P.offsets
     states = np.full(n_paths, min(start, stop + 1), dtype=np.int64)
     totals = np.full((n_paths,) + score.shape[1:], score[states[0] - lo])
