@@ -102,8 +102,9 @@ class AlternatingAlpha:
 class ChainFamily:
     """A row rule plus its limiting jump law.
 
-    ``row_rule`` maps a 1-d integer array of states to the (n, width) block
-    of their rows.  From ``homogeneous_from`` on, when it is set, every row
+    ``row_rule`` maps a 1-d integer array of states to a new (n, width)
+    block of their rows, which ``kernel`` keeps as its weights without a
+    copy.  From ``homogeneous_from`` on, when it is set, every row
     is ``limit_pmf``: a kernel built at that level or above broadcasts it as
     its tail, and ``stationary_solve`` builds no explicit row beyond it.
     """
@@ -140,7 +141,7 @@ class ChainFamily:
                 f"truncation {truncation} is below the homogeneous level "
                 f"{self.homogeneous_from} of family {self.name}"
             )
-        weights = np.array(self.row_rule(np.arange(truncation + 1)), dtype=float)
+        weights = np.asarray(self.row_rule(np.arange(truncation + 1)), dtype=float)
         if self.homogeneous_from is not None:
             tail = HomogeneousTail(np.asarray(self.limit_pmf, dtype=float))
         else:

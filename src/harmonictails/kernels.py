@@ -28,11 +28,13 @@ slice ``ab[:, :n]`` of that storage: LAPACK never reads a band entry of a
 row >= n of an n x n matrix (``dgtsv`` takes only the first n or n - 1
 entries of each diagonal, and ``dgbtf2`` limits column j to min(kl, n - j)
 rows below the diagonal), so the slice solves with the bits of the window's
-own assembly.  The transposed system holds row x of P in column x, so there
-the K window is a copy of the first n columns with its reflected top rows
-rewritten (``stationary``).  The stationary solve also stops its exps where
-they underflow to exactly 0, at a multiple of 64 terms, as the BLAS dot
-would add those zeros to unchanged sums.
+own assembly.  The transposed system holds row x of P in column x and
+nothing else, so there the K window is solved in place on the first n
+columns, with its reflected top rows rewritten, and those columns are
+written again from rows 0..n - 1 before the 2K solve (``stationary``).
+The stationary solve also stops its exps where they underflow to exactly
+0, at a multiple of 64 terms, as the BLAS dot would add those zeros to
+unchanged sums.
 
 The helpers work column by column: one numpy call per jump offset, over all
 n rows, writing into a preallocated array (``out=``).  At large truncations
@@ -179,7 +181,8 @@ class TransitionKernel:
             raise UnsupportedInputError("band widths must be nonnegative")
         if self.state_lo < 0:
             raise UnsupportedInputError("states live on the nonnegative integers")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
+        # a NaN makes min and max NaN, so both comparisons fail on it
+        if w.size and not (w.min() >= 0.0 and w.max() < math.inf):
             raise UnsupportedInputError("weights must be finite and nonnegative")
         masses = row_sums(w)
         masses.flags.writeable = False
@@ -364,11 +367,12 @@ class StochasticKernel(TransitionKernel):
 
     def __post_init__(self):
         super().__post_init__()
-        off = np.abs(self.masses - 1.0) > _ROW_SUM_TOL
-        if np.any(off):
-            bad = int(np.argmax(off))
+        m = self.masses
+        # |m - 1| is largest at the smallest or the largest mass
+        if m.size and max(abs(m.min() - 1.0), abs(m.max() - 1.0)) > _ROW_SUM_TOL:
+            bad = int(np.argmax(np.abs(m - 1.0) > _ROW_SUM_TOL))
             raise UnsupportedInputError(
-                f"row for state {bad + self.state_lo} sums to {self.masses[bad]:.17g}, not 1"
+                f"row for state {bad + self.state_lo} sums to {m[bad]:.17g}, not 1"
             )
 
     def kill(self, targets: Iterable[int]) -> TransitionKernel:
@@ -578,6 +582,16 @@ def _lapack():
         return lapack.dgtsv, lapack.dgbsv
 
 
+def _finite(a) -> np.ndarray:
+    """``np.asarray_chkfinite(a, dtype=float)``, its error included, with the
+    test on the min and the max (NaN if any entry is) in place of a boolean
+    array of the input's size."""
+    a = np.asarray(a, dtype=float)
+    if a.size and not (math.isfinite(a.min()) and math.isfinite(a.max())):
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
 def band_solve(lu, ab: np.ndarray, b: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
     """Solve A x = b for the band-stored A of ``band_system``.
 
@@ -589,13 +603,13 @@ def band_solve(lu, ab: np.ndarray, b: np.ndarray, *, overwrite: bool = False) ->
     mismatch raises ``ValueError``, a singular matrix
     ``np.linalg.LinAlgError``.  Neither ``ab`` nor ``b`` is written, unless
     ``overwrite`` is set: then LAPACK works in place on the diagonals of a
-    C-ordered tridiagonal ``ab`` and on a contiguous ``b``, and the result
+    tridiagonal ``ab`` whose rows are contiguous (C order, or the first
+    columns of such an array) and on a contiguous ``b``, and the result
     may be ``b`` itself.  Only a caller that owns both and reads neither
     afterwards sets it.
     """
     l, u = lu
-    a1 = np.asarray_chkfinite(ab, dtype=float)
-    b1 = np.asarray_chkfinite(b, dtype=float)
+    a1, b1 = _finite(ab), _finite(b)
     if a1.shape[-1] != b1.shape[0]:
         raise ValueError("shapes of ab and b are not compatible.")
     if l + u + 1 != a1.shape[0]:

@@ -367,7 +367,10 @@ def _level_powers(G: np.ndarray, X: np.ndarray, done: int) -> None:
             X[done:] = 0.0
             return
         w = min(done, len(X) - done)
-        np.matmul(X[:w], power, out=X[done : done + w])
+        if len(G) == 1:  # the bits of matmul's (w, 1) @ (1, 1), in a tenth of its time
+            np.multiply(X[:w], power, out=X[done : done + w])
+        else:
+            np.matmul(X[:w], power, out=X[done : done + w])
         done += w
 
 

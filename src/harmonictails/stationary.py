@@ -120,9 +120,11 @@ def _compensated_solves(rows, band_lo: int, beta: float, windows: tuple[int, ...
     solution is rescaled so that sum_i y(i) exp(-beta i) = 1.
 
     The tilted (I - P)^T is assembled once, for the last window.  Column x
-    of its band storage holds row x of P, so a smaller window's system is a
-    copy of the first n columns with the reflected top rows written over
-    theirs; LAPACK then works in place on it, and on the full storage last.
+    of its band storage holds row x of P and nothing else, so a smaller
+    window's system is its first n columns, in place, with the reflected top
+    rows written over theirs: the pin, the edge and LAPACK write no column
+    past n - 1.  Before the next window those columns are zeroed and written
+    again from rows 0..n - 1, which restores the assembly bit for bit.
     Returns the y of each window, and the reflected weight and the balance
     residual of the first.
     """
@@ -134,9 +136,15 @@ def _compensated_solves(rows, band_lo: int, beta: float, windows: tuple[int, ...
             f"tilt factors exp(beta * jump) overflow at beta = {beta:.6g}", reason="non-finite"
         )
     lu, ab_all = band_system(rows, band_lo, transpose=True, factors=tilt)
-    ys = []
+    ys, done = [], 0
     for n in windows:
-        ab = ab_all if n == windows[-1] else ab_all[:, :n].copy()
+        if done:  # write the columns of the last window's edge, pin and factors again
+            ab_all[:, :done] = 0.0
+            start = 0
+            for block in row_slice(rows, 0, done):
+                band_write(ab_all, start, block, band_lo, transpose=True, factors=tilt)
+                start += len(block)
+        ab = ab_all[:, :n]
         # only the top h rows have jumps that leave the window: reflect a copy of them
         h = min(W - 1 - band_lo, n)
         edge = np.concatenate([np.empty((0, W)), *row_slice(rows, n - h, n)])
@@ -153,13 +161,15 @@ def _compensated_solves(rows, band_lo: int, beta: float, windows: tuple[int, ...
             window = row_slice(rows, 0, n - h) + [edge]
             first = (reflected, _balance_residual(window, band_lo, tilt, y, n) / scale)
         ys.append(y)
+        done = n
     return ys, *first
 
 
 def _pinned_solve(lu, ab: np.ndarray) -> np.ndarray:
     """The tilted balance equations in band storage ``ab`` solved with the
     equation of state 0 replaced by the pin y(0) = 1.  ``ab`` is the
-    caller's own copy, which the solve may overwrite."""
+    caller's own storage, or its first columns, which the solve may
+    overwrite."""
     band_pin(lu, ab, 0)
     rhs = np.zeros(ab.shape[1])
     rhs[0] = 1.0
@@ -215,7 +225,9 @@ def _balance_residual(rows, band_lo: int, tilt: np.ndarray, y: np.ndarray, n: in
 def _log_pi(y: np.ndarray, beta: float) -> np.ndarray:
     """log pi(i) = log y(i) - beta i on the states of y."""
     log_pi = np.log(y)
-    log_pi -= beta * np.arange(y.size, dtype=float)
+    ramp = np.arange(y.size, dtype=float)
+    ramp *= beta
+    log_pi -= ramp
     return log_pi
 
 

@@ -157,12 +157,15 @@ def test_band_solve_errors_match_scipy(lu):
     singular = ab.copy()
     singular[:, 2] = 0.0  # column 2 of A is zero: an exact zero pivot
     b = np.ones(6)
-    nan_ab, nan_b = ab.copy(), b.copy()
-    nan_ab[u, 3] = nan_b[3] = np.nan
+    bad_inputs = [(lu, ab, b[:5]), ((l + 1, u), ab, b)]
+    for v in (np.nan, np.inf, -np.inf):  # one non-finite entry in ab or in b
+        bad_ab, bad_b = ab.copy(), b.copy()
+        bad_ab[u, 3] = bad_b[3] = v
+        bad_inputs += [(lu, bad_ab, b), (lu, ab, bad_b)]
     for solve in (band_solve, solve_banded):
         with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
             solve(lu, singular, b)
-        for bad in ((lu, nan_ab, b), (lu, ab, nan_b), (lu, ab, b[:5]), ((l + 1, u), ab, b)):
+        for bad in bad_inputs:
             with pytest.raises(ValueError):
                 solve(*bad)
 
@@ -178,6 +181,20 @@ def test_invalid_kernels_rejected():
         ht.TransitionKernel(band_lo=0, band_hi=0, weights=np.array([[-1.0]]))
     with pytest.raises(ht.UnsupportedInputError):
         ht.StochasticKernel(band_lo=0, band_hi=1, weights=np.array([[0.4, 0.7]]))
+    for v in (np.nan, np.inf, -np.inf, -1e-300):
+        w = np.full((3, 2), 0.5)
+        w[1, 0] = v
+        with pytest.raises(ht.UnsupportedInputError, match="^weights must be finite and nonnegative$"):
+            ht.TransitionKernel(band_lo=0, band_hi=1, weights=w)
+
+
+def test_stochastic_check_names_the_first_bad_row():
+    # row sums 1, 1.2, 1, 0.7: the first bad row is not the one furthest off
+    w = np.array([[0.5, 0.5], [0.6, 0.6], [0.3, 0.7], [0.35, 0.35]])
+    for state_lo in (0, 5):
+        with pytest.raises(ht.UnsupportedInputError,
+                           match=f"^row for state {state_lo + 1} sums to 1.2, not 1$"):
+            ht.StochasticKernel(band_lo=0, band_hi=1, weights=w, state_lo=state_lo)
 
 
 def test_dust_is_dropped_and_recorded():

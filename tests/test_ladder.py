@@ -598,3 +598,47 @@ def test_level_powers_by_doubling():
     X[0] = 1.0
     _level_powers(np.array([[0.25]]), X, 1)
     assert X[4999, 0] == 0.0 and X[500, 0] == 0.25**500
+
+
+def _reference_level_powers(G, X, done):
+    """``_level_powers`` with every doubling step a ``np.matmul``."""
+    power = None
+    while done < len(X):
+        if len(X) - done <= len(G):
+            for k in range(done, len(X)):
+                np.matmul(X[k - 1], G.T, out=X[k])
+            return
+        if power is None:
+            power = G.T
+            for _ in range(done.bit_length() - 1):
+                power = power @ power
+        else:
+            power = power @ power
+        if not power.any():
+            X[done:] = 0.0
+            return
+        w = min(done, len(X) - done)
+        np.matmul(X[:w], power, out=X[done : done + w])
+        done += w
+
+
+def test_level_powers_one_state_levels_match_matmul():
+    # a 1 x 1 G doubles by np.multiply: the same bits as the matmul, also
+    # where a power underflows to 0 and the levels above it are zero-filled
+    from harmonictails.ladder import _level_powers
+
+    rng = np.random.default_rng(4)
+    zero_filled = 0
+    for g, levels, done in [(0.999, 40001, 1), (0.25, 5000, 1), (0.5, 3000, 4), (0.7, 7, 2),
+                            (0.9, 2, 1), (0.97, 1000, 8), (1e-200, 100, 1)]:
+        G = np.array([[g]])
+        X = np.zeros((levels, 1))
+        X[0] = rng.uniform(1.0, 2.0)
+        for k in range(1, min(done, levels)):
+            X[k] = G @ X[k - 1]
+        X0 = X.copy()
+        _level_powers(G, X, done)
+        _reference_level_powers(G, X0, done)
+        assert X.tobytes() == X0.tobytes(), (g, levels, done)
+        zero_filled += X[-1, 0] == 0.0
+    assert zero_filled == 3

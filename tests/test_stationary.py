@@ -109,9 +109,10 @@ def test_stationary_truncated_cases():
 
 
 def test_truncated_power_drift_solve_memory_peak():
-    # K = 20000 with doubling: the rows, the 2K assembly and the K window's
-    # copy, solved in place, hold about 3.2 MB at once; LAPACK's own copies
-    # of the diagonals and right-hand side took it to 4.0 MB
+    # K = 20000 with doubling: the rows, one 2K band storage (the K window
+    # is solved in place in its first columns) and the two solution vectors
+    # hold about 2.8 MB at once; a copy of the K window's columns would add
+    # 0.48 MB
     fam = ht.power_drift_chain(0.3, 0.05, -0.6)
     ht.stationary_solve(fam, 100)  # loads LAPACK outside the trace
     tracemalloc.start()
@@ -121,7 +122,7 @@ def test_truncated_power_drift_solve_memory_peak():
     finally:
         tracemalloc.stop()
     assert res.method == "linear-solve"
-    assert peak < 3.5e6, f"peak {peak / 1e6:.2f} MB"
+    assert peak < 3.0e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_stationary_without_compensation(down_walk):
