@@ -190,8 +190,8 @@ def perturbed_reflected_walk(p: float = 0.7, alpha: float = 2.0) -> ChainFamily:
     origin is a single jump to 1 with weight ``alpha``."""
     if not 0.5 < p < 1.0:
         raise UnsupportedInputError("needs 1/2 < p < 1")
-    if alpha <= 0.0:
-        raise UnsupportedInputError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise UnsupportedInputError("alpha must be positive and finite")
     q = 1.0 - p
     limit = np.array([q, 0.0, p])
 
@@ -220,8 +220,8 @@ def multi_perturbed_walk(alphas, p: float = 0.7) -> ChainFamily:
     N = len(alphas)
     if N == 0:
         raise UnsupportedInputError("needs at least one weighted row")
-    if any(a <= 0 for a in alphas):
-        raise UnsupportedInputError("row weights must be positive")
+    if not all(0.0 < a < math.inf for a in alphas):
+        raise UnsupportedInputError("row weights must be positive and finite")
     if not 0.5 < p < 1.0:
         raise UnsupportedInputError("needs 1/2 < p < 1")
     q = 1.0 - p
@@ -338,7 +338,7 @@ def alternating_drift_chain(p: float = 0.3, c0: float = 0.05, gamma: float = 0.6
         raise UnsupportedInputError("needs a downward drift: 0 < p < 1/2")
     if not 0.0 <= c0 < min(p, 1.0 - p):
         raise UnsupportedInputError("perturbation size must stay below min(p, 1-p)")
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise UnsupportedInputError("gamma must be positive")
     return _birth_death_family(
         "alternating-drift", p, AlternatingAlpha(c0=c0, gamma=gamma), {"c0": c0, "gamma": gamma}
@@ -355,7 +355,7 @@ def power_drift_chain(p: float = 0.3, c0: float = 0.05, exponent: float = -0.6) 
         raise UnsupportedInputError("needs a downward drift: 0 < p < 1/2")
     if not 0.0 <= c0 < min(p, 1.0 - p):
         raise UnsupportedInputError("perturbation size must stay below min(p, 1-p)")
-    if exponent >= 0.0:
+    if not exponent < 0.0:
         raise UnsupportedInputError("the perturbation must decay (exponent < 0)")
     return _birth_death_family(
         "power-drift", p, PowerAlpha(c0=c0, exponent=exponent), {"c0": c0, "exponent": exponent}

@@ -56,7 +56,7 @@ from .harmonic import (
     _check_product,
     reflected_walk_harmonic_exact,
 )
-from .kernels import _ROW_SUM_TOL, HomogeneousTail, TransitionKernel, kernel_from_rows
+from .kernels import _ROW_SUM_TOL, HomogeneousTail, StochasticKernel, TransitionKernel
 from .ladder import LatticeWalk, cramer_root, killed_walk_harmonic
 from .stationary import (
     build_beta_fn,
@@ -67,7 +67,6 @@ from .stationary import (
 )
 
 _FLAGGED = (NoPositiveHarmonicError, SolverFailure, InternalConsistencyError)
-_CHAINS = ("example1", "example2", "killed-walk", "lindley", "example3", "general")
 
 
 @dataclass
@@ -89,8 +88,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentConfig":
-        if not isinstance(raw, dict) or "task" not in raw:
-            raise ConfigError("config must be a JSON object with a 'task' key")
+        if not isinstance(raw, dict) or not isinstance(raw.get("task"), str):
+            raise ConfigError("config must be a JSON object whose 'task' key is a string")
         extra = set(raw) - {"chain", "task", "params"}
         if extra:
             raise ConfigError(f"unknown top-level config keys: {sorted(extra)}")
@@ -103,104 +102,8 @@ class ExperimentConfig:
         return cls(task=raw["task"], chain=chain, params=dict(params))
 
 
-def _pmf_from_config(obj) -> LatticeWalk:
-    if not isinstance(obj, dict) or not obj:
-        raise ConfigError("'pmf' must be a nonempty object of offset -> probability")
-    try:
-        probs = {int(k): float(v) for k, v in obj.items()}
-    except (TypeError, ValueError):
-        raise ConfigError("'pmf' keys must be integers and values numbers")
-    if max(probs) - min(probs) > _MAX_SPAN:  # before any array of that length
-        raise ConfigError(f"'pmf' offsets span {max(probs) - min(probs)} > {_MAX_SPAN}")
-    return LatticeWalk.from_dict(probs)
-
-
-def build_chain(chain: dict) -> ChainFamily:
-    """Materialise the chain descriptor from a config into a family."""
-    if not isinstance(chain, dict) or "name" not in chain:
-        raise ConfigError("chain descriptor needs a 'name' key")
-    name = chain["name"]
-    p = chain.get("p")
-    if name == "example1":
-        return perturbed_reflected_walk(p=float(p), alpha=float(chain["alpha"]))
-    if name == "example2":
-        return multi_perturbed_walk(chain["alphas"], p=float(p))
-    if name == "killed-walk":
-        return walk_killed_at_negative(_pmf_from_config(chain["pmf"]))
-    if name == "lindley":
-        return lindley_chain(_pmf_from_config(chain["pmf"]))
-    if name == "example3":
-        return alternating_drift_chain(
-            p=float(p), c0=float(chain["c0"]), gamma=float(chain["gamma"])
-        )
-    if name == "general":
-        return _build_general(chain)
-    raise ConfigError(f"unknown chain name {name!r} (expected one of {_CHAINS})")
-
-
-def _build_general(chain: dict) -> ChainFamily:
-    if "drift" in chain:
-        d = chain["drift"]
-        prof = d.get("profile", {})
-        kind = prof.get("type")
-        if kind == "power":
-            return power_drift_chain(
-                p=float(d["p"]), c0=float(prof["c0"]), exponent=float(prof["exponent"])
-            )
-        if kind == "alternating":
-            return alternating_drift_chain(
-                p=float(d["p"]), c0=float(prof["c0"]), gamma=float(prof["gamma"])
-            )
-        raise ConfigError("general drift profile type must be 'power' or 'alternating'")
-    if "rows" in chain:
-        if "tail_row" not in chain:
-            raise ConfigError("general chain 'rows' needs a 'tail_row' for the states above")
-        band_lo = int(chain["band_lo"])
-        band_hi = int(chain["band_hi"])
-        rows = {
-            int(i): {int(off): float(wt) for off, wt in r.items()}
-            for i, r in chain["rows"].items()
-        }
-        if not rows:
-            raise ConfigError("general chain 'rows' must be nonempty")
-        truncation = max(rows)
-        stochastic = bool(chain.get("stochastic", False))
-        if set(rows) != set(range(truncation + 1)):
-            raise ConfigError("general chain rows must cover states 0..max contiguously")
-        trow = np.zeros(band_lo + band_hi + 1)
-        for off, wt in chain["tail_row"].items():
-            off, wt = int(off), float(wt)
-            if not (-band_lo <= off <= band_hi and math.isfinite(wt) and wt >= 0):
-                raise ConfigError(f"tail_row entry {off}: {wt} needs an offset in "
-                                  f"{-band_lo}..{band_hi} and a finite weight >= 0")
-            trow[off + band_lo] = wt
-        total = sum(trow.tolist())  # inf, with no numpy overflow warning, past the float range
-        if not 0 < total < math.inf:
-            raise ConfigError("tail_row needs a positive, finite total weight")
-        if stochastic and abs(total - 1.0) > _ROW_SUM_TOL:
-            raise ConfigError(f"tail_row sums to {total:.17g}, not 1, in a stochastic chain")
-        kernel = kernel_from_rows(rows, truncation, band_lo, band_hi,
-                                  tail=HomogeneousTail(trow), stochastic=stochastic)
-
-        def row_rule(states: np.ndarray) -> np.ndarray:
-            lo = int(states.min())
-            return kernel.rows(lo, int(states.max()))[states - lo]
-
-        return ChainFamily(
-            name="general",
-            band_lo=band_lo,
-            band_hi=band_hi,
-            row_rule=row_rule,
-            limit_pmf=trow,
-            homogeneous_from=truncation + 1,
-            stochastic=stochastic,
-            params={},
-        )
-    raise ConfigError("general chain needs either 'drift' or 'rows'")
-
-
 # ---------------------------------------------------------------------------
-# params kinds: (raw value, lower bound, params so far) -> typed value or ConfigError
+# kinds: (raw value, lower bound, values so far) -> typed value or ConfigError
 
 
 def _finite(v) -> bool:
@@ -247,9 +150,24 @@ def _window(v, lo, typed):
     return tuple(v)
 
 
-def _mode(v, lo, typed):
-    if v not in ("constant", "alpha-over-m", "cramer-series"):
-        raise ConfigError("must be constant | alpha-over-m | cramer-series")
+def _one_of(*values):
+    """A kind that takes the given values only."""
+    def kind(v, lo, typed):
+        if v not in values:
+            raise ConfigError(f"must be {' | '.join(values)}")
+        return v
+    return kind
+
+
+def _bool(v, lo, typed):
+    if type(v) is not bool:
+        raise ConfigError("must be true or false")
+    return v
+
+
+def _numbers(v, lo, typed):
+    if not (isinstance(v, list) and all(_finite(x) for x in v)):
+        raise ConfigError("must be a list of finite numbers")
     return v
 
 
@@ -274,22 +192,109 @@ def _cross_moments(obj, lo, typed) -> dict:
     return {(k, j): float(v) for k, j, v in items}
 
 
-def _resolve(task: str, raw: dict) -> tuple[dict, list[str]]:
-    """The task's typed params, defaults filled in, and the violations."""
-    spec = _TASK_SPECS[task][1]
-    out = [f"params.{k} is not a parameter of task {task!r}" for k in raw if k not in spec]
+_INTEGER = re.compile(r"\s*[+-]?\d+\s*")
+
+
+def _steps(v, lo, typed) -> dict:
+    """A step law {offset: weight}: integer offsets, spanning at most
+    _MAX_SPAN and inside the chain's band if it has one, and finite weights
+    >= 0; as an int -> weight dict."""
+    if not (isinstance(v, dict) and v and all(_INTEGER.fullmatch(str(k)) for k in v)
+            and all(_finite(w) and w >= 0 for w in v.values())):
+        raise ConfigError("must be a nonempty object {offset: weight} of integer offsets "
+                          "and finite weights >= 0")
+    steps = {int(k): w for k, w in v.items()}
+    if max(steps) - min(steps) > _MAX_SPAN:  # before any array of that length
+        raise ConfigError(f"offsets span {max(steps) - min(steps)} > {_MAX_SPAN}")
+    band = -typed.get("band_lo", math.inf), typed.get("band_hi", math.inf)
+    if not band[0] <= min(steps) <= max(steps) <= band[1]:
+        raise ConfigError(f"has an offset outside the band {band[0]}..{band[1]}")
+    return steps
+
+
+def _rows(v, lo, typed) -> dict:
+    """Explicit rows {state: step law} on the states 0..max."""
+    if not (isinstance(v, dict) and v and all(_INTEGER.fullmatch(str(i)) for i in v)):
+        raise ConfigError("must be a nonempty object {state: step law}")
+    rows = {}
+    for i, row in v.items():
+        try:
+            rows[int(i)] = _steps(row, lo, typed)
+        except ConfigError as exc:
+            raise ConfigError(f"at state {i} {exc}")
+    if sorted(rows) != list(range(len(rows))):  # no range(max + 1): max may be 10**9
+        raise ConfigError("must cover states 0..max contiguously")
+    return rows
+
+
+def _resolve(spec: dict, raw, path: str, owner: str) -> tuple[dict, list[str]]:
+    """The typed values of the JSON object ``raw`` read by ``spec``, defaults
+    filled in, and the violations, each named by its path; a dict in place of
+    a kind is the spec of a nested object, read the same way."""
+    if not isinstance(raw, dict):
+        return {}, [f"{path} must be an object"]
+    out = [f"{path}.{k} is not a parameter of {owner}" for k in raw if k not in spec]
     typed: dict = {}
     for name, (kind, default, lo) in spec.items():
-        if name in raw:
+        key = f"{path}.{name}"
+        if name not in raw:
+            if default is ...:
+                out.append(f"{owner} needs a {name!r} ({key})")
+            elif "K" in typed or not callable(default):
+                typed[name] = default(typed["K"]) if callable(default) else default
+        elif isinstance(kind, dict):
+            typed[name], inner = _resolve(kind, raw[name], key, owner)
+            out += inner
+        else:
             try:
                 typed[name] = kind(raw[name], lo, typed)
             except ConfigError as exc:
-                out.append(f"params.{name} {exc}")
-        elif default is ...:
-            out.append(f"task {task!r} needs params.{name}")
-        elif "K" in typed or not callable(default):
-            typed[name] = default(typed["K"]) if callable(default) else default
+                out.append(f"{key} {exc}")
     return typed, out
+
+
+def build_chain(chain: dict) -> ChainFamily:
+    """Materialise the chain descriptor from a config into a family: its keys
+    read by the _CHAIN_SPECS entry of its form, then that entry's builder
+    called on them."""
+    form = name = chain.get("name") if isinstance(chain, dict) else None
+    if name == "general":  # explicit rows, or a drift profile by its type
+        drift = chain.get("drift")
+        profile = drift.get("profile") if isinstance(drift, dict) else None
+        form = ("general rows" if drift is None
+                else f"general {profile.get('type') if isinstance(profile, dict) else None}")
+    if not isinstance(form, str) or form not in _CHAIN_SPECS:
+        names = tuple(dict.fromkeys(f.split()[0] for f in _CHAIN_SPECS))
+        raise ConfigError("chain.drift.profile.type must be power | alternating"
+                          if name == "general" else
+                          f"unknown chain name {name!r} (expected one of {names})")
+    builder, spec = _CHAIN_SPECS[form]
+    typed, out = _resolve(spec, {k: v for k, v in chain.items() if k != "name"}, "chain",
+                          f"chain {name!r}")
+    if out:
+        raise ConfigError("; ".join(out))
+    return builder(**typed)
+
+
+def _rows_chain(band_lo: int, band_hi: int, rows: dict, tail_row: dict,
+                stochastic: bool) -> ChainFamily:
+    """A general chain of explicit rows 0..max, then ``tail_row`` above."""
+    top = max(rows) + 1  # the first state of the tail row
+    w = np.zeros((top + 1, band_lo + band_hi + 1))
+    for i, row in [*rows.items(), (top, tail_row)]:
+        for off, wt in row.items():
+            w[i, off + band_lo] = wt
+    total = sum(w[top].tolist())  # inf, with no numpy overflow warning, past the float range
+    if not 0 < total < math.inf:
+        raise ConfigError("chain.tail_row needs a positive, finite total weight")
+    if stochastic and abs(total - 1.0) > _ROW_SUM_TOL:
+        raise ConfigError(f"chain.tail_row sums to {total:.17g}, not 1, in a stochastic chain")
+    # the kernel's own checks of the rows: masses, row sums, no jump below 0
+    (StochasticKernel if stochastic else TransitionKernel)(
+        band_lo, band_hi, w[:top], tail=HomogeneousTail(w[top]))
+    return ChainFamily(name="general", band_lo=band_lo, band_hi=band_hi,
+                       row_rule=lambda states: w[np.minimum(states, top)], limit_pmf=w[top],
+                       homogeneous_from=top, stochastic=stochastic)
 
 
 def _check(config: ExperimentConfig) -> tuple[dict, ChainFamily | None, list[str]]:
@@ -299,7 +304,8 @@ def _check(config: ExperimentConfig) -> tuple[dict, ChainFamily | None, list[str
     here, so that the run reuses its certification (``_check_product``)."""
     if config.task not in _TASK_SPECS:
         return {}, None, [f"unknown task {config.task!r} (expected one of {tuple(_TASK_SPECS)})"]
-    typed, out = _resolve(config.task, config.params)
+    typed, out = _resolve(_TASK_SPECS[config.task][1], config.params, "params",
+                          f"task {config.task!r}")
     if config.chain is None:
         if config.task != "cramer-series":
             out.append(f"task {config.task!r} needs a chain descriptor")
@@ -308,9 +314,8 @@ def _check(config: ExperimentConfig) -> tuple[dict, ChainFamily | None, list[str
         return typed, None, out
     try:
         family = build_chain(config.chain)
-    except (HarmonicTailsError, AttributeError, KeyError, TypeError, ValueError) as exc:
-        key = f" ({exc.args[0]!r})" if isinstance(exc, KeyError) else ""
-        out.append(f"chain descriptor invalid: {exc}{key}")
+    except HarmonicTailsError as exc:
+        out.append(f"chain descriptor invalid: {exc}")
         return typed, None, out
     if config.task == "ladder" and "pmf" not in family.params:
         out.append("ladder task needs a walk-based chain (killed-walk or lindley)")
@@ -663,13 +668,8 @@ def _task_kernel(family: ChainFamily, probe: int | None = None) -> TransitionKer
 
 def _run_harmonic_solve(family: ChainFamily, K: int, tol: float, i_max: int):
     est = build_solve(_task_kernel(family), K, tol=tol)
-    diag = {
-        "residual": est.residual,
-        "doubling_disagreement": None,
-        "K": K,
-        "method": est.method,
-        **est.meta,
-    }
+    diag = {"residual": est.residual, "doubling_disagreement": None, "K": K,
+            "method": est.method, **est.meta}
     f_solve = est.array(0, i_max)
     if family.name == "perturbed-reflected-walk":
         alpha, p = family.params["alpha"], family.params["p"]
@@ -691,18 +691,7 @@ def _run_harmonic_mc(family: ChainFamily, states, n_paths: int, horizon: int, se
     columns = [np.array(states), np.array([est.values[i] for i in states]),
                np.array([est.std_errors[i] for i in states]),
                np.array([est.meta["exhausted"][i] for i in states])]
-    diag = {
-        "n_paths": n_paths,
-        "horizon": horizon,
-        "seed": seed,
-        "stop_level": est.meta["stop_level"],
-        "horizon_warning": est.meta["horizon_warning"],
-        "path_steps": est.meta["path_steps"],
-        "rng": est.meta["rng"],
-    }
-    for key in ("excursion_level", "first_passage_residual"):
-        if key in est.meta:
-            diag[key] = est.meta[key]
+    diag = {k: v for k, v in est.meta.items() if k != "exhausted"}  # counts are in the CSV
     return header, columns, diag, False, None
 
 
@@ -715,12 +704,9 @@ def _run_conditions(family: ChainFamily, probe: int):
     for i in sorted(report.return_prob_bounds):
         names += [f"return_prob_lower[{i}]", f"return_prob_upper[{i}]"]
         values += report.return_prob_bounds[i]
-    diag = {
-        "thm_2_4_applicable": report.thm_2_4_applicable,
-        "prop_2_5_holds": report.prop_2_5_holds,
-        "prop_2_7_holds": report.prop_2_7_holds,
-        "notes": list(report.notes),
-    }
+    diag = {"thm_2_4_applicable": report.thm_2_4_applicable,
+            "prop_2_5_holds": report.prop_2_5_holds, "prop_2_7_holds": report.prop_2_7_holds,
+            "notes": list(report.notes)}
     flagged = not report.thm_2_4_applicable
     reason = "limit-theorem conditions not certified" if flagged else None
     return header, [names, values], diag, flagged, reason
@@ -730,13 +716,9 @@ def _run_ladder(family: ChainFamily, i_max: int):
     h = killed_walk_harmonic(family.limit_walk, i_max)
     header = ["i", "ladder_form", "tilted_min_form", "ratio"]
     ratio = h.minimum_form / h.ladder_form
-    diag = {
-        "beta": h.beta,
-        "multiplier": h.multiplier,
-        "ladder_defect": h.ladder.defect,
-        "chi_mean": h.ladder.mean(),
-        "max_ratio_deviation": float(np.max(np.abs(ratio - h.multiplier))),
-    }
+    diag = {"beta": h.beta, "multiplier": h.multiplier, "ladder_defect": h.ladder.defect,
+            "chi_mean": h.ladder.mean(),
+            "max_ratio_deviation": float(np.max(np.abs(ratio - h.multiplier)))}
     return header, [np.arange(i_max + 1), h.ladder_form, h.minimum_form, ratio], diag, False, None
 
 
@@ -746,15 +728,9 @@ def _run_stationary(family: ChainFamily, K: int, beta, doubling_tol: float, i_ma
     log_pi = res.log_pi[: i_max + 1]
     # math.exp per value: numpy's vectorised exp may differ in the last ulp
     columns = [np.arange(i_max + 1), log_pi, np.array([math.exp(v) for v in log_pi.tolist()])]
-    diag = {
-        "K": K,
-        "tilt_beta": res.tilt_beta,
-        "normalization_error": res.normalization_error,
-        "doubling_disagreement": res.doubling_disagreement,
-        "reflected_weight": res.reflected_weight,
-        "method": res.method,
-        **res.meta,
-    }
+    diag = {"K": K, "tilt_beta": res.tilt_beta, "normalization_error": res.normalization_error,
+            "doubling_disagreement": res.doubling_disagreement,
+            "reflected_weight": res.reflected_weight, "method": res.method, **res.meta}
     return header, columns, diag, False, None
 
 
@@ -767,24 +743,13 @@ def _run_tail(family: ChainFamily, K: int, window: tuple[int, int], mode: str, o
     i0, i1 = window
     columns = [np.arange(i0, i1 + 1), res.log_pi[i0 : i1 + 1], fit.predicted,
                fit.log_constants]
-    diag = {
-        "K": K,
-        "mode": mode,
-        "beta_limit": model.beta_limit,
-        "coefficients": list(model.coefficients),
-        "constant": fit.constant,
-        "variation": fit.variation,
-        "variation_tol": variation_tol,
-        "window": list(window),
-        "passed": fit.passed,
-        "model_meta": model.meta,
-    }
+    diag = {"K": K, "mode": mode, "beta_limit": model.beta_limit,
+            "coefficients": list(model.coefficients), "constant": fit.constant,
+            "variation": fit.variation, "variation_tol": variation_tol, "window": list(window),
+            "passed": fit.passed, "model_meta": model.meta}
     flagged = not fit.passed
-    reason = (
-        f"tail constant varies by {fit.variation:.3g} > {variation_tol:.3g} over the window"
-        if flagged
-        else None
-    )
+    reason = (f"tail constant varies by {fit.variation:.3g} > {variation_tol:.3g} over the window"
+              if flagged else None)
     return header, columns, diag, flagged, reason
 
 
@@ -838,10 +803,40 @@ _TASK_SPECS = {
     "tail": (_run_tail, {
         "K": (_int_upto(_MAX_STATES), 4000, 10),
         "window": (_window, lambda K: (K // 2, 3 * K // 4), 0),
-        "mode": (_mode, "constant", None), "order": (_int, 2, 1),
+        "mode": (_one_of("constant", "alpha-over-m", "cramer-series"), "constant", None),
+        "order": (_int, 2, 1),
         "variation_tol": (_float, 0.01, 0), "doubling_tol": (_float, 1e-8, 0)}),
     "cramer-series": (_run_cramer_series, {
         "M": (_int, 2, 1), "m": (_moments, None, None), "D": (_cross_moments, {}, 1)}),
+}
+
+_NUMBER = (_float, ..., None)
+_STEPS = (_steps, ..., None)
+
+
+def _drift_form(builder, kind: str, shape: str):
+    """A general chain of a drift profile: its builder and its spec, nested
+    objects {"drift": {"p", "profile": {"type": kind, "c0", shape}}}."""
+    profile = {"type": (_one_of(kind), ..., None), "c0": _NUMBER, shape: _NUMBER}
+    return (lambda drift: builder(drift["p"], drift["profile"]["c0"], drift["profile"][shape]),
+            {"drift": ({"p": _NUMBER, "profile": (profile, ..., None)}, ..., None)})
+
+
+# chain form -> (builder, {key: (kind, default, lower bound)}), read as the
+# params are; the form is the chain's name, for a general chain "general rows"
+# or "general" and its drift profile's type
+_CHAIN_SPECS = {
+    "example1": (perturbed_reflected_walk, {"p": _NUMBER, "alpha": _NUMBER}),
+    "example2": (multi_perturbed_walk, {"p": _NUMBER, "alphas": (_numbers, ..., None)}),
+    "killed-walk": (lambda pmf: walk_killed_at_negative(LatticeWalk.from_dict(pmf)),
+                    {"pmf": _STEPS}),
+    "lindley": (lambda pmf: lindley_chain(LatticeWalk.from_dict(pmf)), {"pmf": _STEPS}),
+    "example3": (alternating_drift_chain, {"p": _NUMBER, "c0": _NUMBER, "gamma": _NUMBER}),
+    "general rows": (_rows_chain, {
+        "band_lo": (_int_upto(_MAX_SPAN), ..., 0), "band_hi": (_int_upto(_MAX_SPAN), ..., 0),
+        "rows": (_rows, ..., None), "tail_row": _STEPS, "stochastic": (_bool, False, None)}),
+    "general power": _drift_form(power_drift_chain, "power", "exponent"),
+    "general alternating": _drift_form(alternating_drift_chain, "alternating", "gamma"),
 }
 
 
@@ -920,9 +915,6 @@ def main(argv=None) -> int:
         config.params["seed"] = args.seed
     try:
         return run(config, args.out, args.config.stem, quiet=args.quiet)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except HarmonicTailsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

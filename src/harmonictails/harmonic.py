@@ -511,7 +511,7 @@ def _truncated_solve(kernel: TransitionKernel, K: int, tol: float, check_doublin
     # columns, since LAPACK reads no band entry of a row >= n (see README)
     rows = kernel.row_blocks(lo, 2 * K if doubled else K)
     lu, ab = band_system(rows, bl)
-    deficit = np.concatenate([1.0 - m for m in kernel.row_masses(lo, rows)])
+    deficit = np.concatenate([1.0 - row_sums(b) for b in rows])
     n = K - lo + 1
     f_K = _nonnegative(1.0 - _deficit_solve(lu, ab[:, :n], deficit[:n]))
     meta = {"doubling_disagreement": None} if check_doubling else {}

@@ -265,22 +265,6 @@ class TransitionKernel:
         differ = np.flatnonzero((self.weights != self.tail.row).any(axis=1))
         return self.state_lo + (int(differ[-1]) + 1 if differ.size else 0)
 
-    def row_masses(self, lo: int, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        """Row sums of ``blocks = row_blocks(lo, hi)``, block by block: the
-        explicit rows' sums from construction, one sum of a homogeneous tail
-        row, broadcast, and the sum of any other block."""
-        out = []
-        for b in blocks:
-            first = lo - self.state_lo
-            if lo + len(b) - 1 <= self.truncation:
-                out.append(self.masses[first : first + len(b)])
-            elif lo > self.truncation and isinstance(self.tail, HomogeneousTail):
-                out.append(np.broadcast_to(self.tail.row.sum(), len(b)))
-            else:
-                out.append(row_sums(b))
-            lo += len(b)
-        return out
-
     # -- scalar operations -------------------------------------------------
 
     def total_mass(self, i: int) -> float:

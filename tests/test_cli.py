@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import harmonictails as ht
@@ -643,6 +643,14 @@ def test_build_chain_programmatic():
         build_chain({"name": "general", "drift": {"p": 0.3, "profile": {"type": "cubic"}}})
 
 
+@pytest.mark.parametrize("task", [[1], {"a": 1}, 3, None])
+def test_task_that_is_not_a_string_refused(tmp_path, capsys, task):
+    # a list or object used to end in "unhashable type" from the task lookup
+    cfg = write_cfg(tmp_path, "task.json", {"task": task, "chain": EX1})
+    assert main(["validate", str(cfg)]) == 1
+    assert "'task' key is a string" in capsys.readouterr().err
+
+
 def test_experiment_config_rejects_bad_shapes():
     with pytest.raises(ht.ConfigError):
         ExperimentConfig.from_dict({"task": "stationary", "params": []})
@@ -835,6 +843,51 @@ def test_fuzzed_params_never_crash(data):
     doc = {"task": task, "params": {k: data.draw(fuzz_value(k), label=k) for k in keys}}
     if task != "cramer-series" or data.draw(st.booleans()):
         doc["chain"] = data.draw(st.sampled_from([chain, *FUZZ_CHAINS]), label="chain")
+    with tempfile.TemporaryDirectory() as out:
+        cfg = Path(out) / "fuzz.json"
+        cfg.write_text(json.dumps(doc))
+        problems = validate(ExperimentConfig.from_file(cfg))
+        rc = main(["run", str(cfg), "--out", out, "--quiet"])
+        if problems:
+            assert rc == 1
+            assert not (Path(out) / "fuzz.csv").exists()
+        else:
+            assert rc in (0, 2), doc
+
+
+EX2 = {"name": "example2", "p": 0.7, "alphas": [1.2, 1.5]}
+# small params for each task, so that a run of any chain stays short
+FUZZ_PARAMS = {"harmonic-solve": {"K": 60}, "harmonic-mc": MC, "conditions": {}, "ladder": {},
+               "stationary": {"K": 60}, "tail": {"K": 60}, "cramer-series": {}}
+
+
+def _chain_paths(obj, path=()):
+    """The path of each field of a descriptor, nested ones too, and of one
+    new key in each object."""
+    yield path + ("extra",)
+    for key, value in obj.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _chain_paths(value, path + (key,))
+
+
+FUZZ_FIELDS = [(chain, path) for chain in [*FUZZ_CHAINS, EX1, EX2, EX3]
+               for path in _chain_paths(chain)]
+
+
+@settings(max_examples=300)
+@given(case=st.sampled_from(FUZZ_FIELDS), value=JUNK, task=st.sampled_from(sorted(FUZZ_PARAMS)))
+@example(case=(EX1, ("alpha",)), value=math.nan, task="harmonic-solve")
+def test_fuzzed_chains_never_crash(case, value, task):
+    # test_fuzzed_params_never_crash's contract, for a descriptor with one
+    # field replaced by a junk value or one key added
+    chain, path = case
+    chain = json.loads(json.dumps(chain))
+    obj = chain
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    doc = {"task": task, "chain": chain, "params": FUZZ_PARAMS[task]}
     with tempfile.TemporaryDirectory() as out:
         cfg = Path(out) / "fuzz.json"
         cfg.write_text(json.dumps(doc))

@@ -53,6 +53,19 @@ def test_closed_form_critical_and_beyond():
         ht.reflected_walk_harmonic_exact(-1.0, 0.7, 0)
 
 
+# the builders refuse NaN themselves, before any kernel() reads a row
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0])
+def test_perturbed_reflected_walk_refuses_nan(alpha):
+    with pytest.raises(ht.UnsupportedInputError, match="alpha must be positive"):
+        ht.perturbed_reflected_walk(p=0.7, alpha=alpha)
+
+
+@pytest.mark.parametrize("alphas", [[1.2, math.nan], [math.inf], [1.0, -1.0]])
+def test_multi_perturbed_walk_refuses_nan(alphas):
+    with pytest.raises(ht.UnsupportedInputError, match="row weights must be positive"):
+        ht.multi_perturbed_walk(alphas, p=0.7)
+
+
 # ---------------------------------------------------------------------------
 # linear solve
 

@@ -410,8 +410,10 @@ def _windows(kernel):
 
 
 def test_row_masses_match_block_sums():
-    # numpy sums a row of 8 or more entries in eight partial sums, so the
-    # order of the additions shows in the last bit for W >= 8
+    # the row masses of a window, as the truncated solve takes them (row_sums
+    # block by block), are the materialised window's; numpy sums a row of 8 or
+    # more entries in eight partial sums, so the order of the additions shows
+    # in the last bit for W >= 8
     rng = np.random.default_rng(31)
     unnormalised = [
         ht.TransitionKernel(band_lo=bl, band_hi=W - 1 - bl, weights=w, state_lo=state_lo,
@@ -422,7 +424,7 @@ def test_row_masses_match_block_sums():
     for kernel in [*seeded_drift_kernels(rng), *unnormalised]:
         for lo, hi in _windows(kernel):
             blocks = kernel.row_blocks(lo, hi)
-            masses = np.concatenate(kernel.row_masses(lo, blocks))
+            masses = np.concatenate([row_sums(b) for b in blocks])
             assert masses.tobytes() == kernel.rows(lo, hi).sum(axis=1).tobytes(), (lo, hi)
             assert all(not b.flags.writeable for b in blocks)
             assert len(blocks) == (1 if hi - lo < SHORT_WINDOW else 1 + (lo <= kernel.truncation < hi))

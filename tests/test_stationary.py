@@ -328,6 +328,18 @@ def test_cramer_back_substitution_random():
         assert ht.cramer_series_residual(m, D, R) <= 1e-10
 
 
+@pytest.mark.parametrize("gamma", [math.nan, 0.0])
+def test_alternating_drift_chain_refuses_nan(gamma):
+    with pytest.raises(ht.UnsupportedInputError, match="gamma must be positive"):
+        ht.alternating_drift_chain(p=0.3, c0=0.05, gamma=gamma)
+
+
+@pytest.mark.parametrize("exponent", [math.nan, 0.0])
+def test_power_drift_chain_refuses_nan(exponent):
+    with pytest.raises(ht.UnsupportedInputError, match="must decay"):
+        ht.power_drift_chain(p=0.3, c0=0.05, exponent=exponent)
+
+
 def test_cramer_coefficients_errors():
     with pytest.raises(ht.UnsupportedInputError):
         ht.cramer_coefficients((1.0,), {}, 0)
