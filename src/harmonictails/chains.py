@@ -38,8 +38,9 @@ from .kernels import (
     ParametricTail,
     StochasticKernel,
     TransitionKernel,
+    once,
 )
-from .ladder import LatticeWalk
+from .ladder import LatticeWalk, _tail_walk
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,9 @@ class ChainFamily:
     copy.  From ``homogeneous_from`` on, when it is set, every row
     is ``limit_pmf``: a kernel built at that level or above broadcasts it as
     its tail, and ``stationary_solve`` builds no explicit row beyond it.
+    ``kept`` holds the normalised limit walk and that kernel at the level,
+    each built on first use (``once``), so solves on one family certify the
+    walks they read once.
     """
 
     name: str
@@ -118,11 +122,27 @@ class ChainFamily:
     stochastic: bool = True
     alpha_profile: object | None = None
     params: dict = field(default_factory=dict)
+    kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
+    @once
     def limit_walk(self) -> LatticeWalk:
         pmf = np.asarray(self.limit_pmf, dtype=float)
         return LatticeWalk(lo=-self.band_lo, pmf=pmf / pmf.sum())
+
+    @once
+    def homogeneous_kernel(self) -> TransitionKernel:
+        """``kernel(homogeneous_from)``: rows up to the homogeneous level, the
+        limit row broadcast above it; built on the first call and kept.  Where
+        its tail walk (``ladder._tail_walk``) is the limit walk bit for bit,
+        it is the limit walk itself, so both have one root and one G."""
+        if self.homogeneous_from is None:
+            raise UnsupportedInputError(f"family {self.name} has no homogeneous level")
+        kernel = self.kernel(self.homogeneous_from)
+        walk, limit = _tail_walk(kernel), self.limit_walk
+        if walk is not None and walk.lo == limit.lo and np.array_equal(walk.pmf, limit.pmf):
+            kernel.kept[_tail_walk.__name__] = limit
+        return kernel
 
     def row(self, i: int) -> np.ndarray:
         """The row of one state, through the array rule."""

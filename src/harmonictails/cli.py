@@ -45,6 +45,7 @@ from .errors import (
     ConfigError,
     HarmonicTailsError,
     InternalConsistencyError,
+    NoCramerRootError,
     NoPositiveHarmonicError,
     SolverFailure,
 )
@@ -57,7 +58,7 @@ from .harmonic import (
     reflected_walk_harmonic_exact,
 )
 from .kernels import _ROW_SUM_TOL, HomogeneousTail, StochasticKernel, TransitionKernel
-from .ladder import LatticeWalk, cramer_root, killed_walk_harmonic
+from .ladder import LatticeWalk, certified_root, killed_walk_harmonic
 from .stationary import (
     build_beta_fn,
     cramer_coefficients,
@@ -336,7 +337,9 @@ def _check(config: ExperimentConfig) -> tuple[dict, ChainFamily | None, list[str
 
 def _limit_law_problems(task: str, typed: dict, family: ChainFamily) -> list[str]:
     """What ``task`` needs of the chain's limit law and does not get, each by
-    the test that the task's solver applies at run time (README, "Tasks")."""
+    the test that the task's solver applies at run time (README, "Tasks").
+    A task that takes the Cramér root certifies it here, on the family's
+    limit walk, which keeps it for the run (``ladder.certified_root``)."""
     unmet, mass = [], float(np.sum(family.limit_pmf))
     if (task == "harmonic-solve" and abs(math.log(mass)) > _BOUNDARY_MASS_TOL
             or task == "harmonic-mc" and HomogeneousTail(family.limit_pmf).delta_abs_bound() != 0):
@@ -347,6 +350,11 @@ def _limit_law_problems(task: str, typed: dict, family: ChainFamily) -> list[str
         walk = family.limit_walk
         if root and not (walk.mean < 0 and walk.pmf[walk.offsets > 0].any()):
             unmet.append(f"Cramér's condition: limit mean < 0 (not {walk.mean:.6g}), a step up")
+        elif root:
+            try:
+                certified_root(walk)
+            except NoCramerRootError as exc:
+                unmet.append(f"a Cramér root of its limit law: {exc}")
         if task == "harmonic-mc" and walk.mean <= 0:
             unmet.append(f"a limit law of mean > 0, not {walk.mean:.6g}")
     if (series or typed.get("mode", "constant") != "constant") and family.alpha_profile is None:
@@ -755,7 +763,7 @@ def _run_tail(family: ChainFamily, K: int, window: tuple[int, int], mode: str, o
 
 def _run_cramer_series(family: ChainFamily | None, M: int, m: list | None, D: dict):
     if m is None:
-        m, D, _scale = family.moment_data(cramer_root(family.limit_walk), M)
+        m, D, _scale = family.moment_data(certified_root(family.limit_walk), M)
     R = cramer_coefficients(m, D, M)
     resid = cramer_series_residual(m, D, R)
     header = ["k", "R_k"]

@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -369,7 +370,10 @@ def check_conditions(
     extra = None if family is None else np.asarray(family.limit_pmf, dtype=float)[None, :]
     minor = jump_minorant(kernel, extra_rows=extra)
     p_escape = escape_probability(minor)
-    gamma_avail = math.log(1.0 / (1.0 - p_escape)) if p_escape > 0 else 0.0
+    if p_escape >= 1.0:  # a minorant that never steps down: every moment is finite
+        gamma_avail = math.inf
+    else:
+        gamma_avail = math.log(1.0 / (1.0 - p_escape)) if p_escape > 0 else 0.0
 
     zeta_tails, zeta_mean = jump_down_majorant(kernel)
 
@@ -766,18 +770,21 @@ class _PathCache:
     """What Monte Carlo keeps of a kernel, whatever the top its paths score
     (``TransitionKernel.mc_cache``): the embedded chain ``P``, the Lundberg
     exponent ``r`` of its jump minorant (None without a positive-drift
-    minorant), its tail walk, that walk's certified excursion law once a
-    chain first asks for it, and the rows of the last ``_KEPT_FOLDS`` path
-    chains built.  So a kernel holds at most one embedded chain, one
-    excursion law (bh x (L + 1)) and ``_KEPT_FOLDS`` folds, each no longer
-    than the embedded rows up to a stopping level.
+    minorant), the excursion law of its tail walk once a chain first asks
+    for it, and the rows of the last ``_KEPT_FOLDS`` path chains built.  The
+    tail walk, with its certified G, is the one ``P`` keeps, or the
+    kernel's own where embedding leaves the tail row as it is, so that
+    ``build_solve`` and Monte Carlo on one kernel certify G once.  So a
+    kernel holds at most one embedded chain, one excursion law
+    (bh x (L + 1)) and ``_KEPT_FOLDS`` folds, each no longer than the
+    embedded rows up to a stopping level.
     """
 
     def __init__(self, kernel: TransitionKernel):
         self.P = kernel.embed()
         minorant = jump_minorant(self.P)
         self.r = ruin_exponent(minorant) if minorant.mean > 0 else None
-        self.walk = _tail_walk(self.P)
+        self.walk = _tail_walk(kernel if self.P.tail is kernel.tail else self.P)
         self.folds: dict[tuple[int, int], StochasticKernel] = {}
 
     def stop_level(self, top: int, return_tol: float, checked: dict) -> int:
@@ -804,7 +811,8 @@ class _PathCache:
     def excursion_law(self) -> tuple[np.ndarray, float, np.ndarray] | None:
         """(G, its certified residual, law): law's row j is where a jump to
         end + 1 + j lands, row j % m of G^(j // m + 1) over end - L + 1..end
-        and then the escape; None where G cannot be certified."""
+        and then the escape; None where G cannot be certified.  G is the
+        walk's (``_certified_first_passage``), clipped at 0."""
         try:
             G, residual = _certified_first_passage(self.walk)
         except SolverFailure:
@@ -966,10 +974,17 @@ def build_mc(
     score[:k] = deltas[:k]
 
     values, errs, exhausted, work = {}, {}, {}, {"path_steps": 0}
+    # past this weight the sums of the mean or the standard error can overflow
+    w_max = math.sqrt(sys.float_info.max / n_paths)
     for s in states:
         totals, exhausted[int(s)] = _run_paths(pc, score, s, n_paths, horizon, seed, 1, work)
         with np.errstate(over="ignore"):
             w = np.exp(totals)
+        if not w.max() <= w_max:
+            raise SolverFailure(
+                f"path weights from state {int(s)} reach {w.max():.6g}, past "
+                f"sqrt(DBL_MAX / n_paths) = {w_max:.6g}, where their mean and standard error "
+                "stay finite", reason="non-finite")
         values[int(s)], errs[int(s)] = map(float, _mean_se(w))
 
     warn = any(v > 0.01 * n_paths for v in exhausted.values())

@@ -58,6 +58,7 @@ import numpy as np
 
 from .errors import (
     DegenerateRowError,
+    HarmonicTailsError,
     StateRangeError,
     UnsupportedInputError,
 )
@@ -133,6 +134,31 @@ def row_sums(block: np.ndarray) -> np.ndarray:
     return out
 
 
+def once(compute):
+    """``compute(obj)``, worked out on the first call for an object and kept
+    in its ``kept`` dict under the function's name: a kernel's tail walk, a
+    walk's Cramér root and G, a family's limit walk.  A HarmonicTailsError
+    that ``compute`` raises is kept as well, and raised again.  ``kept`` is
+    a field with ``init=False, compare=False``, so ``dataclasses.replace``
+    gives an object that keeps nothing."""
+    name = compute.__name__
+
+    @functools.wraps(compute)
+    def kept(obj):
+        if name not in obj.kept:
+            try:
+                obj.kept[name] = compute(obj)
+            except HarmonicTailsError as exc:
+                obj.kept[name] = exc
+                raise
+        out = obj.kept[name]
+        if isinstance(out, HarmonicTailsError):
+            raise out.with_traceback(None)
+        return out
+
+    return kept
+
+
 def _as_state_fn(f):
     """Accept a callable, a mapping, or an estimate object with .value()."""
     if callable(f):
@@ -149,13 +175,15 @@ class TransitionKernel:
     """Nonnegative banded kernel with explicit rows on ``state_lo..truncation``.
 
     Every represented row must carry positive total mass, and no weight may
-    point at a negative state.  ``masses`` holds the explicit rows' sums,
-    and ``mc_cache`` what Monte Carlo keeps of the kernel once certified,
+    point at a negative state.  ``masses`` holds the explicit rows' sums;
+    ``kept`` the homogeneous level and the tail walk (``ladder._tail_walk``,
+    which keeps its own root and G), each on first use (``once``); and
+    ``mc_cache`` what Monte Carlo keeps of the kernel once certified,
     whatever the top its paths score: the embedded chain, the Lundberg
     exponent, the tail walk's excursion law and the last two path chains
-    built (``harmonic._PathCache``).  Both are taken from the rows once, so
+    built (``harmonic._PathCache``).  All are taken from the rows once, so
     a kernel is not edited in place; ``dataclasses.replace`` gives a kernel
-    with no cache.
+    that keeps nothing.
     """
 
     band_lo: int
@@ -166,6 +194,7 @@ class TransitionKernel:
     dropped_mass: float = 0.0
     meta: dict = field(default_factory=dict)
     masses: np.ndarray = field(init=False, repr=False, compare=False)
+    kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     mc_cache: object | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -256,10 +285,11 @@ class TransitionKernel:
             parts.append(self.tail.rows_at(max(lo, top + 1), hi))
         return parts
 
+    @once
     def homogeneous_level(self) -> int | None:
         """First state from which every row is the homogeneous tail's row, bit
         for bit; None without a homogeneous tail.  All explicit rows are
-        compared in one step."""
+        compared in one step, on the first call (``once``)."""
         if not isinstance(self.tail, HomogeneousTail):
             return None
         differ = np.flatnonzero((self.weights != self.tail.row).any(axis=1))
@@ -296,6 +326,8 @@ class TransitionKernel:
 
         w, dropped = _drop_dust(normalise(self.weights))
         tail = _map_tail(self.tail, normalise, 0.0)
+        if isinstance(tail, HomogeneousTail) and np.array_equal(tail.row, self.tail.row):
+            tail = self.tail  # mass 1 exactly: Monte Carlo then shares the kernel's tail walk
         return StochasticKernel(
             band_lo=self.band_lo,
             band_hi=self.band_hi,

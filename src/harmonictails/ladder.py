@@ -20,6 +20,12 @@ m states (``_first_passage``), which the harmonic and stationary solvers
 also use to continue a solution exactly past the level from which a
 kernel's rows are its homogeneous tail row, and Monte Carlo to draw a path's
 whole excursion above that level at once.
+
+A walk keeps what the solvers certify of it, each on first use
+(``kernels.once``): its Cramér root (``certified_root``), its certified G
+(``_certified_first_passage``) and the stationary side's G of its tilt at
+the root, negated (``_tilted_first_passage``).  So repeated solves on one
+kernel or family, whose tail walk is kept with it, find them once.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .errors import (
     StateRangeError,
     UnsupportedInputError,
 )
-from .kernels import HomogeneousTail, TransitionKernel, band_solve
+from .kernels import HomogeneousTail, TransitionKernel, band_solve, once
 
 _MASS_TOL = 1e-12
 _AGREEMENT_TOL = 1e-8  # between the two forms of the minimum law and of the multiplier
@@ -62,11 +68,12 @@ class LatticeWalk:
     """Step law of a lattice random walk with finite support.
 
     ``pmf[k]`` is the probability of the step ``lo + k``.  The law must sum
-    to one.
+    to one.  ``kept`` holds what the solvers certify of the walk (``once``).
     """
 
     lo: int
     pmf: np.ndarray
+    kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pmf = np.asarray(self.pmf, dtype=float)
@@ -206,6 +213,13 @@ def cramer_root(walk: LatticeWalk, tol: float = 1e-12) -> float:
             f"root refinement stalled: |mgf(beta)-1| = {abs(g(beta)):.3e} > {tol:.1e}"
         )
     return float(beta)
+
+
+@once
+def certified_root(walk: LatticeWalk) -> float:
+    """``cramer_root(walk)``, found on the first call and kept on the walk, as
+    its NoCramerRootError is."""
+    return cramer_root(walk)
 
 
 def tilt_walk(walk: LatticeWalk, beta: float) -> LatticeWalk:
@@ -402,11 +416,13 @@ def _homogeneous_levels(kernel: TransitionKernel, K: int) -> tuple[int, LatticeW
     return h, walk
 
 
+@once
 def _tail_walk(kernel: TransitionKernel) -> LatticeWalk | None:
     """The step law of a homogeneous tail row, normalised and with the zero
     steps at its ends cut off, when it steps both ways with gcd 1, so that
     its first-passage matrix between levels of m = max(L, top step) states
-    exists; None for any other tail."""
+    exists; None for any other tail.  Kept on the kernel, so the walk's
+    root and G are too."""
     if not isinstance(kernel.tail, HomogeneousTail):
         return None
     row = kernel.tail.row
@@ -427,9 +443,11 @@ def _level_counts(states: int, m: int) -> tuple[int, int]:
     return levels, min(levels, 1 << (block.bit_length() - 1))
 
 
+@once
 def _certified_first_passage(walk: LatticeWalk) -> tuple[np.ndarray, float]:
-    """The walk's first-passage matrix G and the residual of its equation,
-    which must be at most ``_FIRST_PASSAGE_TOL``."""
+    """The walk's first-passage matrix G, read-only, and the residual of its
+    equation, which must be at most ``_FIRST_PASSAGE_TOL``; kept on the walk,
+    as a failure is."""
     try:
         G, iterations, residual = _first_passage(walk)
     except np.linalg.LinAlgError as exc:
@@ -441,7 +459,15 @@ def _certified_first_passage(walk: LatticeWalk) -> tuple[np.ndarray, float]:
             reason="first-passage",
             diagnostics={"residual": residual, "iterations": iterations},
         )
+    G.flags.writeable = False
     return G, residual
+
+
+@once
+def _tilted_first_passage(walk: LatticeWalk) -> tuple[np.ndarray, float]:
+    """``_certified_first_passage`` of the walk tilted at its Cramér root and
+    negated, the stationary solve's G; kept on the walk."""
+    return _certified_first_passage(tilt_walk(walk, certified_root(walk)).negated())
 
 
 def ladder_height(walk: LatticeWalk) -> LadderData:
@@ -552,7 +578,7 @@ def _ladder_laws(walk: LatticeWalk, beta: float) -> tuple[LadderData, LadderData
 def equivalence_multiplier(walk: LatticeWalk) -> float:
     """Proportionality constant between the two harmonic representations,
     1 - E exp(-beta chi), checked against the tilted walk's ladder defect."""
-    return _ladder_laws(walk, cramer_root(walk))[2]
+    return _ladder_laws(walk, certified_root(walk))[2]
 
 
 def killed_walk_harmonic(walk: LatticeWalk, imax: int) -> KilledWalkHarmonic:
@@ -564,9 +590,10 @@ def killed_walk_harmonic(walk: LatticeWalk, imax: int) -> KilledWalkHarmonic:
     walk's own renewal mass; the two must agree to ``_AGREEMENT_TOL``.  The
     ladder form is exp(beta i + log g(i)), so only the final scaling can
     overflow.  When exp(beta imax) overflows, ``SolverFailure`` is raised
-    before any ladder law is computed.
+    before any ladder law is computed.  The root is the walk's kept one
+    (``certified_root``).
     """
-    beta = cramer_root(walk)
+    beta = certified_root(walk)
     overflow = SolverFailure(
         f"exp(beta i) overflows below i_max = {imax} (beta = {beta:.6g})",
         reason="non-finite",

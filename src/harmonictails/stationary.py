@@ -25,6 +25,7 @@ together.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -57,13 +58,13 @@ from .kernels import (
 )
 from .ladder import (
     LatticeWalk,
-    _certified_first_passage,
     _homogeneous_levels,
     _level_counts,
     _level_powers,
+    _tilted_first_passage,
+    certified_root,
     cramer_root,
     ruin_exponent,
-    tilt_walk,
 )
 
 
@@ -110,6 +111,19 @@ def _limit_walk_of(chain) -> LatticeWalk:
     )
 
 
+@contextlib.contextmanager
+def _tilted_rows(beta: float):
+    """Where rows are tilted at ``beta`` and assembled: a weight that
+    overflows raises ``SolverFailure`` (non-finite) there, not in the solve."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise SolverFailure(
+            f"row weights overflow when tilted at beta = {beta:.6g}", reason="non-finite"
+        ) from exc
+
+
 def _compensated_solves(rows, band_lo: int, beta: float, windows: tuple[int, ...]):
     """Solve the stationarity equations for y(i) = pi(i) exp(beta i) on each
     window 0..n - 1 of ``windows`` (increasing, the last one all of
@@ -135,7 +149,8 @@ def _compensated_solves(rows, band_lo: int, beta: float, windows: tuple[int, ...
         raise SolverFailure(
             f"tilt factors exp(beta * jump) overflow at beta = {beta:.6g}", reason="non-finite"
         )
-    lu, ab_all = band_system(rows, band_lo, transpose=True, factors=tilt)
+    with _tilted_rows(beta):
+        lu, ab_all = band_system(rows, band_lo, transpose=True, factors=tilt)
     ys, done = [], 0
     for n in windows:
         if done:  # write the columns of the last window's edge, pin and factors again
@@ -149,12 +164,13 @@ def _compensated_solves(rows, band_lo: int, beta: float, windows: tuple[int, ...
         h = min(W - 1 - band_lo, n)
         edge = np.concatenate([np.empty((0, W)), *row_slice(rows, n - h, n)])
         reflected = 0.0
-        for c in range(band_lo + 1, W):
-            x = np.arange(h - min(c - band_lo, n), h)
-            reflected += float(edge[x, c].sum())
-            edge[x, h - 1 - x + band_lo] += edge[x, c]
-            edge[x, c] = 0.0
-        band_write(ab, n - h, edge, band_lo, transpose=True, factors=tilt)
+        with _tilted_rows(beta):
+            for c in range(band_lo + 1, W):
+                x = np.arange(h - min(c - band_lo, n), h)
+                reflected += float(edge[x, c].sum())
+                edge[x, h - 1 - x + band_lo] += edge[x, c]
+                edge[x, c] = 0.0
+            band_write(ab, n - h, edge, band_lo, transpose=True, factors=tilt)
         y = _pinned_solve(lu, ab)
         scale = _positive(y, _discounted_sum(beta, y), n)
         if not ys:
@@ -269,14 +285,14 @@ def stationary_solve(
         # rows from homogeneous_from on are the limit row: one explicit copy
         # is checked, and the kernel's tail broadcasts the rest
         hf = chain.homogeneous_from
-        kernel = chain.kernel(top if hf is None else hf)
+        kernel = chain.kernel(top) if hf is None else chain.homogeneous_kernel()
     levels = _homogeneous_levels(kernel, K)
     if levels is not None and levels[1].mean < 0:
         # tilted at the tail walk's own root; a root past cramer_root's
         # overflow-safe bound, or a tilt that overflows on explicit rows
         # wider than the tail row, leaves the chain to the truncated solve
         try:
-            root = cramer_root(levels[1])
+            root = certified_root(levels[1])
         except NoCramerRootError:
             root = None
         if root is not None:
@@ -293,7 +309,7 @@ def stationary_solve(
                 f"limiting drift {walk.mean:.6g} is not negative; "
                 "the chain has no stationary law to solve for"
             )
-        beta = cramer_root(walk)
+        beta = certified_root(walk)
     return _truncated_stationary(kernel, K, beta, check_doubling, doubling_tol)
 
 
@@ -315,13 +331,15 @@ def _matrix_geometric_stationary(kernel: TransitionKernel, K: int, root: float, 
     balance residual is taken over all of the window.
     """
     bl = kernel.band_lo
-    G, g_residual = _certified_first_passage(tilt_walk(walk, root).negated())
+    G, g_residual = _tilted_first_passage(walk)
     m = len(G)
     levels, direct = _level_counts(K + bl - h + 1, m)
     n = h + direct * m
     rows = kernel.row_blocks(0, max(K + bl, n - 1))
     y = np.empty(h + levels * m)
-    y[:n] = _pinned_solve(*band_closure(row_slice(rows, 0, n), bl, G, transpose=True, factors=tilt))
+    with _tilted_rows(root):
+        system = band_closure(row_slice(rows, 0, n), bl, G, transpose=True, factors=tilt)
+    y[:n] = _pinned_solve(*system)
     _level_powers(G, y[h:].reshape(levels, m), direct)
     remainder = np.linalg.solve(np.eye(m) - math.exp(-root * m) * G, y[h : h + m])
     total = _discounted_sum(root, y[:h]) + math.exp(-root * h) * _discounted_sum(root, remainder)
@@ -601,7 +619,7 @@ def build_beta_fn(
     walk = family.limit_walk
     if walk.mean >= 0:
         raise UnsupportedInputError("tail model needs a negative limiting drift")
-    beta = cramer_root(walk)
+    beta = certified_root(walk)
     if mode == "constant":
         return TailModel(mode, beta, (), family.alpha_profile, {"hypotheses_verified": True})
     if family.alpha_profile is None:

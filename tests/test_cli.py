@@ -455,7 +455,7 @@ def test_ladder_task(tmp_path):
 
 
 def test_ladder_task_computes_each_root_once(tmp_path, monkeypatch):
-    from harmonictails import cli, ladder
+    from harmonictails import ladder
 
     calls = []
     root = ladder.cramer_root
@@ -465,12 +465,49 @@ def test_ladder_task_computes_each_root_once(tmp_path, monkeypatch):
         return root(walk, *args, **kwargs)
 
     monkeypatch.setattr(ladder, "cramer_root", counted)
-    monkeypatch.setattr(cli, "cramer_root", counted)
     cfg = write_cfg(tmp_path, "lad.json", {"task": "ladder",
                                            "chain": {"name": "killed-walk", "pmf": WALK}})
     assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
     # beta; neither ladder law needs a root
     assert len(calls) == 1
+
+
+def test_tail_task_computes_one_root(tmp_path, monkeypatch):
+    from harmonictails import ladder
+
+    calls = []
+    root = ladder.cramer_root
+    monkeypatch.setattr(ladder, "cramer_root", lambda w, *a, **kw: calls.append(w) or root(w))
+    cfg = CONFIGS / "alternating_tail.json"
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    # the config check finds it on the limit walk; the stationary solve and
+    # the tail model read it there
+    assert len(calls) == 1
+
+
+# finite but huge weights: each used to pass validate and end the run in a
+# traceback or an error; CI runs these fixtures with the console script
+@pytest.mark.parametrize("stem,rc,reason", [
+    ("escape_certain_conditions", 2, None),
+    ("overflowing_tilt_stationary", 2, "non-finite"),
+    ("thin_root_stationary", 1, None),
+    ("huge_weight_mc", 2, "non-finite"),
+])
+def test_huge_weights_end_flagged_or_refused(tmp_path, capsys, stem, rc, reason):
+    path = FIXTURES / f"{stem}.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", str(path)]) == (1 if rc == 1 else 0)
+        assert main(["run", str(path), "--out", str(tmp_path), "--quiet"]) == rc
+    err = capsys.readouterr().err
+    if rc == 1:
+        assert "config error: task 'stationary' needs a Cramér root" in err
+        return
+    manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
+    assert manifest["flagged"] is True
+    assert manifest["diagnostics"].get("reason") == reason
+    if stem == "escape_certain_conditions":
+        assert "gamma_available,inf\n" in (tmp_path / f"{stem}.csv").read_text()
 
 
 def test_ladder_overflow_fails_fast(tmp_path, capsys):

@@ -507,6 +507,62 @@ def test_limit_verdict_monotone_in_bounds(delta_plus, mean, uppers, shrink):
 # Monte Carlo
 
 
+def test_build_solve_and_mc_certify_G_once_per_kernel(monkeypatch):
+    from harmonictails import ladder
+
+    passages = []
+    first_passage = ladder._first_passage
+    monkeypatch.setattr(ladder, "_first_passage", lambda w: passages.append(w) or first_passage(w))
+
+    def fresh():
+        return ht.perturbed_reflected_walk(p=0.7, alpha=1.2).kernel(8)
+
+    kernel = fresh()
+    solve = ht.build_solve(kernel, 2000)
+    assert solve.method == "matrix-geometric" and len(passages) == 1
+    assert ht.build_solve(kernel, 3000).method == "matrix-geometric" and len(passages) == 1
+    # the tail row has mass 1 exactly, so the embedded chain's tail walk is
+    # the kernel's, with its G
+    mc = ht.build_mc(kernel, (0, 3), 500, 1000, seed=1)
+    assert "excursion_level" in mc.meta and len(passages) == 1
+    assert kernel.mc_cache.walk is ht.ladder._tail_walk(kernel)
+    assert solve.values.array.tobytes() == ht.build_solve(fresh(), 2000).values.array.tobytes()
+    assert mc.values == ht.build_mc(fresh(), (0, 3), 500, 1000, seed=1).values
+
+
+def test_a_walk_keeps_a_failed_root(monkeypatch):
+    from harmonictails import ladder
+
+    walk = ht.LatticeWalk.from_dict({-1: 0.3, 1: 0.7})
+    with pytest.raises(ht.NoCramerRootError, match="mean must be negative"):
+        ladder.certified_root(walk)
+    calls = []
+    monkeypatch.setattr(ladder, "cramer_root", lambda w: calls.append(w))
+    for _ in range(3):
+        with pytest.raises(ht.NoCramerRootError, match="mean must be negative") as exc:
+            ladder.certified_root(walk)
+        assert len(exc.traceback) <= 3  # raised afresh, not on a growing traceback
+    assert calls == []
+
+
+def test_check_conditions_certain_escape():
+    # the minorant never steps down, so paths escape surely and every
+    # local-time moment is finite: gamma_available is inf
+    kernel = ht.kernel_from_rows({0: {1: 1.0}}, 0, 1, 1, tail=ht.HomogeneousTail([0.7, 0.0, 1e308]))
+    report = ht.check_conditions(kernel)
+    assert report.escape_prob_lower == 1.0 and report.gamma_available == math.inf
+    assert not report.thm_2_4_applicable  # the tail rows' mass is not 1
+
+
+def test_build_mc_refuses_weights_whose_moments_overflow():
+    kernel = ht.perturbed_reflected_walk(p=0.7, alpha=1e308).kernel(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ht.SolverFailure, match="path weights from state 0") as exc:
+            ht.build_mc(kernel, [0], 1000, 1000, seed=1)
+    assert exc.value.reason == "non-finite"
+
+
 def test_build_mc_matches_exact():
     fam = ht.perturbed_reflected_walk(p=0.7, alpha=1.2)
     kernel = fam.kernel(8)

@@ -453,18 +453,23 @@ def test_ladder_callers_compute_the_root_once(monkeypatch):
     monkeypatch.setattr(ladder, "ladder_height", lambda w: heights.append(w) or height(w))
     monkeypatch.setattr(ladder, "renewal_mass",
                         lambda lad, J: renewals.append(J) or renewal(lad, J))
-    # one root for beta and one law each, raw and tilted, with the same doubles
+    # the walk keeps its root: no root again, and one law each, raw and
+    # tilted, with the same doubles
     assert ht.equivalence_multiplier(walk) == mult
-    assert len(calls) == 1 and calls[0] is walk
+    assert calls == []
     assert len(heights) == 2 and heights[0] is walk and renewals == []
-    calls.clear()
     heights.clear()
     again = ht.killed_walk_harmonic(walk, 30)
-    assert len(calls) == 1 and calls[0] is walk
+    assert calls == []
     assert len(heights) == 2 and heights[0] is walk and renewals == [30, 30]
     assert again.beta == beta and again.multiplier == mult
     assert np.array_equal(again.ladder_form, h.ladder_form)
     assert np.array_equal(again.minimum_form, h.minimum_form)
+    # a fresh walk of the same law finds its root once, for both callers
+    fresh = ht.LatticeWalk.from_dict({2: 0.15, 1: 0.1, -1: 0.45, -2: 0.3})
+    assert ht.equivalence_multiplier(fresh) == mult
+    assert ht.killed_walk_harmonic(fresh, 30).beta == beta
+    assert len(calls) == 1 and calls[0] is fresh
     assert ruin == []
 
 

@@ -198,6 +198,61 @@ def test_homogeneous_rows_are_built_once():
         ht.stationary_solve(bad, 500)
 
 
+def _count_calls(monkeypatch, name):
+    """The first argument of every call of ladder.<name> from now on."""
+    from harmonictails import ladder
+
+    calls, f = [], getattr(ladder, name)
+    monkeypatch.setattr(ladder, name, lambda walk, *a, **kw: calls.append(walk) or f(walk, *a, **kw))
+    return calls
+
+
+def test_stationary_solves_certify_once_per_family(monkeypatch):
+    roots = _count_calls(monkeypatch, "cramer_root")
+    passages = _count_calls(monkeypatch, "_first_passage")
+    lind = ht.lindley_chain(ht.LatticeWalk.from_dict({-2: 0.175, -1: 0.4, 0: 0.125, 1: 0.3}))
+    drift = ht.power_drift_chain(0.3, 0.05, -0.6)
+    # exact: the tail walk's root and its tilted G; truncated: the limit walk's root
+    for fam, K, method, G in [(lind, 2000, "matrix-geometric", 1), (drift, 400, "linear-solve", 0)]:
+        roots.clear()
+        passages.clear()
+        first = ht.stationary_solve(fam, K)
+        assert (first.method, len(roots), len(passages)) == (method, 1, G)
+        again = ht.stationary_solve(fam, K)
+        ht.build_beta_fn(fam, mode="constant")
+        assert (len(roots), len(passages)) == (1, G)
+        assert again.log_pi.tobytes() == first.log_pi.tobytes()
+        fresh = ht.stationary_solve(dataclasses.replace(fam), K)
+        assert (len(roots), len(passages)) == (2, 2 * G)
+        assert fresh.log_pi.tobytes() == first.log_pi.tobytes()
+
+
+def test_family_kernel_and_walks_keep_nothing_after_replace():
+    fam = ht.lindley_chain(ht.LatticeWalk.from_dict({-1: 0.7, 1: 0.3}))
+    ht.stationary_solve(fam, 2000)
+    kernel = fam.homogeneous_kernel()
+    walk = ht.ladder._tail_walk(kernel)
+    assert fam.limit_walk is fam.limit_walk and fam.homogeneous_kernel() is kernel
+    assert kernel.kept and walk.kept["certified_root"] == ht.cramer_root(walk)
+    for obj in (fam, kernel, walk, fam.limit_walk):
+        assert dataclasses.replace(obj).kept == {}
+    copy = dataclasses.replace(fam)
+    assert copy.homogeneous_kernel() is not kernel and copy.limit_walk is not fam.limit_walk
+    with pytest.raises(ht.UnsupportedInputError, match="no homogeneous level"):
+        ht.power_drift_chain().homogeneous_kernel()
+
+
+def test_overflowing_tilt_fails_where_the_rows_are_assembled(monkeypatch):
+    fam = ht.cli.build_chain({"name": "general", "band_lo": 1, "band_hi": 1,
+                              "rows": {"0": {"1": 1e308}}, "tail_row": {"-1": 0.7, "1": 0.3}})
+    solves = []
+    monkeypatch.setattr(ht.stationary, "band_solve", lambda *a, **kw: solves.append(a))
+    for K in (400, 2000):  # truncated, then exact
+        with pytest.raises(ht.SolverFailure, match="overflow when tilted") as exc:
+            ht.stationary_solve(fam, K)
+        assert exc.value.reason == "non-finite" and solves == []
+
+
 def test_log_tail_envelope(lindley_result):
     _, res = lindley_result
     i = np.arange(50, 401)
