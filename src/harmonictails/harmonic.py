@@ -965,7 +965,9 @@ def build_mc(
     than 1% of them sets a warning flag on the estimate.  ``path_steps``
     counts the (live path, step) pairs of all start states, a work figure
     that repeats for a seed, and ``rng`` names the paths' generator
-    (``_path_stream``).
+    (``_path_stream``).  A path weight above sqrt(DBL_MAX / n_paths), past
+    which the sums of the mean and the standard error can overflow, raises
+    ``SolverFailure`` (non-finite).
     """
     deltas, top = _log_masses(kernel)
     pc = _path_chain(kernel, top, return_tol, {"start state": states}, n_paths)
