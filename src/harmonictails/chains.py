@@ -40,7 +40,7 @@ from .kernels import (
     TransitionKernel,
     once,
 )
-from .ladder import LatticeWalk, _tail_walk
+from .ladder import LatticeWalk, _row_walk
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,9 @@ class ChainFamily:
     copy.  From ``homogeneous_from`` on, when it is set, every row
     is ``limit_pmf``: a kernel built at that level or above broadcasts it as
     its tail, and ``stationary_solve`` builds no explicit row beyond it.
-    ``kept`` holds the normalised limit walk and that kernel at the level,
-    each built on first use (``once``), so solves on one family certify the
-    walks they read once.
+    ``kept`` holds ``limit_pmf`` as one tail row, which every kernel the
+    family builds shares and whose walk is ``limit_walk``, and that kernel
+    at the level, each built on first use (``once``).
     """
 
     name: str
@@ -124,25 +124,21 @@ class ChainFamily:
     params: dict = field(default_factory=dict)
     kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
     @once
+    def _limit_row(self) -> HomogeneousTail:
+        return HomogeneousTail(np.asarray(self.limit_pmf, dtype=float))
+
+    @property
     def limit_walk(self) -> LatticeWalk:
-        pmf = np.asarray(self.limit_pmf, dtype=float)
-        return LatticeWalk(lo=-self.band_lo, pmf=pmf / pmf.sum())
+        return _row_walk(self._limit_row(), self.band_lo)
 
     @once
     def homogeneous_kernel(self) -> TransitionKernel:
         """``kernel(homogeneous_from)``: rows up to the homogeneous level, the
-        limit row broadcast above it; built on the first call and kept.  Where
-        its tail walk (``ladder._tail_walk``) is the limit walk bit for bit,
-        it is the limit walk itself, so both have one root and one G."""
+        limit row broadcast above it; built on the first call and kept."""
         if self.homogeneous_from is None:
             raise UnsupportedInputError(f"family {self.name} has no homogeneous level")
-        kernel = self.kernel(self.homogeneous_from)
-        walk, limit = _tail_walk(kernel), self.limit_walk
-        if walk is not None and walk.lo == limit.lo and np.array_equal(walk.pmf, limit.pmf):
-            kernel.kept[_tail_walk.__name__] = limit
-        return kernel
+        return self.kernel(self.homogeneous_from)
 
     def row(self, i: int) -> np.ndarray:
         """The row of one state, through the array rule."""
@@ -163,7 +159,7 @@ class ChainFamily:
             )
         weights = np.asarray(self.row_rule(np.arange(truncation + 1)), dtype=float)
         if self.homogeneous_from is not None:
-            tail = HomogeneousTail(np.asarray(self.limit_pmf, dtype=float))
+            tail = self._limit_row()
         else:
             bound = 0.0 if self.stochastic else math.inf
             tail = ParametricTail(self.row_rule, declared_delta_abs_bound=bound)

@@ -36,7 +36,6 @@ obtained from sandwich solves on a window sized from the tolerance.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import sys
@@ -63,6 +62,7 @@ from .kernels import (
     band_solve,
     band_system,
     first_row_below,
+    once,
     row_slice,
     row_sums,
 )
@@ -265,8 +265,10 @@ def return_probability_bounds(
     Lundberg bound is below min(tol, e^-36); bounds that still differ by
     more than ``tol`` > 0 raise :class:`ConvergenceError`.  Without a
     positive-mean minorant there is no certificate and the trivial (0, 1)
-    is returned.
+    is returned.  A state below ``P.state_lo`` raises StateRangeError.
     """
+    if j < P.state_lo:
+        raise StateRangeError(f"state {j} is below the chain's first state {P.state_lo}")
     if minorant is None:
         minorant = jump_minorant(P)
     if minorant.mean <= 0:
@@ -754,37 +756,35 @@ def _path_chain(kernel: TransitionKernel, top: int, return_tol: float, checked: 
     """The chain that ``n_paths`` paths scoring states up to ``top`` run on,
     its stopping level certified (``_PathCache.stop_level``, which also
     checks the ``checked`` states) and its rows folded
-    (``_PathCache.chain``) by what the kernel keeps in ``mc_cache``."""
+    (``_PathCache.chain``) by what the kernel keeps (``_path_cache``)."""
     cache = _path_cache(kernel)
     return cache.chain(top, cache.stop_level(top, return_tol, checked), n_paths)
 
 
+@once
 def _path_cache(kernel: TransitionKernel) -> _PathCache:
-    """The kernel's ``mc_cache``, made on the first call."""
-    if kernel.mc_cache is None:
-        object.__setattr__(kernel, "mc_cache", _PathCache(kernel))
-    return kernel.mc_cache
+    """What Monte Carlo keeps of the kernel, made on the first call."""
+    return _PathCache(kernel)
 
 
 class _PathCache:
     """What Monte Carlo keeps of a kernel, whatever the top its paths score
-    (``TransitionKernel.mc_cache``): the embedded chain ``P``, the Lundberg
-    exponent ``r`` of its jump minorant (None without a positive-drift
-    minorant), the excursion law of its tail walk once a chain first asks
-    for it, and the rows of the last ``_KEPT_FOLDS`` path chains built.  The
-    tail walk, with its certified G, is the one ``P`` keeps, or the
-    kernel's own where embedding leaves the tail row as it is, so that
-    ``build_solve`` and Monte Carlo on one kernel certify G once.  So a
-    kernel holds at most one embedded chain, one excursion law
-    (bh x (L + 1)) and ``_KEPT_FOLDS`` folds, each no longer than the
-    embedded rows up to a stopping level.
+    (``_path_cache``): the embedded chain ``P``, the Lundberg exponent ``r``
+    of its jump minorant (None without a positive-drift minorant), its tail
+    walk, and the rows of the last ``_KEPT_FOLDS`` path chains built.  The
+    walk is the one ``P``'s tail row keeps, the kernel's own row where
+    embedding leaves it as it is, and it keeps its G and excursion law
+    (``_excursion_law``), so ``build_solve`` and Monte Carlo on one kernel
+    certify G once.  So a kernel holds at most one embedded chain and
+    ``_KEPT_FOLDS`` folds, each no longer than the embedded rows up to a
+    stopping level, and its walk one excursion law (bh x (L + 1)).
     """
 
     def __init__(self, kernel: TransitionKernel):
         self.P = kernel.embed()
         minorant = jump_minorant(self.P)
         self.r = ruin_exponent(minorant) if minorant.mean > 0 else None
-        self.walk = _tail_walk(kernel if self.P.tail is kernel.tail else self.P)
+        self.walk = _tail_walk(self.P)
         self.folds: dict[tuple[int, int], StochasticKernel] = {}
 
     def stop_level(self, top: int, return_tol: float, checked: dict) -> int:
@@ -807,25 +807,6 @@ class _PathCache:
         _check_range(checked, self.P, stop)
         return stop
 
-    @functools.cached_property
-    def excursion_law(self) -> tuple[np.ndarray, float, np.ndarray] | None:
-        """(G, its certified residual, law): law's row j is where a jump to
-        end + 1 + j lands, row j % m of G^(j // m + 1) over end - L + 1..end
-        and then the escape; None where G cannot be certified.  G is the
-        walk's (``_certified_first_passage``), clipped at 0."""
-        try:
-            G, residual = _certified_first_passage(self.walk)
-        except SolverFailure:
-            return None
-        G = np.clip(G, 0.0, None)  # rounding can leave entries of -1e-17 or so
-        m, L, bh = len(G), -self.walk.lo, self.P.band_hi
-        powers = [G]
-        while len(powers) * m < bh:
-            powers.append(powers[-1] @ G)
-        law = np.vstack(powers)[:bh, m - L :]
-        law = np.hstack([law, np.clip(1.0 - row_sums(law), 0.0, None)[:, None]])
-        return G, residual, law
-
     def chain(self, top: int, stop: int, n_paths: int) -> _PathChain:
         """The path chain for ``n_paths`` paths scoring states up to
         ``top``, with certified stopping level ``stop``.
@@ -847,8 +828,8 @@ class _PathCache:
             end = max(top, P.homogeneous_level(), P.state_lo + L - 1)
             W = P.weights.shape[1]
             if (m <= _MAX_EXCURSION_LEVEL and m**3 <= _EXACT_WORK_RATIO * n_paths * W
-                    and end <= stop and self.excursion_law is not None):
-                G, residual, law = self.excursion_law
+                    and end <= stop and _excursion_law(walk, P.band_hi) is not None):
+                G, residual, law = _excursion_law(walk, P.band_hi)
                 return _PathChain(self._fold(end, law), stop, G, residual, L)
         # every jump above the stopping level escapes
         return _PathChain(self._fold(stop, np.ones((P.band_hi, 1))), stop)
@@ -863,6 +844,26 @@ class _PathCache:
                 del self.folds[next(iter(self.folds))]
         self.folds[key] = fold
         return fold
+
+
+@once
+def _excursion_law(walk: LatticeWalk, bh: int) -> tuple[np.ndarray, float, np.ndarray] | None:
+    """(G, its certified residual, law) of a tail walk in a band reaching bh
+    steps up: law's row j is where a jump to end + 1 + j lands, row j % m of
+    G^(j // m + 1) over end - L + 1..end and then the escape; None where G
+    cannot be certified.  G is the walk's (``_certified_first_passage``),
+    clipped at 0.  Kept on the walk for each bh."""
+    try:
+        G, residual = _certified_first_passage(walk)
+    except SolverFailure:
+        return None
+    G = np.clip(G, 0.0, None)  # rounding can leave entries of -1e-17 or so
+    m, L = len(G), -walk.lo
+    powers = [G]
+    while len(powers) * m < bh:
+        powers.append(powers[-1] @ G)
+    law = np.vstack(powers)[:bh, m - L :]
+    return G, residual, np.hstack([law, np.clip(1.0 - row_sums(law), 0.0, None)[:, None]])
 
 
 def _check_range(checked: dict, P: TransitionKernel, stop: int) -> None:
@@ -969,6 +970,8 @@ def build_mc(
     which the sums of the mean and the standard error can overflow, raises
     ``SolverFailure`` (non-finite).
     """
+    if not n_paths >= 1:
+        raise UnsupportedInputError(f"n_paths must be at least 1 (got {n_paths!r})")
     deltas, top = _log_masses(kernel)
     pc = _path_chain(kernel, top, return_tol, {"start state": states}, n_paths)
     score = np.zeros(pc.scored.size)  # 0 above the end
@@ -1020,6 +1023,8 @@ def _visit_counts(kernel: TransitionKernel, start: int, sites, checked: dict, n_
     site is scored as a field of b = (horizon + 1).bit_length() bits (at
     most 63) in an int64 word of 63 // b sites: one add per word and step
     counts them all, and no field carries into the next."""
+    if not n_paths >= 1:
+        raise UnsupportedInputError(f"n_paths must be at least 1 (got {n_paths!r})")
     top = max(np.atleast_1d(sites).tolist(), default=start)
     pc = _path_chain(kernel, top, return_tol, checked, n_paths)
     b = min((horizon + 1).bit_length(), 63)

@@ -73,9 +73,11 @@ SHORT_WINDOW = 4096
 
 @dataclass(frozen=True)
 class HomogeneousTail:
-    """All rows beyond the truncation share one weight row."""
+    """All rows beyond the truncation share one weight row, which keeps its
+    walk for each band_lo it is read with (``ladder._row_walk``)."""
 
     row: np.ndarray
+    kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "row", np.asarray(self.row, dtype=float))
@@ -135,23 +137,24 @@ def row_sums(block: np.ndarray) -> np.ndarray:
 
 
 def once(compute):
-    """``compute(obj)``, worked out on the first call for an object and kept
-    in its ``kept`` dict under the function's name: a kernel's tail walk, a
-    walk's Cramér root and G, a family's limit walk.  A HarmonicTailsError
-    that ``compute`` raises is kept as well, and raised again.  ``kept`` is
-    a field with ``init=False, compare=False``, so ``dataclasses.replace``
-    gives an object that keeps nothing."""
+    """``compute(obj, *key)``, worked out on the first call for an object and
+    kept in its ``kept`` dict under the function's name (with a key, under
+    (name, *key)): the one way an object keeps what is certified of it.  A
+    HarmonicTailsError that ``compute`` raises is kept as well, and raised
+    again.  ``kept`` is a field with ``init=False, compare=False``, so
+    ``dataclasses.replace`` gives an object that keeps nothing."""
     name = compute.__name__
 
     @functools.wraps(compute)
-    def kept(obj):
-        if name not in obj.kept:
+    def kept(obj, *key):
+        at = (name, *key) if key else name
+        if at not in obj.kept:
             try:
-                obj.kept[name] = compute(obj)
+                obj.kept[at] = compute(obj, *key)
             except HarmonicTailsError as exc:
-                obj.kept[name] = exc
+                obj.kept[at] = exc
                 raise
-        out = obj.kept[name]
+        out = obj.kept[at]
         if isinstance(out, HarmonicTailsError):
             raise out.with_traceback(None)
         return out
@@ -176,14 +179,12 @@ class TransitionKernel:
 
     Every represented row must carry positive total mass, and no weight may
     point at a negative state.  ``masses`` holds the explicit rows' sums;
-    ``kept`` the homogeneous level and the tail walk (``ladder._tail_walk``,
-    which keeps its own root and G), each on first use (``once``); and
-    ``mc_cache`` what Monte Carlo keeps of the kernel once certified,
-    whatever the top its paths score: the embedded chain, the Lundberg
-    exponent, the tail walk's excursion law and the last two path chains
-    built (``harmonic._PathCache``).  All are taken from the rows once, so
-    a kernel is not edited in place; ``dataclasses.replace`` gives a kernel
-    that keeps nothing.
+    ``kept`` the homogeneous level and what Monte Carlo keeps of the kernel
+    (``harmonic._path_cache``), each on first use (``once``); the tail walk
+    is kept on a homogeneous tail row (``ladder._row_walk``).  All are
+    taken from the rows once, so a kernel is not edited in place;
+    ``dataclasses.replace`` gives a kernel that keeps nothing of its own.
+    A homogeneous tail row is checked as the explicit rows are.
     """
 
     band_lo: int
@@ -195,7 +196,6 @@ class TransitionKernel:
     meta: dict = field(default_factory=dict)
     masses: np.ndarray = field(init=False, repr=False, compare=False)
     kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    mc_cache: object | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # C order, so that a row's sum is the same double here and in a block
@@ -227,6 +227,12 @@ class TransitionKernel:
         if self.tail is not None:
             if self.tail.rows_at(self.truncation + 1, self.truncation + 1).shape != (1, width):
                 raise UnsupportedInputError("tail rule row width does not match the band")
+            if isinstance(self.tail, HomogeneousTail):
+                row = self.tail.row
+                if not (row.min() >= 0.0 and row.max() < math.inf):
+                    raise UnsupportedInputError("tail row weights must be finite and nonnegative")
+                if not row.sum() > 0:
+                    raise DegenerateRowError("the tail row has no mass")
 
     # -- structure ---------------------------------------------------------
 
@@ -327,7 +333,7 @@ class TransitionKernel:
         w, dropped = _drop_dust(normalise(self.weights))
         tail = _map_tail(self.tail, normalise, 0.0)
         if isinstance(tail, HomogeneousTail) and np.array_equal(tail.row, self.tail.row):
-            tail = self.tail  # mass 1 exactly: Monte Carlo then shares the kernel's tail walk
+            tail = self.tail  # mass 1 exactly: the embedded chain shares the row's walk
         return StochasticKernel(
             band_lo=self.band_lo,
             band_hi=self.band_hi,

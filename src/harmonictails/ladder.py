@@ -24,8 +24,9 @@ whole excursion above that level at once.
 A walk keeps what the solvers certify of it, each on first use
 (``kernels.once``): its Cramér root (``certified_root``), its certified G
 (``_certified_first_passage``) and the stationary side's G of its tilt at
-the root, negated (``_tilted_first_passage``).  So repeated solves on one
-kernel or family, whose tail walk is kept with it, find them once.
+the root, negated (``_tilted_first_passage``).  A tail row keeps its one
+walk (``_row_walk``), read by every kernel and family that shares the row,
+so repeated solves on any of them find them once.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ class LatticeWalk:
 
     @classmethod
     def from_dict(cls, probs: dict[int, float]) -> "LatticeWalk":
+        if not probs:
+            raise UnsupportedInputError("step law must have at least one step")
         lo, hi = min(probs), max(probs)
         pmf = np.zeros(hi - lo + 1)
         for off, p in probs.items():
@@ -417,20 +420,24 @@ def _homogeneous_levels(kernel: TransitionKernel, K: int) -> tuple[int, LatticeW
 
 
 @once
+def _row_walk(tail: HomogeneousTail, band_lo: int) -> LatticeWalk:
+    """The step law of a tail row whose column c is the step c - band_lo,
+    normalised by the row's sum and with the zero steps at its ends cut off;
+    kept on the row for each ``band_lo``, with the walk's root and G."""
+    at = np.flatnonzero(tail.row)
+    return LatticeWalk(lo=int(at[0]) - band_lo, pmf=tail.row[at[0] : at[-1] + 1] / tail.row.sum())
+
+
 def _tail_walk(kernel: TransitionKernel) -> LatticeWalk | None:
-    """The step law of a homogeneous tail row, normalised and with the zero
-    steps at its ends cut off, when it steps both ways with gcd 1, so that
-    its first-passage matrix between levels of m = max(L, top step) states
-    exists; None for any other tail.  Kept on the kernel, so the walk's
-    root and G are too."""
+    """The walk of a homogeneous tail row (``_row_walk``) when it steps both
+    ways with gcd 1, so that its first-passage matrix between levels of
+    m = max(L, top step) states exists; None for any other tail."""
     if not isinstance(kernel.tail, HomogeneousTail):
         return None
-    row = kernel.tail.row
-    at = np.flatnonzero(row)
-    steps = (at - kernel.band_lo).tolist()
-    if not (steps and steps[0] < 0 < steps[-1] and math.gcd(*steps) == 1):
+    steps = (np.flatnonzero(kernel.tail.row) - kernel.band_lo).tolist()
+    if not (steps[0] < 0 < steps[-1] and math.gcd(*steps) == 1):
         return None
-    return LatticeWalk(lo=steps[0], pmf=row[at[0] : at[-1] + 1] / row.sum())
+    return _row_walk(kernel.tail, kernel.band_lo)
 
 
 def _level_counts(states: int, m: int) -> tuple[int, int]:

@@ -61,6 +61,7 @@ from .ladder import (
     _homogeneous_levels,
     _level_counts,
     _level_powers,
+    _row_walk,
     _tilted_first_passage,
     certified_root,
     cramer_root,
@@ -104,8 +105,7 @@ def _limit_walk_of(chain) -> LatticeWalk:
     if isinstance(chain, ChainFamily):
         return chain.limit_walk
     if isinstance(chain.tail, HomogeneousTail):
-        row = chain.tail.row
-        return LatticeWalk(lo=-chain.band_lo, pmf=row / row.sum())
+        return _row_walk(chain.tail, chain.band_lo)
     raise UnsupportedInputError(
         "cannot infer the limiting jump law; pass the tilt rate explicitly"
     )
@@ -673,6 +673,8 @@ def _fit_root_expansion(family, beta, M):
 
 def entry_measure(kernel: TransitionKernel, log_pi: np.ndarray, level: int) -> dict[int, float]:
     """One-step entry flow e(i) = sum_{j <= level} pi(j) P(j, i), i > level."""
+    if level >= len(log_pi):
+        raise StateRangeError(f"level {level} outside the solved range [0, {len(log_pi) - 1}]")
     bh = kernel.band_hi
     block = np.vstack([kernel.rows(0, level), np.zeros((bh, kernel.band_lo + bh + 1))])
     mu = np.concatenate([np.exp(log_pi[: level + 1]), np.zeros(bh)])

@@ -478,11 +478,15 @@ def test_tail_task_computes_one_root(tmp_path, monkeypatch):
     calls = []
     root = ladder.cramer_root
     monkeypatch.setattr(ladder, "cramer_root", lambda w, *a, **kw: calls.append(w) or root(w))
-    cfg = CONFIGS / "alternating_tail.json"
-    assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
     # the config check finds it on the limit walk; the stationary solve and
-    # the tail model read it there
-    assert len(calls) == 1
+    # the tail model read it there.  A limit row with zero steps at its ends
+    # (band_lo 2, no step of -2) is one walk for the family and its kernel
+    for cfg in (CONFIGS / "alternating_tail.json", FIXTURES / "padded_limit_row_tail.json"):
+        calls.clear()
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(calls) == 1
+        manifest = json.loads((tmp_path / f"{cfg.stem}.manifest.json").read_text())
+        assert manifest["diagnostics"]["passed"] is True
 
 
 # finite but huge weights: each used to pass validate and end the run in a

@@ -414,6 +414,15 @@ def test_return_probability_oracles(ex1_kernel):
     assert hi1 == pytest.approx(0.6, abs=1e-9)
 
 
+def test_return_probability_below_the_first_state_is_refused():
+    P = ht.kernel_from_rows({i: {-1: 0.3, 1: 0.7} for i in range(5, 9)}, 8, 1, 1, state_lo=5,
+                            tail=ht.HomogeneousTail(np.array([0.3, 0.0, 0.7])), stochastic=True)
+    assert ht.return_probability_bounds(P, 5)[1] < 1.0
+    for j in (4, 2, -1):
+        with pytest.raises(ht.StateRangeError, match=f"^state {j} is below"):
+            ht.return_probability_bounds(P, j)
+
+
 def test_return_probability_without_certificate(down_walk):
     killed = ht.walk_killed_at_negative(down_walk)
     P = killed.kernel(40).embed()
@@ -525,7 +534,7 @@ def test_build_solve_and_mc_certify_G_once_per_kernel(monkeypatch):
     # the kernel's, with its G
     mc = ht.build_mc(kernel, (0, 3), 500, 1000, seed=1)
     assert "excursion_level" in mc.meta and len(passages) == 1
-    assert kernel.mc_cache.walk is ht.ladder._tail_walk(kernel)
+    assert ht.harmonic._path_cache(kernel).walk is ht.ladder._tail_walk(kernel)
     assert solve.values.array.tobytes() == ht.build_solve(fresh(), 2000).values.array.tobytes()
     assert mc.values == ht.build_mc(fresh(), (0, 3), 500, 1000, seed=1).values
 
@@ -802,11 +811,12 @@ def test_path_chain_reused_per_kernel(monkeypatch):
     folded.clear()
     assert ht.harmonic._path_chain(kernel, 0, 1e-8, {}, 0).end == stop
     ht.build_mc(kernel, (0,), 10, 100, seed=1)
-    assert folded == [stop, 1] and len(kernel.mc_cache.folds) == ht.harmonic._KEPT_FOLDS
+    folds = ht.harmonic._path_cache(kernel).folds
+    assert folded == [stop, 1] and len(folds) == ht.harmonic._KEPT_FOLDS
     assert len(certified) == before
     # a replaced kernel is a new value with nothing kept
     copy = dataclasses.replace(kernel)
-    assert copy.mc_cache is None
+    assert copy.kept == {}
     got = ht.build_mc(copy, (1,), 500, 1000, seed=1)
     assert len(certified) == before + 1
     assert got == ht.build_mc(kernel, (1,), 500, 1000, seed=1)
@@ -1105,6 +1115,19 @@ def test_build_solve_refuses_a_substochastic_tail_row():
 
 # ---------------------------------------------------------------------------
 # Monte Carlo start states and sites
+
+
+def test_mc_refuses_fewer_than_one_path(ex1_kernel, monkeypatch):
+    monkeypatch.setattr(ht.harmonic, "_path_chain", lambda *a: pytest.fail("paths were set up"))
+    calls = [
+        lambda n: ht.build_mc(ex1_kernel, (0,), n, 100, seed=0),
+        lambda n: ht.local_time_moment_mc(ex1_kernel, 0, 0.1, n, 100, seed=0),
+        lambda n: ht.expected_local_times_mc(ex1_kernel, 0, (0, 1), n, 100, seed=0),
+    ]
+    for call in calls:
+        for n in (0, -3):
+            with pytest.raises(ht.UnsupportedInputError, match=f"^n_paths must be at least 1 \\(got {n}\\)$"):
+                call(n)
 
 
 def test_mc_rejects_states_outside_scored_range(ex1_kernel):

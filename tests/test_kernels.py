@@ -188,6 +188,19 @@ def test_invalid_kernels_rejected():
             ht.TransitionKernel(band_lo=0, band_hi=1, weights=w)
 
 
+@pytest.mark.parametrize("row, error, message", [
+    ([0.0, 0.0, 0.0], ht.DegenerateRowError, "^the tail row has no mass$"),
+    ([0.7, np.nan, 0.3], ht.UnsupportedInputError, "^tail row weights must be finite and nonnegative$"),
+    ([0.8, 0.0, -0.1], ht.UnsupportedInputError, "^tail row weights must be finite and nonnegative$"),
+    ([0.7, 0.0, np.inf], ht.UnsupportedInputError, "^tail row weights must be finite and nonnegative$"),
+])
+def test_tail_row_checked_as_explicit_rows_are(row, error, message):
+    for cls in (ht.TransitionKernel, ht.StochasticKernel):
+        with pytest.raises(error, match=message):
+            cls(band_lo=1, band_hi=1, weights=np.array([[0.0, 0.0, 1.0]]),
+                tail=ht.HomogeneousTail(np.array(row)))
+
+
 def test_stochastic_check_names_the_first_bad_row():
     # row sums 1, 1.2, 1, 0.7: the first bad row is not the one furthest off
     w = np.array([[0.5, 0.5], [0.6, 0.6], [0.3, 0.7], [0.35, 0.35]])

@@ -214,6 +214,8 @@ def test_walk_from_dict_validation():
         ht.LatticeWalk.from_dict({1: 0.4, -1: 0.4})  # mass not one
     with pytest.raises(ht.UnsupportedInputError):
         ht.LatticeWalk.from_dict({1: -0.2, -1: 1.2})
+    with pytest.raises(ht.UnsupportedInputError, match="^step law must have at least one step$"):
+        ht.LatticeWalk.from_dict({})
 
 
 def _ladder_by_iteration(walk, mass_tol=1e-13, max_iter=200_000):

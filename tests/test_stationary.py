@@ -227,6 +227,28 @@ def test_stationary_solves_certify_once_per_family(monkeypatch):
         assert fresh.log_pi.tobytes() == first.log_pi.tobytes()
 
 
+def test_stationary_solves_certify_once_per_kernel(monkeypatch):
+    roots = _count_calls(monkeypatch, "cramer_root")
+    kernel = ht.lindley_chain(ht.LatticeWalk.from_dict({-1: 0.7, 1: 0.3})).kernel(8)
+    first = ht.stationary_solve(kernel, 400)
+    for _ in range(2):
+        assert ht.stationary_solve(kernel, 400).log_pi.tobytes() == first.log_pi.tobytes()
+    # the tail row keeps its walk, and the walk its root
+    assert len(roots) == 1
+
+
+def test_a_family_its_kernels_and_their_chains_share_one_walk():
+    fam = ht.lindley_chain(ht.LatticeWalk.from_dict({-1: 0.7, 1: 0.3}))
+    k = fam.kernel(8)
+    assert fam.limit_walk is ht.ladder._tail_walk(k) is ht.ladder._tail_walk(k.embed())
+    assert ht.ladder._tail_walk(fam.homogeneous_kernel()) is fam.limit_walk
+    # zero steps at the ends of the limit row are cut: one walk of steps -1, 1
+    padded = ht.cli.build_chain({"name": "general", "band_lo": 2, "band_hi": 1,
+                                 "rows": {"0": {"1": 1.0}}, "tail_row": {"-1": 0.7, "1": 0.3}})
+    assert padded.limit_walk is ht.ladder._tail_walk(padded.homogeneous_kernel())
+    assert (padded.limit_walk.lo, padded.limit_walk.pmf.tolist()) == (-1, [0.7, 0.0, 0.3])
+
+
 def test_family_kernel_and_walks_keep_nothing_after_replace():
     fam = ht.lindley_chain(ht.LatticeWalk.from_dict({-1: 0.7, 1: 0.3}))
     ht.stationary_solve(fam, 2000)
@@ -480,6 +502,15 @@ def test_entry_measure(lindley_result):
     e = ht.entry_measure(kernel, res.log_pi, 5)
     assert set(e) == {6}
     assert e[6] == pytest.approx(math.exp(res.log_pi[5]) * 0.3, rel=1e-12)
+
+
+def test_entry_measure_above_the_solved_range_is_refused(lindley_result):
+    fam, res = lindley_result
+    kernel = fam.kernel(len(res.log_pi) + 8)
+    assert ht.entry_measure(kernel, res.log_pi, len(res.log_pi) - 1)
+    for level in (len(res.log_pi), len(res.log_pi) + 3):
+        with pytest.raises(ht.StateRangeError, match=f"^level {level} outside the solved range"):
+            ht.entry_measure(kernel, res.log_pi, level)
 
 
 def test_renewal_pure_death_oracle():
