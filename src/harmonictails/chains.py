@@ -38,6 +38,7 @@ from .kernels import (
     ParametricTail,
     StochasticKernel,
     TransitionKernel,
+    check_tail_row,
     once,
 )
 from .ladder import LatticeWalk, _row_walk
@@ -123,6 +124,16 @@ class ChainFamily:
     alpha_profile: object | None = None
     params: dict = field(default_factory=dict)
     kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the limit row is the tail row of every kernel the family builds
+        pmf = np.asarray(self.limit_pmf, dtype=float)
+        width = self.band_lo + self.band_hi + 1
+        if width < 1 or pmf.shape != (width,):
+            raise UnsupportedInputError(
+                f"limit row must have {width} offset columns, got shape {pmf.shape}"
+            )
+        check_tail_row(pmf)
 
     @once
     def _limit_row(self) -> HomogeneousTail:

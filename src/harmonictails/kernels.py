@@ -91,6 +91,15 @@ class HomogeneousTail:
         return 0.0 if abs(math.log(mass)) < 1e-14 else math.inf
 
 
+def check_tail_row(row: np.ndarray) -> None:
+    """Refuse a homogeneous tail row whose weights are not finite and
+    nonnegative, or that has no mass."""
+    if not (row.min() >= 0.0 and row.max() < math.inf):
+        raise UnsupportedInputError("tail row weights must be finite and nonnegative")
+    if not row.sum() > 0:
+        raise DegenerateRowError("the tail row has no mass")
+
+
 @dataclass(frozen=True)
 class ParametricTail:
     """Rows beyond the truncation come from a block rule.
@@ -228,11 +237,7 @@ class TransitionKernel:
             if self.tail.rows_at(self.truncation + 1, self.truncation + 1).shape != (1, width):
                 raise UnsupportedInputError("tail rule row width does not match the band")
             if isinstance(self.tail, HomogeneousTail):
-                row = self.tail.row
-                if not (row.min() >= 0.0 and row.max() < math.inf):
-                    raise UnsupportedInputError("tail row weights must be finite and nonnegative")
-                if not row.sum() > 0:
-                    raise DegenerateRowError("the tail row has no mass")
+                check_tail_row(self.tail.row)
 
     # -- structure ---------------------------------------------------------
 

@@ -399,14 +399,10 @@ def _homogeneous_levels(kernel: TransitionKernel, K: int) -> tuple[int, LatticeW
     couples (K >= h + 2m - 1).
 
     None otherwise, and the solvers fall back to their truncated solves;
-    also where the exact solve costs more than the truncated ones.  A window
-    of at most ``_DIRECT_STATES`` states above h is one banded solve either
-    way, and the walk and G are extra work.  Cyclic reduction costs a few
-    m^3 flops per step on top, against about K x (band width) for the
-    truncated solves at K and 2K, so m^3 may be at most
+    also where levels are so wide that the exact solve costs more: cyclic
+    reduction costs a few m^3 flops per step, against about K x (band
+    width) for the truncated solves at K and 2K, so m^3 may be at most
     ``_EXACT_WORK_RATIO`` times that."""
-    if K - kernel.state_lo < _DIRECT_STATES:
-        return None
     walk = _tail_walk(kernel)
     if walk is None:
         return None
@@ -414,7 +410,7 @@ def _homogeneous_levels(kernel: TransitionKernel, K: int) -> tuple[int, LatticeW
     if m**3 > _EXACT_WORK_RATIO * K * kernel.tail.row.size:
         return None
     h = kernel.homogeneous_level()
-    if K - h < max(_DIRECT_STATES, 2 * m - 1):
+    if K - h < 2 * m - 1:
         return None
     return h, walk
 

@@ -8,13 +8,12 @@ i = 850 for beta near 0.85), so the solver here works on the compensated
 vector y(i) = pi(i) exp(beta i), which stays of order one across the whole
 window.  When every row from some level h on is a tail row whose walk
 satisfies Cramér's condition, y is matrix-geometric above h and the law is
-exact (method ``matrix-geometric``), where the window is long enough for
-that to pay and the tilted rows stay finite; otherwise the chain is
-truncated, jumps above the window reflected onto its top, and checked by
-doubling the window (method ``linear-solve``).  Chains whose drift
-perturbation is not summable get a state-dependent decay rate beta(x)
-expanded in powers of the perturbation; the expansion coefficients come
-from a formal-series inversion of the local root equation.
+exact (method ``matrix-geometric``) where the tilted rows stay finite;
+otherwise the chain is truncated, jumps above the window reflected onto its
+top, and checked by doubling the window (method ``linear-solve``).  Chains
+whose drift perturbation is not summable get a state-dependent decay rate
+beta(x) expanded in powers of the perturbation; the expansion coefficients
+come from a formal-series inversion of the local root equation.
 
 Also here: the exact regeneration decomposition of the stationary law over
 a low set, the harmonic change of measure that turns the chain killed on
@@ -262,20 +261,18 @@ def stationary_solve(
 ) -> StationaryResult:
     """Stationary law of a downward-drifting chain on the window 0..K.
 
-    ``chain`` is a :class:`ChainFamily` or a stochastic kernel with rows
-    available up to 2K.  ``beta`` defaults to the Cramér root of the
-    limiting jump law; passing 0 turns compensation off (only safe for
-    short windows).
+    ``chain`` is a :class:`ChainFamily` or a stochastic kernel.  ``beta``
+    defaults to the Cramér root of the limiting jump law; passing 0 turns
+    compensation off (only safe for short windows).
 
     When the rows from some level h on are a tail row whose walk satisfies
-    Cramér's condition, the window is long enough for it to pay
-    (``_homogeneous_levels``) and the rows tilted at the root stay finite,
-    the law is exact (method ``matrix-geometric``): it is solved at the
-    Cramér root, where the compensated vector is matrix-geometric above h,
-    and an explicit ``beta`` only rescales y.  Otherwise the solve is
-    truncated, with jumps above K reflected onto K, and repeated on a
-    doubled window: the two stationary vectors must agree on 0..K/2 (method
-    ``linear-solve``).
+    Cramér's condition (``_homogeneous_levels``) and the rows tilted at the
+    root stay finite, the law is exact (method ``matrix-geometric``): it is
+    solved at the Cramér root, where the compensated vector is
+    matrix-geometric above h, and an explicit ``beta`` only rescales y.
+    Otherwise the solve is truncated, with jumps above K reflected onto K,
+    and repeated on a doubled window, which needs rows up to 2K: the two
+    stationary vectors must agree on 0..K/2 (method ``linear-solve``).
     """
     if K < 1:
         raise StateRangeError(f"window 0..{K} needs K >= 1")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import hypothesis
 import numpy as np
 import pytest
@@ -32,6 +34,21 @@ def lindley_result(down_walk):
 @pytest.fixture(scope="session")
 def example3_family():
     return ht.alternating_drift_chain(p=0.3, c0=0.05, gamma=0.7)
+
+
+def parametric_twin(kernel):
+    """The kernel with its homogeneous tail row given as a parametric rule:
+    the same rows, which the solvers take on the truncated route."""
+    row = kernel.tail.row
+    return dataclasses.replace(
+        kernel, tail=ht.ParametricTail(lambda s: np.tile(row, (len(s), 1)), 0.0))
+
+
+def parametric_family_twin(family):
+    """The family without its homogeneous level: the same rows, read through
+    the row rule as a parametric tail, so the solvers take the truncated
+    route."""
+    return dataclasses.replace(family, homogeneous_from=None)
 
 
 def lindley_exact_log_pi(n):

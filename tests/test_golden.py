@@ -17,6 +17,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 from harmonictails.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,12 +100,44 @@ def test_golden_covers_the_shipped_configs():
     assert set(RTOL) <= {c.stem for c in CONFIGS}
 
 
-def test_shipped_outputs_match_golden(tmp_path):
-    problems = []
+@pytest.fixture(scope="module")
+def shipped(tmp_path_factory):
+    """A directory with the outputs of every shipped config."""
+    out = tmp_path_factory.mktemp("shipped")
     for cfg in CONFIGS:
-        assert main(["run", str(cfg), "--out", str(tmp_path), "--quiet"]) in (0, 2), cfg
-        problems += mismatches(tmp_path, cfg.stem)
-    assert problems == []
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) in (0, 2), cfg
+    return out
+
+
+def test_shipped_outputs_match_golden(shipped):
+    assert [m for cfg in CONFIGS for m in mismatches(shipped, cfg.stem)] == []
+
+
+def _percent_text(field: str) -> bool | None:
+    """Whether a CSV field is the '%d' or '%.17g' text of its number; None
+    for a text field."""
+    try:
+        value = float(field)
+    except ValueError:
+        return None
+    return field == "%.17g" % value or (_INT.fullmatch(field) is not None
+                                        and field == str(int(field)))
+
+
+def test_shipped_csv_numbers_are_percent_text(shipped):
+    # the golden comparison reads values within 4 ulp, so it cannot see a
+    # string such as 1.5000000000000000 that parses to the right double
+    paths = sorted(shipped.glob("*.csv"))
+    assert [p.name for p in paths] == sorted(p.name for p in GOLDEN.glob("*.csv"))
+    fields = 0
+    for path in paths:
+        with open(path, newline="") as fh:
+            for row in list(csv.reader(fh))[1:]:
+                for f in row:
+                    ok = _percent_text(f)
+                    assert ok is not False, (path.name, f)
+                    fields += ok is True
+    assert fields > 5000
 
 
 def test_comparison_catches_moved_cells(tmp_path):

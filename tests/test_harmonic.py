@@ -11,12 +11,14 @@ from hypothesis import given, strategies as st
 import harmonictails as ht
 from conftest import (
     collapsed_chain as collapsed,
+    parametric_family_twin,
+    parametric_twin,
     reference_band_matvec,
     reference_band_system,
     seeded_drift_kernels,
 )
 from harmonictails.harmonic import _truncated_solve
-from harmonictails.ladder import _DIRECT_STATES, _EXACT_WORK_RATIO
+from harmonictails.ladder import _EXACT_WORK_RATIO
 
 RATIO = 3.0 / 7.0  # q/p for the default up probability 0.7
 
@@ -71,21 +73,21 @@ def test_multi_perturbed_walk_refuses_nan(alphas):
 
 
 def test_solve_matches_closed_form(ex1_kernel):
-    # the rows from state 1 on are the limit row, and the window above them
-    # is longer than one direct solve: the exact path
-    est = ht.build_solve(ex1_kernel, K=2000)
-    assert est.method == "matrix-geometric"
-    assert est.residual is not None and est.residual <= 1e-9
-    assert est.meta["first_passage_residual"] <= 1e-12
-    assert (est.meta["homogeneous_level"], est.meta["level_size"]) == (1, 1)
-    assert "doubling_disagreement" not in est.meta
-    # a window of one direct solve: the truncated solve, with its doubling check
-    trunc = ht.build_solve(ex1_kernel, K=400)
+    # the rows from state 1 on are the limit row: the exact path at every K
+    exact = [ht.build_solve(ex1_kernel, K=K) for K in (20, 400, 2000)]
+    for est in exact:
+        assert est.method == "matrix-geometric"
+        assert est.residual is not None and est.residual <= 1e-9
+        assert est.meta["first_passage_residual"] <= 1e-12
+        assert (est.meta["homogeneous_level"], est.meta["level_size"]) == (1, 1)
+        assert "doubling_disagreement" not in est.meta
+    # the same rows as a parametric tail: the truncated solve, with its doubling check
+    trunc = ht.build_solve(parametric_twin(ex1_kernel), K=400)
     assert trunc.method == "linear-solve"
     assert trunc.residual is not None and trunc.residual <= 1e-9
     assert trunc.meta["doubling_disagreement"] is not None
     assert trunc.meta["doubling_disagreement"] <= 1e-6
-    for e in (est, trunc):
+    for e in (*exact, trunc):
         for i in range(21):
             assert e.value(i) == pytest.approx(exact_f(i), abs=1e-8)
         # pinned boundary extends the function above the truncation
@@ -237,15 +239,15 @@ def test_exact_solve_matches_truncated_solve():
 
 
 def test_exact_solve_needs_a_long_window():
-    # the window above h must be longer than one direct solve, and the
-    # cyclic reduction on levels of m states must cost less than the
-    # truncated solves: otherwise the truncated solve runs
+    # the window must hold the two levels of m states above h that the
+    # closure couples, and the cyclic reduction on levels of m states must
+    # cost less than the truncated solves: otherwise the truncated solve runs
     for kernel, h, m in [
         (ht.perturbed_reflected_walk(p=0.7, alpha=2.0).kernel(8), 1, 1),
         (ht.multi_perturbed_walk((1.2, 1.5), p=0.7).kernel(10), 3, 1),
         (ht.walk_killed_at_negative(ht.LatticeWalk.from_dict({-3: 0.2, 2: 0.8})).kernel(3), 3, 3),
     ]:
-        top = h + _DIRECT_STATES
+        top = h + 2 * m - 1
         assert ht.build_solve(kernel, top - 1, check_doubling=False).method == "linear-solve"
         est = ht.build_solve(kernel, top)
         assert est.method == "matrix-geometric"
@@ -283,17 +285,23 @@ def test_exact_solve_of_a_kernel_with_rows_up_to_K():
 
 
 def test_solve_trichotomy():
-    # K = 300 takes the truncated solve, K = 2000 the exact one
-    for K, method in ((300, "linear-solve"), (2000, "matrix-geometric")):
-        ok = ht.build_solve(ht.perturbed_reflected_walk(p=0.7, alpha=2.0).kernel(8), K=K)
-        assert ok.value(0) == pytest.approx(8.0, abs=1e-8) and ok.method == method
+    # the exact solve at K = 300 and 2000, and the truncated one on the
+    # parametric twin at K = 300
+    for K, twin in ((300, False), (2000, False), (300, True)):
+        def kernel(alpha):
+            k = ht.perturbed_reflected_walk(p=0.7, alpha=alpha).kernel(8)
+            return parametric_twin(k) if twin else k
+
+        ok = ht.build_solve(kernel(2.0), K=K)
+        assert ok.value(0) == pytest.approx(8.0, abs=1e-8)
+        assert ok.method == ("linear-solve" if twin else "matrix-geometric")
 
         with pytest.raises(ht.SolverFailure) as exc:
-            ht.build_solve(ht.perturbed_reflected_walk(p=0.7, alpha=7.0 / 3.0).kernel(8), K=K)
+            ht.build_solve(kernel(7.0 / 3.0), K=K)
         assert exc.value.reason in ("negative-values", "doubling", "non-finite")
 
         with pytest.raises(ht.SolverFailure) as exc:
-            ht.build_solve(ht.perturbed_reflected_walk(p=0.7, alpha=3.0).kernel(8), K=K)
+            ht.build_solve(kernel(3.0), K=K)
         assert exc.value.reason in ("negative-values", "doubling", "non-finite")
 
 
@@ -911,7 +919,7 @@ def test_collapsed_chain_solves_to_build_solve(name, top):
         ref = truncated_system_solution(kernel, 400)
     else:  # K above the starts below, which reach three levels above end
         K = max(400, end + 3 * m + 4)
-        est = ht.build_solve(kernel, K=K)
+        est = ht.build_solve(parametric_twin(kernel), K=K)
         assert est.method == "linear-solve"
         ref = est.array(lo, K)
     np.testing.assert_allclose(f, ref[:n], rtol=1e-10, atol=0)
@@ -921,6 +929,38 @@ def test_collapsed_chain_solves_to_build_solve(name, top):
         got = law @ f[n - L :] + (1.0 - law.sum())
         assert got == pytest.approx(ref[s - lo], rel=1e-10, abs=0)
     assert pc.entry(end) is None
+
+
+ROUTE_CASES = {
+    "example1": lambda: ht.perturbed_reflected_walk(p=0.7, alpha=2.0).kernel(8),
+    "example2": lambda: ht.multi_perturbed_walk((1.2, 1.5), p=0.7).kernel(10),
+    "reach": lambda: excursion_kernels()["reach"],
+    "wide3": lambda: wide(3),
+    "wide17": lambda: wide(17),
+    "lindley": lambda: ht.lindley_chain(ht.LatticeWalk.from_dict({-1: 0.7, 1: 0.3})),
+    "lindley4": lambda: ht.lindley_chain(
+        ht.LatticeWalk.from_dict({-2: 0.175, -1: 0.4, 0: 0.125, 1: 0.3})),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUTE_CASES))
+def test_exact_and_truncated_routes_agree(name):
+    # the exact solve and the truncated one on the parametric twin of the
+    # same rows, at K = 400 on 0..200, within the twin's own doubling_tol
+    chain, K = ROUTE_CASES[name](), 400
+    if isinstance(chain, ht.ChainFamily):
+        exact = ht.stationary_solve(chain, K)
+        trunc = ht.stationary_solve(parametric_family_twin(chain), K)
+        gap = np.max(np.abs(exact.log_pi[: K // 2 + 1] - trunc.log_pi[: K // 2 + 1]))
+        tol = 1e-8
+    else:
+        exact = ht.build_solve(chain, K)
+        trunc = ht.build_solve(parametric_twin(chain), K)
+        a, b = exact.array(0, K // 2), trunc.array(0, K // 2)
+        gap = np.max(np.abs(a - b) / np.abs(b))
+        tol = 1e-6
+    assert (exact.method, trunc.method) == ("matrix-geometric", "linear-solve")
+    assert gap <= tol
 
 
 def truncated_system_solution(kernel, K):
@@ -1094,15 +1134,25 @@ def test_solve_recurrent_chain_is_constant():
 
 
 def test_build_solve_doubling_failure():
-    # near-critical drift and weight: the solves at K = 20 and 40 disagree
-    # on 0..10, so the boundary at 20 has not decoupled
-    kernel = ht.perturbed_reflected_walk(p=0.51, alpha=1.01).kernel(40)
+    # near-critical drift and weight, the tail as a parametric rule: the
+    # solves at K = 20 and 40 disagree on 0..10, so the boundary at 20 has
+    # not decoupled
+    kernel = parametric_twin(ht.perturbed_reflected_walk(p=0.51, alpha=1.01).kernel(40))
     with pytest.raises(ht.SolverFailure) as exc:
         ht.build_solve(kernel, K=20)
     assert exc.value.reason == "doubling"
     assert set(exc.value.diagnostics) == {"disagreement", "K"}
     assert exc.value.diagnostics["K"] == 20
     assert exc.value.diagnostics["disagreement"] == pytest.approx(0.0754, abs=1e-4)
+
+
+def test_near_critical_exact_solve_matches_closed_form():
+    # the chain above with its homogeneous tail: the exact solve needs no
+    # decoupling at K = 20
+    est = ht.build_solve(ht.perturbed_reflected_walk(p=0.51, alpha=1.01).kernel(40), K=20)
+    assert est.method == "matrix-geometric"
+    exact = [ht.reflected_walk_harmonic_exact(1.01, 0.51, i) for i in range(21)]
+    np.testing.assert_allclose(est.array(0, 20), exact, rtol=1e-12, atol=0)
 
 
 def test_build_solve_refuses_a_substochastic_tail_row():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +201,20 @@ def test_tail_row_checked_as_explicit_rows_are(row, error, message):
         with pytest.raises(error, match=message):
             cls(band_lo=1, band_hi=1, weights=np.array([[0.0, 0.0, 1.0]]),
                 tail=ht.HomogeneousTail(np.array(row)))
+
+
+@pytest.mark.parametrize("row, error, message", [
+    ([0.0, 0.0, 0.0], ht.DegenerateRowError, r"^the tail row has no mass$"),
+    ([0.7, np.nan, 0.3], ht.UnsupportedInputError,
+     r"^tail row weights must be finite and nonnegative$"),
+    ([0.7, 0.3], ht.UnsupportedInputError, r"^limit row must have 3 offset columns, got shape \(2,\)$"),
+])
+def test_family_limit_row_checked_as_a_tail_row_is(row, error, message):
+    fam = ht.lindley_chain(ht.LatticeWalk.from_dict({-1: 0.7, 1: 0.3}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            dataclasses.replace(fam, limit_pmf=np.array(row))
 
 
 def test_stochastic_check_names_the_first_bad_row():

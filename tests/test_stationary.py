@@ -2,15 +2,19 @@
 
 import dataclasses
 import math
+import re
+import runpy
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import harmonictails as ht
-from conftest import lindley_exact_log_pi
-from harmonictails.ladder import _DIRECT_STATES
+import harmonictails.cli  # noqa: F401  (ht.cli below)
+from conftest import lindley_exact_log_pi, parametric_family_twin
 from harmonictails.stationary import _truncated_stationary
 
 BETA = math.log(7.0 / 3.0)
@@ -27,20 +31,21 @@ def example3_result(example3_family):
 
 def test_lindley_stationary_exact(lindley_result):
     fam, res = lindley_result
-    # a window of one direct solve: the truncated solve reflects the jumps
-    # above K and checks by doubling
-    assert res.method == "linear-solve"
-    assert res.reflected_weight == pytest.approx(0.3, abs=1e-12)
-    assert res.doubling_disagreement is not None
-    assert res.doubling_disagreement <= 1e-8
-    # the rows from state 1 on are the limit row, and the window above them
-    # is longer than one direct solve: the exact path
-    ex = ht.stationary_solve(fam, 2000)
-    assert ex.method == "matrix-geometric"
-    assert ex.meta["first_passage_residual"] <= 1e-12
-    assert (ex.meta["homogeneous_level"], ex.meta["level_size"]) == (1, 1)
-    assert ex.doubling_disagreement is None and ex.reflected_weight == 0.0
-    for r in (res, ex):
+    # the rows from state 1 on are the limit row: the exact path at every K
+    exact = [res, ht.stationary_solve(fam, 2000)]
+    for ex in exact:
+        assert ex.method == "matrix-geometric"
+        assert ex.meta["first_passage_residual"] <= 1e-12
+        assert (ex.meta["homogeneous_level"], ex.meta["level_size"]) == (1, 1)
+        assert ex.doubling_disagreement is None and ex.reflected_weight == 0.0
+    # the same rows as a parametric tail: the truncated solve reflects the
+    # jumps above K and checks by doubling
+    trunc = ht.stationary_solve(parametric_family_twin(fam), 400)
+    assert trunc.method == "linear-solve"
+    assert trunc.reflected_weight == pytest.approx(0.3, abs=1e-12)
+    assert trunc.doubling_disagreement is not None
+    assert trunc.doubling_disagreement <= 1e-8
+    for r in (*exact, trunc):
         assert np.max(np.abs(r.log_pi - lindley_exact_log_pi(r.K))) <= 1e-10
         assert r.tilt_beta == pytest.approx(BETA, abs=1e-14)
         assert r.normalization_error <= 1e-8
@@ -99,13 +104,14 @@ def test_stationary_beta_only_rescales(down_walk):
 
 
 def test_stationary_truncated_cases():
-    # a walk on 2Z, a parametric tail and a window of one direct solve
+    # a walk on 2Z, a parametric tail and a window short of the two levels
+    # above h = 1 that the closure couples
     gcd2 = ht.lindley_chain(ht.LatticeWalk.from_dict({-2: 0.6, 0: 0.1, 2: 0.3}))
     lind = ht.lindley_chain(ht.LatticeWalk.from_dict({-1: 0.7, 1: 0.3}))
     ex3 = ht.alternating_drift_chain(p=0.3, c0=0.05, gamma=0.7)
-    for chain, K in ((gcd2, 2000), (ex3, 2000), (lind, _DIRECT_STATES)):
+    for chain, K in ((gcd2, 2000), (ex3, 2000), (lind, 1)):
         assert ht.stationary_solve(chain, K, check_doubling=False).method == "linear-solve"
-    assert ht.stationary_solve(lind, _DIRECT_STATES + 1).method == "matrix-geometric"
+    assert ht.stationary_solve(lind, 2).method == "matrix-geometric"
 
 
 def test_truncated_power_drift_solve_memory_peak():
@@ -134,24 +140,39 @@ def test_stationary_without_compensation(down_walk):
 
 
 def test_stationary_doubling_failure():
-    # drift -0.02: the reflected windows at 20 and 40 disagree on 0..10
+    # drift -0.02, the rows read as a parametric tail: the reflected windows
+    # at 20 and 40 disagree on 0..10
     chain = ht.lindley_chain(ht.LatticeWalk.from_dict({1: 0.49, -1: 0.51}))
     with pytest.raises(ht.SolverFailure) as exc:
-        ht.stationary_solve(chain, K=20)
+        ht.stationary_solve(parametric_family_twin(chain), K=20)
     assert exc.value.reason == "doubling"
     assert set(exc.value.diagnostics) == {"disagreement", "K"}
     assert exc.value.diagnostics["K"] == 20
     assert exc.value.diagnostics["disagreement"] == pytest.approx(0.349, abs=1e-3)
 
 
+def test_near_critical_exact_stationary_matches_closed_form():
+    # the chain above with its homogeneous level: the exact law at K = 20 is
+    # geometric, pi(i) = (1 - rho) rho^i with rho = 0.49 / 0.51
+    chain = ht.lindley_chain(ht.LatticeWalk.from_dict({1: 0.49, -1: 0.51}))
+    res = ht.stationary_solve(chain, K=20)
+    assert res.method == "matrix-geometric"
+    rho = 0.49 / 0.51
+    exact = math.log(1 - rho) + np.arange(21) * math.log(rho)
+    assert np.max(np.abs(res.log_pi - exact)) <= 1e-12
+
+
 def test_stationary_bare_kernel_tilt():
     # without beta, a bare kernel's homogeneous tail gives the limit walk (the
-    # same law as its family's), and a parametric tail gives none
+    # same law as its family's) on either route, and a parametric tail gives
+    # none; a walk on 2Z takes the truncated route
     walk = ht.LatticeWalk.from_dict({1: 0.3, -1: 0.7})
-    chain = ht.lindley_chain(walk)
-    bare = ht.stationary_solve(chain.kernel(80), K=40)
-    assert bare.method == "linear-solve" and bare.tilt_beta == ht.cramer_root(walk)
-    assert np.array_equal(bare.log_pi, ht.stationary_solve(chain, K=40).log_pi)
+    for steps, K, method in (({1: 0.3, -1: 0.7}, 40, "matrix-geometric"),
+                             ({2: 0.3, 0: 0.1, -2: 0.6}, 100, "linear-solve")):
+        chain = ht.lindley_chain(ht.LatticeWalk.from_dict(steps))
+        bare = ht.stationary_solve(chain.kernel(2 * K), K=K)
+        assert bare.method == method and bare.tilt_beta == ht.cramer_root(chain.limit_walk)
+        assert np.array_equal(bare.log_pi, ht.stationary_solve(chain, K=K).log_pi)
     rule = lambda s: np.tile([0.7, 0.0, 0.3], (len(s), 1))  # noqa: E731
     parametric = ht.TransitionKernel(band_lo=1, band_hi=1, weights=np.array([[0.0, 0.7, 0.3]]),
                                      tail=ht.ParametricTail(rule, 0.0))
@@ -367,6 +388,16 @@ def test_predict_log_tail_on_an_array_matches_each_state(family, mode, order):
     res = ht.stationary_solve(family, 400)
     fit = ht.tail_extract(res.log_pi, model.predict_log_tail, (150, 350))
     assert fit.predicted.tobytes() == np.array(each[150:351]).tobytes()
+
+
+def test_tail_mode_comparison_script_passes(monkeypatch, capsys):
+    # scripts/tail_mode_comparison.py at exponent -0.6: the first-order
+    # correction settles the fitted constant
+    script = Path(__file__).resolve().parents[1] / "scripts" / "tail_mode_comparison.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--exponent", "-0.6"])
+    runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr().out
+    assert re.search(r"^alpha-over-m +[^ ]+ +[^ ]+ +passes$", out, re.MULTILINE), out
 
 
 # ---------------------------------------------------------------------------
