@@ -446,11 +446,13 @@ def build_solve(
     ``matrix-geometric``): above h the deficit 1 - f is matrix-geometric in
     levels of m states, and no doubling runs.
     Otherwise f is pinned to one above K and the truncated solve is checked
-    by a second one at 2K (method ``linear-solve``).  A solution with
-    negative entries means no positive harmonic function is compatible with
-    the boundary (the perturbation is too strong); disagreement between the
-    solves at K and 2K on the lower half means the boundary at K has not yet
-    decoupled.  Both conditions raise :class:`SolverFailure`.
+    by a second one at 2K (method ``linear-solve``), which needs rows up to
+    2K: without them :class:`StateRangeError` is raised, unless
+    ``check_doubling`` is off.  A solution with negative entries means no
+    positive harmonic function is compatible with the boundary (the
+    perturbation is too strong); disagreement between the solves at K and
+    2K on the lower half means the boundary at K has not yet decoupled.
+    Both conditions raise :class:`SolverFailure`.
     """
     if not kernel.has_row(K):
         raise StateRangeError(f"kernel has no rows up to the requested truncation {K}")
@@ -462,7 +464,7 @@ def build_solve(
                     "truncation needs asymptotically stochastic rows"
                 )
     lo, bl = kernel.state_lo, kernel.band_lo
-    top = 2 * K if check_doubling and kernel.has_row(2 * K) else K
+    top = 2 * K if check_doubling else K
     if first_row_below(kernel.rows(lo, min(top, lo + bl - 1)), bl) is not None:
         raise UnsupportedInputError("kernel places weight below its own represented range")
     levels = _homogeneous_levels(kernel, K)
@@ -509,19 +511,21 @@ def _matrix_geometric_solve(kernel: TransitionKernel, K: int, tol: float, h: int
 def _truncated_solve(kernel: TransitionKernel, K: int, tol: float, check_doubling: bool,
                      doubling_tol: float) -> HarmonicEstimate:
     """f on [state_lo, K] pinned to one above K, checked by the solve at 2K
-    when ``check_doubling`` is set and the kernel has the rows."""
+    when ``check_doubling`` is set."""
     lo, bl = kernel.state_lo, kernel.band_lo
-    doubled = check_doubling and kernel.has_row(2 * K)
-    # I - P once, for the widest window; the K window is its first n
-    # columns, since LAPACK reads no band entry of a row >= n (see README)
-    rows = kernel.row_blocks(lo, 2 * K if doubled else K)
-    lu, ab = band_system(rows, bl)
+    if check_doubling and not kernel.has_row(2 * K):
+        raise StateRangeError(
+            f"the doubling check needs rows up to {2 * K}; pass check_doubling=False "
+            f"to solve at {K} unchecked"
+        )
+    rows = kernel.row_blocks(lo, 2 * K if check_doubling else K)
     deficit = np.concatenate([1.0 - row_sums(b) for b in rows])
     n = K - lo + 1
-    f_K = _nonnegative(1.0 - _deficit_solve(lu, ab[:, :n], deficit[:n]))
+    if check_doubling:  # widest first, as in ``stationary._compensated_solves``
+        f_2K = _nonnegative(1.0 - _deficit_solve(*band_system(rows, bl), deficit))
+    f_K = _nonnegative(1.0 - _deficit_solve(*band_system(row_slice(rows, 0, n), bl), deficit[:n]))
     meta = {"doubling_disagreement": None} if check_doubling else {}
-    if doubled:
-        f_2K = _nonnegative(1.0 - _deficit_solve(lu, ab, deficit))
+    if check_doubling:
         half = max(K // 2, lo) - lo + 1
         a, b = f_K[:half], f_2K[:half]
         disagreement = float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))))

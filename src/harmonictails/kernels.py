@@ -22,19 +22,10 @@ scalar fill.  Row masses come from the kernel too: the explicit rows' sums are
 taken once, at construction, and a homogeneous tail has one.  Every row sum
 of a block goes through ``row_sums``, column by column in numpy's own order.
 
-A solve at truncation K is checked by a second one at 2K, and the pair
-shares one assembly, for the 2K window.  The K window's I - P is the column
-slice ``ab[:, :n]`` of that storage: LAPACK never reads a band entry of a
-row >= n of an n x n matrix (``dgtsv`` takes only the first n or n - 1
-entries of each diagonal, and ``dgbtf2`` limits column j to min(kl, n - j)
-rows below the diagonal), so the slice solves with the bits of the window's
-own assembly.  The transposed system holds row x of P in column x and
-nothing else, so there the K window is solved in place on the first n
-columns, with its reflected top rows rewritten, and those columns are
-written again from rows 0..n - 1 before the 2K solve (``stationary``).
-The stationary solve also stops its exps where they underflow to exactly
-0, at a multiple of 64 terms, as the BLAS dot would add those zeros to
-unchanged sums.
+A solve at truncation K is checked by a second one at 2K; each window
+assembles and solves its own system, the wider first.  The stationary solve
+also stops its exps where they underflow to exactly 0, at a multiple of 64
+terms, as the BLAS dot would add those zeros to unchanged sums.
 
 The helpers work column by column: one numpy call per jump offset, over all
 n rows, writing into a preallocated array (``out=``).  At large truncations
@@ -630,8 +621,7 @@ def band_solve(lu, ab: np.ndarray, b: np.ndarray, *, overwrite: bool = False) ->
     mismatch raises ``ValueError``, a singular matrix
     ``np.linalg.LinAlgError``.  Neither ``ab`` nor ``b`` is written, unless
     ``overwrite`` is set: then LAPACK works in place on the diagonals of a
-    tridiagonal ``ab`` whose rows are contiguous (C order, or the first
-    columns of such an array) and on a contiguous ``b``, and the result
+    tridiagonal C-order ``ab`` and on a contiguous ``b``, and the result
     may be ``b`` itself.  Only a caller that owns both and reads neither
     afterwards sets it.
     """

@@ -51,7 +51,6 @@ from .kernels import (
     band_rmatvec,
     band_solve,
     band_system,
-    band_write,
     row_slice,
     row_sums,
 )
@@ -130,14 +129,9 @@ def _compensated_solves(rows, band_lo: int, beta: float, windows: tuple[int, ...
 
     Jumps that would leave a window upward are reflected onto its top state.
     The balance equation for state 0 is replaced by the pin y(0) = 1 and the
-    solution is rescaled so that sum_i y(i) exp(-beta i) = 1.
-
-    The tilted (I - P)^T is assembled once, for the last window.  Column x
-    of its band storage holds row x of P and nothing else, so a smaller
-    window's system is its first n columns, in place, with the reflected top
-    rows written over theirs: the pin, the edge and LAPACK write no column
-    past n - 1.  Before the next window those columns are zeroed and written
-    again from rows 0..n - 1, which restores the assembly bit for bit.
+    solution is rescaled so that sum_i y(i) exp(-beta i) = 1.  Each window
+    assembles the tilted (I - P)^T of its own rows and solves it, the widest
+    first.
     Returns the y of each window, and the reflected weight and the balance
     residual of the first.
     """
@@ -148,20 +142,13 @@ def _compensated_solves(rows, band_lo: int, beta: float, windows: tuple[int, ...
         raise SolverFailure(
             f"tilt factors exp(beta * jump) overflow at beta = {beta:.6g}", reason="non-finite"
         )
-    with _tilted_rows(beta):
-        lu, ab_all = band_system(rows, band_lo, transpose=True, factors=tilt)
-    ys, done = [], 0
-    for n in windows:
-        if done:  # write the columns of the last window's edge, pin and factors again
-            ab_all[:, :done] = 0.0
-            start = 0
-            for block in row_slice(rows, 0, done):
-                band_write(ab_all, start, block, band_lo, transpose=True, factors=tilt)
-                start += len(block)
-        ab = ab_all[:, :n]
+    ys = []
+    # widest first: in the other order glibc trims the heap between the solves and grows it back
+    for n in windows[::-1]:
         # only the top h rows have jumps that leave the window: reflect a copy of them
         h = min(W - 1 - band_lo, n)
         edge = np.concatenate([np.empty((0, W)), *row_slice(rows, n - h, n)])
+        window = row_slice(rows, 0, n - h) + [edge]
         reflected = 0.0
         with _tilted_rows(beta):
             for c in range(band_lo + 1, W):
@@ -169,22 +156,19 @@ def _compensated_solves(rows, band_lo: int, beta: float, windows: tuple[int, ...
                 reflected += float(edge[x, c].sum())
                 edge[x, h - 1 - x + band_lo] += edge[x, c]
                 edge[x, c] = 0.0
-            band_write(ab, n - h, edge, band_lo, transpose=True, factors=tilt)
-        y = _pinned_solve(lu, ab)
+            system = band_system(window, band_lo, transpose=True, factors=tilt)
+        y = _pinned_solve(*system)
+        del system  # this window's storage goes before the next one's is assembled
         scale = _positive(y, _discounted_sum(beta, y), n)
-        if not ys:
-            window = row_slice(rows, 0, n - h) + [edge]
-            first = (reflected, _balance_residual(window, band_lo, tilt, y, n) / scale)
-        ys.append(y)
-        done = n
-    return ys, *first
+        ys.insert(0, y)
+    # the last window solved is the first of ``windows``
+    return ys, reflected, _balance_residual(window, band_lo, tilt, y, n) / scale
 
 
 def _pinned_solve(lu, ab: np.ndarray) -> np.ndarray:
     """The tilted balance equations in band storage ``ab`` solved with the
     equation of state 0 replaced by the pin y(0) = 1.  ``ab`` is the
-    caller's own storage, or its first columns, which the solve may
-    overwrite."""
+    caller's own storage, which the solve may overwrite."""
     band_pin(lu, ab, 0)
     rhs = np.zeros(ab.shape[1])
     rhs[0] = 1.0
@@ -284,7 +268,8 @@ def stationary_solve(
         hf = chain.homogeneous_from
         kernel = chain.kernel(top) if hf is None else chain.homogeneous_kernel()
     levels = _homogeneous_levels(kernel, K)
-    if levels is not None and levels[1].mean < 0:
+    start = None if levels is None else _geometric_level(kernel, K, *levels)
+    if start is not None and levels[1].mean < 0:
         # tilted at the tail walk's own root; a root past cramer_root's
         # overflow-safe bound, or a tilt that overflows on explicit rows
         # wider than the tail row, leaves the chain to the truncated solve
@@ -297,7 +282,7 @@ def stationary_solve(
                 tilt = np.exp(root * kernel.offsets)
             if np.all(np.isfinite(tilt)):
                 return _matrix_geometric_stationary(
-                    kernel, K, root, root if beta is None else beta, tilt, *levels
+                    kernel, K, root, root if beta is None else beta, tilt, *levels, start
                 )
     if beta is None:
         walk = _limit_walk_of(chain)
@@ -310,36 +295,51 @@ def stationary_solve(
     return _truncated_stationary(kernel, K, beta, check_doubling, doubling_tol)
 
 
+def _geometric_level(kernel: TransitionKernel, K: int, h: int, walk: LatticeWalk) -> int | None:
+    """The first state s = h + k m, k >= 0, from which y is matrix-geometric
+    in levels of m = max(L, top step) states: no row below h reaches past
+    s + m - 1, so the balance equations from s + m on are the tail walk's.
+    None when the window 0..K does not hold the two levels from s on that
+    the closure couples."""
+    m = max(-walk.lo, walk.hi)
+    cols = np.flatnonzero(kernel.weights[: h - kernel.state_lo].any(axis=0))
+    reach = int(cols[-1]) - kernel.band_lo if cols.size else 0  # top step of the rows below h
+    s = h + m * max(0, -(-reach // m) - 1)
+    return s if K - s >= 2 * m - 1 else None
+
+
 def _matrix_geometric_stationary(kernel: TransitionKernel, K: int, root: float, beta: float,
-                                 tilt: np.ndarray, h: int, walk: LatticeWalk) -> StationaryResult:
-    """The stationary law on 0..K from the rows below h + m, at the Cramér
+                                 tilt: np.ndarray, h: int, walk: LatticeWalk,
+                                 s: int) -> StationaryResult:
+    """The stationary law on 0..K from the rows below s + m, at the Cramér
     root ``root`` of the tail walk (``tilt`` = exp(root x offset) over the
-    band), rescaled to the compensation ``beta``.
+    band), rescaled to the compensation ``beta``; h is the homogeneous level
+    and s the state from which y is matrix-geometric (``_geometric_level``).
 
     y(i) = pi(i) exp(root i) solves the balance equations of the tilted
-    rows, and on the levels of m states above h, y_(k+1) = y_k R, where
+    rows, and on the levels of m states above s, y_(k+1) = y_k R, where
     R = G^T for the first-passage matrix G of the negated tilted walk
     (Neuts 1981; Latouche & Ramaswami 1999).  R has spectral radius 1, so
     nothing underflows.  One banded system holds the balance equations from
     state 0 (pinned, y(0) = 1) up to the level below its top and, as its
     last m equations, the closure; G's powers fill the levels above it up
     to K + band_lo.  The normalisation adds the exact geometric remainder
-    exp(-root h) y_0 (I - exp(-root m) R)^-1 d, d(j) = exp(-root j), and the
+    exp(-root s) y_0 (I - exp(-root m) R)^-1 d, d(j) = exp(-root j), and the
     balance residual is taken over all of the window.
     """
     bl = kernel.band_lo
     G, g_residual = _tilted_first_passage(walk)
     m = len(G)
-    levels, direct = _level_counts(K + bl - h + 1, m)
-    n = h + direct * m
+    levels, direct = _level_counts(K + bl - s + 1, m)
+    n = s + direct * m
     rows = kernel.row_blocks(0, max(K + bl, n - 1))
-    y = np.empty(h + levels * m)
+    y = np.empty(s + levels * m)
     with _tilted_rows(root):
         system = band_closure(row_slice(rows, 0, n), bl, G, transpose=True, factors=tilt)
     y[:n] = _pinned_solve(*system)
-    _level_powers(G, y[h:].reshape(levels, m), direct)
-    remainder = np.linalg.solve(np.eye(m) - math.exp(-root * m) * G, y[h : h + m])
-    total = _discounted_sum(root, y[:h]) + math.exp(-root * h) * _discounted_sum(root, remainder)
+    _level_powers(G, y[s:].reshape(levels, m), direct)
+    remainder = np.linalg.solve(np.eye(m) - math.exp(-root * m) * G, y[s : s + m])
+    total = _discounted_sum(root, y[:s]) + math.exp(-root * s) * _discounted_sum(root, remainder)
     y = y[: K + bl + 1]
     scale = _positive(y, total, K + 1)
     residual = _balance_residual(row_slice(rows, 0, K + bl + 1), bl, tilt, y, K + 1) / scale

@@ -3,6 +3,7 @@ import dataclasses
 import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import harmonictails as ht
 
@@ -51,6 +52,41 @@ def parametric_family_twin(family):
     return dataclasses.replace(family, homogeneous_from=None)
 
 
+@st.composite
+def banded_chains(draw, drift: int, masses: tuple[float, float] = (1.0, 1.0)):
+    """An irreducible kernel of band at most (3, 3): explicit rows on
+    0..h - 1, band_lo <= h <= 6, with masses drawn from ``masses``, then a
+    stochastic tail row whose mean has the sign of ``drift`` and lies at
+    least 0.05 from 0.  Every row has a +1 step and every row above 0 a -1
+    step, and no row jumps below 0.  The kernel is stochastic when
+    ``masses`` is (1, 1)."""
+    bl, bh = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h = draw(st.integers(bl, 6))
+    off = np.arange(-bl, bh + 1)
+    weight = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+
+    def row(i):
+        w = np.array(draw(st.lists(weight, min_size=off.size, max_size=off.size)))
+        w[off < -i] = 0.0  # no jump below state 0
+        w[bl + 1] = max(w[bl + 1], 0.05)
+        if i:
+            w[bl - 1] = max(w[bl - 1], 0.05)
+        return w
+
+    rows = {}
+    for i in range(h):
+        w = row(i)
+        w *= draw(st.floats(*masses)) / w.sum()
+        rows[i] = dict(zip(off.tolist(), w.tolist()))
+    tail = row(bl)
+    tail /= tail.sum()
+    while drift * (tail @ off) < 0.05:  # tilt the mass the drift's way
+        tail *= np.exp(0.5 * drift * off)
+        tail /= tail.sum()
+    return ht.kernel_from_rows(rows, h - 1, bl, bh, tail=ht.HomogeneousTail(tail),
+                               stochastic=masses == (1.0, 1.0))
+
+
 def lindley_exact_log_pi(n):
     """(4/7)(3/7)^i for the +-1 walk with up probability 0.3."""
     return np.log(4 / 7) + np.arange(n + 1) * np.log(3 / 7)
@@ -58,7 +94,7 @@ def lindley_exact_log_pi(n):
 
 # ---------------------------------------------------------------------------
 # the banded assembly as it was before it read rows block by block, kept as
-# the bit-for-bit reference for the one-assembly solves
+# the bit-for-bit reference for the solves
 
 
 def reference_band_system(block, band_lo, transpose=False):

@@ -284,6 +284,22 @@ def test_exact_solve_of_a_kernel_with_rows_up_to_K():
         assert long.residual == short.residual
 
 
+def test_truncated_solve_without_doubled_rows_is_refused():
+    # explicit rows up to 100 and no tail: the doubling check at K = 100
+    # needs rows up to 200, so the solve refuses rather than return an
+    # unchecked result; without the check it solves, and at K = 50 the rows
+    # hold the doubled window
+    rows = {0: {1: 2.0}, **{i: {-1: 0.3, 1: 0.7} for i in range(1, 101)}}
+    kernel = ht.kernel_from_rows(rows, 100, 1, 1)
+    with pytest.raises(ht.StateRangeError, match=r"200.*check_doubling=False"):
+        ht.build_solve(kernel, 100)
+    unchecked = ht.build_solve(kernel, 100, check_doubling=False)
+    assert unchecked.method == "linear-solve" and "doubling_disagreement" not in unchecked.meta
+    checked = ht.build_solve(kernel, 50)
+    assert checked.meta["doubling_disagreement"] is not None
+    assert checked.value(0) == pytest.approx(unchecked.value(0), rel=1e-6)
+
+
 def test_solve_trichotomy():
     # the exact solve at K = 300 and 2000, and the truncated one on the
     # parametric twin at K = 300
