@@ -15,10 +15,11 @@ otherwise a path runs up to a certified stopping level (the product can no
 longer change more than a set tolerance once the path climbs high enough).
 The solve is exact (method ``matrix-geometric``) when every row from some
 level h on is a stochastic tail row with positive mean: there the deficit
-1 - f is matrix-geometric, g_k = G g_(k-1) in levels of m states, with G
-the first-passage matrix of the tail walk.  Any other kernel (a parametric
+1 - f is matrix-geometric, g_k = G g_(k-1) in levels of m states from the
+first level s >= h that no row below h reaches past, with G the
+first-passage matrix of the tail walk.  Any other kernel (a parametric
 tail, a tail walk of the wrong sign or on gZ, g > 1, a window too short to
-hold the level h + 2m - 1, or levels too wide; see
+hold the level s + 2m - 1, or levels too wide; see
 ``ladder._homogeneous_levels``) gets a truncated solve with boundary value
 one above the truncation, cross-checked by doubling the truncation (method
 ``linear-solve``).  A closed form covers the reflected simple walk with one
@@ -81,7 +82,6 @@ _DELTA_EPS = 1e-15
 _TAIL_SAMPLES = 64  # rows a parametric tail contributes to the jump-law envelopes
 _CRITICAL_RTOL = 1e-12  # relative distance at which an origin weight counts as critical
 _BOUNDARY_MASS_TOL = 1e-9  # |log mass| of a tail row that boundary value 1 allows
-_EXACT_MASS_TOL = 1e-14  # |mass - 1| of a tail row the matrix-geometric solve takes as 1
 # widest level of collapsed Monte Carlo excursions: cyclic reduction holds about
 # 20 m x m matrices, 40 MB here (576 MB at the span cap of 2000)
 _MAX_EXCURSION_LEVEL = 512
@@ -443,8 +443,8 @@ def build_solve(
 
     When the rows from some level h on are a stochastic tail row with
     positive mean (``_homogeneous_levels``), the solve is exact (method
-    ``matrix-geometric``): above h the deficit 1 - f is matrix-geometric in
-    levels of m states, and no doubling runs.
+    ``matrix-geometric``): from a level s >= h on the deficit 1 - f is
+    matrix-geometric in levels of m states, and no doubling runs.
     Otherwise f is pinned to one above K and the truncated solve is checked
     by a second one at 2K (method ``linear-solve``), which needs rows up to
     2K: without them :class:`StateRangeError` is raised, unless
@@ -468,19 +468,19 @@ def build_solve(
     if first_row_below(kernel.rows(lo, min(top, lo + bl - 1)), bl) is not None:
         raise UnsupportedInputError("kernel places weight below its own represented range")
     levels = _homogeneous_levels(kernel, K)
-    if (levels is not None and levels[1].mean > 0
-            and abs(kernel.tail.row.sum() - 1.0) <= _EXACT_MASS_TOL):
+    if levels is not None and levels[2].mean > 0 and kernel.tail.delta_abs_bound() == 0.0:
         return _matrix_geometric_solve(kernel, K, tol, *levels)
     return _truncated_solve(kernel, K, tol, check_doubling, doubling_tol)
 
 
-def _matrix_geometric_solve(kernel: TransitionKernel, K: int, tol: float, h: int,
+def _matrix_geometric_solve(kernel: TransitionKernel, K: int, tol: float, h: int, s: int,
                             walk: LatticeWalk) -> HarmonicEstimate:
-    """f on [state_lo, K] from the rows below h + m and the first-passage
-    matrix G of the tail walk.
+    """f on [state_lo, K] from the rows below s + m and the first-passage
+    matrix G of the tail walk; h is the homogeneous level and s the state
+    from which g is matrix-geometric (``_homogeneous_levels``).
 
     From h on the deficit g = 1 - f is harmonic for the homogeneous walk and
-    tends to zero, so on the levels of m states above h, g_k = G g_(k-1)
+    tends to zero, so on the levels of m states above s, g_k = G g_(k-1)
     (Neuts 1981; Latouche & Ramaswami 1999).  One banded system holds the
     rows from state_lo up to the level below its top and, as its last m
     equations, the closure g_top = G g_(top - 1); it spans the window up to
@@ -491,17 +491,17 @@ def _matrix_geometric_solve(kernel: TransitionKernel, K: int, tol: float, h: int
     lo, bl, bh = kernel.state_lo, kernel.band_lo, kernel.band_hi
     G, g_residual = _certified_first_passage(walk)
     m = len(G)
-    levels, direct = _level_counts(K + bh - h + 1, m)
-    n = h - lo + direct * m
+    levels, direct = _level_counts(K + bh - s + 1, m)
+    n = s - lo + direct * m
     rows = kernel.row_blocks(lo, max(K, lo + n - 1))
     # rows below h are explicit; the tail row counts as stochastic
     deficit = np.zeros(n)
     np.subtract(1.0, kernel.masses[: h - lo], out=deficit[: h - lo])
     # g on state_lo..K + band_hi, then f in place, padded by band_lo zeros below
-    v = np.zeros(bl + h - lo + levels * m)
+    v = np.zeros(bl + s - lo + levels * m)
     g = v[bl:]
     g[:n] = _deficit_solve(*band_closure(row_slice(rows, 0, n), bl, G), deficit)
-    _level_powers(G, g[h - lo :].reshape(levels, m), direct)
+    _level_powers(G, g[s - lo :].reshape(levels, m), direct)
     f = np.subtract(1.0, g, out=g)
     _nonnegative(f[: K - lo + 1])
     meta = {"first_passage_residual": g_residual, "homogeneous_level": h, "level_size": m}

@@ -219,16 +219,19 @@ class TransitionKernel:
         if np.any(masses <= 0):
             dead = int(np.argmax(masses <= 0)) + self.state_lo
             raise DegenerateRowError(f"row for state {dead} has no mass")
-        r = first_row_below(w, self.band_lo, floor=-self.state_lo)
-        if r is not None:
-            raise UnsupportedInputError(
-                f"row for state {self.state_lo + r} puts weight on negative target states"
-            )
+        top = max(self.state_lo, self.band_lo) - 1  # rows above it cannot step below 0
         if self.tail is not None:
             if self.tail.rows_at(self.truncation + 1, self.truncation + 1).shape != (1, width):
                 raise UnsupportedInputError("tail rule row width does not match the band")
             if isinstance(self.tail, HomogeneousTail):
                 check_tail_row(self.tail.row)
+        else:
+            top = min(top, self.truncation)
+        r = first_row_below(self.rows(self.state_lo, top), self.band_lo, floor=-self.state_lo)
+        if r is not None:
+            raise UnsupportedInputError(
+                f"row for state {self.state_lo + r} puts weight on negative target states"
+            )
 
     # -- structure ---------------------------------------------------------
 

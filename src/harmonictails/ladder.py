@@ -391,12 +391,14 @@ def _level_powers(G: np.ndarray, X: np.ndarray, done: int) -> None:
         done += w
 
 
-def _homogeneous_levels(kernel: TransitionKernel, K: int) -> tuple[int, LatticeWalk] | None:
-    """(h, walk) when the window up to K is closed exactly: from state h on
-    every row is the homogeneous tail row, whose step law ``walk``
-    (``_tail_walk``) steps both ways with gcd 1, and the window holds the
-    two levels of m = max(L, top step) states above h that the closure
-    couples (K >= h + 2m - 1).
+def _homogeneous_levels(kernel: TransitionKernel, K: int) -> tuple[int, int, LatticeWalk] | None:
+    """(h, s, walk) when the window up to K is closed exactly: from state h
+    on every row is the homogeneous tail row, whose step law ``walk``
+    (``_tail_walk``) steps both ways with gcd 1; s = h + k m, k >= 0, is the
+    first state from which the solution goes in levels of m = max(L, top
+    step) states, where no row below h reaches past s + m - 1; and the
+    window holds the two levels from s on that the closure couples
+    (K >= s + 2m - 1).
 
     None otherwise, and the solvers fall back to their truncated solves;
     also where levels are so wide that the exact solve costs more: cyclic
@@ -410,9 +412,12 @@ def _homogeneous_levels(kernel: TransitionKernel, K: int) -> tuple[int, LatticeW
     if m**3 > _EXACT_WORK_RATIO * K * kernel.tail.row.size:
         return None
     h = kernel.homogeneous_level()
-    if K - h < 2 * m - 1:
+    cols = np.flatnonzero(kernel.weights[: h - kernel.state_lo].any(axis=0))
+    reach = int(cols[-1]) - kernel.band_lo if cols.size else 0  # top step of the rows below h
+    s = h + m * max(0, -(-reach // m) - 1)
+    if K - s < 2 * m - 1:
         return None
-    return h, walk
+    return h, s, walk
 
 
 @once
@@ -437,7 +442,7 @@ def _tail_walk(kernel: TransitionKernel) -> LatticeWalk | None:
 
 
 def _level_counts(states: int, m: int) -> tuple[int, int]:
-    """The levels of m states that cover ``states`` states from h on, and
+    """The levels of m states that cover ``states`` states from s on, and
     how many of them one banded solve takes: all of them up to about
     ``_DIRECT_STATES`` states, else a power of two, at least the two levels
     the closure couples; G's powers fill the rest."""

@@ -268,13 +268,12 @@ def stationary_solve(
         hf = chain.homogeneous_from
         kernel = chain.kernel(top) if hf is None else chain.homogeneous_kernel()
     levels = _homogeneous_levels(kernel, K)
-    start = None if levels is None else _geometric_level(kernel, K, *levels)
-    if start is not None and levels[1].mean < 0:
+    if levels is not None and levels[2].mean < 0:
         # tilted at the tail walk's own root; a root past cramer_root's
         # overflow-safe bound, or a tilt that overflows on explicit rows
         # wider than the tail row, leaves the chain to the truncated solve
         try:
-            root = certified_root(levels[1])
+            root = certified_root(levels[2])
         except NoCramerRootError:
             root = None
         if root is not None:
@@ -282,7 +281,7 @@ def stationary_solve(
                 tilt = np.exp(root * kernel.offsets)
             if np.all(np.isfinite(tilt)):
                 return _matrix_geometric_stationary(
-                    kernel, K, root, root if beta is None else beta, tilt, *levels, start
+                    kernel, K, root, root if beta is None else beta, tilt, *levels
                 )
     if beta is None:
         walk = _limit_walk_of(chain)
@@ -295,26 +294,15 @@ def stationary_solve(
     return _truncated_stationary(kernel, K, beta, check_doubling, doubling_tol)
 
 
-def _geometric_level(kernel: TransitionKernel, K: int, h: int, walk: LatticeWalk) -> int | None:
-    """The first state s = h + k m, k >= 0, from which y is matrix-geometric
-    in levels of m = max(L, top step) states: no row below h reaches past
-    s + m - 1, so the balance equations from s + m on are the tail walk's.
-    None when the window 0..K does not hold the two levels from s on that
-    the closure couples."""
-    m = max(-walk.lo, walk.hi)
-    cols = np.flatnonzero(kernel.weights[: h - kernel.state_lo].any(axis=0))
-    reach = int(cols[-1]) - kernel.band_lo if cols.size else 0  # top step of the rows below h
-    s = h + m * max(0, -(-reach // m) - 1)
-    return s if K - s >= 2 * m - 1 else None
-
-
 def _matrix_geometric_stationary(kernel: TransitionKernel, K: int, root: float, beta: float,
-                                 tilt: np.ndarray, h: int, walk: LatticeWalk,
-                                 s: int) -> StationaryResult:
+                                 tilt: np.ndarray, h: int, s: int,
+                                 walk: LatticeWalk) -> StationaryResult:
     """The stationary law on 0..K from the rows below s + m, at the Cramér
     root ``root`` of the tail walk (``tilt`` = exp(root x offset) over the
     band), rescaled to the compensation ``beta``; h is the homogeneous level
-    and s the state from which y is matrix-geometric (``_geometric_level``).
+    and s the state from which y is matrix-geometric
+    (``_homogeneous_levels``): no row below h reaches past s + m - 1, so the
+    balance equations from s + m on are the tail walk's.
 
     y(i) = pi(i) exp(root i) solves the balance equations of the tilted
     rows, and on the levels of m states above s, y_(k+1) = y_k R, where

@@ -11,12 +11,15 @@ its outputs must hold:
 - ``manifest_prefix``: the start of a string field;
 - ``csv_line``: a whole line of the CSV.
 
-No run may print a traceback.  Under pytest each entry runs in-process
-through ``cli.main``.  Run as a script, ``python tests/test_fixture_runs.py
-DIR`` runs each entry through the ``harmonictails`` console script, killed at
-its time limit, and leaves the outputs in DIR.
+No run may print a traceback, and every number in the CSV a ``run`` leaves
+must be its '%d' or '%.17g' text (``test_golden._percent_text``).  Under
+pytest each entry runs in-process through ``cli.main``.  Run as a script,
+``python tests/test_fixture_runs.py DIR`` runs each entry through the
+``harmonictails`` console script, killed at its time limit, and leaves the
+outputs in DIR.
 """
 
+import csv
 import json
 import subprocess
 import sys
@@ -26,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from harmonictails.cli import main
+from test_golden import _percent_text
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = json.loads((ROOT / "tests" / "fixture_runs.json").read_text())
@@ -62,6 +66,11 @@ def problems(entry, code: int, stdout: str, stderr: str, out_dir: Path) -> list[
     if "csv_line" in entry:
         if entry["csv_line"] not in (out_dir / f"{stem}.csv").read_text().splitlines():
             found.append(f"no line {entry['csv_line']!r} in {stem}.csv")
+    if entry["command"][0] == "run" and (out_dir / f"{stem}.csv").exists():
+        with open(out_dir / f"{stem}.csv", newline="") as fh:
+            for row in list(csv.reader(fh))[1:]:
+                found += [f"{stem}.csv field {f!r} is not '%d' or '%.17g' text"
+                          for f in row if _percent_text(f) is False]
     return found
 
 

@@ -190,6 +190,24 @@ def test_invalid_kernels_rejected():
             ht.TransitionKernel(band_lo=0, band_hi=1, weights=w)
 
 
+def test_tail_rows_below_zero_rejected():
+    # the tail's first row, at state 1, steps -2: a homogeneous and a
+    # parametric tail are refused as an explicit row is; from state_lo 2 on
+    # the same tail stays on the nonnegative states
+    row = np.array([0.4, 0.0, 0.3, 0.3])
+    message = "^row for state 1 puts weight on negative target states$"
+    with pytest.raises(ht.UnsupportedInputError, match=message):
+        ht.kernel_from_rows({0: {1: 1.0}}, 0, 2, 1, tail=ht.HomogeneousTail(row), stochastic=True)
+    with pytest.raises(ht.UnsupportedInputError, match=message):
+        ht.TransitionKernel(band_lo=2, band_hi=1, weights=np.array([[0.0, 0.0, 0.0, 1.0]]),
+                            tail=ht.ParametricTail(lambda s: np.tile(row, (len(s), 1)), 0.0))
+    with pytest.raises(ht.UnsupportedInputError, match=message):
+        ht.TransitionKernel(band_lo=2, band_hi=1, weights=np.array([[0.0, 0.0, 0.0, 1.0], row]))
+    kernel = ht.TransitionKernel(band_lo=2, band_hi=1, weights=np.array([[0.0, 0.0, 0.0, 1.0]]),
+                                 state_lo=2, tail=ht.HomogeneousTail(row))
+    assert kernel.row(3).tolist() == row.tolist()
+
+
 @pytest.mark.parametrize("row, error, message", [
     ([0.0, 0.0, 0.0], ht.DegenerateRowError, "^the tail row has no mass$"),
     ([0.7, np.nan, 0.3], ht.UnsupportedInputError, "^tail row weights must be finite and nonnegative$"),

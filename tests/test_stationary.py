@@ -102,6 +102,25 @@ def test_exact_stationary_with_a_row_that_jumps_past_its_level():
     assert np.max(np.abs(res.log_pi[: K // 2 + 1] - ref.log_pi[: K // 2 + 1])) <= 1e-11
 
 
+def test_exact_solve_with_a_row_that_jumps_past_its_direct_block():
+    # row 0 jumps up 1500 with weight 2 while the tail walk steps +-1 (levels
+    # of one state from h = 1): g = 1 - f is geometric only from state 1500
+    # on, so the direct block must start there to hold that jump.  The walk
+    # falls from 1500 to 0 with chance x = (.497 / .503)^1500, so
+    # f(0) = 2 f(1500) = 2 (1 - x) / (1 - 2x), 2 (1 + x) within 1e-15
+    tail = ht.HomogeneousTail(np.r_[0.497, 0.0, 0.503, np.zeros(1499)])
+    kernel = ht.kernel_from_rows({0: {1500: 2.0}}, 0, 1, 1500, tail=tail)
+    est = ht.build_solve(kernel, 3000)
+    assert est.method == "matrix-geometric" and est.meta["homogeneous_level"] == 1
+    assert est.value(0) == pytest.approx(2.0 * (1.0 + (0.497 / 0.503) ** 1500), rel=1e-12)
+    # K = 400 is short of s + 2m - 1 = 1501: the truncated solve runs, and
+    # its boundary at K has not decoupled
+    assert ht.build_solve(kernel, 400, check_doubling=False).method == "linear-solve"
+    with pytest.raises(ht.SolverFailure) as exc:
+        ht.build_solve(kernel, 400)
+    assert exc.value.reason == "doubling"
+
+
 def test_stationary_beta_only_rescales(down_walk):
     fam = ht.lindley_chain(down_walk)
     res = ht.stationary_solve(fam, 2000)
