@@ -6,6 +6,12 @@ together with the limiting jump law the rows approach at infinity.
 to a truncation and a tail rule beyond it, so solvers can keep asking for
 rows as far up as they need.
 
+The four eventually homogeneous families, and the CLI's ``general`` rows,
+are one data shape: an explicit block of rows for the states below some
+level, then the limit row.  One constructor, ``_rows_family``, stacks the
+two and reads each state's row from the stack.  The birth-death families
+are parametric: their row rule computes every row from the drift profile.
+
 Families provided:
 
 * ``perturbed_reflected_walk`` — up-drift simple walk reflected at the
@@ -212,6 +218,21 @@ class ChainFamily:
 # builders
 
 
+def _rows_family(name: str, rows, limit, band_lo: int, stochastic: bool,
+                 params: dict) -> ChainFamily:
+    """An eventually homogeneous family: the row block ``rows`` for the
+    states below len(rows), then ``limit`` for every state above.  Its
+    homogeneous level is the first state from which every row is ``limit``
+    bit for bit, as the kernel's ``homogeneous_level`` finds it."""
+    w = np.vstack([rows, limit])
+    top = len(w) - 1
+    differ = np.flatnonzero((w[:top] != w[top]).any(axis=1))
+    h = int(differ[-1]) + 1 if differ.size else 0
+    return ChainFamily(name=name, band_lo=band_lo, band_hi=w.shape[1] - 1 - band_lo,
+                       row_rule=lambda states: w.take(np.minimum(states, top), axis=0),
+                       limit_pmf=w[top], homogeneous_from=h, stochastic=stochastic, params=params)
+
+
 def perturbed_reflected_walk(p: float = 0.7, alpha: float = 2.0) -> ChainFamily:
     """Reflected simple walk, up probability p > 1/2, whose row at the
     origin is a single jump to 1 with weight ``alpha``."""
@@ -219,24 +240,8 @@ def perturbed_reflected_walk(p: float = 0.7, alpha: float = 2.0) -> ChainFamily:
         raise UnsupportedInputError("needs 1/2 < p < 1")
     if not 0.0 < alpha < math.inf:
         raise UnsupportedInputError("alpha must be positive and finite")
-    q = 1.0 - p
-    limit = np.array([q, 0.0, p])
-
-    def row_rule(states: np.ndarray) -> np.ndarray:
-        rows = np.tile(limit, (len(states), 1))
-        rows[states == 0] = (0.0, 0.0, alpha)
-        return rows
-
-    return ChainFamily(
-        name="perturbed-reflected-walk",
-        band_lo=1,
-        band_hi=1,
-        row_rule=row_rule,
-        limit_pmf=limit,
-        homogeneous_from=1,
-        stochastic=False,
-        params={"p": p, "alpha": alpha},
-    )
+    return _rows_family("perturbed-reflected-walk", [[0.0, 0.0, alpha]], [1.0 - p, 0.0, p],
+                        band_lo=1, stochastic=False, params={"p": p, "alpha": alpha})
 
 
 def multi_perturbed_walk(alphas, p: float = 0.7) -> ChainFamily:
@@ -251,60 +256,28 @@ def multi_perturbed_walk(alphas, p: float = 0.7) -> ChainFamily:
         raise UnsupportedInputError("row weights must be positive and finite")
     if not 0.5 < p < 1.0:
         raise UnsupportedInputError("needs 1/2 < p < 1")
-    q = 1.0 - p
-    W = N + 2  # offsets -N .. +1
-    limit = np.zeros(W)
-    limit[N - 1] = q  # offset -1
-    limit[N + 1] = p  # offset +1
-
-    def row_rule(states: np.ndarray) -> np.ndarray:
-        rows = np.tile(limit, (len(states), 1))
-        low = states < N
-        rows[low] = 0.0
-        rows[low, N + 1] = np.asarray(alphas)[states[low]]
-        top = states == N
-        rows[top, N - 1] = 0.0
-        rows[top, 0] = q  # offset -N: back to the origin
-        return rows
-
-    return ChainFamily(
-        name="multi-perturbed-walk",
-        band_lo=N,
-        band_hi=1,
-        row_rule=row_rule,
-        limit_pmf=limit,
-        homogeneous_from=N + 1,
-        stochastic=False,
-        params={"p": p, "alphas": tuple(alphas)},
-    )
+    rows = np.zeros((N + 1, N + 2))  # offsets -N .. +1
+    rows[:N, N + 1] = alphas
+    rows[N, 0], rows[N, N + 1] = 1.0 - p, p  # offset -N: back to the origin
+    limit = np.zeros(N + 2)
+    limit[N - 1], limit[N + 1] = 1.0 - p, p  # offsets -1 and +1
+    return _rows_family("multi-perturbed-walk", rows, limit, band_lo=N, stochastic=False,
+                        params={"p": p, "alphas": tuple(alphas)})
 
 
 def _walk_at_zero(name: str, walk: LatticeWalk, lump: bool) -> ChainFamily:
     """The walk on the nonnegative integers: steps below zero are deleted,
     or with ``lump`` moved onto zero."""
-    bl, bh = -walk.lo, walk.hi
-    pmf = walk.pmf.copy()
-
-    def row_rule(states: np.ndarray) -> np.ndarray:
-        rows = np.tile(pmf, (len(states), 1))
-        for r in np.flatnonzero(states < bl):
-            cut = bl - int(states[r])
-            lost = rows[r, :cut].sum()
-            rows[r, :cut] = 0.0
-            if lump:
-                rows[r, cut] += lost
-        return rows
-
-    return ChainFamily(
-        name=name,
-        band_lo=bl,
-        band_hi=bh,
-        row_rule=row_rule,
-        limit_pmf=pmf,
-        homogeneous_from=bl,
-        stochastic=lump,
-        params={"pmf": tuple(pmf)},
-    )
+    bl = -walk.lo
+    rows = np.tile(walk.pmf, (bl, 1))
+    for i in range(bl):
+        cut = bl - i  # the columns of the steps from i below zero
+        lost = rows[i, :cut].sum()
+        rows[i, :cut] = 0.0
+        if lump:
+            rows[i, cut] += lost
+    return _rows_family(name, rows, walk.pmf, band_lo=bl, stochastic=lump,
+                        params={"pmf": tuple(walk.pmf)})
 
 
 def walk_killed_at_negative(walk: LatticeWalk) -> ChainFamily:

@@ -9,9 +9,9 @@ are byte-identical.  A rerun overwrites both files in place: they are opened
 without truncation, written, and cut at the written length, so an existing
 longer file leaves no stale tail.
 
-Exit codes: 0 success, 1 operational error (bad config, missing file),
-2 computed-but-flagged (non-existence detected, a doubling or variation
-check failed, a condition verdict is negative).
+Exit codes: 0 success, 1 operational error (bad config, a file that cannot be
+read or written), 2 computed-but-flagged (non-existence detected, a doubling
+or variation check failed, a condition verdict is negative).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .chains import (
     ChainFamily,
+    _rows_family,
     alternating_drift_chain,
     lindley_chain,
     multi_perturbed_walk,
@@ -80,9 +81,11 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         p = Path(path)
         try:
-            raw = json.loads(p.read_text())
+            raw = json.loads(p.read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {p}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {p}: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
         return cls.from_dict(raw)
@@ -293,9 +296,7 @@ def _rows_chain(band_lo: int, band_hi: int, rows: dict, tail_row: dict,
     # the kernel's own checks of the rows: masses, row sums, no jump below 0
     (StochasticKernel if stochastic else TransitionKernel)(
         band_lo, band_hi, w[:top], tail=HomogeneousTail(w[top]))
-    return ChainFamily(name="general", band_lo=band_lo, band_hi=band_hi,
-                       row_rule=lambda states: w[np.minimum(states, top)], limit_pmf=w[top],
-                       homogeneous_from=top, stochastic=stochastic)
+    return _rows_family("general", w[:top], w[top], band_lo, stochastic, params={})
 
 
 def _check(config: ExperimentConfig) -> tuple[dict, ChainFamily | None, list[str]]:
@@ -923,7 +924,7 @@ def main(argv=None) -> int:
         config.params["seed"] = args.seed
     try:
         return run(config, args.out, args.config.stem, quiet=args.quiet)
-    except HarmonicTailsError as exc:
+    except (HarmonicTailsError, OSError) as exc:  # OSError: an output not writable
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -658,7 +658,7 @@ def _fit_root_expansion(family, beta, M):
 
 def entry_measure(kernel: TransitionKernel, log_pi: np.ndarray, level: int) -> dict[int, float]:
     """One-step entry flow e(i) = sum_{j <= level} pi(j) P(j, i), i > level."""
-    if level >= len(log_pi):
+    if not 0 <= level < len(log_pi):
         raise StateRangeError(f"level {level} outside the solved range [0, {len(log_pi) - 1}]")
     bh = kernel.band_hi
     block = np.vstack([kernel.rows(0, level), np.zeros((bh, kernel.band_lo + bh + 1))])
@@ -775,6 +775,8 @@ def renewal_measure(
     Returns the measure and a diagnostics dict.
     """
     lo = kernel.state_lo
+    if K_range < lo:
+        raise StateRangeError(f"renewal range ends at {K_range}, below the first state {lo}")
     bl = kernel.band_lo
     minor = jump_minorant(kernel)
     p_esc = escape_probability(minor)

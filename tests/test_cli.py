@@ -209,6 +209,31 @@ def test_config_parse_errors(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_unreadable_config_is_a_config_error(tmp_path, capsys):
+    # a directory, and bytes that are not UTF-8: an error line, no traceback
+    assert main(["validate", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config file") and "Traceback" not in err
+
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{")
+    assert main(["validate", str(latin)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config file") and "utf-8" in err
+
+
+def test_unwritable_output_is_an_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "solve.json",
+                    {"task": "harmonic-solve", "chain": EX1, "params": {"K": 60}})
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+    assert blocker.read_text() == ""
+
+
 def test_run_solve_outputs(tmp_path):
     cfg = write_cfg(tmp_path, "solve.json",
                     {"task": "harmonic-solve", "chain": EX1,

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import re
+import runpy
 import sys
 from pathlib import Path
 
@@ -24,6 +25,9 @@ from harmonictails.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.json"))
+# the stems whose runs exit 2 (flagged), as scripts/run_experiments.py has them
+EXPECTED_FLAGGED = runpy.run_path(str(ROOT / "scripts" / "run_experiments.py"))[
+    "EXPECTED_FLAGGED"]
 
 # relative tolerance of float cells and fields, by config stem
 DEFAULT_RTOL = 4 * 2.0**-52
@@ -100,17 +104,36 @@ def test_golden_covers_the_shipped_configs():
     assert set(RTOL) <= {c.stem for c in CONFIGS}
 
 
+def run_configs(out: Path) -> dict[str, int]:
+    """Run every shipped config into ``out``; the exit codes by stem."""
+    return {cfg.stem: main(["run", str(cfg), "--out", str(out), "--quiet"]) for cfg in CONFIGS}
+
+
+def file_bytes(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
 @pytest.fixture(scope="module")
 def shipped(tmp_path_factory):
     """A directory with the outputs of every shipped config."""
     out = tmp_path_factory.mktemp("shipped")
-    for cfg in CONFIGS:
-        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) in (0, 2), cfg
+    codes = run_configs(out)
+    assert set(codes.values()) <= {0, 2}, codes
     return out
 
 
 def test_shipped_outputs_match_golden(shipped):
     assert [m for cfg in CONFIGS for m in mismatches(shipped, cfg.stem)] == []
+
+
+def test_reruns_are_byte_identical(shipped, tmp_path):
+    # a second run of every config, into a fresh directory and then in place
+    # over the first run's files, writes the same bytes, with the same codes
+    first = file_bytes(shipped)
+    codes = {cfg.stem: 2 if cfg.stem in EXPECTED_FLAGGED else 0 for cfg in CONFIGS}
+    for out in (tmp_path, shipped):
+        assert run_configs(out) == codes
+        assert file_bytes(out) == first
 
 
 def _percent_text(field: str) -> bool | None:

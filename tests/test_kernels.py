@@ -441,6 +441,19 @@ def test_family_array_rule_matches_per_state_rows(fam):
     np.testing.assert_array_equal(block, [per_state_row(fam, int(i)) for i in states])
     np.testing.assert_array_equal(block, [fam.row(int(i)) for i in states])
     np.testing.assert_array_equal(fam.kernel(50).rows(0, 60), fam.row_rule(np.arange(61)))
+    if fam.homogeneous_from is not None:
+        assert fam.kernel(50).homogeneous_level() == fam.homogeneous_from
+
+
+def test_general_rows_homogeneous_level_is_the_kernels():
+    # explicit rows 0..2 over the tail row; row 2 already is the tail row
+    fam = cli.build_chain({"name": "general", "band_lo": 1, "band_hi": 1,
+                           "rows": {"0": {"1": 1.0}, "1": {"-1": 0.4, "1": 0.6},
+                                    "2": {"-1": 0.3, "1": 0.7}},
+                           "tail_row": {"-1": 0.3, "1": 0.7}})
+    assert fam.homogeneous_from == fam.kernel(50).homogeneous_level() == 2
+    np.testing.assert_array_equal(fam.row_rule(np.array([0, 2, 1, 9])),
+                                  [[0, 0, 1], [0.3, 0, 0.7], [0.4, 0, 0.6], [0.3, 0, 0.7]])
 
 
 

@@ -577,6 +577,22 @@ def test_entry_measure_above_the_solved_range_is_refused(lindley_result):
             ht.entry_measure(kernel, res.log_pi, level)
 
 
+def test_entry_measure_below_zero_is_refused(lindley_result):
+    fam, res = lindley_result
+    with pytest.raises(ht.StateRangeError, match="^level -5 outside the solved range"):
+        ht.entry_measure(fam.kernel(96), res.log_pi, -5)
+
+
+def test_renewal_range_below_the_first_state_is_refused(lindley_result):
+    fam, _ = lindley_result
+    killed = fam.kernel(200).kill(range(6))
+    assert killed.state_lo == 6
+    U, _ = ht.renewal_measure(killed, {6: 1.0}, K_range=6)
+    assert len(U) == 1
+    with pytest.raises(ht.StateRangeError, match="renewal range ends at 3, below the first state 6"):
+        ht.renewal_measure(killed, {6: 1.0}, K_range=3)
+
+
 def test_renewal_pure_death_oracle():
     rows = {i: {-1: 1.0} for i in range(1, 61)}
     kernel = ht.kernel_from_rows(rows, truncation=60, band_lo=1, band_hi=1, state_lo=1)
