@@ -452,7 +452,8 @@ def build_solve(
     positive harmonic function is compatible with the boundary (the
     perturbation is too strong); disagreement between the solves at K and
     2K on the lower half means the boundary at K has not yet decoupled.
-    Both conditions raise :class:`SolverFailure`.
+    Both conditions raise :class:`SolverFailure`, and so does a harmonicity
+    residual above ``tol``.
     """
     if not kernel.has_row(K):
         raise StateRangeError(f"kernel has no rows up to the requested truncation {K}")
@@ -485,8 +486,11 @@ def _matrix_geometric_solve(kernel: TransitionKernel, K: int, tol: float, h: int
     rows from state_lo up to the level below its top and, as its last m
     equations, the closure g_top = G g_(top - 1); it spans the window up to
     about ``_DIRECT_STATES`` states, and G's powers fill the levels above it
-    up to K + band_hi.  The harmonicity residual is taken over all of the
-    window, padded by that exact continuation.
+    up to K + band_hi, or up to the level where they underflow: from there
+    on g is exactly 0 and f exactly 1.  So the negative-values check stops
+    at the first state where f is 1, and the harmonicity residual at the
+    first row whose neighbours all are: each later row is that same tail
+    row reading the same ones, with the same residual bits.
     """
     lo, bl, bh = kernel.state_lo, kernel.band_lo, kernel.band_hi
     G, g_residual = _certified_first_passage(walk)
@@ -501,11 +505,13 @@ def _matrix_geometric_solve(kernel: TransitionKernel, K: int, tol: float, h: int
     v = np.zeros(bl + s - lo + levels * m)
     g = v[bl:]
     g[:n] = _deficit_solve(*band_closure(row_slice(rows, 0, n), bl, G), deficit)
-    _level_powers(G, g[s - lo :].reshape(levels, m), direct)
+    one = s - lo + m * _level_powers(G, g[s - lo :].reshape(levels, m), direct)
     f = np.subtract(1.0, g, out=g)
-    _nonnegative(f[: K - lo + 1])
+    window = K - lo + 1
+    _nonnegative(f[: min(window, one + 1)])
     meta = {"first_passage_residual": g_residual, "homogeneous_level": h, "level_size": m}
-    return _estimate(kernel, K, tol, rows, v, "matrix-geometric", meta)
+    return _estimate(kernel, K, tol, rows, v, "matrix-geometric", meta,
+                     min(window, one + bl + 1))
 
 
 def _truncated_solve(kernel: TransitionKernel, K: int, tol: float, check_doubling: bool,
@@ -538,18 +544,19 @@ def _truncated_solve(kernel: TransitionKernel, K: int, tol: float, check_doublin
                 diagnostics={"disagreement": disagreement, "K": K},
             )
     v = np.concatenate([np.zeros(bl), f_K, np.ones(kernel.band_hi)])
-    return _estimate(kernel, K, tol, rows, v, "linear-solve", meta)
+    return _estimate(kernel, K, tol, rows, v, "linear-solve", meta, n)
 
 
 def _estimate(kernel: TransitionKernel, K: int, tol: float, rows, v: np.ndarray, method: str,
-              meta: dict) -> HarmonicEstimate:
+              meta: dict, checked: int) -> HarmonicEstimate:
     """The estimate f on [state_lo, K] from ``v``, f on the window ``rows``
     padded as ``_residual`` takes it, once its harmonicity residual over the
-    window is within ``tol``."""
+    first ``checked`` rows of the window is within ``tol``; the caller
+    vouches that the rows after them have none larger."""
     lo, bl = kernel.state_lo, kernel.band_lo
     n = K - lo + 1
-    res = _residual(row_slice(rows, 0, n), bl, v)
-    if res > max(tol, 1e-9):
+    res = _residual(row_slice(rows, 0, checked), bl, v)
+    if res > tol:
         raise SolverFailure(
             f"harmonicity residual {res:.3e} exceeds tolerance after the solve",
             reason="residual",

@@ -359,21 +359,24 @@ def _first_passage(walk: LatticeWalk) -> tuple[np.ndarray, int, float]:
     return G, iterations, residual
 
 
-def _level_powers(G: np.ndarray, X: np.ndarray, done: int) -> None:
+def _level_powers(G: np.ndarray, X: np.ndarray, done: int) -> int:
     """Fill the rows done.. of the (levels, m) array X in place with
-    x_k = G^k x_0, given its first ``done`` rows, ``done`` a power of two.
+    x_k = G^k x_0, given its first ``done`` rows, ``done`` a power of two,
+    and return the first level from which every x_k is zero (``len(X)``
+    when the powers never underflow).
 
     By doubling: the rows x_0..x_{d-1} times (G^T)^d give the next d rows,
     so the levels take about 2 log2(levels / done) products, and none once a
-    power of G has underflowed to zero.  When fewer levels are left than G
-    has rows, one product per level costs less than squaring G.
+    power of G has underflowed to zero: the rows from there on are left as
+    they are, zero only in an X that came zeroed.  When fewer levels are
+    left than G has rows, one product per level costs less than squaring G.
     """
     power = None
     while done < len(X):
         if len(X) - done <= len(G):
             for k in range(done, len(X)):
                 np.matmul(X[k - 1], G.T, out=X[k])
-            return
+            break
         if power is None:
             power = G.T
             for _ in range(done.bit_length() - 1):
@@ -381,14 +384,15 @@ def _level_powers(G: np.ndarray, X: np.ndarray, done: int) -> None:
         else:
             power = power @ power
         if not power.any():  # G^done underflowed: every further level is 0
-            X[done:] = 0.0
-            return
+            live = np.flatnonzero(X[:done].any(axis=1))
+            return int(live[-1]) + 1 if live.size else 0
         w = min(done, len(X) - done)
         if len(G) == 1:  # the bits of matmul's (w, 1) @ (1, 1), in a tenth of its time
             np.multiply(X[:w], power, out=X[done : done + w])
         else:
             np.matmul(X[:w], power, out=X[done : done + w])
         done += w
+    return len(X)
 
 
 def _homogeneous_levels(kernel: TransitionKernel, K: int) -> tuple[int, int, LatticeWalk] | None:

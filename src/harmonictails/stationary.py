@@ -196,13 +196,18 @@ def _discounted_sum(beta: float, y: np.ndarray) -> float:
 def _positive(y: np.ndarray, total: float, n: int) -> float:
     """Divide y by ``total`` in place, check that the result is finite and
     that its first n entries are not negative beyond rounding, and clip it
-    at 1e-300.  Returns the scale max(1, max |y|) of the first n entries."""
+    at 1e-300.  Returns the scale max(1, max |y|) of the first n entries.
+
+    The first n entries are finite when their min and max are (NaN if any
+    entry is), as in ``kernels._finite``; the few past them are tested
+    apart."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         np.divide(y, total, out=y)
-    if not (math.isfinite(total) and np.all(np.isfinite(y))):
+    neg, top = float(y[:n].min()), float(y[:n].max())
+    if not (math.isfinite(total) and math.isfinite(neg) and math.isfinite(top)
+            and np.all(np.isfinite(y[n:]))):
         raise SolverFailure("compensated stationary solve overflowed", reason="non-finite")
-    neg = float(y[:n].min())
-    scale = max(1.0, -neg, float(y[:n].max()))
+    scale = max(1.0, -neg, top)
     if neg < -1e-10 * scale:
         raise SolverFailure(
             f"compensated stationary vector has negative entries (min {neg:.3e})",
@@ -325,7 +330,7 @@ def _matrix_geometric_stationary(kernel: TransitionKernel, K: int, root: float, 
     with _tilted_rows(root):
         system = band_closure(row_slice(rows, 0, n), bl, G, transpose=True, factors=tilt)
     y[:n] = _pinned_solve(*system)
-    _level_powers(G, y[s:].reshape(levels, m), direct)
+    _level_powers(G, y[s:].reshape(levels, m), direct)  # R's powers never underflow: all filled
     remainder = np.linalg.solve(np.eye(m) - math.exp(-root * m) * G, y[s : s + m])
     total = _discounted_sum(root, y[:s]) + math.exp(-root * s) * _discounted_sum(root, remainder)
     y = y[: K + bl + 1]

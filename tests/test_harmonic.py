@@ -18,7 +18,8 @@ from conftest import (
     seeded_drift_kernels,
 )
 from harmonictails.harmonic import _truncated_solve
-from harmonictails.ladder import _EXACT_WORK_RATIO
+from harmonictails.kernels import row_slice
+from harmonictails.ladder import _EXACT_WORK_RATIO, _level_powers
 
 RATIO = 3.0 / 7.0  # q/p for the default up probability 0.7
 
@@ -977,6 +978,79 @@ def test_exact_and_truncated_routes_agree(name):
         tol = 1e-6
     assert (exact.method, trunc.method) == ("matrix-geometric", "linear-solve")
     assert gap <= tol
+
+
+def exact_solve_window(kernel, K, monkeypatch):
+    """build_solve's estimate, and the window rows, the padded v and the
+    number of rows checked that its exact route hands to ``_estimate``."""
+    seen = {}
+    estimate = ht.harmonic._estimate
+
+    def spy(kernel, K, tol, rows, v, method, meta, checked):
+        seen.update(rows=rows, v=v, checked=checked)
+        return estimate(kernel, K, tol, rows, v, method, meta, checked)
+
+    monkeypatch.setattr(ht.harmonic, "_estimate", spy)
+    est = ht.build_solve(kernel, K)
+    assert est.method == "matrix-geometric"
+    return est, seen
+
+
+@pytest.mark.parametrize("K", [400, 4000, 40000])
+@pytest.mark.parametrize("name", ["example1", "example2", "reach", "wide3", "wide17"])
+def test_exact_solve_checks_match_the_whole_window(name, K, monkeypatch):
+    # the exact route checks f up to its first state of value exactly 1 and
+    # the residual up to the first row whose neighbours all are: over the
+    # whole window the residual has the same bits and the clip moves nothing
+    kernel = ROUTE_CASES[name]()
+    est, seen = exact_solve_window(kernel, K, monkeypatch)
+    n = K - kernel.state_lo + 1
+    assert est.residual == ht.harmonic._residual(row_slice(seen["rows"], 0, n), kernel.band_lo,
+                                                 seen["v"])
+    f = est.array(kernel.state_lo, K)
+    np.testing.assert_array_equal(ht.harmonic._nonnegative(f.copy()), f)
+    if K == 40000:  # G's powers underflow far below K
+        assert seen["checked"] < 2000
+
+
+def test_near_critical_exact_solve_checks_the_whole_window(monkeypatch):
+    # G = 0.49 / 0.51: its powers stay above the float range's floor up to
+    # K = 4000, so no level of g is known to be 0 and every row is checked
+    kernel = ht.perturbed_reflected_walk(p=0.51, alpha=1.01).kernel(40)
+    _, seen = exact_solve_window(kernel, 4000, monkeypatch)
+    assert seen["checked"] == 4001
+
+
+@pytest.mark.parametrize("K", [400, 40000])
+def test_supercritical_exact_solve_still_fails_on_negative_values(K):
+    # f(0) = alpha (1 - r) / (1 - alpha r) = -6 at alpha = 3, r = 3/7
+    with pytest.raises(ht.SolverFailure) as exc:
+        ht.build_solve(ht.perturbed_reflected_walk(p=0.7, alpha=3.0).kernel(8), K)
+    assert exc.value.reason == "negative-values"
+    assert exc.value.diagnostics == {"min_value": -5.9999999999999964}
+
+
+def test_level_powers_returns_the_first_all_zero_level():
+    # x_k = 2^-k: 2^-1074 is the least subnormal and 2^-1075 rounds to 0
+    X = np.zeros((4096, 1))
+    X[:2, 0] = [1.0, 0.5]
+    assert _level_powers(np.array([[0.5]]), X, 2) == 1075
+    assert X[1074, 0] == 2.0**-1074 and not X[1075:].any()
+    # powers that never underflow fill every level
+    X = np.zeros((64, 1))
+    X[:2, 0] = [1.0, 0.9]
+    assert _level_powers(np.array([[0.9]]), X, 2) == 64
+    assert X[63, 0] == pytest.approx(0.9**63, rel=1e-14)
+
+
+def test_build_solve_applies_tol_as_given():
+    # the exact solve of example 1 leaves a residual of 3.9e-16, within the
+    # default 1e-10 and beyond 1e-17
+    kernel = ht.perturbed_reflected_walk(p=0.7, alpha=2.0).kernel(8)
+    assert ht.build_solve(kernel, 400).residual == pytest.approx(3.9e-16, rel=0.01)
+    with pytest.raises(ht.SolverFailure) as exc:
+        ht.build_solve(kernel, 400, tol=1e-17)
+    assert exc.value.reason == "residual"
 
 
 def truncated_system_solution(kernel, K):
